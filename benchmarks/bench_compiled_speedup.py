@@ -8,7 +8,11 @@ must never be slower than interpretation, and every compiled run must be
 bit-identical to its interpreted twin (samples, iteration counts and cost
 totals).  The out-of-memory and sharded routes are measured too: their
 compiled drains must plan ``step_tier=compiled`` and match their
-interpreted twins bit for bit.
+interpreted twins bit for bit.  Each walk workload is also stepped depth by
+depth on the compiled step engine -- what the resolver would pick for it
+were the fused walk kernel deleted -- which must be bit-identical too; the
+engine/walk time ratio rides on the workload's row, so "both compiled
+kernels stay" is a number in the trajectory.
 
 Run standalone (it is intentionally not a pytest file -- it measures wall
 clock, which the simulated-time benchmarks never do):
@@ -34,12 +38,16 @@ from __future__ import annotations
 import argparse
 import os
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
+from repro.api.instance import make_instances
+from repro.api.results import SampleResult
 from repro.api.sampler import GraphSampler
-from repro.compiled import available_backends, force_backend
+from repro.compiled import CompiledStepEngine, available_backends, force_backend
+from repro.gpusim.costmodel import CostModel
 from repro.graph.generators import powerlaw_graph
 
 #: (algorithm, config overrides); every workload carries the >= 3x assertion
@@ -72,41 +80,12 @@ def _identical(a, b) -> bool:
     )
 
 
-def _time_run(graph, seeds, num_instances, info, config, *, use_compiled):
-    best, result = float("inf"), None
-    for _ in range(2):  # best-of-2 to absorb machine noise
-        sampler = GraphSampler(
-            graph, info.program_factory(), config, use_compiled=use_compiled
-        )
-        start = time.perf_counter()
-        result = sampler.run(seeds, num_instances=num_instances)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def interpreted():
+    """The process-wide compiled-tier switch turned off for a ``with`` block."""
+    return mock.patch.dict(os.environ, {"REPRO_COMPILED": "0"})
 
 
-def run_workload(graph, seeds, num_instances, name, overrides):
-    info = ALGORITHM_REGISTRY[name]
-    config = info.config_factory(seed=1, **overrides)
-    t_interp, r_interp = _time_run(
-        graph, seeds, num_instances, info, config, use_compiled=False
-    )
-    timings = {}
-    identical = True
-    for backend in available_backends():
-        with force_backend(backend):
-            t, r = _time_run(
-                graph, seeds, num_instances, info, config, use_compiled=True
-            )
-        timings[backend] = t
-        identical = identical and _identical(r_interp, r)
-    return t_interp, timings, identical
-
-
-# --------------------------------------------------------------------------- #
-# Route coverage: the compiled kernel inside the OOM and sharded drains
-# --------------------------------------------------------------------------- #
-
-def _best_of(runner, repeats=2):
+def _best_of(runner, repeats=2):  # best-of-2 to absorb machine noise
     best, result = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -114,6 +93,51 @@ def _best_of(runner, repeats=2):
         best = min(best, time.perf_counter() - start)
     return best, result
 
+
+def _run(graph, seeds, num_instances, info, config):
+    return GraphSampler(graph, info.program_factory(), config).run(
+        seeds, num_instances=num_instances
+    )
+
+
+def _run_stepped_on_engine(graph, seeds, num_instances, info, config):
+    """The executor's depth loop minus the walk kernel it would fuse into."""
+    engine = GraphSampler(graph, info.program_factory(), config).engine
+    assert isinstance(engine, CompiledStepEngine)
+    instances = make_instances(seeds, num_instances=num_instances)
+    total, iteration_counts = CostModel(), []
+    for depth in range(config.depth):
+        step_cost = CostModel()
+        if engine.step_instances(instances, depth, step_cost, iteration_counts) is None:
+            break
+        step_cost.kernel_launches += 1
+        total.merge(step_cost)
+    return SampleResult.from_instances(
+        instances, total, iteration_counts=iteration_counts
+    )
+
+
+def run_workload(graph, seeds, num_instances, name, overrides):
+    info = ALGORITHM_REGISTRY[name]
+    config = info.config_factory(seed=1, **overrides)
+    args = (graph, seeds, num_instances, info, config)
+    with interpreted():
+        t_interp, r_interp = _best_of(lambda: _run(*args))
+    timings = {}
+    identical = True
+    for backend in available_backends():
+        with force_backend(backend):
+            t, r = _best_of(lambda: _run(*args))
+        timings[backend] = t
+        identical = identical and _identical(r_interp, r)
+    t_engine, r_engine = _best_of(lambda: _run_stepped_on_engine(*args))
+    identical = identical and _identical(r_interp, r_engine)
+    return t_interp, timings, t_engine, identical
+
+
+# --------------------------------------------------------------------------- #
+# Route coverage: the compiled kernel inside the OOM and sharded drains
+# --------------------------------------------------------------------------- #
 
 def run_oom_route(graph, seeds, num_instances, overrides):
     """Interpreted vs compiled partition drains of the OOM scheduler."""
@@ -123,19 +147,17 @@ def run_oom_route(graph, seeds, num_instances, overrides):
     config = info.config_factory(seed=1, **overrides)
     oom = OutOfMemoryConfig.fully_optimized(num_partitions=3)
 
-    def one(use_compiled):
-        sampler = OutOfMemorySampler(
-            graph, info.program_factory(), config, oom,
-            use_compiled=use_compiled,
-        )
-        return sampler, _best_of(
+    def one(expected_tier):
+        sampler = OutOfMemorySampler(graph, info.program_factory(), config, oom)
+        plan = sampler.plan(seeds, num_instances=num_instances)
+        assert plan.step_tier == expected_tier, plan.compiled_fallback
+        return _best_of(
             lambda: sampler.run(seeds, num_instances=num_instances)
         )
 
-    _, (t_interp, r_interp) = one(False)
-    compiled_sampler, (t_comp, r_comp) = one(None)
-    plan = compiled_sampler.plan(seeds, num_instances=num_instances)
-    assert plan.step_tier == "compiled", plan.compiled_fallback
+    with interpreted():
+        t_interp, r_interp = one("interpreted")
+    t_comp, r_comp = one("compiled")
     identical = _identical(r_interp.sample, r_comp.sample)
     return t_interp, t_comp, identical
 
@@ -147,29 +169,19 @@ def run_sharded_route(graph, seeds, num_instances, overrides):
     info = ALGORITHM_REGISTRY[ROUTE_ALGORITHM]
     config = info.config_factory(seed=1, **overrides)
 
-    def one(disable):
-        previous = os.environ.get("REPRO_COMPILED")
-        if disable:
-            os.environ["REPRO_COMPILED"] = "0"
-        try:
-            cluster = ShardedSamplingCluster(
-                graph, ROUTE_ALGORITHM, config, num_shards=3
-            )
-            if not disable:
-                plan = cluster.plan(seeds, num_instances=num_instances)
-                assert plan.step_tier == "compiled", plan.compiled_fallback
-            return _best_of(
-                lambda: cluster.run(seeds, num_instances=num_instances)
-            )
-        finally:
-            if disable:
-                if previous is None:
-                    os.environ.pop("REPRO_COMPILED", None)
-                else:
-                    os.environ["REPRO_COMPILED"] = previous
+    def one(expected_tier):
+        cluster = ShardedSamplingCluster(
+            graph, ROUTE_ALGORITHM, config, num_shards=3
+        )
+        plan = cluster.plan(seeds, num_instances=num_instances)
+        assert plan.step_tier == expected_tier, plan.compiled_fallback
+        return _best_of(
+            lambda: cluster.run(seeds, num_instances=num_instances)
+        )
 
-    t_interp, r_interp = one(disable=True)
-    t_comp, r_comp = one(disable=False)
+    with interpreted():
+        t_interp, r_interp = one("interpreted")
+    t_comp, r_comp = one("compiled")
     identical = _identical(r_interp.result, r_comp.result)
     return t_interp, t_comp, identical
 
@@ -196,12 +208,12 @@ def main() -> int:
     header = f"{'workload':24s} {'interp':>9s}"
     for backend in backends:
         header += f" {backend:>9s}"
-    print(header + f" {'best':>8s}  identical")
+    print(header + f" {'best':>8s} {'engine':>9s}  identical")
 
     failures = []
     records = []
     for name, overrides in WORKLOADS:
-        t_interp, timings, identical = run_workload(
+        t_interp, timings, t_engine, identical = run_workload(
             graph, seeds, num_instances, name, overrides
         )
         t_best = min(timings.values())
@@ -209,9 +221,11 @@ def main() -> int:
         line = f"{name:24s} {t_interp:8.2f}s"
         for backend in backends:
             line += f" {timings[backend]:8.2f}s"
-        print(line + f" {speedup:7.2f}x  {identical}")
+        print(line + f" {speedup:7.2f}x {t_engine:8.2f}s  {identical}")
         if not identical:
-            failures.append(f"{name}: compiled result diverged from interpreted")
+            failures.append(
+                f"{name}: walk kernel / compiled engine / interpreted diverged"
+            )
         if not args.quick:
             if speedup < SPEEDUP_FLOOR:
                 failures.append(
@@ -229,6 +243,8 @@ def main() -> int:
                 "wall_time_s": t_best,
                 "interp_time_s": t_interp,
                 "speedup": speedup,
+                # The same walk stepped on the compiled engine, not fused.
+                "engine_over_walk": t_engine / t_best,
                 "identical": identical,
                 "num_instances": num_instances,
             })

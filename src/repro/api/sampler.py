@@ -17,18 +17,18 @@ Each depth step is executed as one simulated kernel: all SELECT invocations
 of the step are warp tasks inside it, which is how the result's kernel-time
 and SEPS numbers are obtained.
 
-By default the step body runs on the batched execution engine
-(:class:`repro.engine.BatchedStepEngine`), which executes every instance's
-gather / SELECT / UPDATE as flat array programs; ``use_engine=False`` keeps
-the original instance-by-instance scalar loop.  Both paths produce
-bit-identical results for a fixed seed (the engine equivalence tests assert
-this for every registered algorithm).
+The step body runs on the batched execution engine
+(:class:`repro.engine.BatchedStepEngine`, or its compiled specialisation
+when the program's declared shape allows), which executes every instance's
+gather / SELECT / UPDATE as flat array programs.  The original
+instance-by-instance scalar loop lives on as the test oracle in
+:mod:`repro.baselines.reference`; the engine equivalence tests assert both
+produce bit-identical results for every registered algorithm.
 
-Since the unified-planner refactor :class:`GraphSampler` is a thin facade:
-:meth:`run` builds an in-memory :class:`~repro.planner.plan.ExecutionPlan`
-(which also performs the uniform plan-time seed validation) and executes it
-on the shared :class:`~repro.planner.executor.Executor`; the scalar step
-body (:meth:`_step_instance`) stays here as the executor's legacy callable.
+:class:`GraphSampler` is a thin facade: :meth:`run` builds an in-memory
+:class:`~repro.planner.plan.ExecutionPlan` (which also performs the uniform
+plan-time seed validation) and executes it on the shared
+:class:`~repro.planner.executor.Executor`.
 """
 
 from __future__ import annotations
@@ -37,16 +37,12 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.bias import FrontierPoolView, SamplingProgram
-from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
+from repro.api.bias import SamplingProgram
+from repro.api.config import SamplingConfig
 from repro.api.instance import InstanceState, make_instances
 from repro.api.results import SampleResult
-from repro.api.select import gather_neighbors, warp_select
-from repro.engine.step import BatchedStepEngine, validate_biases
-from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, make_device
 from repro.gpusim.prng import CounterRNG
-from repro.gpusim.warp import WarpExecutor
 from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphSampler", "sample_graph"]
@@ -62,8 +58,6 @@ class GraphSampler:
         config: SamplingConfig,
         device: Optional[Device] = None,
         *,
-        use_engine: bool = True,
-        use_compiled: Optional[bool] = None,
         algorithm: Optional[str] = None,
     ):
         from repro.graph.delta import as_csr
@@ -79,16 +73,11 @@ class GraphSampler:
         self.algorithm = algorithm
         self.device = device if device is not None else make_device("gpu")
         self.rng = CounterRNG(config.seed)
-        self.use_engine = use_engine
-        # The compiled tier replaces the engine depth loop, so it is only
-        # meaningful when the engine path is active.
-        self.use_compiled = use_compiled if use_engine else False
         from repro.compiled.step_engine import make_step_engine
 
         self.engine = make_step_engine(
-            graph, program, config, self.rng, use_compiled=self.use_compiled
+            graph, program, config, self.rng, "in_memory"
         )
-        self._warp_counter = 0
 
     # ------------------------------------------------------------------ #
     def _plan(self, instances: List[InstanceState]):
@@ -102,7 +91,6 @@ class GraphSampler:
             algorithm=self.algorithm,
             instances=instances,
             force_route="in_memory",
-            allow_compiled=self.use_compiled,
         ))
 
     def plan(
@@ -128,250 +116,14 @@ class GraphSampler:
         from repro.planner.executor import Executor
 
         instances = make_instances(seeds, num_instances=num_instances)
-        execution_plan = self._plan(instances)
-        compiled_kernel = None
-        if execution_plan.step_tier == "compiled":
-            from repro.compiled import get_kernel_spec, instantiate_kernel
-
-            spec = get_kernel_spec(self.program, self.config, execution_plan)
-            compiled_kernel = instantiate_kernel(spec, self.engine)
         executor = Executor(
-            execution_plan,
+            self._plan(instances),
             self.graph,
             program=self.program,
             engine=self.engine,
             device=self.device,
-            use_engine=self.use_engine,
-            scalar_step=self._step_instance,
-            compiled_kernel=compiled_kernel,
         )
         return executor.execute(instances)
-
-    # ------------------------------------------------------------------ #
-    def _step_instance(
-        self,
-        inst: InstanceState,
-        depth: int,
-        cost: CostModel,
-        iteration_counts: List[int],
-    ) -> int:
-        """Advance one instance by one MAIN-loop iteration; returns warp-task count."""
-        cfg = self.config
-        graph = self.graph
-        program = self.program
-        tasks = 0
-
-        pool = inst.frontier_pool
-        frontier, frontier_positions, tasks_inc = self._select_frontier(inst, pool, depth, cost)
-        tasks += tasks_inc
-        if frontier.size == 0:
-            inst.finished = True
-            return tasks
-
-        inserted: List[np.ndarray] = []
-        if cfg.scope is SelectionScope.PER_LAYER:
-            sampled_any, tasks_inc = self._sample_layer(inst, frontier, depth, cost,
-                                                        iteration_counts, inserted)
-            tasks += tasks_inc
-        else:
-            sampled_any = False
-            for slot, vertex in enumerate(frontier):
-                sampled, tasks_inc = self._sample_vertex(
-                    inst, int(vertex), slot, depth, cost, iteration_counts, inserted
-                )
-                sampled_any = sampled_any or sampled
-                tasks += tasks_inc
-
-        # Remember the vertex explored at this step for dynamic biases
-        # (node2vec).  Only single-vertex (walk-style) frontiers define a
-        # previous vertex; with a wider frontier there is no single "vertex
-        # the walker came from", and feeding frontier[0] to a node2vec-style
-        # bias would silently skew it (see InstanceState.prev_vertex).
-        if frontier.size == 1:
-            inst.prev_vertex = int(frontier[0])
-
-        self._update_pool(inst, pool, frontier_positions, inserted)
-        inst.depth = depth + 1
-        if inst.pool_size == 0:
-            inst.finished = True
-        return tasks
-
-    # ------------------------------------------------------------------ #
-    def _select_frontier(
-        self,
-        inst: InstanceState,
-        pool: np.ndarray,
-        depth: int,
-        cost: CostModel,
-    ):
-        """Line 4 of Fig. 2(b): SELECT(VERTEXBIAS(FrontierPool), FrontierSize)."""
-        cfg = self.config
-        if cfg.frontier_size == 0 or pool.size <= cfg.frontier_size:
-            return pool, np.arange(pool.size), 0
-
-        view = FrontierPoolView(
-            vertices=pool,
-            degrees=self.graph.degrees[pool],
-            instance=inst,
-            graph=self.graph,
-        )
-        biases = self._validated_bias(self.program.vertex_bias(view), pool.size, "vertex_bias")
-        positive = int(np.count_nonzero(biases > 0))
-        count = min(cfg.frontier_size, positive)
-        if count == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-        warp = self._next_warp(cost)
-        result = warp_select(
-            biases,
-            count,
-            warp,
-            inst.instance_id,
-            depth,
-            0,
-            with_replacement=False,
-            strategy=cfg.strategy,
-            detector=cfg.detector,
-        )
-        return pool[result.indices], result.indices, 1
-
-    def _sample_vertex(
-        self,
-        inst: InstanceState,
-        vertex: int,
-        slot: int,
-        depth: int,
-        cost: CostModel,
-        iteration_counts: List[int],
-        inserted: List[np.ndarray],
-    ):
-        """Lines 5-8 for one frontier vertex under per-vertex scope."""
-        cfg = self.config
-        edges = gather_neighbors(self.graph, vertex, inst, cost)
-        if edges.size == 0:
-            return False, 0
-        biases = self._validated_bias(self.program.edge_bias(edges), edges.size, "edge_bias")
-        requested = self.program.neighbor_count(edges, cfg.neighbor_size)
-        if requested <= 0:
-            return False, 0
-        positive = int(np.count_nonzero(biases > 0))
-        if positive == 0:
-            return False, 0
-        count = requested if cfg.with_replacement else min(requested, positive)
-        warp = self._next_warp(cost)
-        result = warp_select(
-            biases,
-            count,
-            warp,
-            inst.instance_id,
-            depth,
-            slot + 1,
-            with_replacement=cfg.with_replacement,
-            strategy=cfg.strategy,
-            detector=cfg.detector,
-        )
-        sampled = edges.neighbors[result.indices]
-        iteration_counts.extend(int(i) for i in result.iterations)
-        accepted = np.asarray(self.program.accept(edges, sampled), dtype=np.int64).reshape(-1)
-        if accepted.size:
-            inst.record_edges(vertex, accepted)
-            cost.sampled_edges += int(accepted.size)
-        # UPDATE sees the visited set as of the *previous* steps so it can
-        # filter re-visits; the newly accepted vertices are marked afterwards.
-        new_vertices = np.asarray(
-            self.program.update(edges, accepted), dtype=np.int64
-        ).reshape(-1)
-        if accepted.size and cfg.track_visited:
-            inst.mark_visited(accepted)
-        if new_vertices.size:
-            inserted.append(new_vertices)
-        return True, 1
-
-    def _sample_layer(
-        self,
-        inst: InstanceState,
-        frontier: np.ndarray,
-        depth: int,
-        cost: CostModel,
-        iteration_counts: List[int],
-        inserted: List[np.ndarray],
-    ):
-        """Lines 5-8 under per-layer scope (layer sampling)."""
-        cfg = self.config
-        pools = []
-        for vertex in frontier:
-            edges = gather_neighbors(self.graph, int(vertex), inst, cost)
-            if edges.size == 0:
-                continue
-            biases = self._validated_bias(self.program.edge_bias(edges), edges.size, "edge_bias")
-            pools.append((edges, biases))
-        if not pools:
-            return False, 0
-        all_src = np.concatenate([np.full(e.size, e.src, dtype=np.int64) for e, _ in pools])
-        all_neighbors = np.concatenate([e.neighbors for e, _ in pools])
-        all_biases = np.concatenate([b for _, b in pools])
-        positive = int(np.count_nonzero(all_biases > 0))
-        if positive == 0:
-            return False, 0
-        count = cfg.neighbor_size if cfg.with_replacement else min(cfg.neighbor_size, positive)
-        warp = self._next_warp(cost)
-        result = warp_select(
-            all_biases,
-            count,
-            warp,
-            inst.instance_id,
-            depth,
-            1,
-            with_replacement=cfg.with_replacement,
-            strategy=cfg.strategy,
-            detector=cfg.detector,
-        )
-        iteration_counts.extend(int(i) for i in result.iterations)
-        chosen_src = all_src[result.indices]
-        chosen_dst = all_neighbors[result.indices]
-        for s, d in zip(chosen_src, chosen_dst):
-            inst.record_edges(int(s), np.array([d]))
-        cost.sampled_edges += int(chosen_dst.size)
-        # UPDATE is called per source vertex with the subset it contributed;
-        # it sees the visited set as of the previous steps.
-        for edges, _ in pools:
-            mask = chosen_src == edges.src
-            if not mask.any():
-                continue
-            new_vertices = np.asarray(
-                self.program.update(edges, chosen_dst[mask]), dtype=np.int64
-            ).reshape(-1)
-            if new_vertices.size:
-                inserted.append(new_vertices)
-        if cfg.track_visited:
-            inst.mark_visited(chosen_dst)
-        return True, 1
-
-    def _update_pool(
-        self,
-        inst: InstanceState,
-        pool: np.ndarray,
-        frontier_positions: np.ndarray,
-        inserted: List[np.ndarray],
-    ) -> None:
-        """Line 7 of Fig. 2(b): FrontierPool.INSERT(UPDATE(Sampled))."""
-        new_vertices = (
-            np.concatenate(inserted) if inserted else np.empty(0, dtype=np.int64)
-        )
-        if self.config.pool_policy is PoolPolicy.REPLACE_SELECTED:
-            keep = np.ones(pool.size, dtype=bool)
-            keep[np.asarray(frontier_positions, dtype=np.int64)] = False
-            inst.set_pool(np.concatenate([pool[keep], new_vertices]))
-        else:  # NEXT_LAYER
-            inst.set_pool(new_vertices)
-
-    # ------------------------------------------------------------------ #
-    def _next_warp(self, cost: CostModel) -> WarpExecutor:
-        warp = WarpExecutor(warp_id=self._warp_counter, cost=cost, rng=self.rng)
-        self._warp_counter += 1
-        return warp
-
-    def _validated_bias(self, biases, expected: int, label: str) -> np.ndarray:
-        return validate_biases(biases, expected, label)
 
 
 def sample_graph(
@@ -382,16 +134,7 @@ def sample_graph(
     *,
     num_instances: Optional[int] = None,
     device: Optional[Device] = None,
-    use_engine: bool = True,
-    use_compiled: Optional[bool] = None,
 ) -> SampleResult:
     """One-call convenience wrapper around :class:`GraphSampler`."""
-    sampler = GraphSampler(
-        graph,
-        program,
-        config or SamplingConfig(),
-        device,
-        use_engine=use_engine,
-        use_compiled=use_compiled,
-    )
+    sampler = GraphSampler(graph, program, config or SamplingConfig(), device)
     return sampler.run(seeds, num_instances=num_instances)

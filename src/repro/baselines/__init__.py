@@ -1,8 +1,10 @@
 """Baselines: reference implementations and the paper's comparator systems.
 
-* :mod:`~repro.baselines.reference` -- straightforward NumPy reference
-  samplers used as correctness oracles by the test suite (no cost model, no
-  GPU semantics; just the mathematically expected behaviour).
+* :mod:`~repro.baselines.reference` -- correctness oracles for the test
+  suite: straightforward NumPy reference samplers (no cost model, no GPU
+  semantics; just the mathematically expected behaviour) and
+  :class:`~repro.baselines.reference.ScalarMainLoop`, the scalar MAIN loop
+  the batched engines must match bit for bit.
 * :mod:`~repro.baselines.knightking` -- a KnightKing-like walker-centric CPU
   random-walk engine (alias tables for static biases, rejection sampling for
   dynamic ones, BSP stepping) used as the comparator of Fig. 9(a).
@@ -12,6 +14,7 @@
 """
 
 from repro.baselines.reference import (
+    ScalarMainLoop,
     reference_select_with_replacement,
     reference_select_without_replacement,
     reference_random_walk,
@@ -21,6 +24,7 @@ from repro.baselines.knightking import KnightKingEngine, KnightKingResult
 from repro.baselines.graphsaint import GraphSAINTSampler, GraphSAINTResult
 
 __all__ = [
+    "ScalarMainLoop",
     "reference_select_with_replacement",
     "reference_select_without_replacement",
     "reference_random_walk",

@@ -48,14 +48,11 @@ from repro.compiled.backends import (
 )
 from repro.compiled.compiler import (
     CompileDecision,
-    CompiledKernelSpec,
+    StepResolution,
     clear_kernel_cache,
     compile_decision,
-    get_kernel_spec,
-    instantiate_kernel,
     kernel_cache_stats,
-    plan_shape,
-    plan_step_tier,
+    resolve_step,
 )
 from repro.compiled.step_engine import CompiledStepEngine, make_step_engine
 from repro.compiled.structures import (
@@ -77,14 +74,11 @@ __all__ = [
     "force_backend",
     "select_backend",
     "CompileDecision",
-    "CompiledKernelSpec",
+    "StepResolution",
     "clear_kernel_cache",
     "compile_decision",
-    "get_kernel_spec",
-    "instantiate_kernel",
     "kernel_cache_stats",
-    "plan_shape",
-    "plan_step_tier",
+    "resolve_step",
     "CompiledStepEngine",
     "make_step_engine",
     "GraphStructures",

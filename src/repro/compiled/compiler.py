@@ -1,4 +1,4 @@
-"""The kernel compiler: plan-time specialisation decisions and the kernel cache.
+"""The kernel compiler: eligibility, the step-tier resolver and its cache.
 
 ``compile_decision`` is the static eligibility check: a program compiles when
 it *declares* a recognised bias kind (``SamplingProgram.compiled_bias``) and
@@ -6,41 +6,39 @@ every hook it overrides is covered by a recognised declared shape
 (``compiled_update`` / ``compiled_neighbor_count`` / ``compiled_vertex_bias``)
 -- an overridden hook with no declaration (or an ``accept`` override, which is
 inherently stateful) keeps the program interpreted with an explicit reason.
-Eligibility deliberately never inspects instances or routes: the service plans
-without instances, and route selection happens later in ``get_kernel_spec`` /
-``plan_step_tier``.
+It never inspects instances, sizes or calibrations: compiled beats
+interpreted down to a single walker, so the tier follows from the declared
+shape alone.
 
-Eligible plans map onto one of two kernels:
+:func:`resolve_step` is the one place "which code runs the depth step" is
+decided: ``(program | algorithm name, config, route)`` plus the process-wide
+``REPRO_COMPILED`` switch give a :class:`StepResolution` that the planner
+reports, :func:`~repro.compiled.step_engine.make_step_engine` constructs
+from and the executor's depth loop instantiates the walk kernel from -- so
+what a plan says and what runs cannot disagree.  Eligible plans resolve to:
 
 * ``"walk"`` -- the fused depth-loop kernel
   (:class:`~repro.compiled.walk_kernel.CompiledWalkKernel`) for walk-shaped
   plans (single-neighbor-ish per-vertex selection with replacement, no
   frontier sub-selection, no visited tracking, no declared hook shapes) on
-  the routes whose executor drives the depth loop directly.
+  the routes whose executor drives the depth loop directly;
 * ``"engine"`` -- the compiled step engine
   (:class:`~repro.compiled.step_engine.CompiledStepEngine`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
   eligible shape *and* every route (the OOM scheduler steps through
   ``expand_entries``, the sharded route through per-shard engines).
 
-``plan_step_tier`` is the planner's entry point: it combines eligibility with
-the process-wide enable switch and -- for walk kernels only, where the fused
-loop has real specialisation overhead worth weighing -- the calibrated cost
-comparison from :mod:`repro.planner.calibration`.  Engine-kind plans compile
-whenever eligible: the compiled engine is strictly-less-work per step.  Every
-refusal records a reason so ``ExecutionPlan.explain()`` can say *why* a plan
-interprets.
-
-Compiled kernels are cached per ``(program identity + cache token, config,
-plan shape, backend fingerprint)`` so compilation cost amortises across
-service requests; flipping numba availability or forcing a backend changes
-the fingerprint and can never serve a stale kernel.
+Resolutions -- refusals included, so ``explain()`` can say *why* a plan
+interprets -- are memoised in the kernel cache per ``(program class + cache
+token | algorithm name, config, route, backend fingerprint)``; flipping numba
+availability or forcing a backend changes the fingerprint and can never
+serve a stale kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
@@ -52,14 +50,11 @@ from repro.compiled.backends import (
 
 __all__ = [
     "CompileDecision",
-    "CompiledKernelSpec",
+    "StepResolution",
     "clear_kernel_cache",
     "compile_decision",
-    "get_kernel_spec",
-    "instantiate_kernel",
     "kernel_cache_stats",
-    "plan_shape",
-    "plan_step_tier",
+    "resolve_step",
 ]
 
 #: Bias kinds the compiled tier implements.
@@ -100,14 +95,21 @@ class CompileDecision:
 
 
 @dataclass(frozen=True)
-class CompiledKernelSpec:
-    """What the cache stores: enough to instantiate a kernel per engine."""
+class StepResolution:
+    """What :func:`resolve_step` decides (and the kernel cache stores)."""
 
-    kind: str
-    backend: str
-    #: ``"walk"`` (fused depth-loop kernel) or ``"engine"`` (compiled step
-    #: engine drives the step; no separate kernel object is instantiated).
-    kernel: str = "walk"
+    #: ``"compiled"`` or ``"interpreted"``.
+    tier: str
+    #: The declared bias kind when compiled.
+    kind: Optional[str] = None
+    #: ``"walk"`` (fused depth-loop kernel), ``"engine"`` (the compiled step
+    #: engine drives the step; no separate kernel object) or ``"none"``
+    #: (interpreted).
+    kernel: str = "none"
+    #: ``"numpy"`` / ``"numba"`` when compiled.
+    backend: Optional[str] = None
+    #: Why the plan interprets; ``None`` exactly when the tier is compiled.
+    fallback: Optional[str] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -191,78 +193,70 @@ def compile_decision(
 
 
 # --------------------------------------------------------------------------- #
-# Kernel cache
+# The step-tier resolver (memoised by the kernel cache)
 # --------------------------------------------------------------------------- #
-_KERNEL_CACHE: Dict[tuple, CompiledKernelSpec] = {}
+_KERNEL_CACHE: Dict[tuple, StepResolution] = {}
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
 
-
-def plan_shape(plan) -> Tuple[str, str, int]:
-    """The plan properties a cached kernel is specialised to.
-
-    Instance *counts* are deliberately excluded (the kernel is shape-generic
-    over walkers); what matters is the execution topology: the route, the
-    warp-cursor regime and the fusion-group count (grouped vs global warp
-    allocation compile to different cursor-advance code paths).
-    """
-    return (plan.route, plan.warp_cursors, len(plan.member_sizes))
+_DISABLED = StepResolution(
+    "interpreted", fallback="compiled tier disabled (REPRO_COMPILED)"
+)
 
 
-def _cache_key(program: SamplingProgram, config: SamplingConfig, plan) -> tuple:
-    cls = type(program)
-    return (
-        f"{cls.__module__}.{cls.__qualname__}",
-        program.compiled_cache_token(),
-        config,
-        plan_shape(plan),
-        backend_fingerprint(),
-    )
+def resolve_step(
+    config: SamplingConfig,
+    route: str,
+    *,
+    program: Optional[SamplingProgram] = None,
+    algorithm: Optional[str] = None,
+) -> StepResolution:
+    """Which code runs the depth step of one (program, config, route).
 
-
-def get_kernel_spec(
-    program: SamplingProgram, config: SamplingConfig, plan
-) -> CompiledKernelSpec:
-    """The cached kernel spec for an eligible (program, config, plan).
-
-    Raises ``ValueError`` when the combination is not compilable -- callers
-    gate on :func:`compile_decision` / ``plan.step_tier`` first.
+    Plans that carry no program object (the service plans from graph stats)
+    resolve through the registry by ``algorithm`` name.  Instance *counts*
+    are deliberately no input: kernels are shape-generic over walkers and
+    the compiled tier wins at every size.
     """
     global _CACHE_HITS, _CACHE_MISSES
-    key = _cache_key(program, config, plan)
-    spec = _KERNEL_CACHE.get(key)
-    if spec is not None:
+    if not compiled_enabled():
+        return _DISABLED
+    if program is not None:
+        identity = (type(program), program.compiled_cache_token())
+    else:
+        identity = (algorithm, None)
+    key = (identity, config, route, backend_fingerprint())
+    resolution = _KERNEL_CACHE.get(key)
+    if resolution is not None:
         _CACHE_HITS += 1
-        return spec
-    decision = compile_decision(program, config)
-    if not decision.eligible:
-        raise ValueError(f"plan is not compilable: {decision.reason}")
-    walk = decision.walk_shape and plan.route in COMPILABLE_ROUTES
-    # The fused walk loop has a jittable scalar inner loop on every kind
-    # (uniform draw + prefix search); the engine kernel reuses the segmented
-    # numpy SELECT verbatim.
-    backend = select_backend() if walk else "numpy"
-    spec = CompiledKernelSpec(
-        kind=decision.kind,
-        backend=backend,
-        kernel="walk" if walk else "engine",
-    )
-    _KERNEL_CACHE[key] = spec
+        return resolution
     _CACHE_MISSES += 1
-    return spec
+    if program is None and algorithm is not None:
+        from repro.algorithms.registry import ALGORITHM_REGISTRY
 
-
-def instantiate_kernel(spec: CompiledKernelSpec, engine):
-    """Bind a cached spec to a live engine (RNG + warp cursors shared).
-
-    Engine-kind specs return ``None``: the compiled step engine *is* the
-    kernel, so the executor keeps driving the engine's own step methods.
-    """
-    if spec.kernel == "engine":
-        return None
-    from repro.compiled.walk_kernel import CompiledWalkKernel
-
-    return CompiledWalkKernel(engine, kind=spec.kind, backend=spec.backend)
+        info = ALGORITHM_REGISTRY.get(algorithm)
+        program = info.program_factory() if info is not None else None
+    if program is None:
+        resolution = StepResolution(
+            "interpreted", fallback="program unknown at plan time"
+        )
+    else:
+        decision = compile_decision(program, config)
+        if not decision.eligible:
+            resolution = StepResolution("interpreted", fallback=decision.reason)
+        elif decision.walk_shape and route in COMPILABLE_ROUTES:
+            # The fused walk loop has a jittable scalar inner loop on every
+            # kind (uniform draw + prefix search).
+            resolution = StepResolution(
+                "compiled", decision.kind, "walk", select_backend()
+            )
+        else:
+            # The engine kernel reuses the segmented numpy SELECT verbatim.
+            resolution = StepResolution(
+                "compiled", decision.kind, "engine", "numpy"
+            )
+    _KERNEL_CACHE[key] = resolution
+    return resolution
 
 
 def kernel_cache_stats() -> Dict[str, int]:
@@ -275,74 +269,8 @@ def kernel_cache_stats() -> Dict[str, int]:
 
 
 def clear_kernel_cache() -> None:
-    """Drop every cached kernel and reset the hit/miss counters."""
+    """Drop every cached resolution and reset the hit/miss counters."""
     global _CACHE_HITS, _CACHE_MISSES
     _KERNEL_CACHE.clear()
     _CACHE_HITS = 0
     _CACHE_MISSES = 0
-
-
-# --------------------------------------------------------------------------- #
-# The planner's tier decision
-# --------------------------------------------------------------------------- #
-_PROBE_CACHE: Dict[str, Optional[SamplingProgram]] = {}
-
-
-def _probe_program(algorithm: str) -> Optional[SamplingProgram]:
-    """Registry probe for service plans that carry no program object."""
-    if algorithm in _PROBE_CACHE:
-        return _PROBE_CACHE[algorithm]
-    from repro.algorithms.registry import ALGORITHM_REGISTRY
-
-    info = ALGORITHM_REGISTRY.get(algorithm)
-    program = info.program_factory() if info is not None else None
-    _PROBE_CACHE[algorithm] = program
-    return program
-
-
-def plan_step_tier(
-    config: SamplingConfig,
-    route: str,
-    predicted_time_s: float,
-    *,
-    program: Optional[SamplingProgram] = None,
-    algorithm: Optional[str] = None,
-    allow_compiled: Optional[bool] = None,
-) -> Tuple[str, Optional[str], Optional[str]]:
-    """Decide the step tier for one plan: ``(tier, backend, fallback_reason)``.
-
-    ``allow_compiled`` is the request knob: ``False`` disables the tier,
-    ``True`` forces it for eligible plans (skipping the cost comparison),
-    ``None`` lets the calibrated cost model decide -- the comparison only
-    applies to walk-kernel plans; engine-kind plans compile whenever eligible
-    since the compiled engine does strictly less work per step.  The returned
-    fallback reason is ``None`` exactly when the tier is ``"compiled"``.
-    """
-    if allow_compiled is False:
-        return "interpreted", None, "compiled tier disabled by request"
-    if not compiled_enabled():
-        return "interpreted", None, "compiled tier disabled (REPRO_COMPILED)"
-    if program is None and algorithm is not None:
-        program = _probe_program(algorithm)
-    if program is None:
-        return "interpreted", None, "program unknown at plan time"
-    decision = compile_decision(program, config)
-    if not decision.eligible:
-        return "interpreted", None, decision.reason
-    walk = decision.walk_shape and route in COMPILABLE_ROUTES
-    backend = select_backend() if walk else "numpy"
-    if walk and allow_compiled is None:
-        from repro.planner.calibration import load_calibration
-
-        cal = load_calibration()
-        interpreted_s = float(predicted_time_s) * cal.time_scale
-        compiled_s = (
-            cal.compiled_overhead_s + interpreted_s / cal.compiled_speedup
-        )
-        if compiled_s > interpreted_s:
-            return (
-                "interpreted",
-                None,
-                "interpretation predicted faster than compilation",
-            )
-    return "compiled", backend, None

@@ -18,21 +18,15 @@ eligibility pass) at the exact call sites the interpreted engine evaluates
 them, so RNG keys, cost charges, samples and iteration counts are identical
 -- the compiled axis of ``tests/integration/test_cross_route_matrix.py``
 pins this for all four routes.
-
-:func:`make_step_engine` is the single construction point the sampler,
-coalescer, out-of-memory scheduler and shard runtime share: it returns the
-specialised engine when the (program, config) is eligible and the compiled
-tier is enabled, the plain interpreted engine otherwise.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram, SegmentedEdgePool
 from repro.api.config import SamplingConfig
+from repro.compiled.compiler import resolve_step
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.prng import CounterRNG
 from repro.graph.csr import CSRGraph
@@ -180,24 +174,20 @@ def make_step_engine(
     program: SamplingProgram,
     config: SamplingConfig,
     rng: CounterRNG,
-    *,
-    use_compiled: Optional[bool] = None,
+    route: str,
 ) -> BatchedStepEngine:
     """The step engine every route constructs through.
 
-    Returns the compiled specialisation whenever the (program, config) is
-    eligible and the tier is not disabled (``use_compiled=False`` or
-    ``REPRO_COMPILED=0``); the interpreted engine otherwise.  Both produce
-    bit-identical results, so the choice never changes observable output --
-    only whether hook dispatch survives into the hot loop.
+    Returns the compiled specialisation exactly when the route's
+    :func:`~repro.compiled.compiler.resolve_step` says ``"compiled"`` -- the
+    same resolution the plan reports -- and the interpreted engine
+    otherwise.  Both produce bit-identical results, so the choice never
+    changes observable output -- only whether hook dispatch survives into
+    the hot loop.
     """
-    from repro.compiled.backends import compiled_enabled
-    from repro.compiled.compiler import compile_decision
-
-    if use_compiled is not False and compiled_enabled():
-        decision = compile_decision(program, config)
-        if decision.eligible:
-            return CompiledStepEngine(
-                graph, program, config, rng, kind=decision.kind
-            )
+    resolution = resolve_step(config, route, program=program)
+    if resolution.tier == "compiled":
+        return CompiledStepEngine(
+            graph, program, config, rng, kind=resolution.kind
+        )
     return BatchedStepEngine(graph, program, config, rng)

@@ -463,21 +463,18 @@ def update_structures(old_graph, new_graph, touched) -> int:
 def bind_structures(delta) -> None:
     """Patch this cache on every compaction of ``delta``.
 
-    Chains after any hook already installed (unlike
-    :func:`repro.selection.incremental.bind`, which replaces it), so alias/
-    ITS caches and this cache can both follow one graph.  Bind while the
-    overlay is empty (e.g. right after construction or a compaction) so the
-    captured base is the snapshot samplers actually run against.
+    Chains after any hook already bound (:meth:`~repro.graph.delta.DeltaGraph.
+    add_compact_hook`, like :func:`repro.selection.incremental.bind`), so
+    alias/ITS caches and this cache can both follow one graph.  Bind while
+    the overlay is empty (e.g. right after construction or a compaction) so
+    the captured base is the snapshot samplers actually run against.
     """
     from repro.graph.delta import as_csr
 
     holder = {"base": as_csr(delta)}
-    previous = delta.on_compact
 
     def _hook(new_base: CSRGraph, touched: np.ndarray) -> None:
-        if previous is not None:
-            previous(new_base, touched)
         update_structures(holder["base"], new_base, touched)
         holder["base"] = new_base
 
-    delta.on_compact = _hook
+    delta.add_compact_hook(_hook)

@@ -174,7 +174,7 @@ class ShardRuntime:
         self._rng = CounterRNG(config.seed)
         #: Shared engine for coalescable programs (one fused batch per step).
         self._engine = (
-            make_step_engine(self.graph, probe, config, self._rng)
+            make_step_engine(self.graph, probe, config, self._rng, "sharded")
             if self.coalescable
             else None
         )
@@ -247,7 +247,8 @@ class ShardRuntime:
                         )
                     program = self._factory(**kwargs)
                 engine = make_step_engine(
-                    self.graph, program, self.config, CounterRNG(self.config.seed)
+                    self.graph, program, self.config,
+                    CounterRNG(self.config.seed), "sharded",
                 )
                 engine.warp_counter = int(env.warp_cursor)
             self._records[instance_id] = _WalkerRecord(

@@ -110,7 +110,6 @@ def run_coalesced(
     config: SamplingConfig,
     members: Sequence[Sequence[InstanceState]],
     *,
-    use_compiled: Optional[bool] = None,
     algorithm: Optional[str] = None,
 ) -> List[SampleResult]:
     """Run several members of one ``(program, config)`` as a single batch.
@@ -132,25 +131,13 @@ def run_coalesced(
         algorithm=algorithm,
         members=members,
         force_route="coalesced",
-        allow_compiled=use_compiled,
     ))
     from repro.compiled.step_engine import make_step_engine
 
-    rng = CounterRNG(config.seed)
-    engine = make_step_engine(graph, program, config, rng, use_compiled=use_compiled)
-    compiled_kernel = None
-    if execution_plan.step_tier == "compiled":
-        from repro.compiled import get_kernel_spec, instantiate_kernel
-
-        spec = get_kernel_spec(program, config, execution_plan)
-        compiled_kernel = instantiate_kernel(spec, engine)
-    executor = Executor(
-        execution_plan,
-        graph,
-        program=program,
-        engine=engine,
-        compiled_kernel=compiled_kernel,
+    engine = make_step_engine(
+        graph, program, config, CounterRNG(config.seed), "coalesced"
     )
+    executor = Executor(execution_plan, graph, program=program, engine=engine)
     return executor.execute(members=members)
 
 

@@ -83,7 +83,9 @@ class DeltaGraph:
         if compaction_budget is not None and compaction_budget < 1:
             raise ValueError("compaction_budget must be >= 1 (or None)")
         self.compaction_budget = compaction_budget
-        self.on_compact = on_compact
+        self._compact_hooks: List[CompactHook] = (
+            [] if on_compact is None else [on_compact]
+        )
         #: Number of compactions applied so far (the graph's local version).
         self.version = 0
         self._reset(base)
@@ -418,9 +420,17 @@ class DeltaGraph:
         self._reset(new_base)
         self._retired = retired  # retirement is permanent across compactions
         self.version += 1
-        if self.on_compact is not None:
-            self.on_compact(new_base, touched)
+        for hook in self._compact_hooks:
+            hook(new_base, touched)
         return touched
+
+    def add_compact_hook(self, hook: CompactHook) -> None:
+        """Run ``hook`` after every compaction, after the hooks already bound.
+
+        The one way per-vertex structure caches attach themselves, so any
+        number of them (in any order) can follow one graph.
+        """
+        self._compact_hooks.append(hook)
 
     def _maybe_compact(self) -> None:
         if (

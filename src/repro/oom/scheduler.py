@@ -27,23 +27,19 @@ The three optimisations of Figures 13-15 are independent switches:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
-from repro.api.frontier import FrontierQueue
-from repro.api.instance import InstanceState, make_instances
+from repro.api.instance import make_instances
 from repro.api.results import SampleResult
-from repro.api.select import gather_neighbors, warp_select
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, make_device
 from repro.gpusim.prng import CounterRNG
-from repro.gpusim.warp import WarpExecutor
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import PartitionSet, partition_graph
-from repro.telemetry import profiler as _profiler
 
 __all__ = ["OutOfMemoryConfig", "OutOfMemoryResult", "OutOfMemorySampler"]
 
@@ -154,8 +150,6 @@ class OutOfMemorySampler:
         *,
         device: Optional[Device] = None,
         partitions: Optional[PartitionSet] = None,
-        use_engine: bool = True,
-        use_compiled: Optional[bool] = None,
         algorithm: Optional[str] = None,
     ):
         from repro.compiled.step_engine import make_step_engine
@@ -175,14 +169,9 @@ class OutOfMemorySampler:
             else partition_graph(graph, self.oom.num_partitions)
         )
         self.rng = CounterRNG(config.seed)
-        self.use_engine = use_engine
-        # The compiled tier specialises the engine's expand/step path, so it
-        # is only meaningful when the engine path is active.
-        self.use_compiled = use_compiled if use_engine else False
         self.engine = make_step_engine(
-            graph, program, config, self.rng, use_compiled=self.use_compiled
+            graph, program, config, self.rng, "out_of_memory"
         )
-        self._warp_counter = 0
 
     # ------------------------------------------------------------------ #
     def plan(
@@ -210,7 +199,6 @@ class OutOfMemorySampler:
             instances=instances,
             oom_config=self.oom,
             force_route="out_of_memory",
-            allow_compiled=self.use_compiled,
         ))
 
     def run(
@@ -230,71 +218,6 @@ class OutOfMemorySampler:
             program=self.program,
             engine=self.engine,
             device=self.device,
-            use_engine=self.use_engine,
             partitions=self.partitions,
-            scalar_expand=self._expand_entry,
         )
         return executor.execute(instances)
-
-    def _expand_entry(
-        self,
-        vertex: int,
-        instance: InstanceState,
-        depth: int,
-        queues: Dict[int, FrontierQueue],
-        cost: CostModel,
-        iteration_counts: List[int],
-    ) -> None:
-        """Sample the neighbors of one frontier entry and enqueue its successors."""
-        cfg = self.config
-        if depth >= cfg.depth:
-            return
-        prof = _profiler.clock(depth)
-        edges = gather_neighbors(self.graph, vertex, instance, cost)
-        prof.lap("gather")
-        if edges.size == 0:
-            return
-        biases = np.asarray(self.program.edge_bias(edges), dtype=np.float64).reshape(-1)
-        if biases.size != edges.size:
-            raise ValueError("edge_bias must return one bias per neighbor")
-        positive = int(np.count_nonzero(biases > 0))
-        prof.lap("bias")
-        if positive == 0:
-            return
-        requested = self.program.neighbor_count(edges, cfg.neighbor_size)
-        if requested <= 0:
-            return
-        count = requested if cfg.with_replacement else min(requested, positive)
-        warp = WarpExecutor(warp_id=self._warp_counter, cost=cost, rng=self.rng)
-        self._warp_counter += 1
-        result = warp_select(
-            biases,
-            count,
-            warp,
-            instance.instance_id,
-            depth,
-            vertex,
-            with_replacement=cfg.with_replacement,
-            strategy=cfg.strategy,
-            detector=cfg.detector,
-        )
-        prof.lap("select")
-        iteration_counts.extend(int(i) for i in result.iterations)
-        sampled = edges.neighbors[result.indices]
-        accepted = np.asarray(self.program.accept(edges, sampled), dtype=np.int64).reshape(-1)
-        if accepted.size:
-            instance.record_edges(vertex, accepted)
-            cost.sampled_edges += int(accepted.size)
-        new_vertices = np.asarray(
-            self.program.update(edges, accepted), dtype=np.int64
-        ).reshape(-1)
-        if accepted.size and cfg.track_visited:
-            instance.mark_visited(accepted)
-        instance.prev_vertex = vertex
-        next_depth = depth + 1
-        if next_depth >= cfg.depth:
-            return
-        owners = self.partitions.owner(new_vertices) if new_vertices.size else ()
-        for new_vertex, owner in zip(new_vertices, owners):
-            queues[int(owner)].push(int(new_vertex), instance.instance_id, next_depth)
-        prof.lap("update")

@@ -16,11 +16,11 @@ dominate.  The planner multiplies every predicted time by ``time_scale``
 before comparing tiers or shedding load, and plans report the result as
 ``calibrated_time_s``.
 
-The calibration also carries the compiled tier's cost parameters:
-``compiled_speedup`` (how much faster the fused kernel runs the same plan;
-the shipped value is the benchmark gate's floor) and ``compiled_overhead_s``
-(per-run specialisation cost; effectively zero because kernels are cached by
-plan shape).
+The calibration also carries the compiled tier's pricing coefficient,
+``compiled_speedup`` (how much faster the compiled tier runs the same plan;
+the shipped value is the benchmark gate's floor).  It only scales
+``calibrated_time_s``; which tier runs is decided from eligibility alone
+(:func:`repro.compiled.compiler.resolve_step`).
 
 Calibrations persist as JSON next to the benchmark baselines
 (``benchmarks/baselines/calibration.json``).  ``REPRO_CALIBRATION`` points at
@@ -63,8 +63,6 @@ class Calibration:
     time_scale: float = 1.0
     #: Expected compiled-tier speedup over interpretation for eligible plans.
     compiled_speedup: float = 3.0
-    #: Per-run compiled specialisation overhead (cache-amortised, so ~0).
-    compiled_overhead_s: float = 0.0
     #: Provenance: ``"bench:route"`` labels of the records the fit used.
     fitted_from: Tuple[str, ...] = field(default_factory=tuple)
 
@@ -77,7 +75,6 @@ def fit_calibration(
     records: Sequence[dict],
     *,
     compiled_speedup: float = 3.0,
-    compiled_overhead_s: float = 0.0,
 ) -> Calibration:
     """Fit ``time_scale`` from planner benchmark records.
 
@@ -99,7 +96,6 @@ def fit_calibration(
     return Calibration(
         time_scale=math.exp(sum(logs) / len(logs)),
         compiled_speedup=compiled_speedup,
-        compiled_overhead_s=compiled_overhead_s,
         fitted_from=tuple(labels),
     )
 
@@ -108,7 +104,6 @@ def fit_from_telemetry(
     sink=None,
     *,
     compiled_speedup: float = 3.0,
-    compiled_overhead_s: float = 0.0,
 ) -> Calibration:
     """Fit a calibration from live plan-cost feedback instead of shipped
     benchmark records.
@@ -123,11 +118,7 @@ def fit_from_telemetry(
     """
     if sink is None:
         from repro.telemetry.feedback import FEEDBACK as sink
-    return fit_calibration(
-        sink.records(),
-        compiled_speedup=compiled_speedup,
-        compiled_overhead_s=compiled_overhead_s,
-    )
+    return fit_calibration(sink.records(), compiled_speedup=compiled_speedup)
 
 
 def save_calibration(cal: Calibration, path: Optional[Path] = None) -> Path:
@@ -141,11 +132,11 @@ def save_calibration(cal: Calibration, path: Optional[Path] = None) -> Path:
 
 
 def _load_from_file(path: Path) -> Calibration:
+    # Unknown keys are ignored, so files saved by older versions still load.
     payload = json.loads(path.read_text())
     return Calibration(
         time_scale=float(payload.get("time_scale", 1.0)),
         compiled_speedup=float(payload.get("compiled_speedup", 3.0)),
-        compiled_overhead_s=float(payload.get("compiled_overhead_s", 0.0)),
         fitted_from=tuple(payload.get("fitted_from", ())),
     )
 

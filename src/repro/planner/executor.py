@@ -15,9 +15,9 @@ produces identical samples, iteration counts and cost totals through the
 planner as through the old per-facade paths (asserted by
 ``tests/integration/test_cross_route_matrix.py``).
 
-The legacy scalar paths (``use_engine=False``) stay available for the
-equivalence tests: facades pass their scalar step/expand callables and the
-executor drives them through the same scheduling skeleton as the engine.
+The executor only ever talks to ``engine.step_instances`` /
+``engine.expand_entries``, so the equivalence suites hand it the scalar
+MAIN-loop oracle (:mod:`repro.baselines.reference`) in the engine's place.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import numpy as np
 from repro.api.frontier import FrontierQueue
 from repro.api.instance import InstanceState
 from repro.api.results import SampleResult
+from repro.compiled.compiler import resolve_step
+from repro.compiled.walk_kernel import CompiledWalkKernel
 from repro.engine.hetero import GroupedIterationSink, member_map
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
@@ -65,25 +67,17 @@ class Executor:
         program=None,
         engine: Optional[BatchedStepEngine] = None,
         device: Optional[Device] = None,
-        use_engine: bool = True,
         partitions=None,
-        scalar_step: Optional[Callable] = None,
-        scalar_expand: Optional[Callable] = None,
         transport_factory: Optional[Callable] = None,
         stride: Optional[int] = None,
         transport_name: str = "in_process",
-        compiled_kernel=None,
     ):
         self.plan = plan
         self.graph = graph
         self.program = program
         self.engine = engine
         self.device = device
-        self.use_engine = use_engine
-        self.compiled_kernel = compiled_kernel
         self.partitions = partitions
-        self.scalar_step = scalar_step
-        self.scalar_expand = scalar_expand
         self.transport_factory = transport_factory
         self.stride = stride
         self.transport_name = transport_name
@@ -152,39 +146,23 @@ class Executor:
     # ================================================================== #
     # In-memory MAIN loop (Fig. 2(b)) -- the GraphSampler route
     # ================================================================== #
-    def _scalar_pass(
-        self,
-        instances: Sequence[InstanceState],
-        depth: int,
-        step_cost: CostModel,
-        iteration_counts,
-    ) -> Optional[int]:
-        """One depth step of the legacy instance-by-instance loop."""
-        num_tasks = 0
-        any_active = False
-        for inst in instances:
-            if inst.finished or inst.pool_size == 0:
-                inst.finished = True
-                continue
-            any_active = True
-            num_tasks += self.scalar_step(inst, depth, step_cost, iteration_counts)
-        return num_tasks if any_active else None
-
     def _depth_loop(self, instances, sink) -> tuple:
         """The shared MAIN loop: one simulated kernel per depth step."""
-        if self.compiled_kernel is not None and self.use_engine:
-            # Compiled tier: the fused kernel runs the whole depth loop,
-            # producing the same kernel records and cost totals.
-            return self.compiled_kernel.run(instances, sink)
+        resolution = resolve_step(
+            self.plan.config, self.plan.route, program=self.program
+        )
+        if resolution.kernel == "walk":
+            # The fused kernel runs the whole depth loop, producing the same
+            # kernel records and cost totals.
+            return CompiledWalkKernel(
+                self.engine, kind=resolution.kind, backend=resolution.backend
+            ).run(instances, sink)
         kernels: List[KernelLaunch] = []
         total = CostModel()
         for depth in range(self.plan.config.depth):
             step_cost = CostModel()
             with _trace.span("depth_step", depth=depth) as sp:
-                if self.use_engine:
-                    tasks = self.engine.step_instances(instances, depth, step_cost, sink)
-                else:
-                    tasks = self._scalar_pass(instances, depth, step_cost, sink)
+                tasks = self.engine.step_instances(instances, depth, step_cost, sink)
                 sp.set(tasks=tasks)
             if tasks is None:
                 break
@@ -366,33 +344,20 @@ class Executor:
                 groups = group_entries_by_instance(vertices, instance_ids, depths)
             for group_vertices, group_instances, group_depths in groups:
                 kernel_cost = CostModel()
-                if self.use_engine:
-                    succ_v, succ_i, succ_d = self.engine.expand_entries(
-                        group_vertices,
-                        group_instances,
-                        group_depths,
-                        instance_map,
-                        kernel_cost,
-                        iteration_counts,
-                    )
-                    if succ_v.size:
-                        owners = self.partitions.owner(succ_v)
-                        for owner in np.unique(owners):
-                            mask = owners == owner
-                            queues[int(owner)].push_batch(
-                                succ_v[mask], succ_i[mask], succ_d[mask]
-                            )
-                else:
-                    for vertex, instance_id, depth in zip(
-                        group_vertices, group_instances, group_depths
-                    ):
-                        self.scalar_expand(
-                            int(vertex),
-                            instance_map[int(instance_id)],
-                            int(depth),
-                            queues,
-                            kernel_cost,
-                            iteration_counts,
+                succ_v, succ_i, succ_d = self.engine.expand_entries(
+                    group_vertices,
+                    group_instances,
+                    group_depths,
+                    instance_map,
+                    kernel_cost,
+                    iteration_counts,
+                )
+                if succ_v.size:
+                    owners = self.partitions.owner(succ_v)
+                    for owner in np.unique(owners):
+                        mask = owners == owner
+                        queues[int(owner)].push_batch(
+                            succ_v[mask], succ_i[mask], succ_d[mask]
                         )
                 kernel_cost.kernel_launches += 1
                 launch = KernelLaunch(

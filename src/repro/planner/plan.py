@@ -124,7 +124,7 @@ class ExecutionPlan:
     #: ``"compiled"``.
     compiled_backend: Optional[str] = None
     #: Why the plan interprets, when a compiled tier exists but was not
-    #: chosen (eligibility failure, route, cost model, or disabled).
+    #: chosen (eligibility failure or the ``REPRO_COMPILED`` switch).
     compiled_fallback: Optional[str] = None
     #: ``predicted_time_s`` scaled by the host calibration constant
     #: (:mod:`repro.planner.calibration`): the planner's estimate of actual

@@ -39,8 +39,10 @@ import numpy as np
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
 from repro.api.instance import InstanceState, validate_seed_instances
+from repro.compiled.compiler import resolve_step
 from repro.gpusim.device import DeviceSpec, V100_SPEC
 from repro.oom.scheduler import OutOfMemoryConfig
+from repro.planner.calibration import load_calibration
 from repro.planner.cost import predict_cost, predict_time_s
 from repro.planner.errors import PlanError, SeedValidationError
 from repro.planner.plan import ExecutionPlan, PartitionLayout
@@ -145,9 +147,6 @@ class PlanRequest:
     graph_num_edges: Optional[int] = None
     graph_nbytes: Optional[int] = None
     spec: DeviceSpec = field(default=V100_SPEC)
-    #: Compiled step tier: ``None`` lets the calibrated cost model decide,
-    #: ``True`` forces it for eligible plans, ``False`` disables it.
-    allow_compiled: Optional[bool] = None
 
 
 def plan_route(
@@ -306,6 +305,15 @@ def _predict_for_layout(
     return predicted, predicted_time
 
 
+def _calibrated_time_s(predicted_time_s: float, step_tier: str) -> float:
+    """Host wall estimate for the chosen tier (pricing only, never routing)."""
+    calibration = load_calibration()
+    calibrated = calibration.calibrated_time_s(predicted_time_s)
+    if step_tier == "compiled":
+        calibrated /= calibration.compiled_speedup
+    return calibrated
+
+
 def scale_plan(
     base: ExecutionPlan,
     member_sizes: Sequence[int],
@@ -339,15 +347,6 @@ def scale_plan(
     # The tier decision carries over unchanged (eligibility is identical for
     # the in_memory and coalesced routes and depends only on program/config),
     # but the calibrated wall estimate tracks the rescaled prediction.
-    from repro.planner.calibration import load_calibration
-
-    calibration = load_calibration()
-    calibrated_time = calibration.calibrated_time_s(predicted_time)
-    if base.step_tier == "compiled":
-        calibrated_time = (
-            calibration.compiled_overhead_s
-            + calibrated_time / calibration.compiled_speedup
-        )
     return replace(
         base,
         route=route,
@@ -356,7 +355,7 @@ def scale_plan(
         member_sizes=member_sizes,
         predicted_cost=predicted,
         predicted_time_s=predicted_time,
-        calibrated_time_s=calibrated_time,
+        calibrated_time_s=_calibrated_time_s(predicted_time, base.step_tier),
     )
 
 
@@ -507,26 +506,11 @@ def plan(request: PlanRequest) -> ExecutionPlan:
     )
 
     # ------------------------------------------------------------------ #
-    # Step-tier decision (compiled vs interpreted) + host calibration
+    # Step tier (from eligibility alone) + host calibration
     # ------------------------------------------------------------------ #
-    from repro.compiled import plan_step_tier
-    from repro.planner.calibration import load_calibration
-
-    step_tier, compiled_backend, compiled_fallback = plan_step_tier(
-        config,
-        route,
-        predicted_time,
-        program=program,
-        algorithm=request.algorithm,
-        allow_compiled=request.allow_compiled,
+    resolution = resolve_step(
+        config, route, program=program, algorithm=request.algorithm
     )
-    calibration = load_calibration()
-    calibrated_time = calibration.calibrated_time_s(predicted_time)
-    if step_tier == "compiled":
-        calibrated_time = (
-            calibration.compiled_overhead_s
-            + calibrated_time / calibration.compiled_speedup
-        )
 
     return ExecutionPlan(
         route=route,
@@ -544,8 +528,8 @@ def plan(request: PlanRequest) -> ExecutionPlan:
         memory_budget_bytes=request.memory_budget_bytes,
         predicted_cost=predicted,
         predicted_time_s=predicted_time,
-        step_tier=step_tier,
-        compiled_backend=compiled_backend,
-        compiled_fallback=compiled_fallback,
-        calibrated_time_s=calibrated_time,
+        step_tier=resolution.tier,
+        compiled_backend=resolution.backend,
+        compiled_fallback=resolution.fallback,
+        calibrated_time_s=_calibrated_time_s(predicted_time, resolution.tier),
     )

@@ -162,11 +162,11 @@ def bind(delta, *caches: VertexStructureCache,
     """Wire caches to a :class:`~repro.graph.delta.DeltaGraph`.
 
     Every compaction (explicit or budget-triggered) then patches each cache
-    incrementally with the compaction's touched set.  Replaces any previous
-    ``on_compact`` hook.
+    incrementally with the compaction's touched set.  Chains after any hook
+    already bound (:meth:`~repro.graph.delta.DeltaGraph.add_compact_hook`).
     """
     def _hook(new_base: CSRGraph, touched: np.ndarray) -> None:
         for cache in caches:
             cache.update(new_base, touched, cost)
 
-    delta.on_compact = _hook
+    delta.add_compact_hook(_hook)

@@ -5,7 +5,7 @@ import pytest
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.bias import SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
-from repro.compiled import compile_decision, plan_step_tier
+from repro.compiled import compile_decision, resolve_step
 from repro.algorithms.random_walk import SimpleRandomWalk
 
 #: algorithm -> (kind, walk_shape) for every eligible registry default.
@@ -103,75 +103,59 @@ class TestCompileDecision:
         assert "quantum" in decision.reason
 
 
-class TestPlanStepTier:
+class TestResolveStep:
     def test_eligible_walk_compiles_on_engine_routes(self):
         for route in ("in_memory", "coalesced"):
-            tier, backend, fallback = plan_step_tier(
-                walk_config(), route, 1e-3, program=SimpleRandomWalk()
+            resolution = resolve_step(
+                walk_config(), route, program=SimpleRandomWalk()
             )
-            assert tier == "compiled"
-            assert backend in ("numpy", "numba")
-            assert fallback is None
+            assert resolution.tier == "compiled"
+            assert resolution.kernel == "walk"
+            assert resolution.backend in ("numpy", "numba")
+            assert resolution.fallback is None
 
     def test_non_engine_routes_compile_on_the_engine(self):
         # The OOM and sharded routes step through the engine, so eligible
         # programs compile there too -- always on the numpy engine kernel
-        # (no fused walk loop to jit) and without the cost comparison.
+        # (no fused walk loop to jit).
         for route in ("out_of_memory", "sharded"):
-            tier, backend, fallback = plan_step_tier(
-                walk_config(), route, 1e-3, program=SimpleRandomWalk()
+            resolution = resolve_step(
+                walk_config(), route, program=SimpleRandomWalk()
             )
-            assert tier == "compiled"
-            assert backend == "numpy"
-            assert fallback is None
-
-    def test_allow_compiled_knob(self):
-        tier, _, fallback = plan_step_tier(
-            walk_config(), "in_memory", 1e-3,
-            program=SimpleRandomWalk(), allow_compiled=False,
-        )
-        assert (tier, fallback) == ("interpreted", "compiled tier disabled by request")
-        tier, _, fallback = plan_step_tier(
-            walk_config(), "in_memory", 1e-3,
-            program=SimpleRandomWalk(), allow_compiled=True,
-        )
-        assert (tier, fallback) == ("compiled", None)
+            assert resolution.tier == "compiled"
+            assert resolution.kernel == "engine"
+            assert resolution.backend == "numpy"
+            assert resolution.fallback is None
 
     def test_env_disable(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
-        tier, _, fallback = plan_step_tier(
-            walk_config(), "in_memory", 1e-3, program=SimpleRandomWalk()
+        resolution = resolve_step(
+            walk_config(), "in_memory", program=SimpleRandomWalk()
         )
-        assert tier == "interpreted"
-        assert "REPRO_COMPILED" in fallback
+        assert (resolution.tier, resolution.kernel) == ("interpreted", "none")
+        assert "REPRO_COMPILED" in resolution.fallback
 
     def test_algorithm_name_resolves_via_registry(self):
-        tier, _, fallback = plan_step_tier(
-            walk_config(), "in_memory", 1e-3, algorithm="simple_random_walk"
+        resolution = resolve_step(
+            walk_config(), "in_memory", algorithm="simple_random_walk"
         )
-        assert (tier, fallback) == ("compiled", None)
-        tier, _, fallback = plan_step_tier(
-            walk_config(), "in_memory", 1e-3, algorithm="no_such_algorithm"
+        assert (resolution.tier, resolution.fallback) == ("compiled", None)
+        resolution = resolve_step(
+            walk_config(), "in_memory", algorithm="no_such_algorithm"
         )
-        assert tier == "interpreted"
-        assert "unknown" in fallback
+        assert resolution.tier == "interpreted"
+        assert "unknown" in resolution.fallback
 
-    def test_cost_model_decides_by_default(self, monkeypatch, tmp_path):
-        # An expensive compiled overhead must push small plans back to
-        # interpretation -- the knob the calibration file controls.
-        from repro.planner import calibration as cal_mod
+    @pytest.mark.parametrize("walkers", [1, 8, 64])
+    def test_tier_never_depends_on_size(self, walkers):
+        # Compiled beats interpreted down to one walker, so small walk plans
+        # compile like large ones (there is no cost comparison to lose).
+        from repro.api.sampler import GraphSampler
+        from repro.graph.generators import powerlaw_graph
 
-        path = tmp_path / "calibration.json"
-        cal_mod.save_calibration(
-            cal_mod.Calibration(time_scale=1.0, compiled_overhead_s=1e9), path
-        )
-        monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        cal_mod.clear_calibration_cache()
-        try:
-            tier, _, fallback = plan_step_tier(
-                walk_config(), "in_memory", 1e-3, program=SimpleRandomWalk()
-            )
-            assert tier == "interpreted"
-            assert "faster" in fallback
-        finally:
-            cal_mod.clear_calibration_cache()
+        graph = powerlaw_graph(200, 5.0, seed=1)
+        sampler = GraphSampler(graph, SimpleRandomWalk(), walk_config())
+        execution_plan = sampler.plan(list(range(walkers)))
+        assert execution_plan.num_instances == walkers
+        assert execution_plan.step_tier == "compiled"
+        assert execution_plan.compiled_fallback is None

@@ -4,20 +4,12 @@ import pytest
 
 from repro.algorithms.node2vec import Node2Vec
 from repro.algorithms.random_walk import SimpleRandomWalk
-from repro.api.instance import make_instances
 from repro.compiled import (
     clear_kernel_cache,
-    get_kernel_spec,
     kernel_cache_stats,
+    resolve_step,
 )
 from repro.compiled import backends as backends_mod
-from repro.graph.generators import powerlaw_graph
-from repro.planner.planner import PlanRequest, plan
-
-
-@pytest.fixture(scope="module")
-def graph():
-    return powerlaw_graph(120, 5.0, seed=2)
 
 
 @pytest.fixture(autouse=True)
@@ -27,89 +19,79 @@ def fresh_cache():
     clear_kernel_cache()
 
 
-def make_plan(graph, program, config, *, members=None, seeds=(0, 1, 2)):
-    if members is not None:
-        return plan(PlanRequest(
-            graph=graph, program=program, config=config,
-            members=[make_instances(list(m)) for m in members],
-            force_route="coalesced",
-        ))
-    return plan(PlanRequest(
-        graph=graph, program=program, config=config,
-        instances=make_instances(list(seeds)), force_route="in_memory",
-    ))
-
-
 class TestKernelCache:
-    def test_same_shape_hits(self, graph):
+    def test_same_key_hits(self):
+        # Instance counts are no part of the key: any two plans of one
+        # (program, config, route) share the resolution.
         program = SimpleRandomWalk()
         config = SimpleRandomWalk.default_config()
-        p1 = make_plan(graph, program, config, seeds=(0, 1, 2))
-        p2 = make_plan(graph, program, config, seeds=(5, 6, 7, 8))  # shape-equal
-        s1 = get_kernel_spec(program, config, p1)
-        s2 = get_kernel_spec(program, config, p2)
-        assert s1 is s2
+        r1 = resolve_step(config, "in_memory", program=program)
+        r2 = resolve_step(config, "in_memory", program=SimpleRandomWalk())
+        assert r1 is r2
         stats = kernel_cache_stats()
         assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
-    def test_config_and_program_divergence_miss(self, graph):
+    def test_config_and_program_divergence_miss(self):
         program = SimpleRandomWalk()
-        c1 = SimpleRandomWalk.default_config()
-        c2 = SimpleRandomWalk.default_config(depth=4)
-        get_kernel_spec(program, c1, make_plan(graph, program, c1))
-        get_kernel_spec(program, c2, make_plan(graph, program, c2))
+        resolve_step(SimpleRandomWalk.default_config(), "in_memory", program=program)
+        resolve_step(
+            SimpleRandomWalk.default_config(depth=4), "in_memory", program=program
+        )
         assert kernel_cache_stats()["entries"] == 2
 
-    def test_plan_shape_divergence_miss(self, graph):
+    def test_route_divergence_miss(self):
         program = SimpleRandomWalk()
         config = SimpleRandomWalk.default_config()
-        solo = make_plan(graph, program, config)
-        fused = make_plan(graph, program, config, members=[(0, 1), (2, 3)])
-        get_kernel_spec(program, config, solo)
-        get_kernel_spec(program, config, fused)
+        resolve_step(config, "in_memory", program=program)
+        resolve_step(config, "coalesced", program=program)
         stats = kernel_cache_stats()
         assert (stats["entries"], stats["misses"]) == (2, 2)
 
-    def test_node2vec_parameters_key_the_cache(self, graph):
+    def test_node2vec_parameters_key_the_cache(self):
         config = Node2Vec.default_config()
-        a, b = Node2Vec(p=0.5, q=2.0), Node2Vec(p=2.0, q=0.5)
-        get_kernel_spec(a, config, make_plan(graph, a, config))
-        get_kernel_spec(b, config, make_plan(graph, b, config))
+        resolve_step(config, "in_memory", program=Node2Vec(p=0.5, q=2.0))
+        resolve_step(config, "in_memory", program=Node2Vec(p=2.0, q=0.5))
         assert kernel_cache_stats()["entries"] == 2
 
-    def test_backend_fingerprint_invalidates(self, graph, monkeypatch):
+    def test_backend_fingerprint_invalidates(self, monkeypatch):
         program = SimpleRandomWalk()
         config = SimpleRandomWalk.default_config()
-        execution_plan = make_plan(graph, program, config)
-        get_kernel_spec(program, config, execution_plan)
+        resolve_step(config, "in_memory", program=program)
         # A changed backend environment (numba appearing/disappearing, or a
         # forced backend) must never serve the previously cached kernel.
         monkeypatch.setattr(backends_mod, "_backend_override", "numpy")
-        get_kernel_spec(program, config, execution_plan)
+        resolve_step(config, "in_memory", program=program)
         stats = kernel_cache_stats()
         assert (stats["entries"], stats["misses"], stats["hits"]) == (2, 2, 0)
 
-    def test_ineligible_raises(self, graph):
+    def test_ineligible_resolves_interpreted_with_a_reason(self):
         # Stateful-hook programs are the remaining ineligible shape (config
-        # variations now demote to the engine kernel instead of rejecting).
+        # variations demote to the engine kernel instead of rejecting); the
+        # refusal is memoised like any other resolution.
         from repro.algorithms.metropolis_hastings import MetropolisHastingsWalk
 
-        walk_program = SimpleRandomWalk()
-        eligible_config = SimpleRandomWalk.default_config()
-        execution_plan = make_plan(graph, walk_program, eligible_config)
-        program = MetropolisHastingsWalk()
-        with pytest.raises(ValueError, match="not compilable"):
-            get_kernel_spec(program, eligible_config, execution_plan)
+        config = SimpleRandomWalk.default_config()
+        for _ in range(2):
+            resolution = resolve_step(
+                config, "in_memory", program=MetropolisHastingsWalk()
+            )
+            assert (resolution.tier, resolution.kernel) == ("interpreted", "none")
+            assert "accept" in resolution.fallback
+        stats = kernel_cache_stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
-    def test_engine_kind_for_non_walk_shapes(self, graph):
-        from repro.compiled import instantiate_kernel
-
-        program = SimpleRandomWalk()
+    def test_engine_kind_for_non_walk_shapes(self):
         config = SimpleRandomWalk.default_config(with_replacement=False)
-        execution_plan = make_plan(graph, program, config)
-        spec = get_kernel_spec(program, config, execution_plan)
-        assert spec.kernel == "engine"
-        assert spec.backend == "numpy"
-        # Engine-kind specs have no separate kernel object: the compiled
-        # step engine itself is the kernel.
-        assert instantiate_kernel(spec, engine=None) is None
+        resolution = resolve_step(config, "in_memory", program=SimpleRandomWalk())
+        # Engine-kind resolutions have no separate kernel object: the
+        # compiled step engine itself is the kernel.
+        assert resolution.kernel == "engine"
+        assert resolution.backend == "numpy"
+
+    def test_switch_bypasses_the_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        resolve_step(
+            SimpleRandomWalk.default_config(), "in_memory",
+            program=SimpleRandomWalk(),
+        )
+        assert kernel_cache_stats()["entries"] == 0

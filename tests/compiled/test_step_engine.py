@@ -39,12 +39,12 @@ def fresh_structures():
     clear_structure_cache()
 
 
-def _build(graph, name, *, use_compiled=None):
+def _build(graph, name):
     info = ALGORITHM_REGISTRY[name]
     config = info.config_factory(seed=13)
     return make_step_engine(
         graph, info.program_factory(), config, CounterRNG(config.seed),
-        use_compiled=use_compiled,
+        "in_memory",
     )
 
 
@@ -59,10 +59,6 @@ class TestEngineSelection:
         engine = _build(graph, name)
         assert not isinstance(engine, CompiledStepEngine)
         assert isinstance(engine, BatchedStepEngine)
-
-    def test_use_compiled_false_forces_interpreted(self, graph):
-        engine = _build(graph, "biased_neighbor_sampling", use_compiled=False)
-        assert not isinstance(engine, CompiledStepEngine)
 
     def test_env_disable_forces_interpreted(self, graph, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
@@ -87,21 +83,19 @@ class TestDeclaredShapeEquivalence:
     """
 
     @pytest.mark.parametrize("name", ENGINE_SHAPED)
-    def test_engine_runs_bit_identical(self, graph, name):
+    def test_engine_runs_bit_identical(self, graph, name, monkeypatch):
         info = ALGORITHM_REGISTRY[name]
         config = info.config_factory(seed=13)
         seeds = [int(s) for s in range(0, graph.num_vertices, 15)]
-        results = {}
-        for use_compiled in (False, None):
-            sampler = GraphSampler(
-                graph, info.program_factory(), config,
-                use_compiled=use_compiled,
-            )
-            assert isinstance(sampler.engine, CompiledStepEngine) == (
-                use_compiled is None
-            )
-            results[use_compiled] = sampler.run(seeds)
-        interp, compiled = results[False], results[None]
+
+        def run(compiled):
+            sampler = GraphSampler(graph, info.program_factory(), config)
+            assert isinstance(sampler.engine, CompiledStepEngine) == compiled
+            return sampler.run(seeds)
+
+        compiled = run(True)
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        interp = run(False)
         assert interp.iteration_counts == compiled.iteration_counts
         assert interp.cost.as_dict() == compiled.cost.as_dict()
         for a, b in zip(interp.samples, compiled.samples):

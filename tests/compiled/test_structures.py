@@ -94,6 +94,30 @@ class TestIncrementalUpdates:
         assert np.array_equal(patched_totals, fresh.ctps.totals)
         assert np.array_equal(patched_counts, fresh.positive_counts)
 
+    @pytest.mark.parametrize("structures_first", [True, False])
+    def test_both_cache_families_follow_one_graph(self, graph, structures_first):
+        # The alias/ITS caches and the structure cache bind through one
+        # chaining hook, so neither order drops the other's patch.
+        from repro.selection import VertexITSCache, bind_caches
+
+        get_structures(graph, "weight_or_degree")
+        its = VertexITSCache.build(graph)
+        delta = DeltaGraph(graph)
+        if structures_first:
+            bind_structures(delta)
+            bind_caches(delta, its)
+        else:
+            bind_caches(delta, its)
+            bind_structures(delta)
+        delta.add_edge(0, 5)
+        delta.add_edge(5, 0)
+        delta.compact()
+
+        stats = structure_cache_stats()
+        assert stats["updates"] == 1
+        assert 0 < stats["rows_rebuilt"] < graph.num_vertices
+        assert its.last_update_size > 0
+
     def test_update_without_cached_entry_is_lazy(self, graph):
         delta = DeltaGraph(graph)
         delta.add_edge(1, 7)

@@ -37,10 +37,10 @@ def run_both(graph, program_factory, config, seeds):
     compiled_sampler = GraphSampler(graph, program_factory(), config)
     assert compiled_sampler.plan(seeds).step_tier == "compiled"
     compiled = compiled_sampler.run(seeds)
-    interpreted = GraphSampler(
-        graph, program_factory(), config, use_compiled=False
-    ).run(seeds)
-    assert_bit_identical(interpreted, compiled)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_COMPILED", "0")
+        interp = GraphSampler(graph, program_factory(), config).run(seeds)
+    assert_bit_identical(interp, compiled)
     return compiled
 
 
@@ -84,33 +84,38 @@ class TestWalkKernelScenarios:
         result = run_both(graph, SimpleRandomWalk, config, [0, 2, 3, 5, 6])
         assert len(result.kernels) < config.depth
 
-    def test_warp_counter_continuity_across_runs(self, small_powerlaw_graph):
+    def test_warp_counter_continuity_across_runs(
+        self, small_powerlaw_graph, monkeypatch
+    ):
         # Two runs on one sampler continue the warp-id sequence; compiled and
         # interpreted samplers must stay aligned run after run.
         config = SimpleRandomWalk.default_config(depth=4, seed=13)
+        seed_sets = ([0, 1, 2], [10, 20], [33])
         compiled_sampler = GraphSampler(
             small_powerlaw_graph, SimpleRandomWalk(), config
         )
+        compiled_runs = [compiled_sampler.run(seeds) for seeds in seed_sets]
+        monkeypatch.setenv("REPRO_COMPILED", "0")
         interp_sampler = GraphSampler(
-            small_powerlaw_graph, SimpleRandomWalk(), config, use_compiled=False
+            small_powerlaw_graph, SimpleRandomWalk(), config
         )
-        for seeds in ([0, 1, 2], [10, 20], [33]):
-            assert_bit_identical(
-                interp_sampler.run(seeds), compiled_sampler.run(seeds)
-            )
+        for seeds, compiled in zip(seed_sets, compiled_runs):
+            assert_bit_identical(interp_sampler.run(seeds), compiled)
         assert (
             compiled_sampler.engine.warp_counter
             == interp_sampler.engine.warp_counter
             > 0
         )
 
-    def test_iteration_counts_are_python_ints(self, small_powerlaw_graph):
-        # The sink micro-fix contract: plain python ints, identical values.
+    def test_iteration_counts_are_python_ints(
+        self, small_powerlaw_graph, monkeypatch
+    ):
+        # The sink micro-fix contract: plain python ints, on both tiers.
         config = SimpleRandomWalk.default_config(depth=4, seed=1)
-        for use_compiled in (None, False):
+        for switch in ("1", "0"):
+            monkeypatch.setenv("REPRO_COMPILED", switch)
             result = GraphSampler(
-                small_powerlaw_graph, SimpleRandomWalk(), config,
-                use_compiled=use_compiled,
+                small_powerlaw_graph, SimpleRandomWalk(), config
             ).run([0, 1, 2])
             assert result.iteration_counts
             assert all(type(i) is int for i in result.iteration_counts)

@@ -3,11 +3,11 @@
 Every registry algorithm, through every planner route, must be bit-identical
 to its reference execution:
 
-* ``in_memory``  -- the planner-driven engine run vs the legacy scalar loop
-  (samples, iteration counts, cost totals *and* per-kernel records);
+* ``in_memory``  -- the planner-driven engine run vs the scalar MAIN-loop
+  oracle (samples, iteration counts, cost totals *and* per-kernel records);
 * ``coalesced``  -- every member of a fused batch vs a standalone run of
   just that member (samples + iteration counts; cost is the batch's);
-* ``out_of_memory`` -- the planner-driven engine scheduler vs the scalar
+* ``out_of_memory`` -- the planner-driven engine scheduler vs the oracle's
   per-entry expansion, fully optimised (BA + WS + BAL);
 * ``sharded``    -- shard-count invariance (1 vs 3 shards, in-process).
 
@@ -28,7 +28,8 @@ from repro.engine.hetero import run_coalesced
 from repro.graph.generators import powerlaw_graph
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
-from bitcompat import assert_equivalent, assert_same_samples, fingerprint
+from bitcompat import (assert_equivalent, assert_same_samples, fingerprint,
+                       interpreted, oracle_run)
 
 ALL_ALGORITHMS = sorted(ALGORITHM_REGISTRY)
 ROUTES = ("in_memory", "coalesced", "out_of_memory", "sharded")
@@ -49,9 +50,7 @@ def seeds(graph):
 
 def _check_in_memory(graph, info, seeds):
     config = info.config_factory(seed=11)
-    scalar = GraphSampler(
-        graph, info.program_factory(), config, use_engine=False
-    ).run(seeds)
+    scalar = oracle_run(graph, info.program_factory(), config, seeds)
     engine_sampler = GraphSampler(graph, info.program_factory(), config)
     assert engine_sampler.plan(seeds).route == "in_memory"
     engine = engine_sampler.run(seeds)
@@ -90,18 +89,17 @@ def _check_coalesced(graph, info, seeds):
 def _check_out_of_memory(graph, info, seeds):
     config = info.config_factory(seed=9)
     oom = OutOfMemoryConfig.fully_optimized(num_partitions=3)
-    runs = {}
-    for use_engine in (False, True):
-        sampler = OutOfMemorySampler(
-            graph, info.program_factory(), config, oom, use_engine=use_engine
-        )
-        plan = sampler.plan(seeds)
-        assert plan.route == "out_of_memory"
-        assert plan.layout.oom is oom
-        runs[use_engine] = sampler.run(seeds)
-    assert_equivalent(runs[False].sample, runs[True].sample)
-    assert runs[False].rounds == runs[True].rounds
-    assert runs[False].makespan == pytest.approx(runs[True].makespan)
+    scalar = oracle_run(
+        graph, info.program_factory(), config, seeds, oom_config=oom
+    )
+    sampler = OutOfMemorySampler(graph, info.program_factory(), config, oom)
+    plan = sampler.plan(seeds)
+    assert plan.route == "out_of_memory"
+    assert plan.layout.oom is oom
+    engine = sampler.run(seeds)
+    assert_equivalent(scalar.sample, engine.sample)
+    assert scalar.rounds == engine.rounds
+    assert scalar.makespan == pytest.approx(engine.makespan)
 
 
 def _check_sharded(graph, info, seeds):
@@ -182,13 +180,12 @@ class TestCompiledAxis:
     def test_compiled_matches_interpreted_in_memory(self, graph, seeds, algorithm):
         info = ALGORITHM_REGISTRY[algorithm]
         config = info.config_factory(seed=11)
-        interp_sampler = GraphSampler(
-            graph, info.program_factory(), config, use_compiled=False
-        )
-        interp_plan = interp_sampler.plan(seeds)
-        assert interp_plan.step_tier == "interpreted"
-        assert interp_plan.compiled_fallback == "compiled tier disabled by request"
-        interp = interp_sampler.run(seeds)
+        with interpreted():
+            interp_sampler = GraphSampler(graph, info.program_factory(), config)
+            interp_plan = interp_sampler.plan(seeds)
+            assert interp_plan.step_tier == "interpreted"
+            assert "REPRO_COMPILED" in interp_plan.compiled_fallback
+            interp = interp_sampler.run(seeds)
 
         compiled_sampler = GraphSampler(graph, info.program_factory(), config)
         plan = compiled_sampler.plan(seeds)
@@ -213,19 +210,22 @@ class TestCompiledAxis:
         info = ALGORITHM_REGISTRY[algorithm]
         config = info.config_factory(seed=11)
         halves = [seeds[:5], seeds[5:]]
-        batches = {}
-        for use_compiled in (False, None):
-            batches[use_compiled] = run_coalesced(
+
+        def batch():
+            return run_coalesced(
                 graph, info.program_factory(), config,
                 [make_instances(h) for h in halves],
-                use_compiled=use_compiled,
             )
-        for interp_member, compiled_member in zip(batches[False], batches[None]):
+
+        with interpreted():
+            interp_batch = batch()
+        compiled_batch = batch()
+        for interp_member, compiled_member in zip(interp_batch, compiled_batch):
             assert_same_samples(interp_member, compiled_member)
             assert interp_member.iteration_counts == compiled_member.iteration_counts
             assert interp_member.cost.as_dict() == compiled_member.cost.as_dict()
         # ... and each compiled member still replays its standalone stream.
-        for half, member_result in zip(halves, batches[None]):
+        for half, member_result in zip(halves, compiled_batch):
             solo = GraphSampler(graph, info.program_factory(), config).run(half)
             assert_same_samples(solo, member_result)
             assert solo.iteration_counts == member_result.iteration_counts
@@ -235,19 +235,20 @@ class TestCompiledAxis:
         info = ALGORITHM_REGISTRY[algorithm]
         config = info.config_factory(seed=9)
         oom = OutOfMemoryConfig.fully_optimized(num_partitions=3)
-        runs = {}
-        for use_compiled in (False, None):
+
+        def run(expected_tier):
             sampler = OutOfMemorySampler(
-                graph, info.program_factory(), config, oom,
-                use_compiled=use_compiled,
+                graph, info.program_factory(), config, oom
             )
-            plan = sampler.plan(seeds)
-            expected = "interpreted" if use_compiled is False else "compiled"
-            assert plan.step_tier == expected
-            runs[use_compiled] = sampler.run(seeds)
-        assert_equivalent(runs[False].sample, runs[None].sample)
-        assert runs[False].rounds == runs[None].rounds
-        assert runs[False].makespan == pytest.approx(runs[None].makespan)
+            assert sampler.plan(seeds).step_tier == expected_tier
+            return sampler.run(seeds)
+
+        with interpreted():
+            interp = run("interpreted")
+        compiled = run("compiled")
+        assert_equivalent(interp.sample, compiled.sample)
+        assert interp.rounds == compiled.rounds
+        assert interp.makespan == pytest.approx(compiled.makespan)
 
     @pytest.mark.parametrize("algorithm", sorted(COMPILED))
     def test_sharded_route_compiles_bit_identically(

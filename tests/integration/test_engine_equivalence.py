@@ -1,10 +1,11 @@
 """Scalar-loop vs batched-engine equivalence (the engine's acceptance bar).
 
 The batched execution engine must be a pure performance transformation: for a
-fixed seed it has to produce *bit-identical* results to the legacy
-instance-by-instance scalar loop -- the same sampled edges in the same order,
-the same per-selection iteration counts, the same cost-model totals and the
-same per-kernel statistics.  These tests assert that for every registered
+fixed seed it has to produce *bit-identical* results to the
+instance-by-instance scalar loop (the ``ScalarMainLoop`` oracle in
+``repro.baselines.reference``, driven through the same ``Executor``) -- the
+same sampled edges in the same order, the same per-selection iteration
+counts, the same cost-model totals and the same per-kernel statistics.  These tests assert that for every registered
 algorithm, for both samplers (in-memory and out-of-memory), across collision
 strategies, detectors and frontier-selection configurations.
 """
@@ -17,7 +18,7 @@ from repro.api.sampler import GraphSampler
 from repro.graph.generators import powerlaw_graph
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
-from bitcompat import assert_equivalent as _assert_equivalent
+from bitcompat import assert_equivalent as _assert_equivalent, oracle_run
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,9 @@ def assert_equivalent(scalar, engine):
 
 
 def run_both(graph, info, config, seeds, **run_kwargs):
-    scalar = GraphSampler(
-        graph, info.program_factory(), config, use_engine=False
-    ).run(seeds, **run_kwargs)
+    scalar = oracle_run(graph, info.program_factory(), config, seeds, **run_kwargs)
     engine = GraphSampler(
-        graph, info.program_factory(), config, use_engine=True
+        graph, info.program_factory(), config
     ).run(seeds, **run_kwargs)
     return scalar, engine
 
@@ -95,13 +94,14 @@ class TestInMemoryEquivalence:
 
     def test_device_cost_accumulation_matches(self, graph):
         info = ALGORITHM_REGISTRY["simple_random_walk"]
-        s1 = GraphSampler(graph, info.program_factory(), info.config_factory(seed=1),
-                          use_engine=False)
-        s2 = GraphSampler(graph, info.program_factory(), info.config_factory(seed=1),
-                          use_engine=True)
-        s1.run(SEEDS, num_instances=10)
-        s2.run(SEEDS, num_instances=10)
-        assert s1.device.cost.as_dict() == s2.device.cost.as_dict()
+        config = info.config_factory(seed=1)
+        # The in-memory result's cost is a copy of the executing device's.
+        scalar = oracle_run(
+            graph, info.program_factory(), config, SEEDS, num_instances=10
+        )
+        sampler = GraphSampler(graph, info.program_factory(), config)
+        sampler.run(SEEDS, num_instances=10)
+        assert scalar.cost.as_dict() == sampler.device.cost.as_dict()
 
 
 class TestOutOfMemoryEquivalence:
@@ -115,11 +115,12 @@ class TestOutOfMemoryEquivalence:
     def test_oom_paths(self, graph, name, oom_config):
         info = ALGORITHM_REGISTRY[name]
         config = info.config_factory(seed=9)
-        scalar = OutOfMemorySampler(
-            graph, info.program_factory(), config, oom_config, use_engine=False
-        ).run(SEEDS, num_instances=15)
+        scalar = oracle_run(
+            graph, info.program_factory(), config, SEEDS, num_instances=15,
+            oom_config=oom_config,
+        )
         engine = OutOfMemorySampler(
-            graph, info.program_factory(), config, oom_config, use_engine=True
+            graph, info.program_factory(), config, oom_config
         ).run(SEEDS, num_instances=15)
         assert_equivalent(scalar.sample, engine.sample)
         assert scalar.rounds == engine.rounds
@@ -133,7 +134,7 @@ class TestOutOfMemoryEquivalence:
         runs = [
             OutOfMemorySampler(
                 graph, info.program_factory(), config,
-                OutOfMemoryConfig.batched_only(), use_engine=True,
+                OutOfMemoryConfig.batched_only(),
             ).run(SEEDS, num_instances=10)
             for _ in range(2)
         ]
@@ -142,22 +143,21 @@ class TestOutOfMemoryEquivalence:
 
 
 class TestEngineContracts:
-    @pytest.mark.parametrize("use_engine", [False, True])
-    def test_prev_vertex_only_set_for_single_vertex_frontiers(self, graph, use_engine):
+    @pytest.mark.parametrize("stepper", ["oracle", "engine"])
+    def test_prev_vertex_only_set_for_single_vertex_frontiers(self, graph, stepper):
         """Multi-vertex frontiers must not clobber prev_vertex (the node2vec bug)."""
         from repro.api.instance import make_instances
+        from repro.baselines.reference import ScalarMainLoop
         from repro.gpusim.costmodel import CostModel
 
         info = ALGORITHM_REGISTRY["unbiased_neighbor_sampling"]
-        sampler = GraphSampler(
-            graph, info.program_factory(),
-            info.config_factory(seed=1, depth=2), use_engine=use_engine,
-        )
-        insts = make_instances([[1, 2, 3]])
-        if use_engine:
-            sampler.engine.step_instances(insts, 0, CostModel(), [])
+        program, config = info.program_factory(), info.config_factory(seed=1, depth=2)
+        if stepper == "engine":
+            engine = GraphSampler(graph, program, config).engine
         else:
-            sampler._step_instance(insts[0], 0, CostModel(), [])
+            engine = ScalarMainLoop(graph, program, config)
+        insts = make_instances([[1, 2, 3]])
+        engine.step_instances(insts, 0, CostModel(), [])
         assert insts[0].prev_vertex == -1  # three-vertex frontier: untouched
 
     def test_walk_prev_vertex_still_tracked(self, graph):
@@ -168,7 +168,6 @@ class TestEngineContracts:
         info = ALGORITHM_REGISTRY["simple_random_walk"]
         sampler = GraphSampler(
             graph, info.program_factory(), info.config_factory(seed=1),
-            use_engine=True,
         )
         insts = make_instances([5])
         sampler.engine.step_instances(insts, 0, CostModel(), [])

@@ -111,7 +111,7 @@ class TestPlannerIntegration:
         assert execution_plan.predicted_time_s > 0
         scaled = cal.calibrated_time_s(execution_plan.predicted_time_s)
         if execution_plan.step_tier == "compiled":
-            scaled = cal.compiled_overhead_s + scaled / cal.compiled_speedup
+            scaled = scaled / cal.compiled_speedup
         assert execution_plan.calibrated_time_s == pytest.approx(scaled)
         assert "calibrated" in execution_plan.explain()
         assert "calibrated_time_s" in execution_plan.summary()

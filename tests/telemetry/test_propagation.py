@@ -57,11 +57,11 @@ class TestInMemory:
         assert root.attrs["step_tier"] == "compiled"
         assert "compiled_run" in {r.name for r in records}
 
-    def test_interpreted_tier_records_depth_steps(self, telemetry,
+    def test_interpreted_tier_records_depth_steps(self, telemetry, monkeypatch,
                                                   small_powerlaw_graph, seeds):
         program, config = _deepwalk()
-        GraphSampler(small_powerlaw_graph, program, config,
-                     use_compiled=False).run(seeds)
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        GraphSampler(small_powerlaw_graph, program, config).run(seeds)
         root, records = _single_tree(telemetry)
         assert root.attrs["step_tier"] == "interpreted"
         depth_steps = [r for r in records if r.name == "depth_step"]
