@@ -90,9 +90,7 @@ class ShardReport:
         steps: int,
         admitted: int,
         emigrated: int,
-        spans: Optional[list] = None,
-        profile: Optional[dict] = None,
-        cache_stats: Optional[dict] = None,
+        telemetry: Optional[tuple] = None,
     ):
         self.shard_index = shard_index
         #: Every walker resident at collection (finished and active alike).
@@ -105,17 +103,11 @@ class ShardReport:
         self.steps = steps
         self.admitted = admitted
         self.emigrated = emigrated
-        #: Telemetry span records drained from the shard's process, shipped
-        #: home with the report (empty for in-process shards, whose spans
-        #: land directly in the coordinator's buffer).
-        self.spans = spans if spans is not None else []
-        #: Profiler accumulators drained from the shard's process (same
-        #: shipping contract as ``spans``; empty for in-process shards).
-        self.profile = profile if profile is not None else {}
-        #: Compiled-tier cache counters of the process that ran the shard
-        #: (kernel cache + structure cache), shipped home with the report so
-        #: the coordinator can aggregate per-worker cache effectiveness.
-        self.cache_stats = cache_stats if cache_stats is not None else {}
+        #: The shard process's telemetry envelope
+        #: (:func:`repro.telemetry.drain_envelope`), shipped with the report;
+        #: ``None`` for in-process shards, which record straight into the
+        #: coordinator's buffers.
+        self.telemetry = telemetry
 
 
 class _WalkerRecord:
@@ -378,8 +370,6 @@ class ShardRuntime:
             self._envelope(self._records[instance_id])
             for instance_id in sorted(self._records)
         ]
-        from repro.compiled import kernel_cache_stats, structure_cache_stats
-
         return ShardReport(
             shard_index=self.shard_index,
             envelopes=envelopes,
@@ -388,8 +378,4 @@ class ShardRuntime:
             steps=self.steps,
             admitted=self.admitted,
             emigrated=self.emigrated,
-            cache_stats={
-                "kernel_cache": kernel_cache_stats(),
-                "structure_cache": structure_cache_stats(),
-            },
         )

@@ -29,8 +29,12 @@ from repro.distributed.router import WalkerEnvelope
 from repro.distributed.shard import ShardReport, ShardRuntime
 from repro.graph.csr import CSRGraph
 from repro.service.store import SharedGraphHandle, SharedGraphStore, attach
-from repro.telemetry import profiler as _profiler
-from repro.telemetry import trace as _trace
+from repro.telemetry import (
+    drain_envelope,
+    ingest_envelope,
+    profiler as _profiler,
+    reset_child,
+)
 
 __all__ = ["ClusterTransportError", "InProcessTransport", "MultiprocessTransport"]
 
@@ -94,15 +98,7 @@ def _shard_main(
     profile: bool = False,
 ) -> None:
     """Shard process: map the shared graph, loop on pipe commands."""
-    # A forked shard inherits the coordinator's span buffer; those records
-    # belong to the parent and must not ship home again as duplicates.
-    _trace.clear()
-    # The profiler's runtime switch does not survive a spawn, so the
-    # coordinator ships its state explicitly; inherited accumulators (fork
-    # contexts) belong to the parent and must not ship home again.
-    _profiler.clear()
-    if profile:
-        _profiler.enable()
+    reset_child(profile=profile)
     mapping = None
     try:
         try:
@@ -126,11 +122,9 @@ def _shard_main(
                     conn.send(("ok", (outbox, runtime.active_count())))
                 elif command == "collect":
                     report = runtime.collect()
-                    # Ship this process's finished spans and profile home
-                    # with the report; the coordinator re-ingests them so
-                    # the request's telemetry stays in one buffer.
-                    report.spans = _trace.drain()
-                    report.profile = _profiler.drain()
+                    # The coordinator re-ingests this process's telemetry
+                    # so the request's stays in one buffer.
+                    report.telemetry = drain_envelope()
                     conn.send(("ok", report))
                 elif command == "stop":
                     conn.send(("ok", None))
@@ -273,12 +267,8 @@ class MultiprocessTransport:
             self._send(shard, "collect", None)
         reports = [self._receive(shard) for shard in range(self.num_shards)]
         for report in reports:
-            if report.spans:
-                _trace.ingest(report.spans)
-                report.spans = []
-            if report.profile:
-                _profiler.ingest(report.profile)
-                report.profile = {}
+            ingest_envelope(report.telemetry)
+            report.telemetry = None
         return reports
 
     def close(self) -> None:

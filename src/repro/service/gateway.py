@@ -59,6 +59,28 @@ class GatewayConfig:
     max_pending: Optional[int] = None
 
 
+def build_response(request: SampleRequest, epoch: int, entry: CachedResult,
+                   **stats: object) -> SampleResponse:
+    """One request's answer from a run's payload, fresh or cached: the
+    entry verbatim plus the per-request ``stats`` annotations."""
+    return SampleResponse(
+        request_id=request.request_id,
+        graph=request.graph,
+        algorithm=request.algorithm,
+        samples=[
+            InstanceSample(instance_id=i, seeds=s, edges=e)
+            for i, s, e in entry.samples
+        ],
+        iteration_counts=list(entry.iteration_counts),
+        route=entry.route,
+        epoch=epoch,
+        coalesced_with=entry.coalesced_with,
+        stats={**entry.stats, "tenant": request.tenant,
+               "priority": request.priority, **stats},
+        plan=entry.plan,
+    )
+
+
 class Gateway:
     """Cache + admission control in front of the dispatch queue."""
 
@@ -79,6 +101,15 @@ class Gateway:
     # ------------------------------------------------------------------ #
     # Admission
     # ------------------------------------------------------------------ #
+    @property
+    def admission_active(self) -> bool:
+        """Whether any quota or ceiling makes cost prediction worthwhile."""
+        return (
+            self.config.max_pending is not None
+            or self.admission.default_quota is not None
+            or bool(self.admission._quotas)
+        )
+
     def admit(self, request: SampleRequest, predicted_cost_s: float,
               pending_count: int) -> None:
         """Shed-or-admit; raises :class:`AdmissionRejected` on shed.
@@ -122,25 +153,7 @@ class Gateway:
             return None
         self.metrics.counter("cache_hits").inc()
         self.metrics.counter("tenant_cache_hits", tenant=request.tenant).inc()
-        stats: Dict[str, object] = dict(entry.stats)
-        stats["cache_hit"] = True
-        stats["tenant"] = request.tenant
-        stats["priority"] = request.priority
-        return SampleResponse(
-            request_id=request.request_id,
-            graph=request.graph,
-            algorithm=request.algorithm,
-            samples=[
-                InstanceSample(instance_id=i, seeds=s, edges=e)
-                for i, s, e in entry.samples
-            ],
-            iteration_counts=list(entry.iteration_counts),
-            route=entry.route,
-            epoch=epoch,
-            coalesced_with=entry.coalesced_with,
-            stats=stats,
-            plan=entry.plan,
-        )
+        return build_response(request, epoch, entry, cache_hit=True)
 
     def store(self, request: SampleRequest, epoch: int,
               result: CachedResult) -> None:

@@ -35,16 +35,15 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.api.requests import SampleRequest, SampleResponse
-from repro.api.results import InstanceSample
 from repro.graph.csr import CSRGraph
 from repro.oom.scheduler import OutOfMemoryConfig
 from repro.planner.errors import SeedValidationError
-from repro.planner.plan import ExecutionPlan, PartitionLayout
+from repro.planner.plan import ExecutionPlan
 from repro.planner.planner import (
     PlanRequest,
     plan,
@@ -53,13 +52,25 @@ from repro.planner.planner import (
     validate_seed_tuples,
 )
 from repro.service.cache import CachedResult
-from repro.service.gateway import Gateway, GatewayConfig
+from repro.service.gateway import Gateway, GatewayConfig, build_response
+from repro.service.lifecycle import (
+    Epoch,
+    EpochTable,
+    RequestRecord,
+    RequestTable,
+    Unit,
+    UnitTable,
+)
 from repro.service.qos import AdmissionRejected, TenantQuota
 from repro.service.store import SharedGraphStore
-from repro.service.workers import RequestSpec, UnitResult, WorkUnit, WorkerPool
-from repro.telemetry import profiler as _profiler
-from repro.telemetry import trace as _trace
-from repro.telemetry.feedback import FEEDBACK
+from repro.service.workers import (
+    CACHE_DELTA_KEYS,
+    RequestSpec,
+    UnitResult,
+    WorkUnit,
+    WorkerPool,
+)
+from repro.telemetry import ingest_envelope, profiler as _profiler, trace as _trace
 from repro.telemetry.health import HealthMonitor, LatencyObjective
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import FlightRecorder
@@ -82,86 +93,73 @@ class ServiceError(RuntimeError):
         self.transient = transient
 
 
-@dataclass
 class ServiceStats:
-    """Aggregate service counters plus telemetry-derived rates.
+    """Read-only view of the service's counters plus telemetry-derived rates.
 
-    Readable two ways for compatibility: as the attribute it always was
-    (``service.stats.units_dispatched``) and as a callable
-    (``service.stats()`` -- alias of :meth:`snapshot`) returning the flat
-    dict with per-route latency percentiles, queue-wait, fusion rate and
-    kernel-cache hit rate mixed in from the service's metrics registry.
+    The numbers live in the service's metrics registry (written by the
+    lifecycle tables and the gateway at their transitions); this class
+    stores none of its own.  Readable two ways for compatibility: as the
+    attribute it always was (``service.stats.units_dispatched``) and as a
+    callable (``service.stats()`` -- alias of :meth:`snapshot`) returning
+    the flat dict with per-route latency percentiles, queue-wait, fusion
+    rate and kernel-cache hit rate mixed in.
     """
 
-    requests_submitted: int = 0
-    requests_completed: int = 0
-    requests_failed: int = 0
-    #: Requests shed by admission control before any compute was spent
-    #: (never counted as submitted -- they were refused at the door).
-    requests_shed: int = 0
-    #: Requests answered bit-identically from the result cache (these ARE
-    #: counted submitted + completed; they just never dispatched).
-    cache_hits: int = 0
-    units_dispatched: int = 0
-    coalesced_requests: int = 0  # requests that shared a unit with others
-    oom_requests: int = 0
-    sharded_requests: int = 0
-    #: Most recent request latencies (bounded: a long-running service must
-    #: not accumulate one float per request forever).
-    latencies_s: Deque[float] = field(
-        default_factory=lambda: collections.deque(maxlen=4096)
-    )
+    #: attribute -> (registry counter, labels).  Shed requests were refused
+    #: at the door and never count as submitted; cache hits count submitted
+    #: + completed but never dispatched; coalesced = shared a unit.
+    _COUNTERS: Dict[str, Tuple[str, Dict[str, str]]] = {
+        "requests_submitted": ("requests_submitted", {}),
+        "requests_completed": ("requests_completed", {}),
+        "requests_failed": ("requests_failed", {}),
+        "requests_shed": ("requests_shed", {}),
+        "cache_hits": ("cache_hits", {}),
+        "units_dispatched": ("units_dispatched", {}),
+        "coalesced_requests": ("coalesced_requests", {}),
+        "oom_requests": ("route_requests", {"route": "out_of_memory"}),
+        "sharded_requests": ("route_requests", {"route": "sharded"}),
+    }
 
-    def bind(self, registry: MetricsRegistry,
-             gateway: Optional["Gateway"] = None) -> "ServiceStats":
-        """Attach the registry (and gateway) that enrich :meth:`snapshot`."""
+    def __init__(self, registry: MetricsRegistry, gateway: "Gateway"):
         self._registry = registry
         self._gateway = gateway
-        return self
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            metric, labels = self._COUNTERS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return self._registry.counter(metric, **labels).value
 
     def snapshot(self) -> Dict[str, object]:
-        """Flat copy for printing, enriched from the bound registry."""
+        """Flat copy for printing, enriched from the registry."""
         out: Dict[str, object] = {
-            "requests_submitted": self.requests_submitted,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "requests_shed": self.requests_shed,
-            "cache_hits": self.cache_hits,
-            "units_dispatched": self.units_dispatched,
-            "coalesced_requests": self.coalesced_requests,
-            "oom_requests": self.oom_requests,
-            "sharded_requests": self.sharded_requests,
+            name: getattr(self, name) for name in self._COUNTERS
         }
-        attempted = self.requests_submitted + self.requests_shed
+        completed = out["requests_completed"]
+        attempted = out["requests_submitted"] + out["requests_shed"]
         if attempted:
-            out["shed_rate"] = self.requests_shed / attempted
-        if self.units_dispatched:
+            out["shed_rate"] = out["requests_shed"] / attempted
+        if out["units_dispatched"]:
+            # Cache hits completed without ever dispatching a unit.
             out["mean_unit_size"] = (
-                self.requests_completed + self.requests_failed
-            ) / self.units_dispatched
-        if self.requests_completed:
-            out["fusion_rate"] = self.coalesced_requests / self.requests_completed
-        gateway: Optional["Gateway"] = getattr(self, "_gateway", None)
-        if gateway is not None:
-            gw = gateway.stats()
-            cache_stats = gw.get("cache")
-            if cache_stats is not None:
-                out["result_cache"] = cache_stats
-                out["cache_hit_rate"] = cache_stats["hit_rate"]
-            tenants = gw.get("tenants")
-            if tenants is not None:
-                out["tenants"] = tenants
-        registry: Optional[MetricsRegistry] = getattr(self, "_registry", None)
-        if registry is None:
-            return out
-        hits = registry.counter("kernel_cache_hits").value
-        misses = registry.counter("kernel_cache_misses").value
-        if hits + misses:
-            out["kernel_cache_hit_rate"] = hits / (hits + misses)
-        s_hits = registry.counter("structure_cache_hits").value
-        s_misses = registry.counter("structure_cache_misses").value
-        if s_hits + s_misses:
-            out["structure_cache_hit_rate"] = s_hits / (s_hits + s_misses)
+                completed + out["requests_failed"] - out["cache_hits"]
+            ) / out["units_dispatched"]
+        if completed:
+            out["fusion_rate"] = out["coalesced_requests"] / completed
+        gw = self._gateway.stats()
+        cache_stats = gw.get("cache")
+        if cache_stats is not None:
+            out["result_cache"] = cache_stats
+            out["cache_hit_rate"] = cache_stats["hit_rate"]
+        if "tenants" in gw:
+            out["tenants"] = gw["tenants"]
+        registry = self._registry
+        for cache in ("kernel_cache", "structure_cache"):
+            hits = registry.counter(cache + "_hits").value
+            misses = registry.counter(cache + "_misses").value
+            if hits + misses:
+                out[cache + "_hit_rate"] = hits / (hits + misses)
         step_tiers: Dict[str, Dict[str, int]] = {}
         for labels, counter in registry.find_counters("step_tier_requests"):
             algorithm = labels.get("algorithm", "?")
@@ -188,27 +186,10 @@ class ServiceStats:
         return self.snapshot()
 
 
-@dataclass
-class _Pending:
-    request: SampleRequest
-    future: Future
-    enqueued_at: float
-    #: Graph epoch the request is bound to (resolved at submission).
-    epoch: int = 0
-    #: Plan summary of the dispatched unit (attached to the response).
-    plan: Optional[Dict[str, object]] = None
-    #: Telemetry: trace id minted at submission (None = tracing off) and
-    #: the request's root span id, closed at completion.
-    trace_id: Optional[str] = None
-    root_span_id: Optional[str] = None
-    #: Wall-clock submit time (span time base) and dispatch times.
-    submitted_wall: float = 0.0
-    dispatched_wall: float = 0.0
-    dispatched_perf: float = 0.0
-
-
 class SamplingService:
-    """In-process sampling service with shared-memory workers."""
+    """In-process sampling service with shared-memory workers: the root
+    that wires store, pool, gateway and the three lifecycle tables
+    (:mod:`repro.service.lifecycle` owns request / unit / epoch state)."""
 
     def __init__(
         self,
@@ -272,16 +253,6 @@ class SamplingService:
         self.memory_budget_bytes = memory_budget_bytes
         self._oom_config = oom_config
         self.cluster_shards = int(cluster_shards)
-        #: Admission plan per (graph name, epoch): ``(route, layout)``,
-        #: frozen under the budget in force at admission time.
-        self._admission: Dict[Tuple[str, int], Tuple[str, "PartitionLayout"]] = {}
-        #: Class-level :class:`ExecutionPlan` cache, keyed by
-        #: ``(graph, epoch, algorithm, config, program kwargs)``.
-        self._plans: Dict[Tuple, "ExecutionPlan"] = {}
-        #: Unresolved requests per (graph name, epoch); a retiring epoch is
-        #: released once its count drains to zero.
-        self._epoch_active: Dict[Tuple[str, int], int] = {}
-        self._retiring: set = set()
         #: Serialises update_graph per service: concurrent updates of one
         #: name must not interleave their publish/retire steps.
         self._update_lock = threading.Lock()
@@ -292,30 +263,18 @@ class SamplingService:
             ),
         )
         #: Priority-lane dispatch queue: entries are ``(-priority, seq,
-        #: pending-or-None)`` so higher priorities drain first, FIFO within
+        #: record-or-None)`` so higher priorities drain first, FIFO within
         #: a lane, and the shutdown sentinel (``+inf``) sorts last.
-        self._queue: "queue.PriorityQueue[Tuple[float, int, Optional[_Pending]]]" = (
-            queue.PriorityQueue()
-        )
+        self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._queue_seq = itertools.count()
-        self._coalescable: Dict[Tuple, bool] = {}
         self.unit_timeout_s = unit_timeout_s
-        self._pending: Dict[int, _Pending] = {}
-        self._inflight: Dict[int, List[int]] = {}  # unit id -> request ids
-        self._claims: Dict[int, int] = {}  # unit id -> claiming worker pid
-        self._dispatched_at: Dict[int, float] = {}  # unit id -> perf_counter
         self._unit_ids = itertools.count()
-        self._lock = threading.Lock()
-        #: Intake gate: cleared by replan() to pause submit() while a drain
-        #: is in progress; _intake_open counts submits past the gate but not
-        #: yet enqueued, so replan can wait the race window out.
-        self._intake_gate = threading.Event()
-        self._intake_gate.set()
-        self._intake_open = 0
-        self.intake_pause_timeout_s = float(intake_pause_timeout_s)
         #: Service-local metrics registry (latencies, queue waits, cache
         #: hit counters ...); dump with :meth:`metrics_text`.
         self.metrics = MetricsRegistry()
+        self._requests = RequestTable(self.metrics, intake_pause_timeout_s)
+        self._units = UnitTable(self.metrics)
+        self._epochs = EpochTable(self.store, self.metrics)
         #: Flight recorder: bounded ring of operational events feeding
         #: :meth:`diagnose` and the crash/timeout auto-dump.
         self.recorder = FlightRecorder(capacity=recorder_capacity)
@@ -328,9 +287,7 @@ class SamplingService:
         #: Periodic load samples from the monitor thread: ``(wall ts,
         #: track name, {series: value})`` tuples ready for
         #: :func:`repro.telemetry.export.chrome_counter_events`.
-        self._load_samples: Deque[Tuple[float, str, Dict[str, float]]] = (
-            collections.deque(maxlen=4096)
-        )
+        self._load_samples: Deque[tuple] = collections.deque(maxlen=4096)
         #: The multi-tenant front door: deterministic result cache plus
         #: cost-based per-tenant admission control (docs/service.md).
         self.gateway = Gateway(
@@ -342,7 +299,7 @@ class SamplingService:
             ),
             self.metrics,
         )
-        self.stats = ServiceStats().bind(self.metrics, self.gateway)
+        self.stats = ServiceStats(self.metrics, self.gateway)
         self._shutdown = threading.Event()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="sampling-dispatch", daemon=True
@@ -416,14 +373,9 @@ class SamplingService:
                 new_graph = delta.to_csr()
             handle = self.store.publish(name, new_graph)
             self._admit(handle)
-            with self._lock:
-                old_epochs = [
-                    epoch for epoch in self.store.epochs(name)
-                    if epoch != handle.epoch
-                ]
-                self._retiring.update((name, epoch) for epoch in old_epochs)
-        for epoch in old_epochs:
-            self._maybe_release_epoch(name, epoch)
+            released = self._epochs.retire(name, keep=handle.epoch)
+        for release in released:
+            self._epoch_released(*release)
         return handle.epoch
 
     def _admit(self, handle) -> str:
@@ -434,7 +386,6 @@ class SamplingService:
         never resize an admitted graph's shards or partitions out from
         under its documented sizing (use :meth:`replan` to re-admit).
         """
-        key = (handle.name, handle.epoch)
         route, layout = plan_admission(
             num_vertices=handle.num_vertices,
             num_edges=handle.num_edges,
@@ -443,13 +394,7 @@ class SamplingService:
             cluster_shards=self.cluster_shards,
             oom_config=self._oom_config,
         )
-        with self._lock:
-            self._admission[key] = (route, layout)
-            # Drop class plans planned under a previous admission of this
-            # (graph, epoch) -- replan() re-admits in place.
-            self._plans = {
-                k: v for k, v in self._plans.items() if k[:2] != key
-            }
+        self._epochs.admit(handle.name, handle.epoch, route, layout)
         self.recorder.record(
             "epoch_publish", graph=handle.name, epoch=handle.epoch,
             route=route, nbytes=handle.nbytes,
@@ -458,9 +403,7 @@ class SamplingService:
 
     def route_of(self, name: str, epoch: Optional[int] = None) -> str:
         """The admission decision for a loaded graph (latest epoch default)."""
-        if epoch is None:
-            epoch = self.store.latest_epoch(name)
-        return self._admission[(name, epoch)][0]
+        return self._epochs.get(name, epoch).route
 
     def graph_epoch(self, name: str) -> int:
         """The latest published epoch of a loaded graph."""
@@ -490,119 +433,56 @@ class SamplingService:
         """
         if name not in self.store.names():
             raise KeyError(f"graph {name!r} is not loaded")
-        with self._update_lock:
-            self._intake_gate.clear()
-            try:
-                deadline = time.perf_counter() + timeout
-                while True:
-                    with self._lock:
-                        # _intake_open == 0 closes the submit race window:
-                        # no request is past the gate but not yet pending.
-                        busy = self._intake_open > 0 or any(
-                            p.request.graph == name
-                            for p in self._pending.values()
-                        )
-                    if not busy:
-                        break
-                    if time.perf_counter() > deadline:
-                        raise TimeoutError(
-                            f"replan({name!r}): requests still in flight "
-                            f"after {timeout}s"
-                        )
-                    time.sleep(0.002)
-                handle = self.store.handle(name, self.store.latest_epoch(name))
-                self.recorder.record("replan_drain", graph=name)
-                route = self._admit(handle)
-                # Cached results carry the plan/route they ran under; a
-                # re-admission makes them stale metadata-wise even though
-                # the sampled bits would be identical.  Drop them.
-                self.gateway.invalidate_epoch(name, handle.epoch)
-                return route
-            finally:
-                self._intake_gate.set()
-
-    def _oom_config_for(
-        self, name: str, epoch: Optional[int] = None
-    ) -> OutOfMemoryConfig:
-        """The frozen out-of-memory layout of an admitted graph epoch."""
-        if epoch is None:
-            epoch = self.store.latest_epoch(name)
-        layout = self._admission[(name, epoch)][1]
-        if layout.oom is None:
-            raise KeyError(
-                f"graph {name!r} epoch {epoch} is not on the out_of_memory route"
-            )
-        return layout.oom
+        with self._update_lock, self._requests.intake_paused():
+            if not self._requests.wait_idle(name, timeout):
+                raise TimeoutError(
+                    f"replan({name!r}): requests still in flight "
+                    f"after {timeout}s"
+                )
+            handle = self.store.handle(name, self.store.latest_epoch(name))
+            self.recorder.record("replan_drain", graph=name)
+            route = self._admit(handle)
+            # Cached results carry the plan/route they ran under; a
+            # re-admission makes them stale metadata-wise even though the
+            # sampled bits would be identical.  Drop them.
+            self.gateway.invalidate_epoch(name, handle.epoch)
+            return route
 
     # ------------------------------------------------------------------ #
     # Plan cache: one class-level plan per (graph, epoch, algorithm, config)
     # ------------------------------------------------------------------ #
     def _class_plan(self, request: SampleRequest, epoch: int) -> ExecutionPlan:
         """The cached :class:`ExecutionPlan` of one request class."""
-        key = (request.graph, epoch) + request.class_key()[2:]
-        with self._lock:
-            cached = self._plans.get(key)
-        if cached is not None:
-            return cached
-        handle = self.store.handle(request.graph, epoch)
-        route, layout = self._admission[(request.graph, epoch)]
-        from dataclasses import replace
 
-        base = plan(PlanRequest(
-            config=request.resolve_config(),
-            algorithm=request.algorithm,
-            num_instances=1,
-            memory_budget_bytes=self.memory_budget_bytes,
-            oom_config=layout.oom,
-            force_route=route,
-            coalescable=self._class_coalescable(request),
-            graph_num_vertices=handle.num_vertices,
-            graph_num_edges=handle.num_edges,
-            graph_nbytes=handle.nbytes,
-        ))
-        # The admission-time layout is authoritative (frozen sizing).
-        base = replace(base, layout=layout)
-        with self._lock:
-            self._plans[key] = base
-        return base
+        def build(admitted: Epoch) -> ExecutionPlan:
+            from repro.algorithms.registry import get_algorithm
+
+            handle = self.store.handle(request.graph, epoch)
+            program = get_algorithm(request.algorithm).program_factory(
+                **request.program_kwargs
+            )
+            base = plan(PlanRequest(
+                config=request.resolve_config(),
+                algorithm=request.algorithm,
+                num_instances=1,
+                memory_budget_bytes=self.memory_budget_bytes,
+                oom_config=admitted.layout.oom,
+                force_route=admitted.route,
+                coalescable=bool(program.supports_coalescing),
+                graph_num_vertices=handle.num_vertices,
+                graph_num_edges=handle.num_edges,
+                graph_nbytes=handle.nbytes,
+            ))
+            # The admission-time layout is authoritative (frozen sizing).
+            return replace(base, layout=admitted.layout)
+
+        return self._epochs.class_plan(
+            request.graph, epoch, request.class_key()[2:], build
+        )
 
     # ------------------------------------------------------------------ #
     # Request intake
     # ------------------------------------------------------------------ #
-    def _intake_begin(self) -> None:
-        """Pass the intake gate (see :meth:`replan`) and count ourselves in."""
-        while True:
-            if not self._intake_gate.wait(timeout=self.intake_pause_timeout_s):
-                raise ServiceError(
-                    "intake paused (replan in progress); resubmit shortly",
-                    transient=True,
-                )
-            with self._lock:
-                # Re-check under the lock: replan may have cleared the gate
-                # between the wait and here; only count in when it is open.
-                if self._intake_gate.is_set():
-                    self._intake_open += 1
-                    return
-
-    def _intake_end(self) -> None:
-        with self._lock:
-            self._intake_open -= 1
-
-    def _admission_active(self) -> bool:
-        """Whether any quota or ceiling makes cost prediction worthwhile."""
-        admission = self.gateway.admission
-        return (
-            self.gateway.config.max_pending is not None
-            or admission.default_quota is not None
-            or bool(admission._quotas)
-        )
-
-    def _predicted_cost_s(self, request: SampleRequest, epoch: int) -> float:
-        """The planner's calibrated wall-time estimate for this request."""
-        class_plan = self._class_plan(request, epoch)
-        unit_plan = scale_plan(class_plan, [request.instance_count()])
-        return unit_plan.calibrated_time_s or unit_plan.predicted_time_s
-
     def submit(self, request: SampleRequest) -> Future:
         """Queue a request; the future resolves to a :class:`SampleResponse`.
 
@@ -618,46 +498,34 @@ class SamplingService:
             raise RuntimeError("service is shut down")
         if request.graph not in self.store.names():
             raise KeyError(f"graph {request.graph!r} is not loaded")
-        self._intake_begin()
+        if not self._requests.enter_intake():
+            raise ServiceError(
+                "intake paused (replan in progress); resubmit shortly",
+                transient=True,
+            )
         try:
             return self._submit_admitted(request)
         finally:
-            self._intake_end()
+            self._requests.leave_intake()
 
     def _submit_admitted(self, request: SampleRequest) -> Future:
-        # Resolve the epoch the request binds to (an explicit pin must name
-        # a still-serving epoch; None means latest-now) and take the epoch
-        # reference in the SAME critical section -- a concurrent
-        # update_graph between the two would otherwise release the epoch
-        # out from under the request.
-        with self._lock:
-            if request.epoch is None:
-                epoch = self.store.latest_epoch(request.graph)
-            else:
-                epoch = int(request.epoch)
-                self.store.handle(request.graph, epoch)  # raises if unknown
-                if (request.graph, epoch) in self._retiring:
-                    raise KeyError(
-                        f"graph {request.graph!r} epoch {epoch} is retiring; "
-                        "pin a current epoch or submit unpinned"
-                    )
-            handle = self.store.handle(request.graph, epoch)
-            key = (request.graph, epoch)
-            self._epoch_active[key] = self._epoch_active.get(key, 0) + 1
-        pending = _Pending(request, Future(), time.perf_counter(), epoch=epoch)
+        # An explicit pin must name a still-serving epoch; None binds to
+        # latest-now.  The reference is given back by _unpin on every exit.
+        epoch = self._epochs.pin(request.graph, request.epoch)
+        record = RequestRecord(request, Future(), time.perf_counter(), epoch=epoch)
         if _trace.enabled():
             # One trace per request; the root span opens here and is closed
             # (recorded) by the collector when the answer lands.
-            pending.trace_id = _trace.new_trace_id()
-            pending.root_span_id = _trace.new_span_id()
-            pending.submitted_wall = time.time()
+            record.trace_id = _trace.new_trace_id()
+            record.root_span_id = _trace.new_span_id()
+            record.submitted_wall = time.time()
         try:
             # Plan-time seed validation, uniform across entry points: the
             # same SeedValidationError a standalone sampler would raise.
             try:
                 validate_seed_tuples(
                     request.seeds,
-                    handle.num_vertices,
+                    self.store.handle(request.graph, epoch).num_vertices,
                     num_instances=request.num_instances,
                     reject_duplicates=not request.resolve_config().with_replacement,
                 )
@@ -668,88 +536,92 @@ class SamplingService:
             # Fail fast, synchronously: bad config overrides raise inside
             # resolve_config, unhashable program kwargs inside the key's hash.
             hash(request.class_key())
-        except Exception:
-            self._note_resolved(pending)  # give the epoch reference back
-            raise
-        # Gateway, stage 1: the deterministic result cache.  Hits are
-        # bit-identical by construction and cost (nearly) nothing, so they
-        # are answered before -- and without -- quota accounting.
-        cached = self.gateway.lookup(request, epoch)
-        if cached is not None:
-            self._finish_cache_hit(pending, cached)
-            return pending.future
-        # Gateway, stage 2: cost-based admission.  The planner's calibrated
-        # estimate for this request class is charged against the tenant's
-        # token bucket; an over-quota tenant is shed right here, before any
-        # compute is spent.
-        if self._admission_active():
-            cost = self._predicted_cost_s(request, epoch)
-            with self._lock:
-                pending_count = len(self._pending)
-            try:
-                self.gateway.admit(request, cost, pending_count)
-            except AdmissionRejected:
-                with self._lock:
-                    self.stats.requests_shed += 1
-                self.recorder.record(
-                    "shed", trace_id=pending.trace_id,
-                    request_id=request.request_id, tenant=request.tenant,
+            # Gateway, stage 1: the deterministic result cache.  Hits are
+            # bit-identical by construction and cost (nearly) nothing, so
+            # they are answered before -- and without -- quota accounting.
+            cached = self.gateway.lookup(request, epoch)
+            # Gateway, stage 2: cost-based admission.  The planner's
+            # calibrated estimate for this request class is charged against
+            # the tenant's token bucket; an over-quota tenant is shed right
+            # here, before any compute is spent.
+            if cached is None and self.gateway.admission_active:
+                unit_plan = scale_plan(self._class_plan(request, epoch),
+                                       [request.instance_count()])
+                self.gateway.admit(
+                    request,
+                    unit_plan.calibrated_time_s or unit_plan.predicted_time_s,
+                    len(self._requests),
                 )
-                self._note_resolved(pending)
-                raise
-        with self._lock:
-            self.stats.requests_submitted += 1
-            self.metrics.counter("requests_submitted").inc()
-            self.metrics.counter("tenant_requests", tenant=request.tenant).inc()
-            self._pending[request.request_id] = pending
-        self.recorder.record(
-            "admit", trace_id=pending.trace_id,
-            request_id=request.request_id, tenant=request.tenant,
-            priority=request.priority,
-        )
-        self._enqueue(pending, request.priority)
-        return pending.future
+        except AdmissionRejected:
+            self._event("shed", record)
+            self._unpin(record)
+            raise
+        except Exception:
+            self._unpin(record)
+            raise
+        self._requests.open(record)
+        if cached is not None:
+            # Never dispatched, but resolved the way every request is.
+            self._event("cache_hit", record)
+            cached.stats.update(self._close_request(record, "cache"))
+            self._resolve(request.request_id, result=cached)
+        else:
+            self._event("admit", record, priority=request.priority)
+            self._enqueue(record, request.priority)
+        return record.future
 
-    def _enqueue(self, pending: Optional[_Pending], priority: float = 0.0) -> None:
+    def _event(self, kind: str, record: RequestRecord, **fields) -> None:
+        """Flight-recorder event about one request."""
+        self.recorder.record(
+            kind, trace_id=record.trace_id,
+            request_id=record.request.request_id,
+            tenant=record.request.tenant, **fields,
+        )
+
+    def _enqueue(self, record: Optional[RequestRecord],
+                 priority: float = 0.0) -> None:
         """Queue in priority lanes (higher first, FIFO within a lane)."""
-        self._queue.put((-float(priority), next(self._queue_seq), pending))
+        self._queue.put((-float(priority), next(self._queue_seq), record))
 
-    def _finish_cache_hit(self, pending: _Pending, response: SampleResponse) -> None:
-        """Resolve a request from the cache: no dispatch, no worker, no plan."""
-        request = pending.request
-        latency = time.perf_counter() - pending.enqueued_at
-        self.recorder.record(
-            "cache_hit", trace_id=pending.trace_id,
-            request_id=request.request_id, tenant=request.tenant,
-        )
-        response.stats["latency_s"] = latency
-        if pending.trace_id is not None:
-            response.stats["trace_id"] = pending.trace_id
-            now_wall = time.time()
+    def _close_request(self, record: RequestRecord,
+                       route: str) -> Dict[str, object]:
+        """The latency stats stamped on every answer; observes them and
+        closes the request's spans (opened at submission) on the way."""
+        latency = time.perf_counter() - record.enqueued_at
+        stats: Dict[str, object] = {"latency_s": latency}
+        self.metrics.histogram("request_latency_s", route=route).observe(latency)
+        if record.dispatched_perf:
+            # Submit -> dispatch wait (coalescing window + queueing),
+            # separated from the execute wall so window latency is
+            # visible per response.
+            queue_wait = record.dispatched_perf - record.enqueued_at
+            stats["queue_wait_s"] = queue_wait
+            stats["execute_s"] = latency - queue_wait
+            self.metrics.histogram("queue_wait_s").observe(queue_wait)
+            self.metrics.histogram("execute_s").observe(latency - queue_wait)
+        if record.trace_id is not None:
+            stats["trace_id"] = record.trace_id
+            if record.dispatched_perf:
+                _trace.record_span(
+                    "queue_wait",
+                    trace_id=record.trace_id,
+                    parent_id=record.root_span_id,
+                    start_s=record.submitted_wall,
+                    end_s=record.dispatched_wall,
+                )
             _trace.record_span(
                 "request",
-                trace_id=pending.trace_id,
-                span_id=pending.root_span_id,
+                trace_id=record.trace_id,
+                span_id=record.root_span_id,
                 parent_id=None,
-                start_s=pending.submitted_wall,
-                end_s=now_wall,
-                request_id=request.request_id,
-                graph=request.graph,
-                algorithm=request.algorithm,
-                route="cache",
+                start_s=record.submitted_wall,
+                end_s=time.time(),
+                request_id=record.request.request_id,
+                graph=record.request.graph,
+                algorithm=record.request.algorithm,
+                route=route,
             )
-        with self._lock:
-            self.stats.requests_submitted += 1
-            self.stats.requests_completed += 1
-            self.stats.cache_hits += 1
-            self.stats.latencies_s.append(latency)
-            self.metrics.counter("requests_submitted").inc()
-            self.metrics.counter("requests_completed").inc()
-            self.metrics.counter("tenant_requests", tenant=request.tenant).inc()
-            self.metrics.counter("tenant_completed", tenant=request.tenant).inc()
-        self.metrics.histogram("request_latency_s", route="cache").observe(latency)
-        self._set_future(pending.future, result=response)
-        self._note_resolved(pending)
+        return stats
 
     # ------------------------------------------------------------------ #
     # Dispatcher: window batching + class grouping
@@ -780,57 +652,37 @@ class SamplingService:
                 batch.append(item)
             self._safe_dispatch(batch)
 
-    def _safe_dispatch(self, batch: List[_Pending]) -> None:
+    def _safe_dispatch(self, batch: List[RequestRecord]) -> None:
         """Dispatch a batch; a failure fails the batch, never the thread."""
         try:
             self._dispatch_batch(batch)
-        except Exception as exc:  # pragma: no cover - defensive
-            for pending in batch:
-                self._fail(pending.request.request_id, f"dispatch failed: {exc!r}")
+        except Exception as exc:
+            for record in batch:
+                self._fail(record.request.request_id, f"dispatch failed: {exc!r}")
 
-    def _class_coalescable(self, request: SampleRequest) -> bool:
-        """Whether this request's program may share an engine batch."""
-        from repro.algorithms.registry import get_algorithm
-
-        key = (request.algorithm, tuple(sorted(request.program_kwargs.items())))
-        cached = self._coalescable.get(key)
-        if cached is None:
-            program = get_algorithm(request.algorithm).program_factory(
-                **request.program_kwargs
-            )
-            cached = bool(program.supports_coalescing)
-            self._coalescable[key] = cached
-        return cached
-
-    def _dispatch_batch(self, batch: List[_Pending]) -> None:
-        classes: Dict[Tuple, List[_Pending]] = {}
-        order: List[Tuple] = []
-        for pending in batch:
+    def _dispatch_batch(self, batch: List[RequestRecord]) -> None:
+        classes: Dict[Tuple, List[RequestRecord]] = {}
+        for record in batch:
             # The resolved epoch joins the coalescing key: two requests that
             # straddle an update_graph call must not share an engine batch.
-            key = (pending.request.class_key(), pending.epoch)
-            if key not in classes:
-                classes[key] = []
-                order.append(key)
-            classes[key].append(pending)
-        for key in order:
-            group = classes[key]
-            head_request = group[0].request
-            class_plan = self._class_plan(head_request, group[0].epoch)
+            key = (record.request.class_key(), record.epoch)
+            classes.setdefault(key, []).append(record)
+        for group in classes.values():
+            class_plan = self._class_plan(group[0].request, group[0].epoch)
             fusible = class_plan.route == "in_memory" and class_plan.coalescable
             if len(group) > 1 and not fusible:
                 # Non-coalescable programs and the out-of-memory path never
                 # fuse; one unit per request keeps them spread across
                 # workers instead of serialised on one (and keeps the
                 # coalescing stats honest).
-                units = [[pending] for pending in group]
+                units = [[record] for record in group]
             else:
                 units = [group]
             for members in units:
                 self._dispatch_unit(members, class_plan)
 
     def _dispatch_unit(
-        self, members: List[_Pending], class_plan: ExecutionPlan
+        self, members: List[RequestRecord], class_plan: ExecutionPlan
     ) -> None:
         head = members[0].request
         epoch = members[0].epoch
@@ -881,21 +733,16 @@ class SamplingService:
             p.plan = plan_summary
             p.dispatched_perf = dispatched_perf
             p.dispatched_wall = dispatched_wall
-        with self._lock:
-            self._inflight[unit.unit_id] = [
-                p.request.request_id for p in members
-            ]
-            self._dispatched_at[unit.unit_id] = dispatched_perf
-            self.stats.units_dispatched += 1
-            self.metrics.counter("units_dispatched").inc()
-            self.metrics.counter("route_requests", route=route).inc(len(members))
-            if route == "out_of_memory":
-                self.stats.oom_requests += len(members)
-            if route == "sharded":
-                self.stats.sharded_requests += len(members)
-            if len(members) > 1:
-                self.stats.coalesced_requests += len(members)
-                self.metrics.counter("coalesced_requests").inc(len(members))
+        self._units.dispatch(
+            Unit(
+                unit_id=unit.unit_id,
+                request_ids=[p.request.request_id for p in members],
+                trace_ids=[p.trace_id for p in members
+                           if p.trace_id is not None],
+                dispatched_at=dispatched_perf,
+            ),
+            route,
+        )
         self._pool.submit(unit)
 
     # ------------------------------------------------------------------ #
@@ -906,11 +753,9 @@ class SamplingService:
             try:
                 message = self._pool.next_result(timeout=0.05)
             except queue.Empty:
-                if self._shutdown.is_set() and not self._inflight:
+                if self._shutdown.is_set() and not len(self._units):
                     return
-                if self._inflight:
-                    self._reap_dead_workers(drain=True)
-                    self._expire_stale_units()
+                self._fail_lost_units(drain=True)
                 continue
             except (EOFError, OSError):  # pragma: no cover - pool torn down
                 return
@@ -919,11 +764,10 @@ class SamplingService:
     def _handle_message(self, message) -> None:
         if isinstance(message, tuple) and message and message[0] == "claim":
             _, unit_id, pid = message
-            with self._lock:
-                if unit_id in self._inflight:
-                    self._claims[unit_id] = pid
+            unit = self._units.claim(unit_id, pid)
             self.recorder.record(
-                "worker_claim", trace_id=self._head_trace_id(unit_id),
+                "worker_claim",
+                trace_id=unit.head_trace_id if unit is not None else None,
                 unit_id=unit_id, worker_pid=pid,
             )
             return
@@ -933,26 +777,21 @@ class SamplingService:
         while not self._shutdown.is_set():
             time.sleep(0.1)
             self._sample_load()
-            if self._inflight:
-                # Never drains here: draining means reading the result pipe,
-                # the very operation that can wedge after a worker crash.
-                self._reap_dead_workers(drain=False)
-                self._expire_stale_units()
+            # Never drains here: draining means reading the result pipe,
+            # the very operation that can wedge after a worker crash.
+            self._fail_lost_units(drain=False)
 
     def _sample_load(self) -> None:
         """One periodic load sample (monitor thread): queue + cache + units."""
         now = time.time()
-        with self._lock:
-            pending = len(self._pending)
-            inflight = len(self._inflight)
+        census = self._census()
         self._load_samples.append((now, "service_load", {
-            "pending": float(pending),
-            "inflight_units": float(inflight),
+            "pending": float(census["pending"]),
+            "inflight_units": float(census["inflight"]),
         }))
-        cache = self.gateway.cache
-        if cache is not None:
+        if census["cache_bytes"] is not None:
             self._load_samples.append((now, "result_cache_bytes", {
-                "bytes": float(cache.stats()["current_bytes"]),
+                "bytes": float(census["cache_bytes"]),
             }))
 
     def load_samples(self) -> List[Tuple[float, str, Dict[str, float]]]:
@@ -964,299 +803,141 @@ class SamplingService:
         """
         return list(self._load_samples)
 
-    def _reap_dead_workers(self, *, drain: bool) -> None:
-        """Fail units whose worker died; leave healthy workers' work alone."""
-        dead = set(self._pool.dead_worker_pids())
-        pool_dead = not self._pool.any_workers_alive()
-        if not dead and not pool_dead:
+    def _fail_lost_units(self, *, drain: bool) -> None:
+        """The backstops: fail the units whose worker died (healthy
+        workers' work is left alone) and -- for losses the claim protocol
+        cannot see -- the units unanswered for ``unit_timeout_s``."""
+        if not len(self._units):
             return
+        dead = self._pool.dead_worker_pids()
+        pool_dead = not self._pool.any_workers_alive()
         # A finished result may still be queued behind the death: drain
         # whatever already arrived before declaring anything lost.
-        while drain:
+        while drain and (dead or pool_dead):
             try:
                 self._handle_message(self._pool.next_result(timeout=0.01))
             except queue.Empty:
                 break
             except (EOFError, OSError):  # pragma: no cover - pool torn down
                 break
-        with self._lock:
-            stuck = [
-                unit_id for unit_id, pid in self._claims.items()
-                if pid in dead and unit_id in self._inflight
-            ]
-            if pool_dead:
-                # Spawn failure / total loss: unclaimed queued units will
-                # never even be claimed.
-                stuck.extend(
-                    unit_id for unit_id in self._inflight
-                    if unit_id not in stuck
+        for unit in self._units.reap(dead, pool_dead=pool_dead):
+            self._fail_unit(unit, "worker_crash", "worker process died",
+                            worker_pid=unit.claimed_by or 0)
+        if self.unit_timeout_s is not None:
+            cutoff = time.perf_counter() - self.unit_timeout_s
+            for unit in self._units.expire(cutoff):
+                self._fail_unit(
+                    unit, "unit_timeout",
+                    f"unit unanswered after {self.unit_timeout_s}s",
+                    timeout_s=self.unit_timeout_s,
                 )
-            victim_pids = {
-                unit_id: self._claims.get(unit_id, 0) for unit_id in stuck
-            }
-        for unit_id in stuck:
-            # Record + dump BEFORE failing the unit: the victims' trace
-            # ids are still resolvable through _pending.
-            self.recorder.record(
-                "worker_crash", trace_id=self._head_trace_id(unit_id),
-                unit_id=unit_id, worker_pid=victim_pids.get(unit_id, 0),
-            )
-            self._dump_diagnostics("worker_crash", unit_id,
-                                   "worker process died")
-            self._finish_unit(UnitResult(
-                unit_id=unit_id, error="worker process died", transient=True
-            ))
 
-    def _expire_stale_units(self) -> None:
-        """Backstop for losses the claim protocol cannot see."""
-        if self.unit_timeout_s is None:
-            return
-        cutoff = time.perf_counter() - self.unit_timeout_s
-        with self._lock:
-            expired = [
-                unit_id for unit_id, started in self._dispatched_at.items()
-                if started < cutoff and unit_id in self._inflight
-            ]
-        for unit_id in expired:
-            self.recorder.record(
-                "unit_timeout", trace_id=self._head_trace_id(unit_id),
-                unit_id=unit_id, timeout_s=self.unit_timeout_s,
-            )
-            self._dump_diagnostics(
-                "unit_timeout", unit_id,
-                f"unit unanswered after {self.unit_timeout_s}s",
-            )
-            self._finish_unit(UnitResult(
-                unit_id=unit_id,
-                error=f"unit unanswered after {self.unit_timeout_s}s",
-                transient=True,
-            ))
+    def _fail_unit(self, unit: Unit, reason: str, error: str, **fields) -> None:
+        """One fail path for every lost unit: event, post-mortem (first, so
+        the snapshot still shows the victims pending), then fail its
+        requests -- transient: they were not at fault, a resubmit is safe."""
+        self.recorder.record(reason, trace_id=unit.head_trace_id,
+                             unit_id=unit.unit_id, **fields)
+        self._dump_diagnostics(reason, unit, error)
+        for request_id in unit.request_ids:
+            self._fail(request_id, error, transient=True)
 
     def _finish_unit(self, result: UnitResult) -> None:
-        with self._lock:
-            request_ids = self._inflight.pop(result.unit_id, [])
-            self._claims.pop(result.unit_id, None)
-            self._dispatched_at.pop(result.unit_id, None)
-        # Spans/feedback/profile minted in a process worker ride home on
-        # the result.
-        if getattr(result, "spans", None):
-            _trace.ingest(result.spans)
-        if getattr(result, "feedback", None):
-            FEEDBACK.ingest(result.feedback)
-        if getattr(result, "profile", None):
-            _profiler.ingest(result.profile)
-        if result.error is not None:
-            for request_id in request_ids:
-                self._fail(request_id, result.error,
-                           transient=getattr(result, "transient", False))
+        # Telemetry minted in a process worker rides home on the result.
+        ingest_envelope(result.telemetry)
+        unit = self._units.finish(result.unit_id)
+        if unit is None:  # already ended as lost; its requests have failed
             return
-        answered = set()
+        if result.error is not None:
+            for request_id in unit.request_ids:
+                self._fail(request_id, result.error)
+            return
         for payload in result.payloads:
-            answered.add(payload.request_id)
-            with self._lock:
-                pending = self._pending.pop(payload.request_id, None)
-            if pending is None:
+            record = self._requests.get(payload.request_id)
+            if record is None:
                 continue
-            latency = time.perf_counter() - pending.enqueued_at
             if payload.error is not None:
-                with self._lock:
-                    self.stats.requests_failed += 1
-                    self.metrics.counter("requests_failed").inc()
-                self._set_future(
-                    pending.future, exception=ServiceError(payload.error)
-                )
-                self._note_resolved(pending)
+                self._fail(payload.request_id, payload.error)
                 continue
-            extra: Dict[str, object] = {
-                "latency_s": latency,
-                "cache_hit": False,
-                "tenant": pending.request.tenant,
-                "priority": pending.request.priority,
-            }
-            queue_wait = None
-            if pending.dispatched_perf:
-                # Submit -> dispatch wait (coalescing window + queueing),
-                # separated from the execute wall so window latency is
-                # visible per response.
-                queue_wait = pending.dispatched_perf - pending.enqueued_at
-                extra["queue_wait_s"] = queue_wait
-                extra["execute_s"] = latency - queue_wait
-            if pending.trace_id is not None:
-                extra["trace_id"] = pending.trace_id
-                now_wall = time.time()
-                _trace.record_span(
-                    "queue_wait",
-                    trace_id=pending.trace_id,
-                    parent_id=pending.root_span_id,
-                    start_s=pending.submitted_wall,
-                    end_s=pending.dispatched_wall or now_wall,
-                )
-                _trace.record_span(
-                    "request",
-                    trace_id=pending.trace_id,
-                    span_id=pending.root_span_id,
-                    parent_id=None,
-                    start_s=pending.submitted_wall,
-                    end_s=now_wall,
-                    request_id=payload.request_id,
-                    graph=pending.request.graph,
-                    algorithm=pending.request.algorithm,
-                    route=payload.route,
-                )
-            response = SampleResponse(
-                request_id=payload.request_id,
-                graph=pending.request.graph,
-                algorithm=pending.request.algorithm,
-                samples=[
-                    InstanceSample(instance_id=i, seeds=s, edges=e)
-                    for i, s, e in payload.samples
-                ],
-                iteration_counts=payload.iteration_counts,
-                route=payload.route,
-                epoch=pending.epoch,
-                coalesced_with=payload.coalesced_with,
-                stats={**payload.stats, **extra},
-                plan=pending.plan,
+            self._resolve(
+                payload.request_id, result=self._respond(record, payload)
             )
-            with self._lock:
-                self.stats.requests_completed += 1
-                self.stats.latencies_s.append(latency)
-                self.metrics.counter("requests_completed").inc()
-            self.metrics.histogram(
-                "request_latency_s", route=payload.route
-            ).observe(latency)
-            if queue_wait is not None:
-                self.metrics.histogram("queue_wait_s").observe(queue_wait)
-                self.metrics.histogram("execute_s").observe(latency - queue_wait)
-            cache_hits = payload.stats.get("kernel_cache_hits")
-            if cache_hits is not None:
-                self.metrics.counter("kernel_cache_hits").inc(int(cache_hits))
-                self.metrics.counter("kernel_cache_misses").inc(
-                    int(payload.stats.get("kernel_cache_misses", 0))
-                )
-            structure_hits = payload.stats.get("structure_cache_hits")
-            if structure_hits is not None:
-                self.metrics.counter("structure_cache_hits").inc(
-                    int(structure_hits)
-                )
-                self.metrics.counter("structure_cache_misses").inc(
-                    int(payload.stats.get("structure_cache_misses", 0))
-                )
-            step_tier = payload.stats.get("step_tier")
-            if step_tier is not None:
-                # Per-algorithm tier coverage: how much traffic actually ran
-                # compiled vs interpreted (snapshot() pivots these counters).
-                self.metrics.counter(
-                    "step_tier_requests",
-                    algorithm=pending.request.algorithm,
-                    step_tier=step_tier,
-                ).inc()
-            migrations = payload.stats.get("migrations")
-            if migrations:
-                self.metrics.counter("walker_migrations").inc(int(migrations))
-                self.recorder.record(
-                    "shard_migration", trace_id=pending.trace_id,
-                    request_id=payload.request_id,
-                    migrations=int(migrations),
-                    num_shards=int(payload.stats.get("num_shards", 0)),
-                )
+        for request_id in set(unit.request_ids).difference(
+                payload.request_id for payload in result.payloads):
+            self._fail(request_id, "worker returned no payload")
+
+    def _respond(self, record: RequestRecord, payload) -> SampleResponse:
+        """Build one request's response; observe its metrics; cache it."""
+        request = record.request
+        extra = self._close_request(record, payload.route)
+        stats = payload.stats
+        for key in CACHE_DELTA_KEYS:
+            if key in stats:
+                self.metrics.counter(key).inc(int(stats[key]))
+        step_tier = stats.get("step_tier")
+        if step_tier is not None:
+            # Per-algorithm tier coverage: how much traffic actually ran
+            # compiled vs interpreted (snapshot() pivots these counters).
             self.metrics.counter(
-                "tenant_completed", tenant=pending.request.tenant
+                "step_tier_requests",
+                algorithm=request.algorithm,
+                step_tier=step_tier,
             ).inc()
-            # Populate the deterministic result cache with the worker-side
-            # payload (stats without the per-request latency annotations),
-            # so an identical future request is answered bit-identically
-            # without dispatching.
-            self.gateway.store(
-                pending.request,
-                pending.epoch,
-                CachedResult(
-                    samples=payload.samples,
-                    iteration_counts=list(payload.iteration_counts),
-                    route=payload.route,
-                    coalesced_with=payload.coalesced_with,
-                    stats=dict(payload.stats),
-                    plan=pending.plan,
-                ),
+        migrations = stats.get("migrations")
+        if migrations:
+            self.metrics.counter("walker_migrations").inc(int(migrations))
+            self.recorder.record(
+                "shard_migration", trace_id=record.trace_id,
+                request_id=payload.request_id,
+                migrations=int(migrations),
+                num_shards=int(stats.get("num_shards", 0)),
             )
-            self._note_cache_evictions()
-            self._set_future(pending.future, result=response)
-            self._note_resolved(pending)
-        for request_id in request_ids:
-            if request_id not in answered:  # pragma: no cover - defensive
-                self._fail(request_id, "worker returned no payload")
+        # Populate the deterministic result cache with the worker-side
+        # payload (stats without the per-request latency annotations),
+        # so an identical future request is answered bit-identically
+        # without dispatching.
+        ran = CachedResult(
+            samples=payload.samples,
+            iteration_counts=payload.iteration_counts,
+            route=payload.route,
+            coalesced_with=payload.coalesced_with,
+            stats=stats,
+            plan=record.plan,
+        )
+        self.gateway.store(request, record.epoch, ran)
+        self._note_cache_evictions()
+        return build_response(request, record.epoch, ran, cache_hit=False,
+                              **extra)
+
+    def _resolve(self, request_id: int, *, result=None, exception=None) -> None:
+        """Resolve a pending request (exactly once) and unpin its epoch."""
+        record = self._requests.resolve(
+            request_id, result=result, exception=exception
+        )
+        if record is not None:
+            self._unpin(record)
 
     def _fail(self, request_id: int, message: str, *, transient: bool = False) -> None:
-        with self._lock:
-            pending = self._pending.pop(request_id, None)
-            if pending is not None:
-                self.stats.requests_failed += 1
-                self.metrics.counter("requests_failed").inc()
-        if pending is not None:
-            self._set_future(
-                pending.future,
-                exception=ServiceError(message, transient=transient),
-            )
-            self._note_resolved(pending)
-
-    @staticmethod
-    def _set_future(future: Future, *, result=None, exception=None) -> None:
-        """Resolve a request future, tolerating caller-side cancellation.
-
-        An asyncio caller that times out (``asyncio.wait_for``) cancels the
-        bridged future; the worker's answer then has nowhere to land, which
-        must not crash the collector thread.
-        """
-        try:
-            if exception is not None:
-                future.set_exception(exception)
-            else:
-                future.set_result(result)
-        except InvalidStateError:  # future cancelled by the caller
-            pass
+        self._resolve(
+            request_id, exception=ServiceError(message, transient=transient)
+        )
 
     # ------------------------------------------------------------------ #
     # Epoch lifecycle: retiring epochs release once their requests drain
     # ------------------------------------------------------------------ #
-    def _note_resolved(self, pending: _Pending) -> None:
-        """One request finished: drop its epoch reference, reap if drained."""
-        name = pending.request.graph
-        epoch = pending.epoch
-        with self._lock:
-            key = (name, epoch)
-            count = self._epoch_active.get(key, 0) - 1
-            if count > 0:
-                self._epoch_active[key] = count
-            else:
-                self._epoch_active.pop(key, None)
-        self._maybe_release_epoch(name, epoch)
+    def _unpin(self, record: RequestRecord) -> None:
+        """One request is done with its epoch; reap the epoch if drained."""
+        released = self._epochs.unpin(record.request.graph, record.epoch)
+        if released is not None:
+            self._epoch_released(*released)
 
-    def _maybe_release_epoch(self, name: str, epoch: int) -> None:
-        """Release a retiring epoch's segments once no request references it."""
-        with self._lock:
-            key = (name, epoch)
-            if key not in self._retiring or self._epoch_active.get(key, 0) > 0:
-                return
-            self._retiring.discard(key)
-            self._admission.pop(key, None)
-            self._plans = {
-                k: v for k, v in self._plans.items() if k[:2] != key
-            }
-            # Evict the retired epoch's compiled structures before releasing
-            # the segments: thread/inline workers sample through the owner's
-            # graph view, so the structure cache would otherwise keep the
-            # stale epoch's alias/prefix arrays alive until a GC pass
-            # (process workers evict via the weakref finalizer when their
-            # attached mapping closes).
-            try:
-                retired_graph = self.store.graph(name, epoch)
-            except KeyError:  # pragma: no cover - raced release
-                retired_graph = None
-            # Release under the lock: a concurrent submit must observe
-            # either a pinnable epoch or a KeyError, never the gap between
-            # un-retiring and unlinking.
-            self.store.release(name, epoch)
-            self.metrics.counter("epoch_retirements").inc()
+    def _epoch_released(self, name: str, epoch: int, retired_graph) -> None:
+        """What follows an epoch's release, outside the table's lock."""
+        # Evict the retired epoch's compiled structures: thread/inline
+        # workers sample through the owner's graph view, so the structure
+        # cache would otherwise keep the stale epoch's alias/prefix arrays
+        # alive until a GC pass (process workers evict via the weakref
+        # finalizer when their attached mapping closes).
         if retired_graph is not None:
             from repro.compiled import evict_graph
 
@@ -1278,17 +959,20 @@ class SamplingService:
         rates are refreshed right before rendering, so a scrape always
         sees current values.
         """
-        self._refresh_gauges()
+        census = self._census()
+        gauge = self.metrics.gauge
+        gauge("queue_depth").set(census["pending"])
+        gauge("inflight_units").set(census["inflight"])
+        gauge("workers_alive").set(census["workers"]["alive"])
+        gauge("recorder_events").set(len(self.recorder))
+        gauge("recorder_dropped").set(self.recorder.dropped)
+        gauge("store_bytes").set(census["store_bytes"])
+        if census["cache_bytes"] is not None:
+            gauge("result_cache_bytes").set(census["cache_bytes"])
+        # evaluate() refreshes the slo_* burn/violation gauges and
+        # health_status as a side effect of the verdict.
+        self.health()
         return self.metrics.render_prometheus()
-
-    def _head_trace_id(self, unit_id: int) -> Optional[str]:
-        """The trace id of a unit's head request (None = tracing off)."""
-        with self._lock:
-            for request_id in self._inflight.get(unit_id, []):
-                pending = self._pending.get(request_id)
-                if pending is not None and pending.trace_id is not None:
-                    return pending.trace_id
-        return None
 
     def _note_cache_evictions(self) -> None:
         """Turn new result-cache evictions/invalidations into events."""
@@ -1305,28 +989,46 @@ class SamplingService:
             )
             self._evictions_seen = total
 
-    def _worker_state(self) -> Dict[str, object]:
-        """Live worker census shared by :meth:`diagnose` and :meth:`health`."""
+    def _census(self) -> Dict[str, object]:
+        """Point-in-time occupancy: the one place every report reads it."""
+        graphs: Dict[str, Dict[str, int]] = {}
+        for name in self.store.names():
+            epochs = graphs[name] = {}
+            for epoch in self.store.epochs(name):
+                try:
+                    epochs[str(epoch)] = int(self.store.handle(name, epoch).nbytes)
+                except KeyError:  # released between epochs() and here
+                    continue
+        cache = self.gateway.cache
+        claims = self._units.claims()
+        inflight = len(self._units)
         dead = self._pool.dead_worker_pids()
-        if not self._pool.any_workers_alive():
-            alive = 0
-        else:
-            alive = max(0, self._pool.num_workers - len(dead))
-        with self._lock:
-            claims = dict(self._claims)
-            inflight = len(self._inflight)
+        alive = (
+            max(0, self._pool.num_workers - len(dead))
+            if self._pool.any_workers_alive() else 0
+        )
         return {
-            "mode": self._pool.mode,
-            "num_workers": self._pool.num_workers,
-            "alive": alive,
-            "dead_pids": list(dead),
-            "claimed_units": {str(uid): pid for uid, pid in claims.items()},
-            "inflight_units": inflight,
-            # In-flight units per worker, capped at 1.0: the pool has no
-            # per-worker busy flag, so claimed+queued work is the proxy.
-            "utilization": min(
-                1.0, inflight / max(1, self._pool.num_workers)
+            "pending": len(self._requests),
+            "inflight": inflight,
+            "graphs": graphs,
+            "store_bytes": sum(sum(e.values()) for e in graphs.values()),
+            "cache_bytes": (
+                cache.stats()["current_bytes"] if cache is not None else None
             ),
+            "workers": {
+                "mode": self._pool.mode,
+                "num_workers": self._pool.num_workers,
+                "alive": alive,
+                "dead_pids": list(dead),
+                "claimed_units": {str(u): pid for u, pid in claims.items()},
+                "inflight_units": inflight,
+                # In-flight units per worker, capped at 1.0: the pool has
+                # no per-worker busy flag, so claimed+queued work is the
+                # proxy.
+                "utilization": min(
+                    1.0, inflight / max(1, self._pool.num_workers)
+                ),
+            },
         }
 
     def diagnose(self, last: int = 64) -> Dict[str, object]:
@@ -1337,7 +1039,6 @@ class SamplingService:
         shared-memory store and result-cache occupancy, and per-tenant
         quota bucket levels.  Safe to call from any thread at any time.
         """
-        # Lane census first (its own mutex) to keep lock scopes disjoint.
         lanes: Dict[str, int] = {}
         with self._queue.mutex:
             for neg_priority, _, item in list(self._queue.queue):
@@ -1345,33 +1046,18 @@ class SamplingService:
                     continue
                 lane = f"{-neg_priority:g}"
                 lanes[lane] = lanes.get(lane, 0) + 1
-        with self._lock:
-            pending = len(self._pending)
-            retiring = sorted(
-                f"{name}@{epoch}" for name, epoch in self._retiring
-            )
-        graphs: Dict[str, object] = {}
-        total_bytes = 0
-        for name in self.store.names():
-            epochs = {}
-            for epoch in self.store.epochs(name):
-                try:
-                    handle = self.store.handle(name, epoch)
-                except KeyError:  # released between epochs() and here
-                    continue
-                epochs[str(epoch)] = int(handle.nbytes)
-                total_bytes += int(handle.nbytes)
-            graphs[name] = epochs
+        census = self._census()
         gateway_stats = self.gateway.stats()
         return {
             "generated_at": time.time(),
             "events": self.recorder.snapshot(last),
             "events_dropped": self.recorder.dropped,
             "event_counts": self.recorder.counts(),
-            "queue": {"pending_requests": pending, "lanes": lanes},
-            "workers": self._worker_state(),
-            "store": {"graphs": graphs, "total_bytes": total_bytes,
-                      "retiring": retiring},
+            "queue": {"pending_requests": census["pending"], "lanes": lanes},
+            "workers": census["workers"],
+            "store": {"graphs": census["graphs"],
+                      "total_bytes": census["store_bytes"],
+                      "retiring": self._epochs.retiring()},
             "result_cache": gateway_stats.get("cache"),
             "tenants": gateway_stats.get("tenants", {}),
             "stats": self.stats.snapshot(),
@@ -1384,80 +1070,40 @@ class SamplingService:
         operational signals (worker liveness, pending-queue saturation);
         every non-ok verdict carries machine-readable ``reasons``.
         """
-        workers = self._worker_state()
-        with self._lock:
-            queue_depth = len(self._pending)
+        census = self._census()
         signals: Dict[str, object] = {
-            "workers_alive": workers["alive"],
-            "num_workers": workers["num_workers"],
-            "queue_depth": queue_depth,
+            "workers_alive": census["workers"]["alive"],
+            "num_workers": census["workers"]["num_workers"],
+            "queue_depth": census["pending"],
         }
         if self.gateway.config.max_pending is not None:
             signals["max_pending"] = self.gateway.config.max_pending
         return self.health_monitor.evaluate(signals)
 
-    def _dump_diagnostics(self, reason: str, unit_id: int,
-                          error: str) -> Optional[str]:
+    def _dump_diagnostics(self, reason: str, unit: Unit, error: str) -> None:
         """Auto-dump a diagnose() snapshot on a crash/timeout; best-effort."""
-        directory = self.diagnostics_dir
-        if directory is None:
-            return None
-        with self._lock:
-            trace_ids = [
-                p.trace_id
-                for request_id in self._inflight.get(unit_id, [])
-                for p in (self._pending.get(request_id),)
-                if p is not None and p.trace_id is not None
-            ]
+        if self.diagnostics_dir is None:
+            return
         path = os.path.join(
-            directory, f"diagnostics-{reason}-unit{unit_id}-"
+            self.diagnostics_dir, f"diagnostics-{reason}-unit{unit.unit_id}-"
             f"{next(self._dump_seq)}.json",
         )
         try:
             self.recorder.record(
-                "snapshot_dump", trace_id=trace_ids[0] if trace_ids else None,
-                unit_id=unit_id, reason=reason, path=path,
+                "snapshot_dump", trace_id=unit.head_trace_id,
+                unit_id=unit.unit_id, reason=reason, path=path,
             )
             self.recorder.dump(path, extra={
                 "failure": {
                     "reason": reason,
-                    "unit_id": unit_id,
+                    "unit_id": unit.unit_id,
                     "error": error,
-                    "trace_ids": trace_ids,
+                    "trace_ids": unit.trace_ids,
                 },
                 "service": self.diagnose(),
             })
         except Exception:  # pragma: no cover - diagnostics must not kill
-            return None
-        return path
-
-    def _refresh_gauges(self) -> None:
-        """Mirror point-in-time operational state into Prometheus gauges."""
-        with self._lock:
-            pending = len(self._pending)
-            inflight = len(self._inflight)
-        self.metrics.gauge("queue_depth").set(pending)
-        self.metrics.gauge("inflight_units").set(inflight)
-        workers = self._worker_state()
-        self.metrics.gauge("workers_alive").set(workers["alive"])
-        self.metrics.gauge("recorder_events").set(len(self.recorder))
-        self.metrics.gauge("recorder_dropped").set(self.recorder.dropped)
-        total_bytes = 0
-        for name in self.store.names():
-            for epoch in self.store.epochs(name):
-                try:
-                    total_bytes += int(self.store.handle(name, epoch).nbytes)
-                except KeyError:  # released between epochs() and here
-                    continue
-        self.metrics.gauge("store_bytes").set(total_bytes)
-        cache = self.gateway.cache
-        if cache is not None:
-            self.metrics.gauge("result_cache_bytes").set(
-                cache.stats()["current_bytes"]
-            )
-        # evaluate() refreshes the slo_* burn/violation gauges and
-        # health_status as a side effect of the verdict.
-        self.health()
+            pass
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1466,9 +1112,8 @@ class SamplingService:
         """Wait until every submitted request has resolved."""
         deadline = time.perf_counter() + timeout
         while time.perf_counter() < deadline:
-            with self._lock:
-                if not self._pending and not self._inflight:
-                    return True
+            if not len(self._units) and not len(self._requests):
+                return True
             time.sleep(0.002)
         return False
 
@@ -1483,12 +1128,8 @@ class SamplingService:
         self._dispatcher.join(timeout=5.0)
         self._collector.join(timeout=5.0)
         self._monitor.join(timeout=5.0)
-        with self._lock:
-            leftovers = list(self._pending.values())
-            self._pending.clear()
-        for pending in leftovers:  # pragma: no cover - drain timeout path
-            if not pending.future.done():
-                pending.future.set_exception(ServiceError("service shut down"))
+        for record in self._requests.records():  # drain timeout path
+            self._fail(record.request.request_id, "service shut down")
         self._pool.shutdown()
         if self._owns_store:
             self.store.close()

@@ -43,7 +43,7 @@ from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 from repro.service.store import SharedGraphHandle, attach
 from repro.telemetry import profiler as _profiler
 from repro.telemetry import trace as _trace
-from repro.telemetry.feedback import FEEDBACK
+from repro.telemetry import drain_envelope, reset_child
 
 __all__ = [
     "RequestSpec",
@@ -118,71 +118,86 @@ class UnitResult:
     unit_id: int
     payloads: List[RequestPayload] = field(default_factory=list)
     error: Optional[str] = None
-    #: Unit-level failures synthesised by the front-end's crash/timeout
-    #: backstops are transient: the requests were not at fault and a
-    #: resubmit is safe (clients retry exactly these).
-    transient: bool = False
-    #: Telemetry span records drained from a process worker's buffer,
-    #: shipped home so the front-end re-ingests them into one tree (empty
-    #: for thread/inline workers, which share the front-end's buffer).
-    spans: List = field(default_factory=list)
-    #: Plan-cost feedback records drained alongside the spans.
-    feedback: List = field(default_factory=list)
-    #: Profiler accumulators drained from a process worker (empty for
-    #: thread/inline workers, which accumulate into the front-end's).
-    profile: Dict = field(default_factory=dict)
+    #: A process worker's telemetry envelope
+    #: (:func:`repro.telemetry.drain_envelope`), shipped home for the
+    #: front-end to re-ingest; ``None`` for thread/inline workers, which
+    #: record straight into the front-end's buffers.
+    telemetry: Optional[tuple] = None
 
 
 # --------------------------------------------------------------------------- #
 # Execution (mode-independent)
 # --------------------------------------------------------------------------- #
-def _payload_from_result(spec: RequestSpec, result, route: str,
-                         coalesced_with: int) -> RequestPayload:
+#: The per-request cache-activity stats, named once: the worker writes these
+#: keys into ``RequestPayload.stats`` and the front-end's collector folds the
+#: same keys into registry counters of the same names.
+CACHE_DELTA_KEYS = (
+    "kernel_cache_hits",
+    "kernel_cache_misses",
+    "structure_cache_hits",
+    "structure_cache_misses",
+)
+
+
+def _cache_counters() -> Tuple[int, ...]:
+    """Worker-local cache counters, in :data:`CACHE_DELTA_KEYS` order."""
+    kernel, structure = kernel_cache_stats(), structure_cache_stats()
+    return (kernel["hits"], kernel["misses"],
+            structure["hits"], structure["misses"])
+
+
+def _payload(unit: WorkUnit, spec: RequestSpec, result, route: str,
+             coalesced_with: int, cache_before: Tuple[int, ...],
+             extra: Dict[str, float]) -> RequestPayload:
+    """One finished run as a payload, with the stats every route reports.
+
+    Both caches live in the worker process; the front-end only ever sees
+    the per-payload deltas since ``cache_before``.
+    """
+    stats: Dict[str, object] = {
+        "sampled_edges": float(result.total_sampled_edges),
+        "kernel_time_s": float(result.kernel_time()),
+        **extra,
+    }
+    for key, after, before in zip(CACHE_DELTA_KEYS, _cache_counters(),
+                                  cache_before):
+        stats[key] = float(after - before)
+    if unit.plan is not None:
+        stats["step_tier"] = unit.plan.step_tier
     return RequestPayload(
         request_id=spec.request_id,
         samples=[(s.instance_id, s.seeds, s.edges) for s in result.samples],
         iteration_counts=list(result.iteration_counts),
         route=route,
         coalesced_with=coalesced_with,
-        stats={
-            "sampled_edges": float(result.total_sampled_edges),
-            "kernel_time_s": float(result.kernel_time()),
-        },
+        stats=stats,
     )
 
 
-def _annotate_step_tier(payload: RequestPayload, unit: WorkUnit) -> None:
-    """Surface the plan's compiled/interpreted decision on the payload."""
-    if unit.plan is not None:
-        payload.stats["step_tier"] = unit.plan.step_tier
+def _run_each(unit: WorkUnit, route: str,
+              run: Callable[[RequestSpec], Tuple[object, Dict[str, float]]],
+              ) -> UnitResult:
+    """One standalone run per request; a failure fails only its request.
 
-
-def _cache_snapshot() -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Worker-local kernel- and structure-cache counters, taken together."""
-    return kernel_cache_stats(), structure_cache_stats()
-
-
-def _annotate_cache_deltas(payload: RequestPayload, before) -> None:
-    """Ship the run's cache activity home on the payload.
-
-    Both caches live in the worker process; the front-end only ever sees
-    these per-payload deltas, which its collector folds into the service
-    registry (``kernel_cache_*`` / ``structure_cache_*`` counters).
+    ``run(spec)`` returns the route's ``SampleResult`` plus its
+    route-specific stats.
     """
-    kernel_before, structure_before = before
-    kernel_after, structure_after = _cache_snapshot()
-    payload.stats["kernel_cache_hits"] = float(
-        kernel_after["hits"] - kernel_before["hits"]
-    )
-    payload.stats["kernel_cache_misses"] = float(
-        kernel_after["misses"] - kernel_before["misses"]
-    )
-    payload.stats["structure_cache_hits"] = float(
-        structure_after["hits"] - structure_before["hits"]
-    )
-    payload.stats["structure_cache_misses"] = float(
-        structure_after["misses"] - structure_before["misses"]
-    )
+    payloads: List[RequestPayload] = []
+    for spec in unit.requests:
+        try:
+            # Snapshot before the run constructs anything: building a
+            # sampler is what resolves the compiled tier's cached structures.
+            cache_before = _cache_counters()
+            result, extra = run(spec)
+            payloads.append(
+                _payload(unit, spec, result, route, 1, cache_before, extra)
+            )
+        except Exception:
+            payloads.append(RequestPayload(
+                request_id=spec.request_id, route=route,
+                error=traceback.format_exc(limit=8),
+            ))
+    return UnitResult(unit_id=unit.unit_id, payloads=payloads)
 
 
 def execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
@@ -244,66 +259,37 @@ def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
                 unit_id=unit.unit_id,
                 error="sharded unit carries no cluster_shards",
             )
-        for spec in unit.requests:
-            try:
-                cache_before = _cache_snapshot()
-                cluster = ShardedSamplingCluster(
-                    graph,
-                    unit.algorithm,
-                    unit.config,
-                    num_shards=int(cluster_shards),
-                    program_kwargs=kwargs,
-                    transport="in_process",
-                )
-                cluster_result = cluster.run(
-                    list(spec.seeds), num_instances=spec.num_instances
-                )
-                payload = _payload_from_result(
-                    spec, cluster_result.result, "sharded", 1
-                )
-                payload.stats["makespan"] = float(cluster_result.makespan())
-                payload.stats["num_shards"] = float(cluster_result.num_shards)
-                payload.stats["migrations"] = float(cluster_result.migrations)
-                _annotate_cache_deltas(payload, cache_before)
-                _annotate_step_tier(payload, unit)
-                payloads.append(payload)
-            except Exception:
-                payloads.append(RequestPayload(
-                    request_id=spec.request_id, route="sharded",
-                    error=traceback.format_exc(limit=8),
-                ))
-        return UnitResult(unit_id=unit.unit_id, payloads=payloads)
+
+        def run_sharded(spec):
+            ran = ShardedSamplingCluster(
+                graph, unit.algorithm, unit.config,
+                num_shards=int(cluster_shards), program_kwargs=kwargs,
+                transport="in_process",
+            ).run(list(spec.seeds), num_instances=spec.num_instances)
+            return ran.result, {
+                "makespan": float(ran.makespan()),
+                "num_shards": float(ran.num_shards),
+                "migrations": float(ran.migrations),
+            }
+
+        return _run_each(unit, "sharded", run_sharded)
 
     if route == "out_of_memory":
         # Oversized graphs run the partition-scheduled sampler, one request
         # per run (bit-identical to a standalone OutOfMemorySampler by
         # construction); a fresh program per request keeps stateful hooks
         # standalone-equivalent.
-        for spec in unit.requests:
-            try:
-                cache_before = _cache_snapshot()
-                sampler = OutOfMemorySampler(
-                    graph, info.program_factory(**kwargs), unit.config,
-                    oom_config, algorithm=unit.algorithm,
-                )
-                oom_result = sampler.run(
-                    list(spec.seeds), num_instances=spec.num_instances
-                )
-                payload = _payload_from_result(
-                    spec, oom_result.sample, "out_of_memory", 1
-                )
-                payload.stats["makespan"] = float(oom_result.makespan)
-                _annotate_cache_deltas(payload, cache_before)
-                _annotate_step_tier(payload, unit)
-                payloads.append(payload)
-            except Exception:
-                payloads.append(RequestPayload(
-                    request_id=spec.request_id, route="out_of_memory",
-                    error=traceback.format_exc(limit=8),
-                ))
-        return UnitResult(unit_id=unit.unit_id, payloads=payloads)
+        def run_oom(spec):
+            ran = OutOfMemorySampler(
+                graph, info.program_factory(**kwargs), unit.config,
+                oom_config, algorithm=unit.algorithm,
+            ).run(list(spec.seeds), num_instances=spec.num_instances)
+            return ran.sample, {"makespan": float(ran.makespan)}
+
+        return _run_each(unit, "out_of_memory", run_oom)
 
     probe = info.program_factory(**kwargs)
+    fallback: Dict[str, float] = {}
     if probe.supports_coalescing and len(unit.requests) > 1:
         try:
             members = [
@@ -312,19 +298,16 @@ def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
                 )
                 for spec in unit.requests
             ]
-            cache_before = _cache_snapshot()
+            cache_before = _cache_counters()
             results = run_coalesced(graph, probe, unit.config, members,
                                     algorithm=unit.algorithm)
-            for spec, result in zip(unit.requests, results):
-                payload = _payload_from_result(
-                    spec, result, "in_memory", len(unit.requests)
-                )
-                # One kernel/structure lookup served the fused batch; every
-                # member reports the shared delta.
-                _annotate_cache_deltas(payload, cache_before)
-                _annotate_step_tier(payload, unit)
-                payloads.append(payload)
-            return UnitResult(unit_id=unit.unit_id, payloads=payloads)
+            # One kernel/structure lookup served the fused batch; every
+            # member reports the shared delta.
+            return UnitResult(unit_id=unit.unit_id, payloads=[
+                _payload(unit, spec, result, "in_memory",
+                         len(unit.requests), cache_before, {})
+                for spec, result in zip(unit.requests, results)
+            ])
         except Exception:
             # One member's failure must not take down the whole batch: fall
             # through to the solo loop, which isolates errors per request.
@@ -335,32 +318,16 @@ def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
                 "coalesced batch failed, falling back to per-request runs:\n"
                 + traceback.format_exc(limit=8)
             )
-            payloads = []
-            fell_back = True
-    else:
-        fell_back = False
+            fallback = {"coalesced_fallback": 1.0}
 
-    for spec in unit.requests:
-        try:
-            # Snapshot before construction: building the sampler is what
-            # resolves the compiled step engine's cached structures.
-            cache_before = _cache_snapshot()
-            sampler = GraphSampler(
-                graph, info.program_factory(**kwargs), unit.config,
-                algorithm=unit.algorithm,
-            )
-            result = sampler.run(list(spec.seeds), num_instances=spec.num_instances)
-            payload = _payload_from_result(spec, result, "in_memory", 1)
-            _annotate_cache_deltas(payload, cache_before)
-            _annotate_step_tier(payload, unit)
-            if fell_back:
-                payload.stats["coalesced_fallback"] = 1.0
-            payloads.append(payload)
-        except Exception:
-            payloads.append(RequestPayload(
-                request_id=spec.request_id, error=traceback.format_exc(limit=8),
-            ))
-    return UnitResult(unit_id=unit.unit_id, payloads=payloads)
+    def run_solo(spec):
+        ran = GraphSampler(
+            graph, info.program_factory(**kwargs), unit.config,
+            algorithm=unit.algorithm,
+        ).run(list(spec.seeds), num_instances=spec.num_instances)
+        return ran, fallback
+
+    return _run_each(unit, "in_memory", run_solo)
 
 
 # --------------------------------------------------------------------------- #
@@ -370,12 +337,7 @@ def _process_worker_main(task_queue, result_queue) -> None:
     """Process-mode worker: attach shared graphs lazily, loop until sentinel."""
     import os
 
-    # A forked worker inherits the front-end's span/feedback buffers and
-    # profiler accumulators; those records belong to the parent and must
-    # not ship home again.
-    _trace.clear()
-    FEEDBACK.clear()
-    _profiler.clear()
+    reset_child()
     attached: Dict[str, object] = {}
     try:
         while True:
@@ -400,13 +362,9 @@ def _process_worker_main(task_queue, result_queue) -> None:
                 if unit.profile:
                     _profiler.enable()
                 result = execute_unit(mapping.graph, unit)
-                if unit.trace_ctx is not None:
-                    # Process boundary: spans and plan-cost feedback minted
-                    # here must travel home inside the result message.
-                    result.spans = _trace.drain()
-                    result.feedback = FEEDBACK.drain()
-                if unit.profile:
-                    result.profile = _profiler.drain()
+                # Process boundary: telemetry minted here travels home
+                # inside the result message.
+                result.telemetry = drain_envelope()
             except Exception:
                 result = UnitResult(
                     unit_id=unit.unit_id, error=traceback.format_exc(limit=8)

@@ -30,6 +30,11 @@ One zero-dependency subsystem observes every layer of the stack:
   objectives with error-budget burn rates behind
   ``SamplingService.health()``.
 
+Spans, feedback and profile minted in a child process (a service worker, a
+cluster shard) travel home in one envelope: :func:`reset_child` at the
+child's start, :func:`drain_envelope` when it answers,
+:func:`ingest_envelope` in the parent.
+
 **Overhead contract.**  Telemetry is disabled by default and the disabled
 mode costs near zero: every instrumented hot path is guarded by a no-op
 span / a single boolean check, and ``benchmarks/bench_telemetry_overhead.py``
@@ -42,6 +47,8 @@ full 13-algorithm x 4-route matrix by
 Enable with :func:`enable` (or ``REPRO_TELEMETRY=1``), disable with
 :func:`disable`.
 """
+
+from typing import Optional, Tuple
 
 from repro.telemetry.trace import (
     Span,
@@ -84,6 +91,38 @@ from repro.telemetry.health import HealthMonitor, LatencyObjective
 from repro.telemetry.recorder import FlightRecorder, RecorderEvent
 from repro.telemetry import profiler
 
+
+def reset_child(*, profile: bool = False) -> None:
+    """Start a child process with empty buffers.
+
+    A forked child inherits the parent's span/feedback buffers and profiler
+    accumulators; those records belong to the parent and must not ship home
+    again.  The profiler's runtime switch does not survive a spawn, so the
+    parent passes its state as ``profile``.
+    """
+    clear()
+    FEEDBACK.clear()
+    profiler.clear()
+    if profile:
+        profiler.enable()
+
+
+def drain_envelope() -> Optional[Tuple[list, list, dict]]:
+    """Remove and return everything buffered in this process as ``(spans,
+    feedback, profile)``; ``None`` when there is nothing to ship."""
+    envelope = (drain(), FEEDBACK.drain(), profiler.drain())
+    return envelope if any(envelope) else None
+
+
+def ingest_envelope(envelope: Optional[Tuple[list, list, dict]]) -> None:
+    """Fold a child's envelope into this process's buffers."""
+    if envelope is not None:
+        spans_, feedback, profile = envelope
+        ingest(spans_)
+        FEEDBACK.ingest(feedback)
+        profiler.ingest(profile)
+
+
 __all__ = [
     "Counter",
     "FEEDBACK",
@@ -108,14 +147,17 @@ __all__ = [
     "current",
     "disable",
     "drain",
+    "drain_envelope",
     "enable",
     "enabled",
     "format_tree",
     "ingest",
+    "ingest_envelope",
     "is_connected",
     "new_span_id",
     "new_trace_id",
     "record_span",
+    "reset_child",
     "span",
     "span_tree",
     "spans",

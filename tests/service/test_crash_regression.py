@@ -9,7 +9,6 @@ leak audit must come back clean afterwards.
 
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from repro.service import (
 )
 
 
-def test_survivors_complete_remaining_units_after_kill():
+def test_survivors_complete_remaining_units_after_kill(watch_claims):
     prefix = "crashreg"
     store = SharedGraphStore(prefix=prefix)
     graph = ring_graph(64)
@@ -36,6 +35,7 @@ def test_survivors_complete_remaining_units_after_kill():
                           unit_timeout_s=150.0)
     try:
         svc.load_graph("g", graph)
+        claimed_by = watch_claims(svc)
 
         # A unit far too large to finish before the signal lands; it pins
         # its worker while the remaining units queue up behind it.
@@ -43,11 +43,7 @@ def test_survivors_complete_remaining_units_after_kill():
             graph="g", algorithm="simple_random_walk", seeds=tuple(range(64)),
             num_instances=5000, config_overrides={"depth": 5000, "seed": 1},
         ))
-        deadline = time.time() + 30
-        while not svc._claims and time.time() < deadline:
-            time.sleep(0.01)
-        assert svc._claims, "doomed unit was never claimed"
-        victim = next(iter(svc._claims.values()))
+        victim = claimed_by()
 
         # The remaining work, submitted before the crash.
         survivors = [

@@ -249,7 +249,8 @@ class TestProfilerAccounting:
 
 class TestCrashDiagnostics:
     def test_killed_worker_leaves_a_complete_post_mortem(self, tracing,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         watch_claims):
         """SIGKILL a claimed worker: events + auto-dumped snapshot appear.
 
         Mirrors the crash-regression scenario with diagnostics on: the
@@ -266,20 +267,15 @@ class TestCrashDiagnostics:
                               diagnostics_dir=str(tmp_path))
         try:
             svc.load_graph("g", ring_graph(64))
+            claimed_by = watch_claims(svc)
             doomed = svc.submit(SampleRequest(
                 graph="g", algorithm="simple_random_walk",
                 seeds=tuple(range(64)), num_instances=5000,
                 config_overrides={"depth": 5000, "seed": 1},
             ))
-            with svc._lock:
-                doomed_trace = next(iter(svc._pending.values())).trace_id
+            doomed_trace = svc._requests.records()[0].trace_id
             assert doomed_trace is not None
-
-            deadline = time.time() + 30
-            while not svc._claims and time.time() < deadline:
-                time.sleep(0.01)
-            assert svc._claims, "doomed unit was never claimed"
-            victim = next(iter(svc._claims.values()))
+            victim = claimed_by()
 
             survivor = svc.submit(_request())
             os.kill(victim, signal.SIGKILL)

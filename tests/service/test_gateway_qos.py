@@ -15,7 +15,7 @@ from repro.service import (
     TenantQuota,
     TokenBucket,
 )
-from repro.service.server import _Pending
+from repro.service.lifecycle import RequestRecord
 
 
 class FakeClock:
@@ -156,7 +156,7 @@ class TestServiceAdmission:
             assert err.predicted_cost_s > 0.0
             # Shed at the door: nothing was dispatched, nothing left pending.
             assert svc.stats.units_dispatched == units
-            assert not svc._pending
+            assert len(svc._requests) == 0
             assert svc.stats.requests_shed == 1
             # Unlisted tenants are unlimited and unaffected.
             ok = client.sample("g", "deepwalk", [3], depth=3, seed=1,
@@ -249,7 +249,7 @@ class TestServiceAdmission:
     def test_no_quota_no_planning_overhead(self, graph):
         svc = make_service(graph)
         try:
-            assert not svc._admission_active()
+            assert not svc.gateway.admission_active
             client = SamplingClient(svc)
             assert client.sample("g", "deepwalk", [1], depth=3, seed=1,
                                  timeout=30).ok
@@ -272,7 +272,7 @@ class TestServiceAdmission:
 class TestPriorityLanes:
     def test_queue_orders_by_priority_then_fifo(self):
         # The dispatch queue's exact tuple scheme: higher priority first,
-        # FIFO within a lane, sentinel (None at -inf) last, and _Pending
+        # FIFO within a lane, sentinel (None at -inf) last, and RequestRecord
         # objects never compared (seq always breaks ties).
         q = queue.PriorityQueue()
         seq = itertools.count()
@@ -280,10 +280,10 @@ class TestPriorityLanes:
         def put(pending, priority):
             q.put((-float(priority), next(seq), pending))
 
-        a = _Pending(request=None, future=None, enqueued_at=0.0)
-        b = _Pending(request=None, future=None, enqueued_at=0.0)
-        c = _Pending(request=None, future=None, enqueued_at=0.0)
-        d = _Pending(request=None, future=None, enqueued_at=0.0)
+        a = RequestRecord(request=None, future=None, enqueued_at=0.0)
+        b = RequestRecord(request=None, future=None, enqueued_at=0.0)
+        c = RequestRecord(request=None, future=None, enqueued_at=0.0)
+        d = RequestRecord(request=None, future=None, enqueued_at=0.0)
         put(a, 0)
         put(b, 5)
         put(c, 5)

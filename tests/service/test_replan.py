@@ -79,9 +79,10 @@ class TestFrozenAdmission:
         with make_service(memory_budget_bytes=graph.nbytes + 1) as svc:
             svc.load_graph("g", graph)
             sample_once(svc, "g")
-            assert any(k[0] == "g" for k in svc._plans)
+            assert svc._epochs.get("g").plans
             svc.memory_budget_bytes = 1024
             svc.replan("g")
+            assert not svc._epochs.get("g").plans
             response = sample_once(svc, "g")
             assert response.plan["route"] == "out_of_memory"
 
@@ -131,19 +132,19 @@ class TestIntakePause:
             thread = threading.Thread(target=submit_during_replan)
             thread.start()
 
-            original_admit = svc._admit
+            table_admit = svc._epochs.admit
 
-            def admit_with_pause(handle):
+            def admit_with_pause(*admission):
                 # The gate is closed here; let the submitter run into it.
                 release.set()
                 time.sleep(0.05)
-                return original_admit(handle)
+                return table_admit(*admission)
 
-            svc._admit = admit_with_pause
+            svc._epochs.admit = admit_with_pause
             try:
                 assert svc.replan("g", timeout=30.0) == "out_of_memory"
             finally:
-                svc._admit = original_admit
+                svc._epochs.admit = table_admit
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             assert routes == ["out_of_memory"]
@@ -155,30 +156,25 @@ class TestIntakePause:
 
         with make_service(intake_pause_timeout_s=0.05) as svc:
             svc.load_graph("g", graph)
-            svc._intake_gate.clear()  # simulate a wedged replan
-            try:
+            with svc._requests.intake_paused():  # simulate a wedged replan
                 with pytest.raises(ServiceError) as info:
                     svc.submit(SampleRequest(
                         graph="g", algorithm="deepwalk", seeds=(1,),
                     ))
                 assert info.value.transient
-            finally:
-                svc._intake_gate.set()
 
     def test_replan_waits_for_submit_past_the_gate(self, graph):
         """_intake_open > 0 keeps the drain busy: a submit that already
         passed the gate finishes before re-admission proceeds."""
         with make_service(memory_budget_bytes=graph.nbytes + 1) as svc:
             svc.load_graph("g", graph)
-            with svc._lock:
-                svc._intake_open += 1  # a submit is past the gate right now
+            assert svc._requests.enter_intake()  # a submit is past the gate
             import threading
             import time
 
             def land_later():
                 time.sleep(0.1)
-                with svc._lock:
-                    svc._intake_open -= 1
+                svc._requests.leave_intake()
 
             thread = threading.Thread(target=land_later)
             thread.start()

@@ -237,7 +237,7 @@ class TestAdmissionRouting:
             ref = OutOfMemorySampler(
                 graph, info.program_factory(),
                 info.config_factory(depth=2, neighbor_size=3, seed=9),
-                svc._oom_config_for("big"),
+                svc._epochs.get("big").layout.oom,
             ).run([3, 5, 7])
             for a, b in zip(ref.sample.samples, response.samples):
                 assert np.array_equal(a.edges, b.edges)
@@ -306,10 +306,11 @@ class TestProcessWorkers:
             svc.shutdown()
         assert leaked_segments(prefix) == []
 
-    def test_worker_crash_fails_its_unit_but_not_the_service(self, graph):
+    def test_worker_crash_fails_its_unit_but_not_the_service(
+            self, graph, watch_claims, diagnosis):
         import os
         import signal
-        import time
+        from concurrent.futures import TimeoutError as FutureTimeout
 
         from repro.service import ServiceError
 
@@ -318,20 +319,19 @@ class TestProcessWorkers:
                               memory_budget_bytes=None)
         try:
             svc.load_graph("g", graph)
+            claimed_by = watch_claims(svc)
             # A walk far too large to ever finish before the signal lands
             # (the kill interrupts it milliseconds after the claim arrives).
             future = svc.submit(SampleRequest(
                 graph="g", algorithm="simple_random_walk", seeds=tuple(range(200)),
                 num_instances=5000, config_overrides={"depth": 5000, "seed": 1},
             ))
-            deadline = time.time() + 20
-            while not svc._claims and time.time() < deadline:
-                time.sleep(0.01)
-            assert svc._claims, "unit was never claimed"
-            victim = next(iter(svc._claims.values()))
-            os.kill(victim, signal.SIGKILL)
-            with pytest.raises(ServiceError):
-                future.result(timeout=30)
+            os.kill(claimed_by(), signal.SIGKILL)
+            try:
+                with pytest.raises(ServiceError):
+                    future.result(timeout=30)
+            except FutureTimeout:
+                pytest.fail("killed unit never failed; " + diagnosis(svc))
             # The surviving worker keeps serving.
             client = SamplingClient(svc)
             assert client.sample("g", "deepwalk", [1], depth=3, seed=1,
@@ -362,6 +362,55 @@ class TestStatsAndSlicing:
             assert snap["requests_submitted"] == 3
             assert snap["requests_completed"] == 3
             assert snap["requests_failed"] == 0
+        finally:
+            svc.shutdown()
+
+    def test_mean_unit_size_ignores_cache_hits(self, graph):
+        """A cache hit completes without dispatching: the repeat must not
+        inflate the mean size of the one unit that did run."""
+        svc = SamplingService(num_workers=1, mode="inline")
+        try:
+            svc.load_graph("g", graph)
+            client = SamplingClient(svc)
+            for _ in range(2):
+                client.sample("g", "deepwalk", [1], depth=3, seed=1, timeout=30)
+            snap = svc.stats()
+            assert snap["requests_completed"] == 2
+            assert snap["cache_hits"] == 1
+            assert snap["units_dispatched"] == 1
+            assert snap["mean_unit_size"] == 1.0
+        finally:
+            svc.shutdown()
+
+    def test_raising_dispatch_fails_the_batch_not_the_thread(self, graph):
+        from repro.service import ServiceError
+
+        svc = SamplingService(num_workers=1, mode="inline", batch_window_s=0.0)
+        try:
+            svc.load_graph("g", graph)
+            dispatch_batch = svc._dispatch_batch
+
+            def explode(batch):
+                raise RuntimeError("boom")
+
+            svc._dispatch_batch = explode
+            doomed = svc.submit(SampleRequest(
+                graph="g", algorithm="deepwalk", seeds=(1,),
+            ))
+            with pytest.raises(ServiceError, match="dispatch failed.*boom"):
+                doomed.result(timeout=30)
+            svc._dispatch_batch = dispatch_batch
+            # The dispatcher survived, nothing is left pending or pinned,
+            # and the next request is served.
+            assert svc._dispatcher.is_alive()
+            assert len(svc._requests) == 0
+            assert svc._epochs.get("g").active == 0
+            client = SamplingClient(svc)
+            assert client.sample("g", "deepwalk", [2], depth=3, seed=1,
+                                 timeout=30).ok
+            snap = svc.stats()
+            assert snap["requests_failed"] == 1
+            assert snap["requests_completed"] == 1
         finally:
             svc.shutdown()
 
