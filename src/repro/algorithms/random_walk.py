@@ -26,7 +26,7 @@ import numpy as np
 from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 from repro.api.instance import make_instances
-from repro.api.results import SampleResult, InstanceSample
+from repro.api.results import SampleColumns, SampleResult
 from repro.api.select import batch_walk_step
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, make_device
@@ -119,14 +119,12 @@ def run_random_walks(
         raise ValueError("walk_length must be >= 1")
     device = device if device is not None else make_device("gpu")
     rng = CounterRNG(seed)
-    instances = make_instances(list(np.asarray(seeds).reshape(-1)), num_instances=num_walkers)
-    current = np.array([inst.frontier_pool[0] for inst in instances], dtype=np.int64)
-    starts = current.copy()
+    batch = make_instances(np.asarray(seeds).reshape(-1), num_instances=num_walkers)
+    current = batch.seeds  # one seed per walker
     active = np.ones(current.size, dtype=bool)
     edge_bias = "weight" if (biased and graph.is_weighted) else "uniform"
 
-    walk_src = [[] for _ in range(current.size)]
-    walk_dst = [[] for _ in range(current.size)]
+    walker_parts, src_parts, dst_parts = [], [], []
     # C-SAW is free of bulk-synchronous stepping: one warp owns one walker for
     # its entire walk, so the whole job is a single kernel whose warp tasks
     # are the walkers (Section IV-A).  The cost of every step accumulates into
@@ -137,9 +135,9 @@ def run_random_walks(
             graph, current, rng, step, edge_bias=edge_bias, cost=job_cost, active=active
         )
         moved_idx = np.nonzero(moved)[0]
-        for i in moved_idx:
-            walk_src[i].append(int(current[i]))
-            walk_dst[i].append(int(nxt[i]))
+        walker_parts.append(moved_idx)
+        src_parts.append(current[moved_idx])
+        dst_parts.append(nxt[moved_idx])
         # Walkers stranded on zero-degree vertices stop for good.
         active &= ~(active & ~moved & (graph.degrees[current] == 0))
         current = nxt
@@ -155,17 +153,13 @@ def run_random_walks(
     ]
     device.cost.merge(job_cost)
 
-    samples = []
-    for i, inst in enumerate(instances):
-        edges = (
-            np.column_stack([walk_src[i], walk_dst[i]])
-            if walk_src[i]
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        samples.append(InstanceSample(instance_id=inst.instance_id,
-                                      seeds=np.array([starts[i]]), edges=edges))
     return SampleResult(
-        samples=samples,
+        samples=SampleColumns.from_owner_edges(
+            batch.instance_ids, batch.seed_offsets, batch.seeds,
+            np.concatenate(walker_parts),
+            np.concatenate(src_parts),
+            np.concatenate(dst_parts),
+        ),
         cost=device.cost.copy(),
         kernels=kernels,
         metadata={"program": "biased_random_walk" if biased else "simple_random_walk",

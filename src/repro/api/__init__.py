@@ -26,9 +26,9 @@ from repro.api.bias import (
 )
 from repro.api.config import SamplingConfig, SelectionScope, PoolPolicy
 from repro.api.frontier import FrontierQueue, FrontierEntry
-from repro.api.instance import InstanceState, make_instances
+from repro.api.instance import InstanceBatch, InstanceState, make_instances
 from repro.api.requests import SampleRequest, SampleResponse
-from repro.api.results import SampleResult, InstanceSample
+from repro.api.results import SampleColumns, SampleResult, InstanceSample
 from repro.api.sampler import GraphSampler, sample_graph
 from repro.api.select import warp_select, gather_neighbors, batch_walk_step
 
@@ -43,10 +43,12 @@ __all__ = [
     "PoolPolicy",
     "FrontierQueue",
     "FrontierEntry",
+    "InstanceBatch",
     "InstanceState",
     "make_instances",
     "SampleRequest",
     "SampleResponse",
+    "SampleColumns",
     "SampleResult",
     "InstanceSample",
     "GraphSampler",

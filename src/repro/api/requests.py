@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api.config import SamplingConfig
-from repro.api.results import InstanceSample, concat_sample_edges
+from repro.api.results import SampleColumns
 
 __all__ = ["SampleRequest", "SampleResponse"]
 
@@ -160,9 +160,10 @@ class SampleResponse:
     request_id: int
     graph: str
     algorithm: str
-    #: Per-instance samples, bit-identical to a standalone sampler run with
-    #: the request's config (see the service determinism contract).
-    samples: List[InstanceSample] = field(default_factory=list)
+    #: Per-instance samples (views over one columnar container),
+    #: bit-identical to a standalone sampler run with the request's config
+    #: (see the service determinism contract).
+    samples: SampleColumns = field(default_factory=SampleColumns.empty)
     #: Per-selection do-while iteration counts of this request's instances.
     iteration_counts: List[int] = field(default_factory=list)
     #: ``"in_memory"``, ``"sharded"`` or ``"out_of_memory"`` -- which
@@ -202,8 +203,8 @@ class SampleResponse:
     @property
     def total_sampled_edges(self) -> int:
         """Total sampled edges across this request's instances."""
-        return int(sum(s.num_edges for s in self.samples))
+        return self.samples.num_edges
 
     def all_edges(self) -> np.ndarray:
-        """All sampled edges concatenated into one ``(n, 2)`` array."""
-        return concat_sample_edges(self.samples)
+        """All sampled edges as one ``(n, 2)`` array (the container's own)."""
+        return self.samples.edges

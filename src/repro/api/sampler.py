@@ -33,13 +33,13 @@ plan-time seed validation) and executes it on the shared
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
-from repro.api.instance import InstanceState, make_instances
+from repro.api.instance import InstanceBatch, make_instances
 from repro.api.results import SampleResult
 from repro.gpusim.device import Device, make_device
 from repro.gpusim.prng import CounterRNG
@@ -80,7 +80,7 @@ class GraphSampler:
         )
 
     # ------------------------------------------------------------------ #
-    def _plan(self, instances: List[InstanceState]):
+    def _plan(self, instances: InstanceBatch):
         """Plan-time validation + the declarative plan for these instances."""
         from repro.planner.planner import PlanRequest, plan
 

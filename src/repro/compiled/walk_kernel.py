@@ -6,9 +6,11 @@ default accept/update hooks, a recognised bias kind).  Where the interpreted
 :class:`~repro.engine.step.BatchedStepEngine` re-dispatches program hooks,
 materialises a :class:`~repro.api.bias.SegmentedEdgePool` and walks a Python
 loop over allocated segments every step, the compiled kernel keeps the whole
-fleet of walkers in flat ndarrays across depths and defers *all* per-instance
-work (edge recording, iteration counts, state write-back) to one finalize
-pass after the last depth.
+fleet of walkers in flat ndarrays across depths -- columns in
+(:class:`~repro.api.instance.InstanceBatch`), columns out
+(:class:`~repro.api.results.SampleColumns`) -- and never builds a
+per-instance object: one stable sort by owner after the last depth turns the
+per-step draws into every instance's edge range.
 
 Specialisations, by plan-proved properties:
 
@@ -46,11 +48,12 @@ compiled axis of ``tests/integration/test_cross_route_matrix.py`` and
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.instance import InstanceState
+from repro.api.instance import InstanceBatch
+from repro.api.results import SampleColumns
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
 from repro.selection.segmented import (
@@ -176,65 +179,53 @@ class CompiledWalkKernel:
 
     # ------------------------------------------------------------------ #
     def run(
-        self, instances: Sequence[InstanceState], sink
-    ) -> Tuple[List[KernelLaunch], CostModel]:
-        """Advance ``instances`` through every depth; return (kernels, cost).
+        self,
+        batch: InstanceBatch,
+        groups: Optional[np.ndarray] = None,
+        num_groups: int = 0,
+    ) -> Tuple[
+        List[KernelLaunch], CostModel, SampleColumns,
+        Union[List[int], List[List[int]]],
+    ]:
+        """Walk ``batch`` through every depth, from its seed columns.
 
-        Mutates the instances (pools, depth, prev_vertex, finished, recorded
-        edges), appends iteration counts to ``sink`` (plain list or grouped
-        sink) and advances the engine's warp cursors -- the same observable
-        effects as the interpreted depth loop, produced in bulk.
+        Returns ``(kernels, cost, samples, iteration_counts)`` -- the same
+        kernel records, cost totals, per-instance edges and iteration counts
+        as the interpreted depth loop, produced in bulk.  ``groups`` (the
+        coalesced route) gives each instance's member rank among
+        ``num_groups`` members: every member then draws warp ids from its
+        own cursor starting at 0 and gets its own iteration-count list;
+        without it, warp ids continue the engine's global counter and the
+        counts are one list.
         """
         with _trace.span(
             "compiled_run",
             kind=self.kind,
             backend=self.backend,
-            instances=len(instances),
+            instances=len(batch),
         ):
-            return self._run(instances, sink)
+            return self._run(batch, groups, num_groups)
 
-    def _run(
-        self, instances: Sequence[InstanceState], sink
-    ) -> Tuple[List[KernelLaunch], CostModel]:
+    def _run(self, batch: InstanceBatch, groups: Optional[np.ndarray], num_groups: int):
         cfg = self.config
-        engine = self.engine
         graph = self.graph
-        num = len(instances)
+        num = len(batch)
         kernels: List[KernelLaunch] = []
         total = CostModel()
-        if num == 0 or cfg.depth <= 0:
-            return kernels, total
 
-        ids = np.array([inst.instance_id for inst in instances], dtype=np.int64)
-        prevs = np.array([inst.prev_vertex for inst in instances], dtype=np.int64)
-        finished = np.array(
-            [inst.finished or inst.pool_size == 0 for inst in instances], dtype=bool
-        )
-        pool_counts = np.array(
-            [0 if finished[r] else inst.pool_size for r, inst in enumerate(instances)],
-            dtype=np.int64,
-        )
-        live_pools = [
-            inst.frontier_pool for r, inst in enumerate(instances) if not finished[r]
-        ]
-        pool_flat = np.concatenate(live_pools) if live_pools else _EMPTY
-        entry_finished = finished.copy()
+        ids = batch.instance_ids
+        prevs = np.full(num, -1, dtype=np.int64)
+        pool_counts = np.diff(batch.seed_offsets)
+        pool_flat = batch.seeds
+        finished = pool_counts == 0
 
-        stepped_any = np.zeros(num, dtype=bool)
-        last_depth = np.zeros(num, dtype=np.int64)
         iter_totals = np.zeros(num, dtype=np.int64)
         edge_owner_parts: List[np.ndarray] = []
         edge_src_parts: List[np.ndarray] = []
         edge_dst_parts: List[np.ndarray] = []
         ns = int(cfg.neighbor_size)
 
-        grouped = engine._warp_group_of is not None
-        group_of_rank = None
-        if grouped:
-            group_of_rank = np.array(
-                [engine._warp_group_of[id(inst)] for inst in instances],
-                dtype=np.int64,
-            )
+        group_cursors = np.zeros(num_groups, dtype=np.int64)
 
         for depth in range(cfg.depth):
             act = np.nonzero(~finished)[0]
@@ -286,7 +277,7 @@ class CompiledWalkKernel:
                 prof.lap("bias")
 
             alloc = (lengths > 0) & (positive > 0)
-            warp_full = self._alloc_warps(alloc, seg_owner, group_of_rank)
+            warp_full = self._alloc_warps(alloc, seg_owner, groups, group_cursors)
             allocated = np.nonzero(alloc)[0]
             tasks = int(allocated.size)
 
@@ -338,11 +329,11 @@ class CompiledWalkKernel:
                 draws = tasks * ns
                 step_cost.sampled_edges += draws
                 owners_a = seg_owner[allocated]
-                iter_totals += np.bincount(owners_a, minlength=num) * ns
                 edge_owner_parts.append(np.repeat(owners_a, ns))
                 edge_src_parts.append(np.repeat(seg_vertices[allocated], ns))
                 edge_dst_parts.append(dst)
                 new_counts = np.bincount(owners_a, minlength=num) * ns
+                iter_totals += new_counts
             else:
                 dst = _EMPTY
                 new_counts = np.zeros(num, dtype=np.int64)
@@ -358,8 +349,6 @@ class CompiledWalkKernel:
 
             pool_flat = dst
             pool_counts = new_counts
-            last_depth[act] = depth + 1
-            stepped_any[act] = True
             finished[act] = new_counts[act] == 0
             step_cost.kernel_launches += 1
             kernels.append(
@@ -373,40 +362,54 @@ class CompiledWalkKernel:
             prof.lap("update")
 
         prof = _profiler.clock(-1)
-        self._finalize(
-            instances, sink, prevs, finished, entry_finished, stepped_any,
-            last_depth, iter_totals, pool_flat, pool_counts,
-            edge_owner_parts, edge_src_parts, edge_dst_parts,
+        # Edges: group the flat per-step draws by owner (stable, so each
+        # owner's edges stay in step-then-segment-then-lane order -- the
+        # exact order the interpreted UPDATE loop records them).
+        samples = SampleColumns.from_owner_edges(
+            ids, batch.seed_offsets, batch.seeds,
+            *(
+                np.concatenate(parts) if parts else _EMPTY
+                for parts in (edge_owner_parts, edge_src_parts, edge_dst_parts)
+            ),
         )
+        # Iteration counts: with-replacement selections always iterate once,
+        # so only the totals matter (per member when grouped).
+        if groups is None:
+            iterations = [1] * int(iter_totals.sum())
+        else:
+            per_group = np.bincount(
+                groups, weights=iter_totals, minlength=num_groups
+            )
+            iterations = [[1] * int(count) for count in per_group]
         prof.lap("update")
-        return kernels, total
+        return kernels, total, samples, iterations
 
     # ------------------------------------------------------------------ #
-    def _alloc_warps(self, alloc, seg_owner, group_of_rank) -> np.ndarray:
-        """Warp ids for allocated segments, advancing the engine's cursors.
+    def _alloc_warps(self, alloc, seg_owner, groups, group_cursors) -> np.ndarray:
+        """Warp ids for allocated segments, advancing the cursors.
 
         Mirrors :meth:`BatchedStepEngine._alloc_warp_block` -- sequential in
-        segment order within the global sequence, or within each warp group's
-        own cursor when coalescing -- so interpreted and compiled runs draw
-        from one continuous warp-id stream.
+        segment order within the engine's global sequence (so interpreted
+        and compiled runs of one sampler draw from one continuous warp-id
+        stream), or within each member's own cursor when coalescing.
         """
         engine = self.engine
         warp_full = np.full(alloc.size, -1, dtype=np.int64)
-        if group_of_rank is None:
+        if groups is None:
             num_alloc = int(alloc.sum())
             warp_full[alloc] = engine.warp_counter + np.arange(
                 num_alloc, dtype=np.int64
             )
             engine.warp_counter += num_alloc
             return warp_full
-        groups_seg = group_of_rank[seg_owner]
+        groups_seg = groups[seg_owner]
         for group in np.unique(groups_seg[alloc]):
             members = alloc & (groups_seg == group)
             count = int(members.sum())
-            warp_full[members] = engine._group_warp_cursors[group] + np.arange(
+            warp_full[members] = group_cursors[group] + np.arange(
                 count, dtype=np.int64
             )
-            engine._group_warp_cursors[group] += count
+            group_cursors[group] += count
         return warp_full
 
     # ------------------------------------------------------------------ #
@@ -724,55 +727,3 @@ class CompiledWalkKernel:
         first = prev_of_edge < 0
         bias[first] = weights[first]
         return bias
-
-    # ------------------------------------------------------------------ #
-    def _finalize(
-        self, instances, sink, prevs, finished, entry_finished, stepped_any,
-        last_depth, iter_totals, pool_flat, pool_counts,
-        edge_owner_parts, edge_src_parts, edge_dst_parts,
-    ) -> None:
-        """One deferred pass producing every per-instance observable effect."""
-        num = len(instances)
-        # Iteration counts: with-replacement selections always iterate once,
-        # so only the per-owner totals matter (appended in rank order; within
-        # a grouped sink's member list the values are indistinguishable).
-        extend_for = getattr(sink, "extend_for", None)
-        if extend_for is None:
-            sink.extend([1] * int(iter_totals.sum()))
-        else:
-            for r in np.nonzero(iter_totals > 0)[0]:
-                extend_for(
-                    instances[r], np.ones(int(iter_totals[r]), dtype=np.int64)
-                )
-        # Edges: group the flat per-step draws by owner (stable, so each
-        # owner's edges stay in step-then-segment-then-lane order -- the
-        # exact order the interpreted UPDATE loop records them).
-        if edge_owner_parts:
-            all_owner = np.concatenate(edge_owner_parts)
-            all_src = np.concatenate(edge_src_parts)
-            all_dst = np.concatenate(edge_dst_parts)
-            order = np.argsort(all_owner, kind="stable")
-            all_owner = all_owner[order]
-            all_src = all_src[order]
-            all_dst = all_dst[order]
-            per_rank = np.bincount(all_owner, minlength=num)
-            bounds = np.zeros(num + 1, dtype=np.int64)
-            np.cumsum(per_rank, out=bounds[1:])
-            for r in np.nonzero(per_rank > 0)[0]:
-                lo, hi = int(bounds[r]), int(bounds[r + 1])
-                instances[r].record_edges(all_src[lo:hi], all_dst[lo:hi])
-        # State write-back.
-        pool_bounds = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(pool_counts, out=pool_bounds[1:])
-        for r in range(num):
-            inst = instances[r]
-            if stepped_any[r]:
-                lo, hi = int(pool_bounds[r]), int(pool_bounds[r + 1])
-                inst.set_pool(pool_flat[lo:hi])
-                inst.depth = int(last_depth[r])
-                inst.prev_vertex = int(prevs[r])
-                inst.finished = bool(finished[r])
-            elif entry_finished[r]:
-                # step_instances marks finished-at-entry instances on its
-                # first call even though they never step.
-                inst.finished = True

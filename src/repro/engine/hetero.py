@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
-from repro.api.instance import InstanceState
+from repro.api.instance import InstanceBatch, InstanceState
 from repro.api.results import SampleResult
 from repro.gpusim.prng import CounterRNG
 
@@ -64,9 +64,11 @@ def member_map(
 ) -> Tuple[Dict[int, int], List[InstanceState]]:
     """Identity map ``id(instance) -> member rank`` plus the flat instance list.
 
-    Shared by :func:`run_coalesced` and the sharded cluster's per-walker warp
-    grouping (:mod:`repro.distributed.shard`), which both key the engine's
-    warp-group cursors by instance identity.
+    The sharded cluster's per-walker warp grouping
+    (:mod:`repro.distributed.shard`) keys the engine's warp-group cursors by
+    instance identity; a coalesced run's member ranks are one ``np.repeat``
+    over the member sizes (:meth:`Executor._run_coalesced`) and only become
+    such a map when the engine, not the walk kernel, steps the batch.
     """
     member_of: Dict[int, int] = {}
     flat: List[InstanceState] = []
@@ -83,7 +85,7 @@ class InstanceGroup:
 
     program: SamplingProgram
     config: SamplingConfig
-    instances: List[InstanceState]
+    instances: InstanceBatch
 
 
 class GroupedIterationSink:
@@ -91,8 +93,7 @@ class GroupedIterationSink:
 
     The engine calls :func:`repro.engine.step.record_iterations`, which
     dispatches to :meth:`extend_for` when the sink provides it; the owning
-    member is resolved through the instance identity map built by
-    :func:`run_coalesced`.
+    member is resolved through an instance identity map.
     """
 
     def __init__(self, member_of: Dict[int, int], num_members: int):
@@ -108,7 +109,7 @@ def run_coalesced(
     graph,
     program: SamplingProgram,
     config: SamplingConfig,
-    members: Sequence[Sequence[InstanceState]],
+    members: Sequence[InstanceBatch],
     *,
     algorithm: Optional[str] = None,
 ) -> List[SampleResult]:
@@ -123,7 +124,7 @@ def run_coalesced(
     from repro.planner.planner import PlanRequest, plan
 
     graph = as_csr(graph)  # DeltaGraphs sample their canonical snapshot
-    members = [list(m) for m in members]
+    members = list(members)
     execution_plan = plan(PlanRequest(
         graph=graph,
         program=program,

@@ -23,7 +23,6 @@ _EXPORTS = {
     "plan_admission": "repro.planner.planner",
     "plan_route": "repro.planner.planner",
     "scale_plan": "repro.planner.planner",
-    "validate_seed_tuples": "repro.planner.planner",
     "predict_cost": "repro.planner.cost",
     "predict_time_s": "repro.planner.cost",
     "Executor": "repro.planner.executor",

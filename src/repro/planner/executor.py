@@ -28,11 +28,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.api.frontier import FrontierQueue
-from repro.api.instance import InstanceState
-from repro.api.results import SampleResult
+from repro.api.instance import InstanceBatch, InstanceState
+from repro.api.results import SampleColumns, SampleResult
 from repro.compiled.compiler import resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel
-from repro.engine.hetero import GroupedIterationSink, member_map
+from repro.engine.hetero import GroupedIterationSink
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device
@@ -85,8 +85,8 @@ class Executor:
     # ------------------------------------------------------------------ #
     def execute(
         self,
-        instances: Optional[Sequence[InstanceState]] = None,
-        members: Optional[Sequence[Sequence[InstanceState]]] = None,
+        instances: Optional[InstanceBatch] = None,
+        members: Optional[Sequence[InstanceBatch]] = None,
     ):
         """Run the plan; the return type is the route's native result.
 
@@ -125,8 +125,8 @@ class Executor:
 
     def _execute(
         self,
-        instances: Optional[Sequence[InstanceState]] = None,
-        members: Optional[Sequence[Sequence[InstanceState]]] = None,
+        instances: Optional[InstanceBatch] = None,
+        members: Optional[Sequence[InstanceBatch]] = None,
     ):
         route = self.plan.route
         if route == "coalesced":
@@ -136,7 +136,7 @@ class Executor:
         if instances is None:
             raise ValueError(f"a {route} plan needs instances")
         if route == "in_memory":
-            return self._run_in_memory(list(instances))
+            return self._run_in_memory(instances)
         if route == "out_of_memory":
             return self._run_out_of_memory(list(instances))
         if route == "sharded":
@@ -146,17 +146,35 @@ class Executor:
     # ================================================================== #
     # In-memory MAIN loop (Fig. 2(b)) -- the GraphSampler route
     # ================================================================== #
-    def _depth_loop(self, instances, sink) -> tuple:
-        """The shared MAIN loop: one simulated kernel per depth step."""
+    def _depth_loop(
+        self, batch: InstanceBatch, groups=None, num_groups: int = 0
+    ) -> tuple:
+        """The shared MAIN loop: one simulated kernel per depth step.
+
+        Returns ``(kernels, cost, samples, iteration_counts)``.  ``groups``
+        (coalesced runs) is each instance's member rank among
+        ``num_groups`` members; the iteration counts then come back as one
+        list per member.
+        """
         resolution = resolve_step(
             self.plan.config, self.plan.route, program=self.program
         )
         if resolution.kernel == "walk":
-            # The fused kernel runs the whole depth loop, producing the same
-            # kernel records and cost totals.
+            # The fused kernel runs the whole depth loop on the batch's
+            # columns, producing the same kernel records and cost totals.
             return CompiledWalkKernel(
                 self.engine, kind=resolution.kind, backend=resolution.backend
-            ).run(instances, sink)
+            ).run(batch, groups, num_groups)
+        instances = batch.states()
+        if groups is None:
+            sink = iterations = []
+        else:
+            group_of = {
+                id(inst): rank for inst, rank in zip(instances, groups.tolist())
+            }
+            self.engine.set_warp_groups(group_of, num_groups)
+            sink = GroupedIterationSink(group_of, num_groups)
+            iterations = sink.lists
         kernels: List[KernelLaunch] = []
         total = CostModel()
         for depth in range(self.plan.config.depth):
@@ -175,7 +193,7 @@ class Executor:
                 )
             )
             total.merge(step_cost)
-        return kernels, total
+        return kernels, total, SampleColumns.from_instances(instances), iterations
 
     def _main_metadata(self) -> Dict[str, object]:
         cfg = self.plan.config
@@ -186,13 +204,12 @@ class Executor:
             "frontier_size": cfg.frontier_size,
         }
 
-    def _run_in_memory(self, instances: List[InstanceState]) -> SampleResult:
-        iteration_counts: List[int] = []
-        kernels, total = self._depth_loop(instances, iteration_counts)
+    def _run_in_memory(self, batch: InstanceBatch) -> SampleResult:
+        kernels, total, samples, iteration_counts = self._depth_loop(batch)
         self.device.cost.merge(total)
-        return SampleResult.from_instances(
-            instances,
-            self.device.cost.copy(),
+        return SampleResult(
+            samples=samples,
+            cost=self.device.cost.copy(),
             kernels=kernels,
             iteration_counts=iteration_counts,
             metadata=self._main_metadata(),
@@ -202,32 +219,27 @@ class Executor:
     # Coalesced multi-member batch -- the run_coalesced route
     # ================================================================== #
     def _run_coalesced(
-        self, members: Sequence[Sequence[InstanceState]]
+        self, members: Sequence[InstanceBatch]
     ) -> List[SampleResult]:
-        members = [list(m) for m in members]
-        member_of, all_instances = member_map(members)
-        self.engine.set_warp_groups(member_of, len(members))
-        sink = GroupedIterationSink(member_of, len(members))
-        kernels, total = self._depth_loop(all_instances, sink)
+        sizes = [len(member) for member in members]
+        groups = np.repeat(np.arange(len(members), dtype=np.int64), sizes)
+        kernels, total, samples, member_iterations = self._depth_loop(
+            InstanceBatch.concat(members), groups, len(members)
+        )
         metadata = self._main_metadata()
         metadata["coalesced_members"] = len(members)
-        combined = SampleResult.from_instances(
-            all_instances,
-            total,
-            kernels=kernels,
-            metadata=metadata,
+        combined = SampleResult(
+            samples=samples, cost=total, kernels=kernels, metadata=metadata
         )
         results: List[SampleResult] = []
         offset = 0
-        for rank, insts in enumerate(members):
+        for size, iteration_counts in zip(sizes, member_iterations):
             results.append(
                 combined.slice_instances(
-                    offset,
-                    offset + len(insts),
-                    iteration_counts=sink.lists[rank],
+                    offset, offset + size, iteration_counts=iteration_counts
                 )
             )
-            offset += len(insts)
+            offset += size
         return results
 
     # ================================================================== #

@@ -38,13 +38,13 @@ import numpy as np
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
-from repro.api.instance import InstanceState, validate_seed_instances
+from repro.api.instance import InstanceBatch
 from repro.compiled.compiler import resolve_step
 from repro.gpusim.device import DeviceSpec, V100_SPEC
 from repro.oom.scheduler import OutOfMemoryConfig
 from repro.planner.calibration import load_calibration
 from repro.planner.cost import predict_cost, predict_time_s
-from repro.planner.errors import PlanError, SeedValidationError
+from repro.planner.errors import PlanError
 from repro.planner.plan import ExecutionPlan, PartitionLayout
 
 __all__ = [
@@ -54,57 +54,7 @@ __all__ = [
     "plan_admission",
     "plan_route",
     "scale_plan",
-    "validate_seed_tuples",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# Plan-time seed validation (service fast path: no InstanceState needed)
-# --------------------------------------------------------------------------- #
-def validate_seed_tuples(
-    seeds: Sequence,
-    num_vertices: int,
-    *,
-    num_instances: Optional[int] = None,
-    reject_duplicates: bool = False,
-) -> int:
-    """Validate a request's normalized seed tuples; returns the instance count.
-
-    Mirrors :func:`repro.api.instance.validate_seed_instances` -- same
-    checks, same :class:`SeedValidationError` -- without materialising the
-    instances (the service validates at submit time, before dispatch).
-    """
-    seeds = list(seeds)
-    if not seeds:
-        raise SeedValidationError("at least one seed is required")
-    nested = isinstance(seeds[0], (list, tuple, np.ndarray))
-    count = len(seeds) if num_instances is None else int(num_instances)
-    # Mirror make_instances' truncation: with num_instances < len(seeds)
-    # only the leading seeds become instances, so only those are validated
-    # (round-robin extension reuses values already checked).
-    if num_instances is not None and num_instances < len(seeds):
-        seeds = seeds[:num_instances]
-    if not nested:
-        flat = np.asarray(seeds, dtype=np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= num_vertices):
-            raise SeedValidationError(
-                f"seed vertices outside [0, {num_vertices})"
-            )
-        return count
-    for index, pool in enumerate(seeds):
-        pool = np.asarray(pool, dtype=np.int64).reshape(-1)
-        if pool.size == 0:
-            raise SeedValidationError(f"instance {index} has no seed vertices")
-        if pool.min() < 0 or pool.max() >= num_vertices:
-            raise SeedValidationError(
-                f"instance {index} has seed vertices outside the graph"
-            )
-        if reject_duplicates and np.unique(pool).size != pool.size:
-            raise SeedValidationError(
-                f"instance {index} has duplicate seed vertices "
-                "(sampling without replacement)"
-            )
-    return count
 
 
 # --------------------------------------------------------------------------- #
@@ -118,7 +68,7 @@ class PlanRequest:
     ``graph`` object, their resolved ``program`` and the instances they
     built; the service passes graph *stats* (from its shared-memory handle)
     plus the cached coalescability bit, and no instances (it validated the
-    raw seed tuples at submit time).
+    request's batch at submit time).
     """
 
     graph: Optional[object] = None  # CSRGraph / DeltaGraph
@@ -126,9 +76,9 @@ class PlanRequest:
     algorithm: Optional[str] = None
     program: Optional[SamplingProgram] = None
     #: Instances of a standalone run (validated at plan time).
-    instances: Optional[Sequence[InstanceState]] = None
-    #: Member instance lists of a coalesced run (validated at plan time).
-    members: Optional[Sequence[Sequence[InstanceState]]] = None
+    instances: Optional[InstanceBatch] = None
+    #: Member batches of a coalesced run (validated at plan time).
+    members: Optional[Sequence[InstanceBatch]] = None
     #: Instance count when neither instances nor members are given.
     num_instances: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
@@ -416,23 +366,23 @@ def plan(request: PlanRequest) -> ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Seed validation: uniform, at plan time.
     # ------------------------------------------------------------------ #
-    reject_duplicates = not config.with_replacement
-    if request.members is not None:
-        member_sizes = tuple(len(m) for m in request.members)
-        flat = [inst for member in request.members for inst in member]
-        validate_seed_instances(
-            flat, num_vertices, reject_duplicates=reject_duplicates
+    batch = (
+        InstanceBatch.concat(request.members)
+        if request.members is not None
+        else request.instances
+    )
+    if batch is not None:
+        batch.validate(
+            num_vertices, reject_duplicates=not config.with_replacement
         )
-        num_instances = len(flat)
-    elif request.instances is not None:
-        validate_seed_instances(
-            request.instances, num_vertices, reject_duplicates=reject_duplicates
-        )
-        num_instances = len(request.instances)
-        member_sizes = (num_instances,)
+        num_instances = len(batch)
     else:
         num_instances = int(request.num_instances or 1)
-        member_sizes = (num_instances,)
+    member_sizes = (
+        tuple(len(m) for m in request.members)
+        if request.members is not None
+        else (num_instances,)
+    )
 
     # ------------------------------------------------------------------ #
     # Routing

@@ -12,7 +12,9 @@ stay.
 
 Entries store defensive copies of the sample arrays in both directions:
 responses hand arrays to callers who may mutate them, and a poisoned cache
-would silently break the bit-compat contract.
+would silently break the bit-compat contract.  An entry's samples are one
+:class:`~repro.api.results.SampleColumns`, so a copy is five array copies
+whatever the instance count.
 
 Thread-safety: one lock around the LRU map -- ``get``/``put`` run from the
 service's submit and collector threads.
@@ -25,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
+from repro.api.results import SampleColumns
 
 __all__ = ["CachedResult", "SampleCache", "cache_key"]
 
@@ -56,13 +58,13 @@ def cache_key(request, epoch: int) -> Tuple:
 class CachedResult:
     """One cached answer: the response payload minus per-request identity.
 
-    ``samples`` holds ``(instance_id, seeds, edges)`` tuples exactly as a
-    worker payload ships them; ``stats`` is the worker-side stats dict
+    ``samples`` is the columnar container exactly as a worker payload
+    ships it; ``stats`` is the worker-side stats dict
     (cost totals, step tier, kernel-cache deltas) *without* the per-request
     latency annotations the collector adds.
     """
 
-    samples: List[Tuple[int, np.ndarray, np.ndarray]]
+    samples: SampleColumns
     iteration_counts: List[int]
     route: str
     coalesced_with: int
@@ -72,20 +74,16 @@ class CachedResult:
 
     def __post_init__(self) -> None:
         if not self.nbytes:
-            arrays = _ENTRY_OVERHEAD_BYTES
-            for _, seeds, edges in self.samples:
-                arrays += int(np.asarray(seeds).nbytes)
-                arrays += int(np.asarray(edges).nbytes)
-            arrays += 8 * len(self.iteration_counts)
-            self.nbytes = arrays
+            self.nbytes = (
+                _ENTRY_OVERHEAD_BYTES
+                + self.samples.nbytes
+                + 8 * len(self.iteration_counts)
+            )
 
     def copy(self) -> "CachedResult":
         """Deep copy of the array payload (defensive in both directions)."""
         return CachedResult(
-            samples=[
-                (int(i), np.array(s, copy=True), np.array(e, copy=True))
-                for i, s, e in self.samples
-            ],
+            samples=self.samples.copy(),
             iteration_counts=list(self.iteration_counts),
             route=self.route,
             coalesced_with=self.coalesced_with,

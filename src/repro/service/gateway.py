@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.api.requests import SampleRequest, SampleResponse
-from repro.api.results import InstanceSample
 from repro.service.cache import CachedResult, SampleCache, cache_key
 from repro.service.qos import (
     AdmissionController,
@@ -67,10 +66,7 @@ def build_response(request: SampleRequest, epoch: int, entry: CachedResult,
         request_id=request.request_id,
         graph=request.graph,
         algorithm=request.algorithm,
-        samples=[
-            InstanceSample(instance_id=i, seeds=s, edges=e)
-            for i, s, e in entry.samples
-        ],
+        samples=entry.samples,
         iteration_counts=list(entry.iteration_counts),
         route=entry.route,
         epoch=epoch,

@@ -39,6 +39,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.api.instance import make_instances
 from repro.api.requests import SampleRequest, SampleResponse
 from repro.graph.csr import CSRGraph
 from repro.oom.scheduler import OutOfMemoryConfig
@@ -49,7 +50,6 @@ from repro.planner.planner import (
     plan,
     plan_admission,
     scale_plan,
-    validate_seed_tuples,
 )
 from repro.service.cache import CachedResult
 from repro.service.gateway import Gateway, GatewayConfig, build_response
@@ -523,10 +523,10 @@ class SamplingService:
             # Plan-time seed validation, uniform across entry points: the
             # same SeedValidationError a standalone sampler would raise.
             try:
-                validate_seed_tuples(
-                    request.seeds,
+                make_instances(
+                    request.seeds, num_instances=request.num_instances
+                ).validate(
                     self.store.handle(request.graph, epoch).num_vertices,
-                    num_instances=request.num_instances,
                     reject_duplicates=not request.resolve_config().with_replacement,
                 )
             except SeedValidationError as exc:

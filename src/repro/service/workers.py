@@ -6,7 +6,7 @@ algorithm, config and program constructor arguments).  Workers execute the
 whole class as a single coalesced engine batch
 (:func:`repro.engine.hetero.run_coalesced`) when the program allows it, or
 one standalone run per request otherwise, and ship back per-request payloads
-of plain arrays.
+of plain arrays (one :class:`~repro.api.results.SampleColumns` each).
 
 Three pool modes share the exact same execution path
 (:func:`execute_unit`):
@@ -30,10 +30,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api.config import SamplingConfig
 from repro.api.instance import make_instances
+from repro.api.results import SampleColumns
 from repro.api.sampler import GraphSampler
 from repro.engine.hetero import run_coalesced
 from repro.graph.csr import CSRGraph
@@ -100,8 +99,9 @@ class RequestPayload:
     """Per-request result shipped back from a worker."""
 
     request_id: int
-    #: ``(instance_id, seeds, edges)`` per instance, in instance order.
-    samples: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    #: The request's instances as one columnar container: five arrays cross
+    #: the worker boundary, whatever the instance count.
+    samples: SampleColumns = field(default_factory=SampleColumns.empty)
     iteration_counts: List[int] = field(default_factory=list)
     route: str = "in_memory"
     coalesced_with: int = 1
@@ -166,7 +166,7 @@ def _payload(unit: WorkUnit, spec: RequestSpec, result, route: str,
         stats["step_tier"] = unit.plan.step_tier
     return RequestPayload(
         request_id=spec.request_id,
-        samples=[(s.instance_id, s.seeds, s.edges) for s in result.samples],
+        samples=result.samples,
         iteration_counts=list(result.iteration_counts),
         route=route,
         coalesced_with=coalesced_with,

@@ -17,7 +17,6 @@ from repro.planner.planner import (
     plan_admission,
     plan_route,
     scale_plan,
-    validate_seed_tuples,
 )
 
 
@@ -233,26 +232,34 @@ class TestScalePlan:
 class TestSeedValidationUniformity:
     """One error type across every entry point (the satellite contract)."""
 
-    def test_tuple_validator_flags(self):
+    def test_batch_validator_flags(self):
         with pytest.raises(SeedValidationError, match="at least one seed"):
-            validate_seed_tuples((), 10)
-        with pytest.raises(SeedValidationError, match="outside"):
-            validate_seed_tuples((5, 12), 10)
-        with pytest.raises(SeedValidationError, match="no seed"):
-            validate_seed_tuples(((), (1,)), 10)
-        with pytest.raises(SeedValidationError, match="duplicate"):
-            validate_seed_tuples(((1, 1, 2),), 10, reject_duplicates=True)
-        assert validate_seed_tuples(((1, 1, 2),), 10) == 1  # walks: allowed
-        assert validate_seed_tuples((1, 2), 10, num_instances=8) == 8
+            make_instances(())
+        with pytest.raises(SeedValidationError, match="instance 1 .* outside"):
+            make_instances((5, 12)).validate(10)
+        with pytest.raises(SeedValidationError, match="instance 0 .* outside"):
+            make_instances(((-1, 2), (3,))).validate(10)
+        with pytest.raises(SeedValidationError, match="instance 0 has no seed"):
+            make_instances(((), (1,))).validate(10)
+        with pytest.raises(SeedValidationError, match="instance 1 .* duplicate"):
+            make_instances(((1, 2), (2, 1, 2))).validate(
+                10, reject_duplicates=True
+            )
+        # The same vertex in two instances is not a duplicate.
+        make_instances(((1, 2), (2, 1))).validate(10, reject_duplicates=True)
+        make_instances(((1, 1, 2),)).validate(10)  # walks: allowed
+        batch = make_instances((1, 2), num_instances=8)
+        batch.validate(10)
+        assert len(batch) == 8
 
-    def test_truncation_matches_make_instances(self):
+    def test_truncation_drops_seeds_before_validation(self):
         """num_instances < len(seeds) drops the tail before instances are
-        built, so the tuple validator must ignore the dropped seeds exactly
-        as a standalone sampler would."""
-        assert validate_seed_tuples((5, 10**9), 100, num_instances=1) == 1
+        built, so the dropped seeds are never validated -- through the
+        service's submit-time check exactly as through a standalone sampler."""
+        make_instances((5, 10**9), num_instances=1).validate(100)
         with pytest.raises(SeedValidationError, match="outside"):
-            validate_seed_tuples((10**9, 5), 100, num_instances=1)
-        assert validate_seed_tuples(((1,), (10**9,)), 100, num_instances=1) == 1
+            make_instances((10**9, 5), num_instances=1).validate(100)
+        make_instances(((1,), (10**9,)), num_instances=1).validate(100)
 
     def test_graph_sampler_raises_seed_validation_error(self, graph):
         from repro.api.sampler import GraphSampler

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.api.requests import SampleRequest
+from repro.api.results import SampleColumns
 from repro.graph import ring_graph
 from repro.graph.generators import powerlaw_graph
 from repro.service import SampleCache, SamplingClient, SamplingService
@@ -191,8 +192,13 @@ class TestEpochInteraction:
 class TestSampleCacheUnit:
     def _entry(self, n=8):
         return CachedResult(
-            samples=[(0, np.arange(2, dtype=np.int64),
-                      np.arange(2 * n, dtype=np.int64).reshape(n, 2))],
+            samples=SampleColumns(
+                np.zeros(1, dtype=np.int64),
+                np.array([0, 2], dtype=np.int64),
+                np.arange(2, dtype=np.int64),
+                np.array([0, n], dtype=np.int64),
+                np.arange(2 * n, dtype=np.int64).reshape(n, 2),
+            ),
             iteration_counts=[n],
             route="in_memory",
             coalesced_with=1,
@@ -233,12 +239,12 @@ class TestSampleCacheUnit:
         cache = SampleCache(max_bytes=1 << 20)
         entry = self._entry()
         cache.put(("k",), entry)
-        entry.samples[0][2][:] = -5  # writer mutates after put
+        entry.samples[0].edges[:] = -5  # writer mutates after put
         out = cache.get(("k",))
-        assert not np.array_equal(out.samples[0][2], entry.samples[0][2])
-        out.samples[0][2][:] = -9  # reader mutates after get
-        assert not np.array_equal(cache.get(("k",)).samples[0][2],
-                                  out.samples[0][2])
+        assert not np.array_equal(out.samples[0].edges, entry.samples[0].edges)
+        out.samples[0].edges[:] = -9  # reader mutates after get
+        assert not np.array_equal(cache.get(("k",)).samples[0].edges,
+                                  out.samples[0].edges)
 
     def test_invalidate_epoch_is_surgical(self):
         cache = SampleCache(max_bytes=1 << 20)
