@@ -8,11 +8,14 @@ must never be slower than interpretation, and every compiled run must be
 bit-identical to its interpreted twin (samples, iteration counts and cost
 totals).  The out-of-memory and sharded routes are measured too: their
 compiled drains must plan ``step_tier=compiled`` and match their
-interpreted twins bit for bit.  Each walk workload is also stepped depth by
-depth on the compiled step engine -- what the resolver would pick for it
-were the fused walk kernel deleted -- which must be bit-identical too; the
-engine/walk time ratio rides on the workload's row, so "both compiled
-kernels stay" is a number in the trajectory.
+interpreted twins bit for bit, and the out-of-memory drain -- the walk
+kernel's second driver -- must run every walk workload >= 2x faster than
+the interpreted drain (ROADMAP item 3's gate for that route).  Each walk
+workload is also stepped depth by depth on the compiled step engine -- what
+the resolver would pick for it were the fused walk kernel deleted -- which
+must be bit-identical too; the engine/walk time ratio rides on the
+workload's row, so "both compiled kernels stay" is a number in the
+trajectory.
 
 Run standalone (it is intentionally not a pytest file -- it measures wall
 clock, which the simulated-time benchmarks never do):
@@ -61,11 +64,15 @@ WORKLOADS = [
 
 SPEEDUP_FLOOR = 3.0
 
-#: Routes measured beyond the in-memory engine (both on biased_random_walk,
-#: the structure-reuse showcase).  Held to bit-identity and a planned
-#: compiled step tier, and recorded, but not to the 3x floor: both routes
-#: spend real time in partition scheduling / walker migration that the
-#: compiled tier does not touch.
+#: The out-of-memory route drains through the walk kernel too, but pays the
+#: partition schedule (queue routing, one launch record per kernel) on both
+#: tiers, so its floor is lower.
+OOM_SPEEDUP_FLOOR = 2.0
+
+#: The sharded route is measured on biased_random_walk, the structure-reuse
+#: showcase.  Held to bit-identity and a planned compiled step tier, and
+#: recorded, but to no floor: its time is walker migration and per-walker
+#: envelopes, which the compiled tier does not touch.
 ROUTE_ALGORITHM = "biased_random_walk"
 
 
@@ -139,20 +146,25 @@ def run_workload(graph, seeds, num_instances, name, overrides):
 # Route coverage: the compiled kernel inside the OOM and sharded drains
 # --------------------------------------------------------------------------- #
 
-def run_oom_route(graph, seeds, num_instances, overrides):
+def run_oom_route(graph, seeds, num_instances, name, overrides):
     """Interpreted vs compiled partition drains of the OOM scheduler."""
     from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
-    info = ALGORITHM_REGISTRY[ROUTE_ALGORITHM]
+    info = ALGORITHM_REGISTRY[name]
     config = info.config_factory(seed=1, **overrides)
     oom = OutOfMemoryConfig.fully_optimized(num_partitions=3)
 
+    def sampler():
+        return OutOfMemorySampler(graph, info.program_factory(), config, oom)
+
     def one(expected_tier):
-        sampler = OutOfMemorySampler(graph, info.program_factory(), config, oom)
-        plan = sampler.plan(seeds, num_instances=num_instances)
+        plan = sampler().plan(seeds, num_instances=num_instances)
         assert plan.step_tier == expected_tier, plan.compiled_fallback
+        # A sampler per run, as the service builds one per request (and as
+        # the in-memory leg above does): a reused sampler's warp counter
+        # keeps advancing, so its second run is a different, cold sample.
         return _best_of(
-            lambda: sampler.run(seeds, num_instances=num_instances)
+            lambda: sampler().run(seeds, num_instances=num_instances)
         )
 
     with interpreted():
@@ -162,17 +174,15 @@ def run_oom_route(graph, seeds, num_instances, overrides):
     return t_interp, t_comp, identical
 
 
-def run_sharded_route(graph, seeds, num_instances, overrides):
+def run_sharded_route(graph, seeds, num_instances, name, overrides):
     """Interpreted vs compiled per-shard engines of the sharded cluster."""
     from repro.distributed import ShardedSamplingCluster
 
-    info = ALGORITHM_REGISTRY[ROUTE_ALGORITHM]
+    info = ALGORITHM_REGISTRY[name]
     config = info.config_factory(seed=1, **overrides)
 
     def one(expected_tier):
-        cluster = ShardedSamplingCluster(
-            graph, ROUTE_ALGORITHM, config, num_shards=3
-        )
+        cluster = ShardedSamplingCluster(graph, name, config, num_shards=3)
         plan = cluster.plan(seeds, num_instances=num_instances)
         assert plan.step_tier == expected_tier, plan.compiled_fallback
         return _best_of(
@@ -250,15 +260,16 @@ def main() -> int:
             })
 
     route_seeds = seeds[:route_instances]
-    for route, runner in (
-        ("out_of_memory", run_oom_route),
-        ("sharded", run_sharded_route),
-    ):
+    route_legs = [
+        ("out_of_memory", run_oom_route, name, overrides)
+        for name, overrides in WORKLOADS
+    ] + [("sharded", run_sharded_route, ROUTE_ALGORITHM, dict(depth=8))]
+    for route, runner, name, overrides in route_legs:
         t_interp, t_comp, identical = runner(
-            graph, route_seeds, route_instances, dict(depth=8)
+            graph, route_seeds, route_instances, name, overrides
         )
         speedup = t_interp / t_comp if t_comp > 0 else float("inf")
-        label = f"{ROUTE_ALGORITHM}/{route}"
+        label = f"{name}/{route}"
         print(
             f"{label:24s} {t_interp:8.2f}s {t_comp:8.2f}s"
             + " " * 10 * (len(backends) - 1)
@@ -269,20 +280,29 @@ def main() -> int:
                 f"{label}: compiled result diverged from interpreted"
             )
         if not args.quick:
+            if route == "out_of_memory" and speedup < OOM_SPEEDUP_FLOOR:
+                failures.append(
+                    f"{label}: compiled drain {speedup:.2f}x below the "
+                    f"{OOM_SPEEDUP_FLOOR}x floor"
+                )
             if t_comp > t_interp * 1.10:
                 failures.append(
                     f"{label}: compiled drain slower than interpretation "
                     f"({t_comp:.2f}s vs {t_interp:.2f}s)"
                 )
-            records.append({
-                "bench": f"compiled_{ROUTE_ALGORITHM}",
+            record = {
+                "bench": f"compiled_{name}",
                 "route": route,
                 "wall_time_s": t_comp,
                 "interp_time_s": t_interp,
                 "speedup": speedup,
                 "identical": identical,
                 "num_instances": route_instances,
-            })
+            }
+            if route == "out_of_memory":
+                # The gated ratio, under the name ROADMAP item 3 gates it by.
+                record["compiled_over_interpreted"] = speedup
+            records.append(record)
 
     if records:
         # Running as a script puts benchmarks/ on sys.path, so the pytest

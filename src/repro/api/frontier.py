@@ -62,10 +62,12 @@ class FrontierQueue:
         to ``vertices``; entries keep the order of ``vertices``.
         """
         vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        instances = np.broadcast_to(
-            np.asarray(instances, dtype=np.int64), vertices.shape
-        )
-        depths = np.broadcast_to(np.asarray(depths, dtype=np.int64), vertices.shape)
+        instances = np.asarray(instances, dtype=np.int64)
+        if instances.shape != vertices.shape:
+            instances = np.broadcast_to(instances, vertices.shape)
+        depths = np.asarray(depths, dtype=np.int64)
+        if depths.shape != vertices.shape:
+            depths = np.broadcast_to(depths, vertices.shape)
         self._vertices.extend(vertices.tolist())
         self._instances.extend(instances.tolist())
         self._depths.extend(depths.tolist())

@@ -10,16 +10,17 @@ two kernels:
 
 * the **fused walk kernel** (:class:`~repro.compiled.walk_kernel.
   CompiledWalkKernel`) for walk-shaped plans on the in-memory and coalesced
-  routes: every walker stays in flat arrays across depths, hook dispatch
+  routes (its depth-loop driver) and in the out-of-memory route's partition
+  drains (its drain driver): every walker stays in flat arrays, hook dispatch
   disappears, and the biased kinds answer selection from per-graph cached
   structures (:mod:`repro.compiled.structures`) -- flat CTPS prefixes for
   weight/degree biases, per-traversed-edge prefix rows for node2vec -- built
   once per (graph, epoch) and reused across depth steps and requests;
 * the **compiled step engine** (:class:`~repro.compiled.step_engine.
   CompiledStepEngine`) for every other eligible shape (without-replacement,
-  frontier and per-layer selection, visited tracking) and for the
-  out-of-memory and sharded routes, which step through the engine's own
-  methods: hook dispatch and per-step bias revalidation are replaced by the
+  frontier and per-layer selection, visited tracking) on every route, and
+  for walk shapes on the sharded route, which steps through per-shard
+  engines: hook dispatch and per-step bias revalidation are replaced by the
   declared shapes.
 
 Two backends sit behind one interface:

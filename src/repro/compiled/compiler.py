@@ -17,16 +17,19 @@ reports, :func:`~repro.compiled.step_engine.make_step_engine` constructs
 from and the executor's depth loop instantiates the walk kernel from -- so
 what a plan says and what runs cannot disagree.  Eligible plans resolve to:
 
-* ``"walk"`` -- the fused depth-loop kernel
+* ``"walk"`` -- the fused walk kernel
   (:class:`~repro.compiled.walk_kernel.CompiledWalkKernel`) for walk-shaped
   plans (single-neighbor-ish per-vertex selection with replacement, no
   frontier sub-selection, no visited tracking, no declared hook shapes) on
-  the routes whose executor drives the depth loop directly;
+  the routes it has a driver for (:data:`COMPILABLE_ROUTES`): the depth
+  loop of the in-memory and coalesced routes, the partition drain of the
+  out-of-memory route;
 * ``"engine"`` -- the compiled step engine
   (:class:`~repro.compiled.step_engine.CompiledStepEngine`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
-  eligible shape *and* every route (the OOM scheduler steps through
-  ``expand_entries``, the sharded route through per-shard engines).
+  eligible shape *and* every route (the OOM scheduler drains non-walk
+  shapes through ``expand_entries``, the sharded route steps per-shard
+  engines).
 
 Resolutions -- refusals included, so ``explain()`` can say *why* a plan
 interprets -- are memoised in the kernel cache per ``(program class + cache
@@ -74,10 +77,10 @@ KNOWN_UPDATE_SHAPES = ("unvisited", "keep_src_on_dead_end")
 KNOWN_NEIGHBOR_COUNT_SHAPES = ("pool_capped",)
 KNOWN_VERTEX_BIAS_SHAPES = ("degree_plus_one",)
 
-#: Routes whose executor drives the engine depth loop directly, i.e. where
-#: the fused walk kernel can take over whole steps.  The OOM and sharded
-#: routes still compile -- through the engine kernel.
-COMPILABLE_ROUTES = ("in_memory", "coalesced")
+#: Routes on which the fused walk kernel has a driver: the depth loop
+#: (in-memory, coalesced) and the partition drain (out-of-memory).  The
+#: sharded route still compiles -- through the engine kernel.
+COMPILABLE_ROUTES = ("in_memory", "coalesced", "out_of_memory")
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ class StepResolution:
     tier: str
     #: The declared bias kind when compiled.
     kind: Optional[str] = None
-    #: ``"walk"`` (fused depth-loop kernel), ``"engine"`` (the compiled step
+    #: ``"walk"`` (fused walk kernel), ``"engine"`` (the compiled step
     #: engine drives the step; no separate kernel object) or ``"none"``
     #: (interpreted).
     kernel: str = "none"
@@ -245,7 +248,7 @@ def resolve_step(
         if not decision.eligible:
             resolution = StepResolution("interpreted", fallback=decision.reason)
         elif decision.walk_shape and route in COMPILABLE_ROUTES:
-            # The fused walk loop has a jittable scalar inner loop on every
+            # The fused walk kernel has a jittable scalar inner loop on every
             # kind (uniform draw + prefix search).
             resolution = StepResolution(
                 "compiled", decision.kind, "walk", select_backend()

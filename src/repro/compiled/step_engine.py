@@ -1,10 +1,11 @@
 """The compiled step engine: hook-free specialisation of the batched engine.
 
 The fused walk kernel (:mod:`repro.compiled.walk_kernel`) covers walk-shaped
-plans on the routes whose executor drives the depth loop directly.  Every
-*other* eligible shape -- without-replacement selection, frontier selection,
-per-layer scope, visited tracking, and the out-of-memory / sharded routes
-that step through :meth:`expand_entries` or per-shard engines -- runs on
+plans on the routes it has a driver for (the in-memory / coalesced depth loop
+and the out-of-memory partition drain).  Every *other* eligible shape --
+without-replacement selection, frontier selection, per-layer scope, visited
+tracking, on every route including :meth:`expand_entries` drains -- and every
+shape on the sharded route's per-shard engines runs on
 :class:`CompiledStepEngine`: a :class:`~repro.engine.step.BatchedStepEngine`
 whose hook evaluation is replaced by the program's *declared* shapes
 (``compiled_bias`` / ``compiled_update`` / ``compiled_neighbor_count`` /

@@ -1,16 +1,22 @@
-"""The fused walk kernel: every depth step of every walker as flat arrays.
+"""The fused walk kernel: every step of every walker as flat arrays.
 
 :class:`CompiledWalkKernel` is what the :mod:`repro.compiled` tier emits for
 walk-shaped plans (``FrontierSize = 0``, with-replacement, ``NEXT_LAYER``,
 default accept/update hooks, a recognised bias kind).  Where the interpreted
 :class:`~repro.engine.step.BatchedStepEngine` re-dispatches program hooks,
 materialises a :class:`~repro.api.bias.SegmentedEdgePool` and walks a Python
-loop over allocated segments every step, the compiled kernel keeps the whole
-fleet of walkers in flat ndarrays across depths -- columns in
+loop over allocated segments every kernel, the compiled kernel keeps the
+whole fleet of walkers in flat ndarrays -- columns in
 (:class:`~repro.api.instance.InstanceBatch`), columns out
 (:class:`~repro.api.results.SampleColumns`) -- and never builds a
-per-instance object: one stable sort by owner after the last depth turns the
-per-step draws into every instance's edge range.
+per-instance object: one stable sort by owner after the last kernel turns
+the per-kernel draws into every instance's edge range.
+
+Two drivers share that state and one SELECT: the depth loop (in-memory and
+coalesced routes: one kernel per depth over every walker's frontier) and the
+partition drain (out-of-memory route: one kernel per group of frontier-queue
+entries of a resident partition, Section V-C's batched multi-instance
+kernel).
 
 Specialisations, by plan-proved properties:
 
@@ -36,14 +42,16 @@ Specialisations, by plan-proved properties:
   and scan the interpreted hook runs, and every draw binary-searches the
   cached rows with probes bitwise equal to the per-step CTPS.
 
-**Bit-compatibility contract.**  The kernel draws the same ``(instance,
-depth, slot, warp, lane)`` RNG keys, advances the engine's warp cursors in
-the same order, and charges every cost-model counter exactly as the
-interpreted path charges it (the uniform specialisation charges the closed
-forms of the scan/normalise/search work it skipped).  Samples, iteration
+**Bit-compatibility contract.**  The kernel draws the same RNG keys
+(``(instance, depth, slot, warp, lane)`` in the depth loop, ``(instance,
+depth, vertex, warp, lane)`` in the drain), advances the engine's warp
+cursors in the same order, and charges every cost-model counter exactly as
+the interpreted path charges it (the uniform specialisation charges the
+closed forms of the scan/normalise/search work it skipped).  Samples, iteration
 counts, per-kernel cost records and warp-task counts are all identical; the
-compiled axis of ``tests/integration/test_cross_route_matrix.py`` and
-``tests/compiled/test_walk_kernel.py`` hold it to that.
+compiled axis of ``tests/integration/test_cross_route_matrix.py``,
+``tests/compiled/test_walk_kernel.py`` and (for the drain)
+``tests/integration/test_tier_agreement.py`` hold it to that.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ import numpy as np
 
 from repro.api.instance import InstanceBatch
 from repro.api.results import SampleColumns
+from repro.engine.step import grouped_warp_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
 from repro.selection.segmented import (
@@ -85,13 +94,12 @@ def uniform_local_search(rs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     hi = lengths - 1
     nf = lengths.astype(np.float64)
     active = lo < hi
-    while np.any(active):
+    while active.any():
         mid = (lo + hi) >> 1
-        probe = (mid + 1).astype(np.float64) / nf
-        go_right = active & (probe <= rs)
-        stay = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[stay] = mid[stay]
+        above = mid + 1
+        go_right = active & (above.astype(np.float64) / nf <= rs)
+        lo = np.where(go_right, above, lo)
+        hi = np.where(active & ~go_right, mid, hi)
         active = lo < hi
     return lo
 
@@ -127,14 +135,87 @@ def prefix_local_search(
     return lo - base
 
 
-class CompiledWalkKernel:
-    """Plan-specialised fused per-depth callable for walk-shaped plans.
+def _per_draw(values: np.ndarray, ns: int) -> np.ndarray:
+    """Per-segment values repeated once per lane (``ns`` draws a segment)."""
+    return values if ns == 1 else np.repeat(values, ns)
 
-    Instantiated by :func:`repro.compiled.compiler.instantiate_kernel` around
-    a live :class:`~repro.engine.step.BatchedStepEngine` (whose RNG and warp
+
+class _WalkerColumns:
+    """Run-level walker state as columns, shared by both drivers.
+
+    One row per instance of the batch: the ``prev`` vertex node2vec's bias
+    reads, and an append-only ``(owner rank, src, dst)`` edge log that one
+    stable sort by owner closes into :class:`SampleColumns`.  Iteration
+    counts need no column of their own: with-replacement selections iterate
+    exactly once, so an instance's total is its edge count.
+    """
+
+    __slots__ = ("batch", "ids", "prevs", "_owner", "_src", "_dst",
+                 "_id_order", "_sorted_ids")
+
+    def __init__(self, batch: InstanceBatch):
+        self.batch = batch
+        self.ids = ids = batch.instance_ids
+        self.prevs = np.full(ids.size, -1, dtype=np.int64)
+        self._owner: List[np.ndarray] = []
+        self._src: List[np.ndarray] = []
+        self._dst: List[np.ndarray] = []
+        # ``make_instances`` numbers instances 0..n-1, where the id is the
+        # rank; any other id column resolves by one binary search.
+        self._id_order = self._sorted_ids = None
+        if not np.array_equal(ids, np.arange(ids.size, dtype=np.int64)):
+            self._id_order = np.argsort(ids, kind="stable")
+            self._sorted_ids = ids[self._id_order]
+
+    def ranks(self, instance_ids: np.ndarray) -> np.ndarray:
+        """Row of each instance id (the drain's queues carry ids)."""
+        if self._id_order is None:
+            return instance_ids
+        return self._id_order[np.searchsorted(self._sorted_ids, instance_ids)]
+
+    def log_edges(self, owner: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        self._owner.append(owner)
+        self._src.append(src)
+        self._dst.append(dst)
+
+    def set_prevs(self, owner: np.ndarray, vertices: np.ndarray) -> None:
+        """``prev[owner[k]] = vertices[k]`` in entry order: last write wins,
+        as the per-entry loop's assignments do (numpy promises no order for
+        repeated indices, so repeats resolve to their last entry first)."""
+        if owner.size > 1:
+            owner, first = np.unique(owner[::-1], return_index=True)
+            vertices = vertices[::-1][first]
+        self.prevs[owner] = vertices
+
+    def samples(self) -> SampleColumns:
+        """Close the edge log: group the flat per-kernel draws by owner
+        (stable, so each owner's edges stay in the order they were drawn --
+        the exact order the interpreted UPDATE loop records them)."""
+        batch = self.batch
+        return SampleColumns.from_owner_edges(
+            self.ids, batch.seed_offsets, batch.seeds,
+            *(
+                np.concatenate(parts) if parts else _EMPTY
+                for parts in (self._owner, self._src, self._dst)
+            ),
+        )
+
+
+class CompiledWalkKernel:
+    """Plan-specialised fused callable for walk-shaped plans.
+
+    Instantiated per run by the executor around a live
+    :class:`~repro.engine.step.BatchedStepEngine` (whose RNG and warp
     cursors it shares, so interleaving compiled and interpreted runs on one
-    sampler keeps a single warp-id stream).  :meth:`run` replaces the
-    executor's ``_depth_loop`` wholesale.
+    sampler keeps a single warp-id stream).  Two drivers share one SELECT
+    and one walker-state object:
+
+    * :meth:`run` -- the depth loop: replaces the executor's
+      ``_depth_loop`` wholesale (in-memory and coalesced routes);
+    * :meth:`begin` / :meth:`expand` / :meth:`finish` -- the drain: the
+      Section V-C batched kernel over frontier-queue entries, called once
+      per kernel by the out-of-memory scheduler where it would call
+      ``engine.expand_entries``.
     """
 
     def __init__(self, engine, *, kind: str, backend: str):
@@ -149,6 +230,7 @@ class CompiledWalkKernel:
         self.rng = engine.rng
         self.kind = kind
         self.backend = backend
+        self._walkers: Optional[_WalkerColumns] = None
         self._numba_select = None
         self._numba_prefix_search = None
         if backend == "numba":
@@ -177,6 +259,8 @@ class CompiledWalkKernel:
                         self.program.p, self.program.q
                     )
 
+    # ------------------------------------------------------------------ #
+    # Driver 1: the depth loop
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -208,21 +292,15 @@ class CompiledWalkKernel:
 
     def _run(self, batch: InstanceBatch, groups: Optional[np.ndarray], num_groups: int):
         cfg = self.config
-        graph = self.graph
         num = len(batch)
         kernels: List[KernelLaunch] = []
         total = CostModel()
 
-        ids = batch.instance_ids
-        prevs = np.full(num, -1, dtype=np.int64)
+        walkers = _WalkerColumns(batch)
+        prevs = walkers.prevs
         pool_counts = np.diff(batch.seed_offsets)
         pool_flat = batch.seeds
         finished = pool_counts == 0
-
-        iter_totals = np.zeros(num, dtype=np.int64)
-        edge_owner_parts: List[np.ndarray] = []
-        edge_src_parts: List[np.ndarray] = []
-        edge_dst_parts: List[np.ndarray] = []
         ns = int(cfg.neighbor_size)
 
         group_cursors = np.zeros(num_groups, dtype=np.int64)
@@ -235,108 +313,15 @@ class CompiledWalkKernel:
             step_cost = CostModel()
             counts_a = pool_counts[act]
             seg_owner = np.repeat(act, counts_a)
-            seg_vertices = pool_flat
-            K = int(seg_vertices.size)
-            lengths = graph.degrees[seg_vertices]
-            # GATHER: the row-descriptor + edge-stream traffic of the full
-            # pool gather, charged whether or not the neighbors materialise.
-            step_cost.charge_global_bytes(16 * int(lengths.sum()) + 16 * K)
-            seg_slots = concat_aranges(counts_a)
-            starts = graph.row_ptr[seg_vertices]
-
-            neighbors = offsets = biases = None
-            if self.kind == "uniform":
-                positive = lengths
-                prof.lap("gather")
-            elif self.kind == "weight_or_degree" or self._n2v_table is not None:
-                # Structure reuse: cached structures answer every bias
-                # question, so the pool never materialises.  The graph
-                # constructor already validated the weights (finite, non-
-                # negative) and node2vec's scale factors are positive, which
-                # is what the per-step validation checks.
-                positive = self._structures.positive_counts[seg_vertices]
-                prof.lap("gather")
-            else:
-                offsets = np.zeros(K + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                total_pool = int(offsets[-1])
-                flat_idx = (
-                    np.repeat(starts - offsets[:-1], lengths)
-                    + np.arange(total_pool, dtype=np.int64)
-                )
-                neighbors = graph.col_idx[flat_idx]
-                prof.lap("gather")
-                biases = self._compute_biases(
-                    neighbors, flat_idx, lengths, offsets, seg_owner, prevs
-                )
-                if np.any(biases < 0) or not np.all(np.isfinite(biases)):
-                    raise ValueError(
-                        "edge_bias must return finite, non-negative biases"
-                    )
-                positive = segment_positive_counts(biases, offsets)
-                prof.lap("bias")
-
-            alloc = (lengths > 0) & (positive > 0)
-            warp_full = self._alloc_warps(alloc, seg_owner, groups, group_cursors)
-            allocated = np.nonzero(alloc)[0]
+            # Draws key (instance, depth, slot + 1, warp, lane).
+            allocated, dst = self._select(
+                walkers, pool_flat, seg_owner,
+                np.full(seg_owner.size, depth, dtype=np.int64),
+                concat_aranges(counts_a) + 1,
+                step_cost, prof, groups, group_cursors,
+            )
             tasks = int(allocated.size)
-
-            if tasks:
-                if self.kind == "uniform":
-                    idx = self._uniform_select(
-                        allocated, lengths, ids, seg_owner, seg_slots,
-                        warp_full, depth, step_cost,
-                    )
-                    dst = graph.col_idx[np.repeat(starts[allocated], ns) + idx]
-                elif self.kind == "weight_or_degree":
-                    idx = self._cached_biased_select(
-                        allocated, seg_vertices, lengths, ids, seg_owner,
-                        seg_slots, warp_full, depth, step_cost,
-                    )
-                    dst = graph.col_idx[np.repeat(starts[allocated], ns) + idx]
-                elif self._n2v_table is not None:
-                    idx = self._node2vec_select(
-                        allocated, seg_vertices, lengths, ids, seg_owner,
-                        seg_slots, warp_full, depth, prevs, step_cost, prof,
-                    )
-                    dst = graph.col_idx[np.repeat(starts[allocated], ns) + idx]
-                else:
-                    if tasks == K:
-                        sub_biases, sub_offsets = biases, offsets
-                    else:
-                        sub_biases, sub_offsets = take_segments(
-                            biases, offsets, allocated
-                        )
-                    selection = segmented_warp_select(
-                        sub_biases,
-                        sub_offsets,
-                        np.full(tasks, ns, dtype=np.int64),
-                        self.rng,
-                        [ids[seg_owner[allocated]],
-                         np.full(tasks, depth, dtype=np.int64),
-                         seg_slots[allocated] + 1,
-                         warp_full[allocated]],
-                        with_replacement=True,
-                        strategy=cfg.strategy,
-                        detector=cfg.detector,
-                        cost=step_cost,
-                        validate=False,  # validated over the whole pool above
-                        positive_counts=positive[allocated],
-                    )
-                    dst = neighbors[
-                        np.repeat(offsets[:-1][allocated], ns) + selection.indices
-                    ]
-                draws = tasks * ns
-                step_cost.sampled_edges += draws
-                owners_a = seg_owner[allocated]
-                edge_owner_parts.append(np.repeat(owners_a, ns))
-                edge_src_parts.append(np.repeat(seg_vertices[allocated], ns))
-                edge_dst_parts.append(dst)
-                new_counts = np.bincount(owners_a, minlength=num) * ns
-                iter_totals += new_counts
-            else:
-                dst = _EMPTY
-                new_counts = np.zeros(num, dtype=np.int64)
+            new_counts = np.bincount(seg_owner[allocated], minlength=num) * ns
             prof.lap("select")
 
             # Walk bookkeeping: prev_vertex tracks single-vertex frontiers,
@@ -362,62 +347,255 @@ class CompiledWalkKernel:
             prof.lap("update")
 
         prof = _profiler.clock(-1)
-        # Edges: group the flat per-step draws by owner (stable, so each
-        # owner's edges stay in step-then-segment-then-lane order -- the
-        # exact order the interpreted UPDATE loop records them).
-        samples = SampleColumns.from_owner_edges(
-            ids, batch.seed_offsets, batch.seeds,
-            *(
-                np.concatenate(parts) if parts else _EMPTY
-                for parts in (edge_owner_parts, edge_src_parts, edge_dst_parts)
-            ),
-        )
+        samples = walkers.samples()
         # Iteration counts: with-replacement selections always iterate once,
         # so only the totals matter (per member when grouped).
         if groups is None:
-            iterations = [1] * int(iter_totals.sum())
+            iterations = [1] * samples.num_edges
         else:
             per_group = np.bincount(
-                groups, weights=iter_totals, minlength=num_groups
+                groups, weights=samples.edges_per_instance(), minlength=num_groups
             )
             iterations = [[1] * int(count) for count in per_group]
         prof.lap("update")
         return kernels, total, samples, iterations
 
     # ------------------------------------------------------------------ #
-    def _alloc_warps(self, alloc, seg_owner, groups, group_cursors) -> np.ndarray:
-        """Warp ids for allocated segments, advancing the cursors.
+    # Driver 2: the partition drain (Section V-C batched kernel)
+    # ------------------------------------------------------------------ #
+    def begin(self, batch: InstanceBatch) -> None:
+        """Open the walker columns of one drained run over ``batch``."""
+        self._walkers = _WalkerColumns(batch)
+
+    def expand(
+        self,
+        vertices: np.ndarray,
+        instance_ids: np.ndarray,
+        depths: np.ndarray,
+        cost: CostModel,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One batched kernel over frontier-queue entries, as an array program.
+
+        ``(vertices, instance_ids, depths)`` are the int64 entry arrays the
+        scheduler popped (every instance's entries of a resident partition,
+        or one instance's when batching is off); draws key ``(instance,
+        depth, vertex, warp, lane)`` and warp ids continue the engine's
+        counter in entry order, exactly as
+        :meth:`BatchedStepEngine.expand_entries` keys and allocates them.
+        Charges ``cost`` with that method's counters and returns the
+        successor entries in the order its per-entry loop enqueues them.
+        Which entries form a kernel, what the launch costs and where the
+        successors go stay the scheduler's business.
+        """
+        cfg = self.config
+        live = depths < cfg.depth
+        if not live.all():
+            vertices, instance_ids, depths = (
+                vertices[live], instance_ids[live], depths[live]
+            )
+        if vertices.size == 0:
+            return _EMPTY, _EMPTY, _EMPTY
+        # Entries of one kernel can sit at different depths: like the
+        # engine's expansion, the profile attributes it to no depth.
+        prof = _profiler.clock(-1)
+        walkers = self._walkers
+        owners = walkers.ranks(instance_ids)
+        allocated, dst = self._select(
+            walkers, vertices, owners, depths, vertices, cost, prof
+        )
+        prof.lap("select")
+        if allocated.size == 0:
+            return _EMPTY, _EMPTY, _EMPTY
+        walkers.set_prevs(owners[allocated], vertices[allocated])
+        succ_ids = instance_ids[allocated]
+        succ_depths = depths[allocated] + 1
+        ns = int(cfg.neighbor_size)
+        keep = succ_depths < cfg.depth
+        if not keep.all():
+            dst = dst[_per_draw(keep, ns)]
+            succ_ids, succ_depths = succ_ids[keep], succ_depths[keep]
+        prof.lap("update")
+        return dst, _per_draw(succ_ids, ns), _per_draw(succ_depths, ns)
+
+    def finish(self) -> Tuple[SampleColumns, List[int]]:
+        """Close the drained run: ``(samples, iteration_counts)``."""
+        samples = self._walkers.samples()
+        self._walkers = None
+        return samples, [1] * samples.num_edges
+
+    # ------------------------------------------------------------------ #
+    # GATHER + SELECT of one kernel (both drivers)
+    # ------------------------------------------------------------------ #
+    def _select(
+        self, walkers, seg_vertices, seg_owner, depths, third, cost, prof,
+        groups=None, group_cursors=None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sample ``neighbor_size`` neighbors of every segment of one kernel.
+
+        Segment ``k`` expands ``seg_vertices[k]`` for walker row
+        ``seg_owner[k]`` and keys its draws ``(instance, depths[k],
+        third[k], warp, lane)``.  Charges ``cost`` for the gather and the
+        selection, logs the sampled edges and returns ``(allocated, dst)``:
+        the indices of the segments that drew (non-empty pool, some positive
+        bias) and their draws, segment by segment.
+        """
+        graph = self.graph
+        ns = int(self.config.neighbor_size)
+        K = int(seg_vertices.size)
+        lengths = graph.degrees[seg_vertices]
+        # GATHER: the row-descriptor + edge-stream traffic of the full pool
+        # gather, charged whether or not the neighbors materialise.
+        cost.charge_global_bytes(16 * int(lengths.sum()) + 16 * K)
+        starts = graph.row_ptr[seg_vertices]
+
+        neighbors = offsets = biases = None
+        if self.kind == "uniform":
+            positive = lengths
+            prof.lap("gather")
+        elif self.kind == "weight_or_degree" or self._n2v_table is not None:
+            # Structure reuse: cached structures answer every bias question,
+            # so the pool never materialises.  The graph constructor already
+            # validated the weights (finite, non-negative) and node2vec's
+            # scale factors are positive, which is what the per-step
+            # validation checks.
+            positive = self._structures.positive_counts[seg_vertices]
+            prof.lap("gather")
+        else:
+            offsets = np.zeros(K + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            total_pool = int(offsets[-1])
+            flat_idx = (
+                np.repeat(starts - offsets[:-1], lengths)
+                + np.arange(total_pool, dtype=np.int64)
+            )
+            neighbors = graph.col_idx[flat_idx]
+            prof.lap("gather")
+            biases = self._compute_biases(
+                neighbors, flat_idx, lengths, offsets, seg_owner, walkers.prevs
+            )
+            if np.any(biases < 0) or not np.all(np.isfinite(biases)):
+                raise ValueError(
+                    "edge_bias must return finite, non-negative biases"
+                )
+            positive = segment_positive_counts(biases, offsets)
+            prof.lap("bias")
+
+        alloc = (lengths > 0) & (positive > 0)
+        allocated = np.nonzero(alloc)[0]
+        tasks = int(allocated.size)
+        if tasks == 0:
+            return allocated, _EMPTY
+        # Every segment drawing is the common case: index nothing then.
+        take = (lambda a: a) if tasks == K else (lambda a: a[allocated])
+        len_a, owners_a, verts_a, starts_a, depths_a, third_a = map(
+            take, (lengths, seg_owner, seg_vertices, starts, depths, third)
+        )
+        # Per-segment RNG coordinates; the lane is appended per draw.
+        coords = (
+            walkers.ids[owners_a], depths_a, third_a,
+            self._alloc_warps(owners_a, groups, group_cursors),
+        )
+        if self.kind == "uniform":
+            idx = self._uniform_select(len_a, coords, cost)
+        elif self.kind == "weight_or_degree":
+            idx = self._cached_biased_select(verts_a, len_a, coords, cost)
+        elif self._n2v_table is not None:
+            idx = self._node2vec_select(
+                verts_a, len_a, walkers.prevs[owners_a], coords, cost, prof
+            )
+        else:
+            sub_biases, sub_offsets = (
+                (biases, offsets) if tasks == K
+                else take_segments(biases, offsets, allocated)
+            )
+            idx = segmented_warp_select(
+                sub_biases,
+                sub_offsets,
+                np.full(tasks, ns, dtype=np.int64),
+                self.rng,
+                list(coords),
+                with_replacement=True,
+                strategy=self.config.strategy,
+                detector=self.config.detector,
+                cost=cost,
+                validate=False,  # validated over the whole pool above
+                positive_counts=positive[allocated],
+            ).indices
+        dst = graph.col_idx[_per_draw(starts_a, ns) + idx]
+        cost.sampled_edges += tasks * ns
+        walkers.log_edges(
+            _per_draw(owners_a, ns), _per_draw(verts_a, ns), dst
+        )
+        return allocated, dst
+
+    def _alloc_warps(self, owners_a, groups, group_cursors) -> np.ndarray:
+        """Warp ids of the allocated segments, advancing the cursors.
 
         Mirrors :meth:`BatchedStepEngine._alloc_warp_block` -- sequential in
         segment order within the engine's global sequence (so interpreted
         and compiled runs of one sampler draw from one continuous warp-id
         stream), or within each member's own cursor when coalescing.
         """
+        if groups is not None:
+            return grouped_warp_ids(groups[owners_a], group_cursors)
         engine = self.engine
-        warp_full = np.full(alloc.size, -1, dtype=np.int64)
-        if groups is None:
-            num_alloc = int(alloc.sum())
-            warp_full[alloc] = engine.warp_counter + np.arange(
-                num_alloc, dtype=np.int64
-            )
-            engine.warp_counter += num_alloc
-            return warp_full
-        groups_seg = groups[seg_owner]
-        for group in np.unique(groups_seg[alloc]):
-            members = alloc & (groups_seg == group)
-            count = int(members.sum())
-            warp_full[members] = group_cursors[group] + np.arange(
-                count, dtype=np.int64
-            )
-            group_cursors[group] += count
-        return warp_full
+        num_alloc = int(owners_a.size)
+        warp_ids = engine.warp_counter + np.arange(num_alloc, dtype=np.int64)
+        engine.warp_counter += num_alloc
+        return warp_ids
 
     # ------------------------------------------------------------------ #
-    def _uniform_select(
-        self, allocated, lengths, ids, seg_owner, seg_slots, warp_full, depth,
-        cost,
-    ) -> np.ndarray:
-        """Closed-form SELECT for all-ones biases (one draw block per depth).
+    # Charges and draws shared by the three specialisations
+    # ------------------------------------------------------------------ #
+    def _charge_ctps_build(self, len_a: np.ndarray, cost: CostModel) -> None:
+        """The closed forms of the CTPS work a specialisation skips:
+        segmented scan, normalisation and draw accounting, exactly the
+        counters ``segmented_warp_select`` accumulates over these pools."""
+        num_alloc = int(len_a.size)
+        # Segmented Kogge-Stone scan over the allocated bias segments.
+        steps = _ceil_log2(len_a)
+        chunks = np.maximum(1, (len_a + 31) // 32)
+        lanes = np.minimum(len_a, 32)
+        cost.prefix_sum_steps += int((steps * chunks).sum())
+        cost.warp_steps += int(steps.sum())
+        cost.lane_ops += int((steps * lanes).sum())
+        cost.charge_global_bytes(int(len_a.sum()) * 8)
+        # CTPS normalisation: one warp step per segment.
+        cost.warp_steps += num_alloc
+        cost.lane_ops += int(lanes.sum())
+        # Draw accounting (segmented ITS).
+        draws = num_alloc * int(self.config.neighbor_size)
+        cost.rng_draws += draws
+        cost.selection_attempts += draws
+
+    @staticmethod
+    def _charge_search(n_draw: np.ndarray, cost: CostModel) -> None:
+        """Binary-search charges (one per draw, as ``SegmentedCTPS.search``)."""
+        search_steps = int(np.maximum(1, _ceil_log2(n_draw + 1)).sum())
+        cost.binary_search_steps += search_steps
+        cost.charge_global_bytes(search_steps * 8)
+
+    def _charge_warp_wrapper(self, num_alloc: int, cost: CostModel) -> None:
+        """With-replacement warp wrapper: one lock-step instruction per warp."""
+        cost.warp_steps += num_alloc
+        cost.lane_ops += min(int(self.config.neighbor_size), 32) * num_alloc
+
+    def _draw_coords(self, coords) -> List[np.ndarray]:
+        """Per-draw ``[instance, depth, third, warp, lane]`` coordinates."""
+        ns = int(self.config.neighbor_size)
+        num_alloc = int(coords[0].size)
+        lanes = np.tile(np.arange(ns, dtype=np.int64), num_alloc)
+        return [_per_draw(c, ns) for c in coords] + [lanes]
+
+    def _numba_args(self, draw_coords) -> list:
+        """The jitted kernels' leading arguments: the seed, then uint64 coordinates."""
+        return [np.uint64(self.rng.seed)] + [
+            c.astype(np.uint64) for c in draw_coords
+        ]
+
+    # ------------------------------------------------------------------ #
+    def _uniform_select(self, len_a, coords, cost) -> np.ndarray:
+        """Closed-form SELECT for all-ones biases (one draw block per kernel).
 
         Charges the exact counters the interpreted path accumulates while
         building and searching the ones-CTPS -- segmented scan, CTPS
@@ -425,124 +603,53 @@ class CompiledWalkKernel:
         with-replacement warp wrapper -- then draws and searches directly.
         """
         ns = int(self.config.neighbor_size)
-        num_alloc = int(allocated.size)
-        len_a = lengths[allocated]
-        # Segmented Kogge-Stone scan over the allocated ones-segments.
-        steps = _ceil_log2(len_a)
-        chunks = np.maximum(1, (len_a + 31) // 32)
-        cost.prefix_sum_steps += int((steps * chunks).sum())
-        cost.warp_steps += int(steps.sum())
-        cost.lane_ops += int((steps * np.minimum(len_a, 32)).sum())
-        cost.charge_global_bytes(int(len_a.sum()) * 8)
-        # CTPS normalisation: one warp step per segment.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += int(np.minimum(len_a, 32).sum())
-        # Draw accounting (segmented ITS).
-        draws = num_alloc * ns
-        cost.rng_draws += draws
-        cost.selection_attempts += draws
-        # Per-draw coordinates: (instance, depth, slot + 1, warp, lane).
-        owners = seg_owner[allocated]
-        coord_inst = np.repeat(ids[owners], ns)
-        coord_slot = np.repeat(seg_slots[allocated] + 1, ns)
-        coord_warp = np.repeat(warp_full[allocated], ns)
-        lanes = np.tile(np.arange(ns, dtype=np.int64), num_alloc)
-        n_draw = np.repeat(len_a, ns)
+        self._charge_ctps_build(len_a, cost)
+        draw_coords = self._draw_coords(coords)
+        n_draw = _per_draw(len_a, ns)
         if self._numba_select is not None:
-            idx = self._numba_select(
-                np.uint64(self.rng.seed),
-                coord_inst.astype(np.uint64),
-                np.full(draws, depth, dtype=np.uint64),
-                coord_slot.astype(np.uint64),
-                coord_warp.astype(np.uint64),
-                lanes.astype(np.uint64),
-                n_draw,
-            )
+            idx = self._numba_select(*self._numba_args(draw_coords), n_draw)
         else:
-            rs = np.atleast_1d(
-                self.rng.uniform(coord_inst, depth, coord_slot, coord_warp, lanes)
-            )
+            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
             idx = uniform_local_search(rs, n_draw)
-        # Binary-search charges (one per draw, as SegmentedCTPS.search).
-        search_steps = int(np.maximum(1, _ceil_log2(n_draw + 1)).sum())
-        cost.binary_search_steps += search_steps
-        cost.charge_global_bytes(search_steps * 8)
-        # With-replacement warp wrapper: one lock-step instruction per warp.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += min(ns, 32) * num_alloc
+        self._charge_search(n_draw, cost)
+        self._charge_warp_wrapper(int(len_a.size), cost)
         return idx
 
     # ------------------------------------------------------------------ #
-    def _cached_biased_select(
-        self, allocated, seg_vertices, lengths, ids, seg_owner, seg_slots,
-        warp_full, depth, cost,
-    ) -> np.ndarray:
+    def _cached_biased_select(self, verts_a, len_a, coords, cost) -> np.ndarray:
         """Structure-reuse SELECT for weight/degree biases.
 
         The interpreted path re-scans every allocated pool's biases into a
-        fresh :class:`SegmentedCTPS` each depth step; here the per-graph
-        cached prefix answers the same binary searches, so the kernel only
-        applies the *charges* of the scan and normalisation it skipped
-        (identical closed forms) and then searches the cached prefix with
-        the same draws -- bit-identical indices at O(draws) work per step.
+        fresh :class:`SegmentedCTPS` each kernel; here the per-graph cached
+        prefix answers the same binary searches, so the kernel only applies
+        the *charges* of the scan and normalisation it skipped (identical
+        closed forms) and then searches the cached prefix with the same
+        draws -- bit-identical indices at O(draws) work per kernel.
         """
         ns = int(self.config.neighbor_size)
-        num_alloc = int(allocated.size)
-        len_a = lengths[allocated]
-        # Segmented Kogge-Stone scan over the allocated bias segments.
-        steps = _ceil_log2(len_a)
-        chunks = np.maximum(1, (len_a + 31) // 32)
-        cost.prefix_sum_steps += int((steps * chunks).sum())
-        cost.warp_steps += int(steps.sum())
-        cost.lane_ops += int((steps * np.minimum(len_a, 32)).sum())
-        cost.charge_global_bytes(int(len_a.sum()) * 8)
-        # CTPS normalisation: one warp step per segment.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += int(np.minimum(len_a, 32).sum())
-        # Draw accounting (segmented ITS).
-        draws = num_alloc * ns
-        cost.rng_draws += draws
-        cost.selection_attempts += draws
-        # Per-draw coordinates: (instance, depth, slot + 1, warp, lane).
-        owners = seg_owner[allocated]
-        coord_inst = np.repeat(ids[owners], ns)
-        coord_slot = np.repeat(seg_slots[allocated] + 1, ns)
-        coord_warp = np.repeat(warp_full[allocated], ns)
-        lanes = np.tile(np.arange(ns, dtype=np.int64), num_alloc)
+        self._charge_ctps_build(len_a, cost)
+        draw_coords = self._draw_coords(coords)
         ctps = self._structures.ctps
-        verts = np.repeat(seg_vertices[allocated], ns)
+        verts = _per_draw(verts_a, ns)
         if self._numba_prefix_search is not None:
-            n_draw = np.repeat(len_a, ns)
+            n_draw = _per_draw(len_a, ns)
             idx = self._numba_prefix_search(
-                np.uint64(self.rng.seed),
-                coord_inst.astype(np.uint64),
-                np.full(draws, depth, dtype=np.uint64),
-                coord_slot.astype(np.uint64),
-                coord_warp.astype(np.uint64),
-                lanes.astype(np.uint64),
+                *self._numba_args(draw_coords),
                 self.graph.row_ptr[verts],
                 n_draw,
                 ctps.prefix,
                 ctps.totals[verts],
             )
-            # Binary-search charges (as SegmentedCTPS.search applies them).
-            search_steps = int(np.maximum(1, _ceil_log2(n_draw + 1)).sum())
-            cost.binary_search_steps += search_steps
-            cost.charge_global_bytes(search_steps * 8)
+            self._charge_search(n_draw, cost)
         else:
-            rs = np.atleast_1d(
-                self.rng.uniform(coord_inst, depth, coord_slot, coord_warp, lanes)
-            )
-            idx = ctps.search(rs, verts, cost)
-        # With-replacement warp wrapper: one lock-step instruction per warp.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += min(ns, 32) * num_alloc
+            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
+            idx = ctps.search(rs, verts, cost)  # charges the search itself
+        self._charge_warp_wrapper(int(len_a.size), cost)
         return idx
 
     # ------------------------------------------------------------------ #
     def _node2vec_select(
-        self, allocated, seg_vertices, lengths, ids, seg_owner, seg_slots,
-        warp_full, depth, prevs, cost, prof,
+        self, verts, len_a, pr, coords, cost, prof
     ) -> np.ndarray:
         """Structure-reuse SELECT for second-order (node2vec) biases.
 
@@ -551,31 +658,16 @@ class CompiledWalkKernel:
         prefix is built at most once -- by the exact stamp-loop formula and
         segmented scan the interpreted hook runs -- and cached in the
         per-graph :class:`Node2VecPrefixTable`.  Hits cost a dict lookup;
-        only misses materialise their pools.  Either way the step charges
+        only misses materialise their pools.  Either way the kernel charges
         the closed forms of the full gather/scan/normalise work (identical
         to the interpreted path) and searches with the same draws.
+        ``pr`` is each segment's walker's ``prev`` vertex (-1 at a seed).
         """
         ns = int(self.config.neighbor_size)
-        num_alloc = int(allocated.size)
-        len_a = lengths[allocated]
-        # Segmented Kogge-Stone scan over the allocated bias segments.
-        steps = _ceil_log2(len_a)
-        chunks = np.maximum(1, (len_a + 31) // 32)
-        cost.prefix_sum_steps += int((steps * chunks).sum())
-        cost.warp_steps += int(steps.sum())
-        cost.lane_ops += int((steps * np.minimum(len_a, 32)).sum())
-        cost.charge_global_bytes(int(len_a.sum()) * 8)
-        # CTPS normalisation: one warp step per segment.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += int(np.minimum(len_a, 32).sum())
-        # Draw accounting (segmented ITS).
-        draws = num_alloc * ns
-        cost.rng_draws += draws
-        cost.selection_attempts += draws
+        num_alloc = int(len_a.size)
+        self._charge_ctps_build(len_a, cost)
         # Resolve the cached prefix row of each walker's traversed edge.
         table = self._n2v_table
-        verts = seg_vertices[allocated]
-        pr = prevs[seg_owner[allocated]]
         nv = np.int64(self.graph.num_vertices)
         keys = np.where(pr >= 0, pr * nv + verts, -(verts + np.int64(1)))
         row_off = np.empty(num_alloc, dtype=np.int64)
@@ -598,44 +690,27 @@ class CompiledWalkKernel:
             row_off[m] = table.append(pref, moff, keys[m], tots)
             row_tot[m] = tots
             prof.lap("bias_build")
-        # Per-draw coordinates: (instance, depth, slot + 1, warp, lane).
-        owners = seg_owner[allocated]
-        coord_inst = np.repeat(ids[owners], ns)
-        coord_slot = np.repeat(seg_slots[allocated] + 1, ns)
-        coord_warp = np.repeat(warp_full[allocated], ns)
-        lanes = np.tile(np.arange(ns, dtype=np.int64), num_alloc)
-        n_draw = np.repeat(len_a, ns)
+        draw_coords = self._draw_coords(coords)
+        n_draw = _per_draw(len_a, ns)
         if self._numba_prefix_search is not None:
             idx = self._numba_prefix_search(
-                np.uint64(self.rng.seed),
-                coord_inst.astype(np.uint64),
-                np.full(draws, depth, dtype=np.uint64),
-                coord_slot.astype(np.uint64),
-                coord_warp.astype(np.uint64),
-                lanes.astype(np.uint64),
-                np.repeat(row_off, ns),
+                *self._numba_args(draw_coords),
+                _per_draw(row_off, ns),
                 n_draw,
                 table.buffer,
-                np.repeat(row_tot, ns),
+                _per_draw(row_tot, ns),
             )
         else:
-            rs = np.atleast_1d(
-                self.rng.uniform(coord_inst, depth, coord_slot, coord_warp, lanes)
-            )
+            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
             idx = prefix_local_search(
                 table.buffer,
-                np.repeat(row_off, ns),
+                _per_draw(row_off, ns),
                 n_draw,
-                np.repeat(row_tot, ns),
+                _per_draw(row_tot, ns),
                 rs,
             )
-        # Binary-search charges (as SegmentedCTPS.search applies them).
-        search_steps = int(np.maximum(1, _ceil_log2(n_draw + 1)).sum())
-        cost.binary_search_steps += search_steps
-        cost.charge_global_bytes(search_steps * 8)
-        # With-replacement warp wrapper: one lock-step instruction per warp.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += min(ns, 32) * num_alloc
+        self._charge_search(n_draw, cost)
+        self._charge_warp_wrapper(num_alloc, cost)
         return idx
 
     def _build_n2v_rows(self, mv, mp, ml):

@@ -75,6 +75,30 @@ def record_iterations(sink, inst, iters: np.ndarray) -> None:
         sink.extend(iters.tolist())
 
 
+def grouped_warp_ids(groups: np.ndarray, cursors: np.ndarray) -> np.ndarray:
+    """Next warp ids for segments owned by ``groups``, advancing ``cursors``.
+
+    Segment ``k`` gets ``cursors[groups[k]]`` plus the number of earlier
+    segments of the same group -- each group's ids are sequential in segment
+    order, as if the groups had been walked one at a time -- computed as one
+    grouped running count (stable sort by group, position minus run start),
+    so a batch of single-walker groups costs one sort, not one pass each.
+    """
+    num = groups.size
+    order = np.argsort(groups, kind="stable")
+    by_group = groups[order]
+    is_start = np.ones(num, dtype=bool)
+    is_start[1:] = by_group[1:] != by_group[:-1]
+    run_starts = np.flatnonzero(is_start)
+    run_lengths = np.diff(np.append(run_starts, num))
+    ids = np.empty(num, dtype=np.int64)
+    ids[order] = cursors[by_group] + (
+        np.arange(num, dtype=np.int64) - np.repeat(run_starts, run_lengths)
+    )
+    cursors[by_group[run_starts]] += run_lengths
+    return ids
+
+
 def validate_biases(biases: np.ndarray, expected: int, label: str) -> np.ndarray:
     """Validate a user bias array (shared by the sampler and the engine)."""
     biases = np.asarray(biases, dtype=np.float64).reshape(-1)
@@ -189,13 +213,7 @@ class BatchedStepEngine:
             dtype=np.int64,
             count=len(instances),
         )
-        for group in np.unique(groups[alloc]):
-            members = alloc & (groups == group)
-            count = int(members.sum())
-            warp_ids[members] = self._group_warp_cursors[group] + np.arange(
-                count, dtype=np.int64
-            )
-            self._group_warp_cursors[group] += count
+        warp_ids[alloc] = grouped_warp_ids(groups[alloc], self._group_warp_cursors)
         return warp_ids
 
     def _alloc_warp_block_for(

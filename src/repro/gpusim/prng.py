@@ -25,14 +25,21 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MAX = np.float64(2.0**64)
 
 
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` on a uint64 array, overflow warnings the caller's."""
+    z = x + _GOLDEN
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorised SplitMix64 finaliser: maps uint64 -> well-mixed uint64."""
     with np.errstate(over="ignore"):
-        z = (np.asarray(x, dtype=np.uint64) + _GOLDEN).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return z
+        return _mix(np.asarray(x, dtype=np.uint64))
 
 
 class CounterRNG:
@@ -58,9 +65,9 @@ class CounterRNG:
         arrays = [np.asarray(c, dtype=np.uint64) for c in coords]
         result = np.broadcast_arrays(*arrays) if len(arrays) > 1 else arrays
         acc = np.full(result[0].shape if result[0].shape else (), self._seed, dtype=np.uint64)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # entered once, not per coordinate
             for i, arr in enumerate(result):
-                acc = splitmix64(acc ^ (arr + np.uint64(i + 1) * _GOLDEN))
+                acc = _mix(acc ^ (arr + np.uint64(i + 1) * _GOLDEN))
         return acc
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,8 @@ make partition sizes wildly unequal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -75,12 +76,22 @@ def range_owners(
 
 @dataclass(frozen=True)
 class VertexRangePartition:
-    """One partition: vertices ``[lo, hi)`` and their full neighbor lists."""
+    """One partition: vertices ``[lo, hi)`` and their full neighbor lists.
+
+    Footprints (:attr:`num_edges`, :attr:`nbytes`) are closed forms over the
+    parent graph's ``row_ptr`` -- the scheduler reads nothing else -- so the
+    CSR slice itself is only copied out when :attr:`subgraph` is first read.
+    """
 
     index: int
     lo: int
     hi: int
-    subgraph: CSRGraph
+    graph: CSRGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def subgraph(self) -> CSRGraph:
+        """The partition's CSR slice (built on first access, then kept)."""
+        return self.graph.subgraph_by_vertex_range(self.lo, self.hi)
 
     @property
     def num_vertices(self) -> int:
@@ -90,12 +101,21 @@ class VertexRangePartition:
     @property
     def num_edges(self) -> int:
         """Number of edges stored in this partition."""
-        return self.subgraph.num_edges
+        row_ptr = self.graph.row_ptr
+        return int(row_ptr[self.hi] - row_ptr[self.lo])
 
     @property
     def nbytes(self) -> int:
-        """Memory footprint of the partition's CSR slice in bytes."""
-        return self.subgraph.nbytes
+        """Memory footprint of the partition's CSR slice in bytes.
+
+        Exactly ``subgraph.nbytes``: a full-height ``row_ptr`` plus one
+        ``col_idx`` (and, when weighted, one ``weights``) entry per edge.
+        """
+        graph = self.graph
+        per_edge = graph.col_idx.itemsize
+        if graph.weights is not None:
+            per_edge += graph.weights.itemsize
+        return int(graph.row_ptr.nbytes + self.num_edges * per_edge)
 
     def owns(self, vertex: int) -> bool:
         """Whether ``vertex`` belongs to this partition's range."""
@@ -132,7 +152,7 @@ class PartitionSet:
                 index=i,
                 lo=int(bounds[i]),
                 hi=int(bounds[i + 1]),
-                subgraph=graph.subgraph_by_vertex_range(int(bounds[i]), int(bounds[i + 1])),
+                graph=graph,
             )
             for i in range(bounds.size - 1)
         ]

@@ -15,9 +15,11 @@ produces identical samples, iteration counts and cost totals through the
 planner as through the old per-facade paths (asserted by
 ``tests/integration/test_cross_route_matrix.py``).
 
-The executor only ever talks to ``engine.step_instances`` /
-``engine.expand_entries``, so the equivalence suites hand it the scalar
-MAIN-loop oracle (:mod:`repro.baselines.reference`) in the engine's place.
+Unless the plan resolves to the fused walk kernel (whose depth-loop and
+drain drivers then take the engine's place), the executor only ever talks to
+``engine.step_instances`` / ``engine.expand_entries``, so the equivalence
+suites hand it the scalar MAIN-loop oracle
+(:mod:`repro.baselines.reference`) in the engine's place.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class Executor:
         if route == "in_memory":
             return self._run_in_memory(instances)
         if route == "out_of_memory":
-            return self._run_out_of_memory(list(instances))
+            return self._run_out_of_memory(instances)
         if route == "sharded":
             return self._run_sharded(list(instances))
         raise ValueError(f"unknown route {route!r}")  # pragma: no cover
@@ -245,7 +247,7 @@ class Executor:
     # ================================================================== #
     # Out-of-memory partition scheduling (Section V) -- the OOM route
     # ================================================================== #
-    def _run_out_of_memory(self, instances: List[InstanceState]):
+    def _run_out_of_memory(self, batch: InstanceBatch):
         from repro.oom.scheduler import OutOfMemoryResult
 
         oom = self.plan.layout.oom
@@ -253,10 +255,37 @@ class Executor:
         queues: Dict[int, FrontierQueue] = {
             p: FrontierQueue() for p in range(len(partitions))
         }
-        for inst in instances:
-            owners = partitions.owner(inst.frontier_pool)
-            for seed, owner in zip(inst.frontier_pool, owners):
-                queues[int(owner)].push(int(seed), inst.instance_id, 0)
+        # Seeds enter the queue of the partition that owns them, instance by
+        # instance in seed order: one owner lookup over the seed column.
+        seed_ids = np.repeat(batch.instance_ids, np.diff(batch.seed_offsets))
+        self._route_entries(
+            queues, batch.seeds, seed_ids, np.zeros_like(batch.seeds)
+        )
+
+        resolution = resolve_step(
+            self.plan.config, self.plan.route, program=self.program
+        )
+        if resolution.kernel == "walk":
+            # The drain driver of the fused kernel: the same schedule, kernel
+            # boundaries and charges, with walker state kept as columns.
+            kernel = CompiledWalkKernel(
+                self.engine, kind=resolution.kind, backend=resolution.backend
+            )
+            kernel.begin(batch)
+            expand, finish = kernel.expand, kernel.finish
+        else:
+            instances = batch.states()
+            instance_map = {inst.instance_id: inst for inst in instances}
+            iteration_counts: List[int] = []
+
+            def expand(vertices, instance_ids, depths, cost):
+                return self.engine.expand_entries(
+                    vertices, instance_ids, depths, instance_map, cost,
+                    iteration_counts,
+                )
+
+            def finish():
+                return SampleColumns.from_instances(instances), iteration_counts
 
         transfer_engine = TransferEngine(self.device.spec.pcie_bandwidth_bytes)
         residency = PartitionResidency(
@@ -266,8 +295,6 @@ class Executor:
         total_cost = CostModel()
         kernel_times: List[float] = []
         transfer_times: List[float] = []
-        iteration_counts: List[int] = []
-        instance_map = {inst.instance_id: inst for inst in instances}
         rounds = 0
 
         while any(len(q) for q in queues.values()):
@@ -293,12 +320,11 @@ class Executor:
                         self._drain_partition(
                             partition_index,
                             queues,
-                            instance_map,
+                            expand,
                             fraction,
                             stream,
                             total_cost,
                             kernel_times,
-                            iteration_counts,
                             oom,
                         )
                     # Paper: the actively sampled partition is released only
@@ -306,9 +332,10 @@ class Executor:
                     # ensures.
                     residency.release(partition_index)
 
-        sample = SampleResult.from_instances(
-            instances,
-            total_cost.copy(),
+        samples, iteration_counts = finish()
+        sample = SampleResult(
+            samples=samples,
+            cost=total_cost.copy(),
             iteration_counts=iteration_counts,
             metadata={"program": self.program.name, "oom": True},
         )
@@ -325,6 +352,15 @@ class Executor:
             stream_busy_times=[s.busy_time() for s in timeline.streams],
         )
 
+    def _route_entries(self, queues, vertices, instance_ids, depths) -> None:
+        """Push entries onto the queue of the partition owning each vertex."""
+        owners = self.partitions.owner(vertices)
+        for owner in np.unique(owners).tolist():
+            mask = owners == owner
+            queues[owner].push_batch(
+                vertices[mask], instance_ids[mask], depths[mask]
+            )
+
     def _choose_partitions(self, active: Dict[int, int], oom) -> List[int]:
         """Pick up to ``num_kernels`` partitions to sample this round."""
         limit = min(oom.num_kernels, oom.max_resident_partitions, len(active))
@@ -338,15 +374,19 @@ class Executor:
         self,
         partition_index: int,
         queues: Dict[int, FrontierQueue],
-        instance_map: Dict[int, InstanceState],
+        expand: Callable,
         fraction: float,
         stream,
         total_cost: CostModel,
         kernel_times: List[float],
-        iteration_counts: List[int],
         oom,
     ) -> None:
-        """Sample a resident partition until its frontier queue is empty."""
+        """Sample a resident partition until its frontier queue is empty.
+
+        ``expand(vertices, instance_ids, depths, cost)`` runs one kernel over
+        a group of entries and returns their successor entries -- the walk
+        kernel's drain driver or the engine's ``expand_entries``.
+        """
         queue = queues[partition_index]
         while len(queue):
             vertices, instance_ids, depths = queue.pop_all()
@@ -356,21 +396,11 @@ class Executor:
                 groups = group_entries_by_instance(vertices, instance_ids, depths)
             for group_vertices, group_instances, group_depths in groups:
                 kernel_cost = CostModel()
-                succ_v, succ_i, succ_d = self.engine.expand_entries(
-                    group_vertices,
-                    group_instances,
-                    group_depths,
-                    instance_map,
-                    kernel_cost,
-                    iteration_counts,
+                succ_v, succ_i, succ_d = expand(
+                    group_vertices, group_instances, group_depths, kernel_cost
                 )
                 if succ_v.size:
-                    owners = self.partitions.owner(succ_v)
-                    for owner in np.unique(owners):
-                        mask = owners == owner
-                        queues[int(owner)].push_batch(
-                            succ_v[mask], succ_i[mask], succ_d[mask]
-                        )
+                    self._route_entries(queues, succ_v, succ_i, succ_d)
                 kernel_cost.kernel_launches += 1
                 launch = KernelLaunch(
                     name=f"kernel:p{partition_index}",

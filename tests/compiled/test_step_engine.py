@@ -100,3 +100,43 @@ class TestDeclaredShapeEquivalence:
         assert interp.cost.as_dict() == compiled.cost.as_dict()
         for a, b in zip(interp.samples, compiled.samples):
             assert np.array_equal(a.edges, b.edges)
+
+
+class TestGroupedWarpIds:
+    """``_alloc_warp_block`` with warp groups: one grouped running count."""
+
+    @staticmethod
+    def loop_reference(groups, alloc, cursors):
+        """The per-group loop the running count replaced."""
+        warp_ids = np.full(alloc.size, -1, dtype=np.int64)
+        for group in np.unique(groups[alloc]):
+            members = alloc & (groups == group)
+            count = int(members.sum())
+            warp_ids[members] = cursors[group] + np.arange(count, dtype=np.int64)
+            cursors[group] += count
+        return warp_ids
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_loop_on_random_layouts(self, graph, seed):
+        rng = np.random.default_rng(seed)
+        num_groups = int(rng.integers(1, 12))
+        num_segments = int(rng.integers(0, 40))
+        # Repeated and interleaved groups, some never allocated, some
+        # segments unallocated; a per-walker layout when groups are distinct.
+        groups = rng.integers(0, num_groups, num_segments)
+        alloc = rng.random(num_segments) < 0.7
+        start = rng.integers(0, 50, num_groups)
+
+        info = ALGORITHM_REGISTRY["simple_random_walk"]
+        engine = BatchedStepEngine(
+            graph, info.program_factory(), info.config_factory(), CounterRNG(0)
+        )
+        instances = [object() for _ in range(num_segments)]
+        engine.set_warp_groups(
+            {id(inst): int(g) for inst, g in zip(instances, groups)},
+            num_groups, initial_cursors=start,
+        )
+        expected_cursors = start.astype(np.int64)
+        expected = self.loop_reference(groups, alloc, expected_cursors)
+        assert np.array_equal(engine._alloc_warp_block(instances, alloc), expected)
+        assert np.array_equal(engine.group_cursors(), expected_cursors)

@@ -44,6 +44,26 @@ class TestPartition:
                     p.subgraph.neighbors(v), small_powerlaw_graph.neighbors(v)
                 )
 
+    @pytest.mark.parametrize("balance", ["vertices", "edges"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_footprints_equal_the_materialised_slice(
+        self, small_powerlaw_graph, small_weighted_graph, weighted, balance
+    ):
+        """``nbytes`` / ``num_edges`` are closed forms; the slice is lazy.
+
+        Transfer durations -- and through them ``sim_seps`` -- are computed
+        from ``nbytes``, so the closed form must equal the slice's exactly.
+        """
+        graph = small_weighted_graph if weighted else small_powerlaw_graph
+        parts = partition_graph(graph, 3, balance=balance)
+        for p in parts:
+            assert "subgraph" not in vars(p)  # reading footprints copies nothing
+            footprint = (p.nbytes, p.num_edges)
+            assert footprint == (p.subgraph.nbytes, p.subgraph.num_edges)
+            assert p.subgraph is p.subgraph  # built once
+        assert list(parts.sizes_bytes()) == [p.subgraph.nbytes for p in parts]
+        assert list(parts.edge_counts()) == [p.subgraph.num_edges for p in parts]
+
     def test_edge_balanced_partition(self):
         g = powerlaw_graph(1000, 10.0, seed=4)
         by_vertex = partition_graph(g, 4, balance="vertices")

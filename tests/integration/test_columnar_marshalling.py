@@ -3,9 +3,10 @@
 A walk-shaped plan goes columns in (``InstanceBatch``), columns out
 (``SampleColumns``): boxing every walker into an ``InstanceState`` and
 writing its edges back through ``record_edges`` used to cost three quarters
-of a 4000-walker ``sample_graph``.  These spies count both on the in-memory
-and the coalesced walk routes (zero), and on an engine-route algorithm, which
-still steps one ``InstanceState`` per instance (exactly ``n``).
+of a 4000-walker ``sample_graph``.  These spies count both on the in-memory,
+the coalesced and the out-of-memory walk routes (zero), and on an
+engine-route algorithm, which still steps one ``InstanceState`` per instance
+(exactly ``n``) on the same routes.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.api.sampler import sample_graph
 from repro.compiled import resolve_step
 from repro.engine.hetero import run_coalesced
 from repro.graph.generators import powerlaw_graph
+from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
 SEEDS = list(range(0, 150, 15))
 WALK_ALGORITHMS = sorted(
@@ -79,6 +81,38 @@ def test_walk_kernel_run_coalesced_boxes_nothing(graph, boxed, algorithm):
     assert [len(r.samples) for r in results] == [4, len(SEEDS) - 4]
     assert sum(r.total_sampled_edges for r in results) > 0
     assert boxed == {"states": 0, "record_edges": 0}
+
+
+@pytest.mark.parametrize("algorithm", WALK_ALGORITHMS)
+def test_walk_kernel_out_of_memory_boxes_nothing(graph, boxed, algorithm):
+    info = ALGORITHM_REGISTRY[algorithm]
+    config = info.config_factory(seed=11)
+    assert resolve_step(
+        config, "out_of_memory", program=info.program_factory()
+    ).kernel == "walk"
+    ran = OutOfMemorySampler(
+        graph, info.program_factory(), config,
+        OutOfMemoryConfig.fully_optimized(num_partitions=3),
+    ).run(SEEDS)
+    assert ran.total_sampled_edges > 0
+    assert boxed == {"states": 0, "record_edges": 0}
+    assert [s.instance_id for s in ran.sample.samples] == list(range(len(SEEDS)))
+    assert boxed == {"states": 0, "record_edges": 0}
+
+
+def test_engine_algorithm_out_of_memory_still_builds_one_state_each(graph, boxed):
+    info = ALGORITHM_REGISTRY["unbiased_neighbor_sampling"]
+    config = info.config_factory(seed=11)
+    assert resolve_step(
+        config, "out_of_memory", program=info.program_factory()
+    ).kernel == "engine"
+    ran = OutOfMemorySampler(
+        graph, info.program_factory(), config,
+        OutOfMemoryConfig.fully_optimized(num_partitions=3),
+    ).run(SEEDS)
+    assert ran.total_sampled_edges > 0
+    assert boxed["states"] == len(SEEDS)
+    assert boxed["record_edges"] > 0
 
 
 def test_engine_route_still_steps_one_state_per_instance(graph, boxed):
