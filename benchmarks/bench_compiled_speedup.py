@@ -49,7 +49,7 @@ from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import make_instances
 from repro.api.results import SampleResult
 from repro.api.sampler import GraphSampler
-from repro.compiled import CompiledStepEngine, available_backends, force_backend
+from repro.compiled import available_backends, force_backend
 from repro.gpusim.costmodel import CostModel
 from repro.graph.generators import powerlaw_graph
 
@@ -110,7 +110,7 @@ def _run(graph, seeds, num_instances, info, config):
 def _run_stepped_on_engine(graph, seeds, num_instances, info, config):
     """The executor's depth loop minus the walk kernel it would fuse into."""
     engine = GraphSampler(graph, info.program_factory(), config).engine
-    assert isinstance(engine, CompiledStepEngine)
+    assert engine.kind is not None
     instances = make_instances(seeds, num_instances=num_instances)
     total, iteration_counts = CostModel(), []
     for depth in range(config.depth):

@@ -11,9 +11,9 @@ neighbor and the visited edge joins the sample.
   transition probability.
 
 :func:`run_random_walks` is the high-throughput entry point used by the SEPS
-benchmarks: it advances all walkers together with the vectorised
-:func:`~repro.api.select.batch_walk_step` fast path, producing one simulated
-kernel per step, which is how C-SAW's GPU kernels batch thousands of walker
+benchmarks (Figures 9, 16, 17): it advances all walkers together, one
+vectorised step at a time, charging the per-walker costs the warp-accurate
+path would, which is how C-SAW's GPU kernels batch thousands of walker
 instances.
 """
 
@@ -27,7 +27,6 @@ from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 from repro.api.instance import make_instances
 from repro.api.results import SampleColumns, SampleResult
-from repro.api.select import batch_walk_step
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, make_device
 from repro.gpusim.kernel import KernelLaunch
@@ -120,29 +119,52 @@ def run_random_walks(
     device = device if device is not None else make_device("gpu")
     rng = CounterRNG(seed)
     batch = make_instances(np.asarray(seeds).reshape(-1), num_instances=num_walkers)
-    current = batch.seeds  # one seed per walker
-    active = np.ones(current.size, dtype=bool)
-    edge_bias = "weight" if (biased and graph.is_weighted) else "uniform"
+    current = batch.seeds.copy()  # one seed per walker
+    live = np.arange(current.size, dtype=np.int64)
+    # Static weight biases: one graph-wide running sum serves every step.
+    cumsum = np.cumsum(graph.weights) if biased and graph.is_weighted else None
 
-    walker_parts, src_parts, dst_parts = [], [], []
+    empty = np.empty(0, dtype=np.int64)
+    walker_parts, src_parts, dst_parts = [empty], [empty], [empty]
     # C-SAW is free of bulk-synchronous stepping: one warp owns one walker for
     # its entire walk, so the whole job is a single kernel whose warp tasks
     # are the walkers (Section IV-A).  The cost of every step accumulates into
     # that one launch.
     job_cost = CostModel()
     for step in range(walk_length):
-        nxt, moved = batch_walk_step(
-            graph, current, rng, step, edge_bias=edge_bias, cost=job_cost, active=active
-        )
-        moved_idx = np.nonzero(moved)[0]
-        walker_parts.append(moved_idx)
-        src_parts.append(current[moved_idx])
-        dst_parts.append(nxt[moved_idx])
         # Walkers stranded on zero-degree vertices stop for good.
-        active &= ~(active & ~moved & (graph.degrees[current] == 0))
-        current = nxt
-        if not active.any():
+        live = live[graph.degrees[current[live]] > 0]
+        if live.size == 0:
             break
+        src = current[live]
+        starts, degs = graph.row_ptr[src], graph.degrees[src]
+        # Walkers use their array position as the lane coordinate.
+        rs = np.atleast_1d(rng.uniform(live, np.int64(step)))
+        if cumsum is None:
+            pos = starts + np.minimum((rs * degs).astype(np.int64), degs - 1)
+        else:
+            # Segment-local inverse transform sampling on the global weight
+            # cumsum: target = cumsum[start-1] + r * row_total.
+            lo = np.where(starts > 0, cumsum[starts - 1], 0.0)
+            hi = cumsum[starts + degs - 1]
+            pos = np.searchsorted(cumsum, lo + rs * (hi - lo), side="right")
+            pos = np.maximum(np.minimum(pos, starts + degs - 1), starts)
+        current[live] = graph.col_idx[pos]
+        walker_parts.append(live)
+        src_parts.append(src)
+        dst_parts.append(current[live])
+        # Per walker: CSR row gather, CTPS build over its degree, one RNG
+        # draw, one binary search; charged in aggregate.
+        job_cost.rng_draws += int(live.size)
+        job_cost.selection_attempts += int(live.size)
+        job_cost.charge_global_bytes(int(np.sum(degs) * 8) + int(live.size) * 16)
+        log_degs = np.ceil(np.log2(np.maximum(degs, 2)))
+        job_cost.binary_search_steps += int(log_degs.sum())
+        job_cost.prefix_sum_steps += (
+            int(degs.sum()) if cumsum is None else int((log_degs * degs).sum())
+        )
+        job_cost.charge_warp_step(int(live.size), active_lanes=1)
+        job_cost.sampled_edges += int(live.size)
     job_cost.kernel_launches += 1
     kernels = [
         KernelLaunch(

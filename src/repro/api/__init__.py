@@ -30,7 +30,7 @@ from repro.api.instance import InstanceBatch, InstanceState, make_instances
 from repro.api.requests import SampleRequest, SampleResponse
 from repro.api.results import SampleColumns, SampleResult, InstanceSample
 from repro.api.sampler import GraphSampler, sample_graph
-from repro.api.select import warp_select, gather_neighbors, batch_walk_step
+from repro.api.select import warp_select, gather_neighbors
 
 __all__ = [
     "SamplingProgram",
@@ -55,5 +55,4 @@ __all__ = [
     "sample_graph",
     "warp_select",
     "gather_neighbors",
-    "batch_walk_step",
 ]

@@ -18,8 +18,8 @@ of the step are warp tasks inside it, which is how the result's kernel-time
 and SEPS numbers are obtained.
 
 The step body runs on the batched execution engine
-(:class:`repro.engine.BatchedStepEngine`, or its compiled specialisation
-when the program's declared shape allows), which executes every instance's
+(:class:`repro.engine.BatchedStepEngine`, its hook sites bound to the
+program's declared shapes when those allow), which executes every instance's
 gather / SELECT / UPDATE as flat array programs.  The original
 instance-by-instance scalar loop lives on as the test oracle in
 :mod:`repro.baselines.reference`; the engine equivalence tests assert both
@@ -73,9 +73,9 @@ class GraphSampler:
         self.algorithm = algorithm
         self.device = device if device is not None else make_device("gpu")
         self.rng = CounterRNG(config.seed)
-        from repro.compiled.step_engine import make_step_engine
+        from repro.engine.step import BatchedStepEngine
 
-        self.engine = make_step_engine(
+        self.engine = BatchedStepEngine(
             graph, program, config, self.rng, "in_memory"
         )
 

@@ -6,25 +6,17 @@ lane per requested selection, resolving collisions with the configured
 strategy and detector.  ``gather_neighbors`` is GATHERNEIGHBORS: it fetches a
 frontier vertex's adjacency slice and charges the corresponding global-memory
 traffic.
-
-``batch_walk_step`` is a vectorised fast path for random-walk workloads
-(NeighborSize = 1, sampling with replacement): it advances *every* active
-walker by one step with a handful of NumPy operations while charging the same
-per-walker costs the warp-accurate path would.  The SEPS benchmarks
-(Figures 9, 16, 17) use it so that simulating tens of thousands of walker
-steps stays fast on the host.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.api.bias import EdgePool
 from repro.api.instance import InstanceState
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.prng import CounterRNG
 from repro.gpusim.warp import WarpExecutor
 from repro.graph.csr import CSRGraph
 from repro.selection.collision import (
@@ -34,7 +26,7 @@ from repro.selection.collision import (
 )
 from repro.selection.its import sample_with_replacement
 
-__all__ = ["gather_neighbors", "warp_select", "batch_walk_step"]
+__all__ = ["gather_neighbors", "warp_select"]
 
 
 def gather_neighbors(
@@ -98,107 +90,3 @@ def warp_select(
     )
     warp.charge_divergent_loop(result.iterations)
     return result
-
-
-def batch_walk_step(
-    graph: CSRGraph,
-    current: np.ndarray,
-    rng: CounterRNG,
-    step: int,
-    *,
-    edge_bias: str = "uniform",
-    cost: Optional[CostModel] = None,
-    active: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance every walker by one step (vectorised random-walk fast path).
-
-    Parameters
-    ----------
-    graph:
-        The graph being walked.
-    current:
-        Current vertex of every walker, shape ``(num_walkers,)``.
-    rng, step:
-        Counter RNG and the step index (walkers use their array position as
-        the lane coordinate).
-    edge_bias:
-        ``"uniform"`` for unweighted transition probabilities or ``"weight"``
-        to bias by edge weight (the graph must be weighted).
-    cost:
-        Cost model charged with per-walker CTPS build + search work.
-    active:
-        Optional boolean mask of walkers to advance; inactive walkers keep
-        their vertex.
-
-    Returns
-    -------
-    (next_vertices, moved):
-        The next vertex of every walker and a boolean mask of walkers that
-        actually moved (walkers on zero-degree vertices stay put).
-    """
-    if edge_bias not in ("uniform", "weight"):
-        raise ValueError(f"unknown edge_bias {edge_bias!r}")
-    current = np.asarray(current, dtype=np.int64)
-    num_walkers = current.size
-    if active is None:
-        active = np.ones(num_walkers, dtype=bool)
-    active = np.asarray(active, dtype=bool)
-    next_vertices = current.copy()
-    moved = np.zeros(num_walkers, dtype=bool)
-    if num_walkers == 0 or not active.any():
-        return next_vertices, moved
-
-    degrees = graph.degrees[current]
-    movable = active & (degrees > 0)
-    if not movable.any():
-        return next_vertices, moved
-
-    idx = np.nonzero(movable)[0]
-    starts = graph.row_ptr[current[idx]]
-    degs = degrees[idx]
-    rs = np.atleast_1d(rng.uniform(idx.astype(np.int64), np.int64(step)))
-
-    if edge_bias == "uniform" or graph.weights is None:
-        offsets = np.minimum((rs * degs).astype(np.int64), degs - 1)
-        chosen = graph.col_idx[starts + offsets]
-    elif edge_bias == "weight":
-        # Segment-local inverse transform sampling on the global weight
-        # cumsum: target = cumsum[start-1] + r * row_total.
-        cumsum = _edge_weight_cumsum(graph)
-        lo = np.where(starts > 0, cumsum[starts - 1], 0.0)
-        hi = cumsum[starts + degs - 1]
-        targets = lo + rs * (hi - lo)
-        pos = np.searchsorted(cumsum, targets, side="right")
-        pos = np.minimum(pos, starts + degs - 1)
-        pos = np.maximum(pos, starts)
-        chosen = graph.col_idx[pos]
-
-    next_vertices[idx] = chosen
-    moved[idx] = True
-
-    if cost is not None:
-        # Per walker: CSR row gather, CTPS build over its degree, one RNG
-        # draw, one binary search; charged in aggregate.
-        cost.rng_draws += int(idx.size)
-        cost.selection_attempts += int(idx.size)
-        cost.charge_global_bytes(int(np.sum(degs) * 8) + int(idx.size) * 16)
-        log_degs = np.ceil(np.log2(np.maximum(degs, 2)))
-        cost.binary_search_steps += int(log_degs.sum())
-        cost.prefix_sum_steps += int((log_degs * degs).sum()) if edge_bias == "weight" else int(degs.sum())
-        cost.charge_warp_step(int(idx.size), active_lanes=1)
-        cost.sampled_edges += int(idx.size)
-    return next_vertices, moved
-
-
-_CUMSUM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _edge_weight_cumsum(graph: CSRGraph) -> np.ndarray:
-    """Cached cumulative sum of the graph's edge weights (static biases)."""
-    key = id(graph)
-    cached = _CUMSUM_CACHE.get(key)
-    if cached is None or cached.size != graph.num_edges:
-        weights = graph.weights if graph.weights is not None else np.ones(graph.num_edges)
-        cached = np.cumsum(weights)
-        _CUMSUM_CACHE[key] = cached
-    return cached

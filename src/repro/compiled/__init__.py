@@ -16,12 +16,13 @@ two kernels:
   structures (:mod:`repro.compiled.structures`) -- flat CTPS prefixes for
   weight/degree biases, per-traversed-edge prefix rows for node2vec -- built
   once per (graph, epoch) and reused across depth steps and requests;
-* the **compiled step engine** (:class:`~repro.compiled.step_engine.
-  CompiledStepEngine`) for every other eligible shape (without-replacement,
-  frontier and per-layer selection, visited tracking) on every route, and
-  for walk shapes on the sharded route, which steps through per-shard
-  engines: hook dispatch and per-step bias revalidation are replaced by the
-  declared shapes.
+* the **engine kernel** -- the one :class:`~repro.engine.step.
+  BatchedStepEngine` with its hook sites bound to the declared shapes
+  (:func:`~repro.compiled.step_engine.declared_sites`) -- for every other
+  eligible shape (without-replacement, frontier and per-layer selection,
+  visited tracking) on every route, and for walk shapes on the sharded
+  route, which steps through per-shard engines: hook dispatch and per-step
+  bias revalidation are replaced by the declared shapes.
 
 Two backends sit behind one interface:
 
@@ -55,7 +56,7 @@ from repro.compiled.compiler import (
     kernel_cache_stats,
     resolve_step,
 )
-from repro.compiled.step_engine import CompiledStepEngine, make_step_engine
+from repro.compiled.step_engine import declared_sites
 from repro.compiled.structures import (
     GraphStructures,
     Node2VecPrefixTable,
@@ -80,8 +81,7 @@ __all__ = [
     "compile_decision",
     "kernel_cache_stats",
     "resolve_step",
-    "CompiledStepEngine",
-    "make_step_engine",
+    "declared_sites",
     "GraphStructures",
     "Node2VecPrefixTable",
     "bind_structures",

@@ -13,7 +13,7 @@ shape alone.
 :func:`resolve_step` is the one place "which code runs the depth step" is
 decided: ``(program | algorithm name, config, route)`` plus the process-wide
 ``REPRO_COMPILED`` switch give a :class:`StepResolution` that the planner
-reports, :func:`~repro.compiled.step_engine.make_step_engine` constructs
+reports, :class:`~repro.engine.step.BatchedStepEngine` binds its hook sites
 from and the executor's depth loop instantiates the walk kernel from -- so
 what a plan says and what runs cannot disagree.  Eligible plans resolve to:
 
@@ -24,8 +24,8 @@ what a plan says and what runs cannot disagree.  Eligible plans resolve to:
   the routes it has a driver for (:data:`COMPILABLE_ROUTES`): the depth
   loop of the in-memory and coalesced routes, the partition drain of the
   out-of-memory route;
-* ``"engine"`` -- the compiled step engine
-  (:class:`~repro.compiled.step_engine.CompiledStepEngine`), which replaces
+* ``"engine"`` -- the batched engine with declared-shape hook sites
+  (:func:`~repro.compiled.step_engine.declared_sites`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
   eligible shape *and* every route (the OOM scheduler drains non-walk
   shapes through ``expand_entries``, the sharded route steps per-shard

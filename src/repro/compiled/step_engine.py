@@ -1,194 +1,165 @@
-"""The compiled step engine: hook-free specialisation of the batched engine.
+"""Declared-shape hook sites: the batched engine's compiled specialisation.
 
 The fused walk kernel (:mod:`repro.compiled.walk_kernel`) covers walk-shaped
 plans on the routes it has a driver for (the in-memory / coalesced depth loop
 and the out-of-memory partition drain).  Every *other* eligible shape --
 without-replacement selection, frontier selection, per-layer scope, visited
-tracking, on every route including :meth:`expand_entries` drains -- and every
-shape on the sharded route's per-shard engines runs on
-:class:`CompiledStepEngine`: a :class:`~repro.engine.step.BatchedStepEngine`
-whose hook evaluation is replaced by the program's *declared* shapes
-(``compiled_bias`` / ``compiled_update`` / ``compiled_neighbor_count`` /
-``compiled_vertex_bias``), so the hot loop never dispatches user hooks,
-never re-validates bias arrays, and answers node2vec membership probes from
-the structure cache's sorted edge keys.
+tracking, on every route including ``expand_entries`` drains -- and every
+shape on the sharded route's per-shard engines runs on the one
+:class:`~repro.engine.step.BatchedStepEngine`, whose four hook sites are
+bound at construction to the functions below: the program's *declared*
+shapes (``compiled_bias`` / ``compiled_update`` / ``compiled_neighbor_count``
+/ ``compiled_vertex_bias``) evaluated directly, so the hot loop never
+dispatches user hooks, never re-validates bias arrays, and answers node2vec
+membership probes from the structure cache's sorted edge keys.
 
-Bit-compatibility: every override computes exactly the values the declared
-hook computes (the declarations are promises, checked by the compiler's
-eligibility pass) at the exact call sites the interpreted engine evaluates
-them, so RNG keys, cost charges, samples and iteration counts are identical
--- the compiled axis of ``tests/integration/test_cross_route_matrix.py``
-pins this for all four routes.
+Bit-compatibility: every site computes exactly the values the declared hook
+computes (the declarations are promises, checked by the compiler's
+eligibility pass) at the exact call sites the hook-dispatching engine
+evaluates them, so RNG keys, cost charges, samples and iteration counts are
+identical -- the compiled axis of
+``tests/integration/test_cross_route_matrix.py`` pins this for all four
+routes.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram, SegmentedEdgePool
 from repro.api.config import SamplingConfig
-from repro.compiled.compiler import resolve_step
-from repro.engine.step import BatchedStepEngine
-from repro.gpusim.prng import CounterRNG
 from repro.graph.csr import CSRGraph
 
-__all__ = ["CompiledStepEngine", "make_step_engine"]
+__all__ = ["declared_sites"]
 
 
-class CompiledStepEngine(BatchedStepEngine):
-    """Batched engine with declared-shape hook evaluation compiled in."""
+def declared_sites(
+    graph: CSRGraph, program: SamplingProgram, config: SamplingConfig, kind: str
+) -> Dict[str, Callable]:
+    """The engine's hook sites specialised to ``program``'s declared shapes.
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        program: SamplingProgram,
-        config: SamplingConfig,
-        rng: CounterRNG,
-        *,
-        kind: str,
-    ):
-        super().__init__(graph, program, config, rng)
-        self.kind = kind
-        self._update_shape = getattr(program, "compiled_update", None)
-        self._ncount_shape = getattr(program, "compiled_neighbor_count", None)
-        self._vbias_shape = getattr(program, "compiled_vertex_bias", None)
-        self._structures = None
-        self._n2v_keys = None
-        if kind in ("weight_or_degree", "node2vec"):
-            from repro.compiled.structures import get_structures
+    Keys are the engine's site names (``edge_biases`` / ``update_vertices``
+    always; ``neighbor_counts`` / ``frontier_biases`` when the program
+    declares a shape for them -- an eligible program that declares none does
+    not override the hook, so the engine's own site is already hook-free).
+    """
+    keys = None
+    if kind == "node2vec":
+        from repro.compiled.structures import get_structures
 
-            self._structures = get_structures(graph, "weight_or_degree")
-            if kind == "node2vec":
-                self._n2v_keys = get_structures(
-                    graph, "node2vec"
-                ).sorted_edge_keys
-
-    # ------------------------------------------------------------------ #
-    def _edge_biases(self, pool, *, validate_values):
-        """EDGEBIAS from the declared kind -- no dispatch, no revalidation.
-
-        The ``uniform`` flag may be truer than the interpreted engine's
-        (which reports ``False`` for any overridden hook): downstream it
-        only short-circuits positive-bias counting and value validation,
-        both of which are value-identical for all-ones biases.
-        """
-        total = pool.size
-        kind = self.kind
-        if kind == "uniform":
-            return np.ones(total, dtype=np.float64), True
-        if kind == "weight_or_uniform":
-            if self.program.weighted_bias and self.graph.is_weighted:
-                return np.asarray(pool.weights, dtype=np.float64), False
-            return np.ones(total, dtype=np.float64), True
-        if kind == "weight_or_degree":
-            if self.graph.is_weighted:
-                return np.asarray(pool.weights, dtype=np.float64), False
-            return pool.neighbor_degrees().astype(np.float64) + 1.0, False
-        return self._node2vec_biases(pool), False
-
-    def _node2vec_biases(self, pool: SegmentedEdgePool) -> np.ndarray:
-        """Second-order bias, membership answered by the sorted edge keys.
-
-        Elementwise identical to :meth:`Node2Vec.edge_bias_batch`; the
-        vectorised key search returns the same booleans as the hook's
-        per-segment stamp loop (kept as the fallback when the key space
-        would overflow int64).
-        """
-        program = self.program
-        graph = self.graph
-        weights = np.asarray(pool.weights, dtype=np.float64)
-        lengths = pool.lengths()
-        prevs = np.fromiter(
-            (inst.prev_vertex for inst in pool.instances),
-            dtype=np.int64,
-            count=pool.num_segments,
+        keys = get_structures(graph, "node2vec").sorted_edge_keys
+    sites = {
+        "edge_biases": partial(_edge_biases, graph, program, kind, keys),
+        "update_vertices": partial(
+            _update_vertices, getattr(program, "compiled_update", None)
+        ),
+    }
+    if getattr(program, "compiled_neighbor_count", None) == "pool_capped":
+        sites["neighbor_counts"] = partial(
+            _pool_capped_counts, config.neighbor_size, program
         )
-        prev_of_edge = np.repeat(prevs, lengths)
-        bias = weights / program.q
-        is_prev_neighbor = np.zeros(pool.size, dtype=bool)
-        keys = self._n2v_keys
-        valid = prev_of_edge >= 0
-        if keys is not None and keys.size and np.any(valid):
-            probe = (
-                prev_of_edge[valid] * np.int64(graph.num_vertices)
-                + pool.neighbors[valid]
-            )
-            pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-            is_prev_neighbor[valid] = keys[pos] == probe
-        elif keys is None:
-            stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
-            for k in np.nonzero(prevs >= 0)[0]:
-                lo, hi = int(pool.offsets[k]), int(pool.offsets[k + 1])
-                stamps[graph.neighbors(int(prevs[k]))] = k
-                is_prev_neighbor[lo:hi] = stamps[pool.neighbors[lo:hi]] == k
-        is_prev = (pool.neighbors == prev_of_edge) & valid
-        bias[is_prev_neighbor] = weights[is_prev_neighbor]
-        bias[is_prev] = weights[is_prev] / program.p
-        first = ~valid
-        bias[first] = weights[first]
-        return bias
-
-    # ------------------------------------------------------------------ #
-    def _neighbor_counts(self, pool, lengths, hook_mask):
-        if self._ncount_shape != "pool_capped":
-            return super()._neighbor_counts(pool, lengths, hook_mask)
-        requested = np.full(
-            pool.num_segments, self.config.neighbor_size, dtype=np.int64
-        )
-        capped = np.asarray(lengths, dtype=np.int64)
-        cap = self.program.max_per_vertex
-        if cap is not None:
-            capped = np.minimum(capped, int(cap))
-        requested[hook_mask] = capped[hook_mask]
-        return requested
-
-    # ------------------------------------------------------------------ #
-    def _update_vertices(self, pool, k, segment, accepted):
-        shape = self._update_shape
-        if shape == "unvisited":
-            return pool.instances[k].unvisited(accepted)
-        if shape == "keep_src_on_dead_end":
-            if accepted.size:
-                return accepted
-            return np.array([int(pool.src[k])], dtype=np.int64)
-        return accepted  # declared-default update is the identity
-
-    # ------------------------------------------------------------------ #
-    def _frontier_biases(self, active):
-        if self._vbias_shape != "degree_plus_one":
-            return super()._frontier_biases(active)
-        cfg = self.config
-        if cfg.frontier_size == 0:
-            return {}
-        return {
-            id(inst): self.graph.degrees[inst.frontier_pool].astype(
-                np.float64
-            )
-            + 1.0
-            for inst in active
-            if inst.pool_size > cfg.frontier_size
-        }
+    if getattr(program, "compiled_vertex_bias", None) == "degree_plus_one":
+        sites["frontier_biases"] = partial(_degree_plus_one, graph)
+    return sites
 
 
-def make_step_engine(
+# ---------------------------------------------------------------------- #
+def _edge_biases(graph, program, kind, n2v_keys, pool, *, validate_values):
+    """EDGEBIAS from the declared kind -- no dispatch, no revalidation.
+
+    The ``uniform`` flag may be truer than the hook-dispatching site's
+    (which reports ``False`` for any overridden hook): downstream it
+    only short-circuits positive-bias counting and value validation,
+    both of which are value-identical for all-ones biases.
+    """
+    total = pool.size
+    if kind == "uniform":
+        return np.ones(total, dtype=np.float64), True
+    if kind == "weight_or_uniform":
+        if program.weighted_bias and graph.is_weighted:
+            return np.asarray(pool.weights, dtype=np.float64), False
+        return np.ones(total, dtype=np.float64), True
+    if kind == "weight_or_degree":
+        if graph.is_weighted:
+            return np.asarray(pool.weights, dtype=np.float64), False
+        return pool.neighbor_degrees().astype(np.float64) + 1.0, False
+    return _node2vec_biases(graph, program, n2v_keys, pool), False
+
+
+def _node2vec_biases(
     graph: CSRGraph,
     program: SamplingProgram,
-    config: SamplingConfig,
-    rng: CounterRNG,
-    route: str,
-) -> BatchedStepEngine:
-    """The step engine every route constructs through.
+    keys: Optional[np.ndarray],
+    pool: SegmentedEdgePool,
+) -> np.ndarray:
+    """Second-order bias, membership answered by the sorted edge keys.
 
-    Returns the compiled specialisation exactly when the route's
-    :func:`~repro.compiled.compiler.resolve_step` says ``"compiled"`` -- the
-    same resolution the plan reports -- and the interpreted engine
-    otherwise.  Both produce bit-identical results, so the choice never
-    changes observable output -- only whether hook dispatch survives into
-    the hot loop.
+    Elementwise identical to :meth:`Node2Vec.edge_bias_batch`; the
+    vectorised key search returns the same booleans as the hook's
+    per-segment stamp loop (kept as the fallback when the key space
+    would overflow int64).
     """
-    resolution = resolve_step(config, route, program=program)
-    if resolution.tier == "compiled":
-        return CompiledStepEngine(
-            graph, program, config, rng, kind=resolution.kind
+    weights = np.asarray(pool.weights, dtype=np.float64)
+    lengths = pool.lengths()
+    prevs = np.fromiter(
+        (inst.prev_vertex for inst in pool.instances),
+        dtype=np.int64,
+        count=pool.num_segments,
+    )
+    prev_of_edge = np.repeat(prevs, lengths)
+    bias = weights / program.q
+    is_prev_neighbor = np.zeros(pool.size, dtype=bool)
+    valid = prev_of_edge >= 0
+    if keys is not None and keys.size and np.any(valid):
+        probe = (
+            prev_of_edge[valid] * np.int64(graph.num_vertices)
+            + pool.neighbors[valid]
         )
-    return BatchedStepEngine(graph, program, config, rng)
+        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+        is_prev_neighbor[valid] = keys[pos] == probe
+    elif keys is None:
+        stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
+        for k in np.nonzero(prevs >= 0)[0]:
+            lo, hi = int(pool.offsets[k]), int(pool.offsets[k + 1])
+            stamps[graph.neighbors(int(prevs[k]))] = k
+            is_prev_neighbor[lo:hi] = stamps[pool.neighbors[lo:hi]] == k
+    is_prev = (pool.neighbors == prev_of_edge) & valid
+    bias[is_prev_neighbor] = weights[is_prev_neighbor]
+    bias[is_prev] = weights[is_prev] / program.p
+    first = ~valid
+    bias[first] = weights[first]
+    return bias
+
+
+# ---------------------------------------------------------------------- #
+def _pool_capped_counts(neighbor_size, program, pool, lengths, hook_mask):
+    """NeighborSize = the pool's length, capped at ``max_per_vertex``."""
+    requested = np.full(pool.num_segments, neighbor_size, dtype=np.int64)
+    capped = np.asarray(lengths, dtype=np.int64)
+    cap = program.max_per_vertex
+    if cap is not None:
+        capped = np.minimum(capped, int(cap))
+    requested[hook_mask] = capped[hook_mask]
+    return requested
+
+
+# ---------------------------------------------------------------------- #
+def _update_vertices(shape, pool, k, segment, accepted):
+    """UPDATE from the declared shape (no shape: the default identity)."""
+    if shape == "unvisited":
+        return pool.instances[k].unvisited(accepted)
+    if shape == "keep_src_on_dead_end" and not accepted.size:
+        return np.array([int(pool.src[k])], dtype=np.int64)
+    return accepted
+
+
+# ---------------------------------------------------------------------- #
+def _degree_plus_one(graph, selecting):
+    """VERTEXBIAS = degree + 1 for every selecting instance's pool."""
+    return [
+        graph.degrees[inst.frontier_pool].astype(np.float64) + 1.0
+        for inst in selecting
+    ]

@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.api.instance import InstanceBatch
 from repro.api.results import SampleColumns
-from repro.engine.step import grouped_warp_ids
+from repro.engine.step import alloc_warp_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
 from repro.selection.segmented import (
@@ -303,7 +303,13 @@ class CompiledWalkKernel:
         finished = pool_counts == 0
         ns = int(cfg.neighbor_size)
 
-        group_cursors = np.zeros(num_groups, dtype=np.int64)
+        # Members draw from their own cursors; an ungrouped run continues
+        # the engine's sequence (so interpreted and compiled runs of one
+        # sampler draw from one continuous warp-id stream).
+        cursors = (
+            self.engine.warp_cursor if groups is None
+            else np.zeros(num_groups, dtype=np.int64)
+        )
 
         for depth in range(cfg.depth):
             act = np.nonzero(~finished)[0]
@@ -318,7 +324,7 @@ class CompiledWalkKernel:
                 walkers, pool_flat, seg_owner,
                 np.full(seg_owner.size, depth, dtype=np.int64),
                 concat_aranges(counts_a) + 1,
-                step_cost, prof, groups, group_cursors,
+                step_cost, prof, groups, cursors,
             )
             tasks = int(allocated.size)
             new_counts = np.bincount(seg_owner[allocated], minlength=num) * ns
@@ -401,7 +407,8 @@ class CompiledWalkKernel:
         walkers = self._walkers
         owners = walkers.ranks(instance_ids)
         allocated, dst = self._select(
-            walkers, vertices, owners, depths, vertices, cost, prof
+            walkers, vertices, owners, depths, vertices, cost, prof,
+            None, self.engine.warp_cursor,
         )
         prof.lap("select")
         if allocated.size == 0:
@@ -428,7 +435,7 @@ class CompiledWalkKernel:
     # ------------------------------------------------------------------ #
     def _select(
         self, walkers, seg_vertices, seg_owner, depths, third, cost, prof,
-        groups=None, group_cursors=None,
+        groups, cursors,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``neighbor_size`` neighbors of every segment of one kernel.
 
@@ -493,7 +500,11 @@ class CompiledWalkKernel:
         # Per-segment RNG coordinates; the lane is appended per draw.
         coords = (
             walkers.ids[owners_a], depths_a, third_a,
-            self._alloc_warps(owners_a, groups, group_cursors),
+            # Sequential in segment order within each member's cursor (the
+            # engine's own when ungrouped): the engine's allocation order.
+            alloc_warp_ids(
+                cursors, tasks, None if groups is None else groups[owners_a]
+            ),
         )
         if self.kind == "uniform":
             idx = self._uniform_select(len_a, coords, cost)
@@ -527,22 +538,6 @@ class CompiledWalkKernel:
             _per_draw(owners_a, ns), _per_draw(verts_a, ns), dst
         )
         return allocated, dst
-
-    def _alloc_warps(self, owners_a, groups, group_cursors) -> np.ndarray:
-        """Warp ids of the allocated segments, advancing the cursors.
-
-        Mirrors :meth:`BatchedStepEngine._alloc_warp_block` -- sequential in
-        segment order within the engine's global sequence (so interpreted
-        and compiled runs of one sampler draw from one continuous warp-id
-        stream), or within each member's own cursor when coalescing.
-        """
-        if groups is not None:
-            return grouped_warp_ids(groups[owners_a], group_cursors)
-        engine = self.engine
-        num_alloc = int(owners_a.size)
-        warp_ids = engine.warp_counter + np.arange(num_alloc, dtype=np.int64)
-        engine.warp_counter += num_alloc
-        return warp_ids
 
     # ------------------------------------------------------------------ #
     # Charges and draws shared by the three specialisations

@@ -26,11 +26,13 @@ Two execution paths mirror the service's coalescing rule:
   per shard; all residents advance as a single fused batch with
   per-instance warp groups (fast path -- this is what the throughput
   benchmark exercises);
-* stateful programs (private hook RNG streams) get one program + engine per
-  walker, both travelling with the walker, so hook draws are consumed in a
+* stateful programs (private hook RNG streams) get one program per walker,
+  travelling in its envelope, so hook draws are consumed in a
   placement-independent order; each replica is seeded per walker
   (:func:`walker_program_seed`) so the walkers' private streams stay
-  statistically independent of each other.
+  statistically independent of each other.  The engine stepping that
+  program is rebuilt by whichever shard hosts the walker and never rides
+  the (pickled) envelope.
 
 Like the out-of-memory scheduler, the runtime reads the full CSR (one
 shared-memory copy cluster-wide, see ``docs/distributed.md``); the
@@ -41,15 +43,13 @@ the simulated per-shard device work, not a physical slice of host memory.
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.api.config import SamplingConfig
-from repro.api.instance import InstanceState
-from repro.compiled.step_engine import CompiledStepEngine, make_step_engine
-from repro.engine.hetero import GroupedIterationSink, member_map
 from repro.distributed.router import WalkerEnvelope, routing_vertex
+from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.prng import CounterRNG, splitmix64
@@ -110,19 +110,6 @@ class ShardReport:
         self.telemetry = telemetry
 
 
-class _WalkerRecord:
-    """Shard-resident execution context of one walker."""
-
-    __slots__ = ("instance", "warp_cursor", "iterations", "program", "engine")
-
-    def __init__(self, instance, warp_cursor, iterations, program, engine):
-        self.instance = instance
-        self.warp_cursor = warp_cursor
-        self.iterations = iterations
-        self.program = program
-        self.engine = engine
-
-
 class ShardRuntime:
     """Executes one partition's share of a sampling run."""
 
@@ -166,21 +153,24 @@ class ShardRuntime:
         self._rng = CounterRNG(config.seed)
         #: Shared engine for coalescable programs (one fused batch per step).
         self._engine = (
-            make_step_engine(self.graph, probe, config, self._rng, "sharded")
+            BatchedStepEngine(self.graph, probe, config, self._rng, "sharded")
             if self.coalescable
             else None
         )
         #: The step tier this shard actually runs (profiler attribution):
-        #: compiled exactly when the shared engine is the compiled
-        #: specialisation.  Stateful programs get private interpreted
-        #: engines, so the private path always reports interpreted.
+        #: compiled exactly when the shared engine's sites are the declared
+        #: shapes.  Stateful programs get private interpreted engines, so
+        #: the private path always reports interpreted.
         self.step_tier = (
             "compiled"
-            if isinstance(self._engine, CompiledStepEngine)
+            if self._engine is not None and self._engine.kind is not None
             else "interpreted"
         )
-        #: Resident walkers keyed by global instance id.
-        self._records: Dict[int, _WalkerRecord] = {}
+        #: Resident walkers keyed by global instance id: the envelopes the
+        #: shard was handed, stepped in place and handed on as they are.
+        self._residents: Dict[int, WalkerEnvelope] = {}
+        #: Stateful programs' private engines, by instance id.
+        self._engines: Dict[int, BatchedStepEngine] = {}
         #: Trace context adopted from the first carrying envelope, so shard
         #: spans (possibly minted in a shard process) join the request tree.
         self._trace_ctx = None
@@ -205,13 +195,13 @@ class ShardRuntime:
         """Resident walkers that still have work."""
         return sum(
             1
-            for r in self._records.values()
-            if not r.instance.finished and r.instance.pool_size > 0
+            for env in self._residents.values()
+            if not env.instance.finished and env.instance.pool_size > 0
         )
 
     def resident_count(self) -> int:
         """All resident walkers, finished included."""
-        return len(self._records)
+        return len(self._residents)
 
     # ------------------------------------------------------------------ #
     def admit(self, envelopes: List[WalkerEnvelope]) -> None:
@@ -220,32 +210,30 @@ class ShardRuntime:
             if self._trace_ctx is None and env.trace_ctx is not None:
                 self._trace_ctx = env.trace_ctx
             instance_id = env.instance_id
-            if instance_id in self._records:
+            if instance_id in self._residents:
                 raise ValueError(
                     f"walker {instance_id} is already resident on shard "
                     f"{self.shard_index}"
                 )
-            program = engine = None
             if not self.coalescable:
                 # The walker's private program (mid-stream hook RNG state)
                 # arrives with it; a fresh one is built only at seeding.
-                if env.program is not None:
-                    program = env.program
-                else:
+                if env.program is None:
                     kwargs = dict(self._kwargs)
                     if self._derive_program_seed:
                         kwargs["seed"] = walker_program_seed(
                             self._base_program_seed, instance_id
                         )
-                    program = self._factory(**kwargs)
-                engine = make_step_engine(
-                    self.graph, program, self.config,
+                    env.program = self._factory(**kwargs)
+                engine = BatchedStepEngine(
+                    self.graph, env.program, self.config,
                     CounterRNG(self.config.seed), "sharded",
                 )
-                engine.warp_counter = int(env.warp_cursor)
-            self._records[instance_id] = _WalkerRecord(
-                env.instance, int(env.warp_cursor), env.iterations, program, engine
-            )
+                # Alone on its engine, the walker's private warp stream is
+                # the engine's own sequence.
+                engine.warp_cursor[0] = env.warp_cursor
+                self._engines[instance_id] = engine
+            self._residents[instance_id] = env
             self.admitted += 1
 
     # ------------------------------------------------------------------ #
@@ -256,10 +244,9 @@ class ShardRuntime:
         new frontier left the owned range (this shard excluded).
         """
         active = [
-            self._records[instance_id]
-            for instance_id in sorted(self._records)
-            if not self._records[instance_id].instance.finished
-            and self._records[instance_id].instance.pool_size > 0
+            env
+            for _, env in sorted(self._residents.items())
+            if not env.instance.finished and env.instance.pool_size > 0
         ]
         if not active:
             return {}
@@ -298,81 +285,69 @@ class ShardRuntime:
         return outboxes
 
     def _step_fused(
-        self, active: List[_WalkerRecord], depth: int, cost: CostModel
+        self, active: List[WalkerEnvelope], depth: int, cost: CostModel
     ) -> int:
-        """One fused engine batch with per-walker warp groups."""
-        member_of, instances = member_map([[r.instance] for r in active])
-        cursors = np.asarray([r.warp_cursor for r in active], dtype=np.int64)
-        self._engine.set_warp_groups(member_of, len(active), initial_cursors=cursors)
-        sink = GroupedIterationSink(member_of, len(active))
-        tasks = self._engine.step_instances(instances, depth, cost, sink)
-        cursors = self._engine.group_cursors()
-        for rank, record in enumerate(active):
-            record.warp_cursor = int(cursors[rank])
-            record.iterations.extend(sink.lists[rank])
+        """One fused engine batch, every walker its own warp group."""
+        cursors = np.asarray([env.warp_cursor for env in active], dtype=np.int64)
+        tasks = self._engine.step_instances(
+            [env.instance for env in active],
+            depth,
+            cost,
+            [env.iterations for env in active],
+            np.arange(len(active), dtype=np.int64),
+            cursors,
+        )
+        for env, cursor in zip(active, cursors.tolist()):
+            env.warp_cursor = cursor
         return int(tasks or 0)
 
     def _step_private(
-        self, active: List[_WalkerRecord], depth: int, cost: CostModel
+        self, active: List[WalkerEnvelope], depth: int, cost: CostModel
     ) -> int:
         """One engine call per walker (stateful programs)."""
         tasks = 0
-        for record in active:
-            stepped = record.engine.step_instances(
-                [record.instance], depth, cost, record.iterations
+        for env in active:
+            engine = self._engines[env.instance_id]
+            stepped = engine.step_instances(
+                [env.instance], depth, cost, env.iterations
             )
             tasks += int(stepped or 0)
-            record.warp_cursor = int(record.engine.warp_counter)
+            env.warp_cursor = engine.warp_counter
         return tasks
 
     def _emigrate(
-        self, stepped: List[_WalkerRecord]
+        self, stepped: List[WalkerEnvelope]
     ) -> Dict[int, List[WalkerEnvelope]]:
         """Pop the stepped walkers whose frontier left the owned range."""
-        movers: List[_WalkerRecord] = []
-        vertices: List[int] = []
-        for record in stepped:
-            inst = record.instance
-            if inst.finished or inst.pool_size == 0:
-                continue
-            movers.append(record)
-            vertices.append(routing_vertex(inst))
+        movers = [
+            env for env in stepped
+            if not env.instance.finished and env.instance.pool_size > 0
+        ]
         if not movers:
             return {}
         owners = range_owners(
-            self.bounds, np.asarray(vertices, dtype=np.int64), stride=self._stride
+            self.bounds,
+            np.asarray([routing_vertex(env.instance) for env in movers],
+                       dtype=np.int64),
+            stride=self._stride,
         )
         outboxes: Dict[int, List[WalkerEnvelope]] = {}
-        for record, owner in zip(movers, owners):
+        for env, owner in zip(movers, owners):
             dst = int(owner)
             if dst == self.shard_index:
                 continue
-            del self._records[record.instance.instance_id]
+            del self._residents[env.instance_id]
+            self._engines.pop(env.instance_id, None)
             self.emigrated += 1
-            outboxes.setdefault(dst, []).append(self._envelope(record))
+            outboxes.setdefault(dst, []).append(env)
         return outboxes
-
-    def _envelope(self, record: _WalkerRecord) -> WalkerEnvelope:
-        return WalkerEnvelope(
-            instance=record.instance,
-            warp_cursor=record.warp_cursor,
-            iterations=record.iterations,
-            program=record.program,
-            # Outgoing walkers keep carrying the trace context so shards
-            # populated purely by migration adopt it too.
-            trace_ctx=self._trace_ctx,
-        )
 
     # ------------------------------------------------------------------ #
     def collect(self) -> ShardReport:
         """Report every resident walker plus the shard's accounting."""
-        envelopes = [
-            self._envelope(self._records[instance_id])
-            for instance_id in sorted(self._records)
-        ]
         return ShardReport(
             shard_index=self.shard_index,
-            envelopes=envelopes,
+            envelopes=[env for _, env in sorted(self._residents.items())],
             cost=self.cost.copy(),
             kernels=list(self.kernels),
             steps=self.steps,

@@ -15,21 +15,12 @@ and ``docs/engine.md`` for the contract with stateful user hooks).
 """
 
 from repro.engine.gather import batch_gather_neighbors
-from repro.engine.hetero import (
-    GroupedIterationSink,
-    InstanceGroup,
-    run_coalesced,
-    run_heterogeneous,
-)
-from repro.engine.step import BatchedStepEngine, record_iterations, validate_biases
+from repro.engine.hetero import run_coalesced
+from repro.engine.step import BatchedStepEngine, validate_biases
 
 __all__ = [
     "BatchedStepEngine",
-    "GroupedIterationSink",
-    "InstanceGroup",
     "batch_gather_neighbors",
-    "record_iterations",
     "run_coalesced",
-    "run_heterogeneous",
     "validate_biases",
 ]

@@ -14,8 +14,18 @@ instances at once:
 5. per-instance UPDATE / frontier-pool insertion (lines 7-8).
 
 The engine is shared by the in-memory sampler (:meth:`step_instances`) and
-the out-of-memory scheduler's batched-kernel path (:meth:`expand_entries`),
-so the gather/select/update sequence exists once.
+the out-of-memory scheduler's batched-kernel path (:meth:`expand_entries`):
+both run their per-vertex pools through :meth:`_allocate` (bias, counts,
+warp ids) and :meth:`_sample_segments` (SELECT, then UPDATE segment by
+segment), so the gather/select/update sequence exists once.
+
+**One class, two sets of hook sites.**  The four places a step consults the
+program -- edge bias, neighbor count, update, frontier vertex bias -- are
+bound once, at construction: to the hook-dispatching implementations below,
+or, when the route's :func:`~repro.compiled.compiler.resolve_step` says
+``"compiled"``, to the program's *declared* shapes
+(:func:`repro.compiled.step_engine.declared_sites`).  :attr:`kind` names the
+declared bias kind (``None`` = interpreted).
 
 **Bit-compatibility.**  For a fixed seed the engine reproduces the scalar
 loop exactly: warp ids are assigned in the same (instance, frontier-slot)
@@ -31,7 +41,7 @@ the one case where the engine can diverge (see ``docs/engine.md``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +49,8 @@ from repro.api.bias import FrontierPoolView, SamplingProgram, SegmentedEdgePool
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 from repro.api.instance import InstanceState
 from repro.api.select import warp_select
+from repro.compiled.compiler import resolve_step
+from repro.compiled.step_engine import declared_sites
 from repro.engine.gather import batch_gather_neighbors
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
@@ -54,37 +66,30 @@ from repro.selection.segmented import (
     take_segments,
 )
 
-__all__ = ["BatchedStepEngine", "record_iterations", "validate_biases"]
+__all__ = ["BatchedStepEngine", "alloc_warp_ids", "validate_biases"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def record_iterations(sink, inst, iters: np.ndarray) -> None:
-    """Append per-selection iteration counts to ``sink``.
+def alloc_warp_ids(cursors: np.ndarray, num: int, groups=None) -> np.ndarray:
+    """The next ``num`` warp ids, advancing the caller-owned ``cursors`` in place.
 
-    ``sink`` is normally a plain list; a grouped sink (coalesced multi-request
-    runs, :mod:`repro.engine.hetero`) exposes ``extend_for`` so each
-    instance's counts land in its owning request's list.
+    The one allocator behind every warp id the engine and the fused walk
+    kernel hand out.  ``groups`` names the cursor each id comes from: ``None``
+    (ungrouped run: ``cursors`` is the engine's one-element
+    :attr:`~BatchedStepEngine.warp_cursor`), one group index for all of them
+    (a per-instance block, a frontier-selection warp) or one index per id (a
+    step-wide block).  Each group's ids are sequential in segment order, as
+    if the groups had been walked one at a time -- the scalar loop's order.
     """
-    extend_for = getattr(sink, "extend_for", None)
-    if extend_for is not None:
-        extend_for(inst, iters)
-    else:
-        # tolist() converts to python ints in one C pass; extending with a
-        # genexpr of int(i) calls back into python per element.
-        sink.extend(iters.tolist())
-
-
-def grouped_warp_ids(groups: np.ndarray, cursors: np.ndarray) -> np.ndarray:
-    """Next warp ids for segments owned by ``groups``, advancing ``cursors``.
-
-    Segment ``k`` gets ``cursors[groups[k]]`` plus the number of earlier
-    segments of the same group -- each group's ids are sequential in segment
-    order, as if the groups had been walked one at a time -- computed as one
-    grouped running count (stable sort by group, position minus run start),
-    so a batch of single-walker groups costs one sort, not one pass each.
-    """
-    num = groups.size
+    if groups is None or not np.ndim(groups):
+        group = 0 if groups is None else groups
+        start = int(cursors[group])
+        cursors[group] = start + num
+        return start + np.arange(num, dtype=np.int64)
+    # One grouped running count (stable sort by group, position minus run
+    # start), so a batch of single-walker groups costs one sort, not one pass
+    # each.
     order = np.argsort(groups, kind="stable")
     by_group = groups[order]
     is_start = np.ones(num, dtype=bool)
@@ -99,21 +104,45 @@ def grouped_warp_ids(groups: np.ndarray, cursors: np.ndarray) -> np.ndarray:
     return ids
 
 
-def validate_biases(biases: np.ndarray, expected: int, label: str) -> np.ndarray:
-    """Validate a user bias array (shared by the sampler and the engine)."""
+def _sized_biases(biases, expected: int, label: str) -> np.ndarray:
+    """A hook's bias array as flat float64, one bias per candidate."""
     biases = np.asarray(biases, dtype=np.float64).reshape(-1)
     if biases.size != expected:
         raise ValueError(
             f"{label} must return one bias per candidate "
             f"(expected {expected}, got {biases.size})"
         )
-    if np.any(biases < 0) or not np.all(np.isfinite(biases)):
-        raise ValueError(f"{label} must return finite, non-negative biases")
     return biases
 
 
+def _check_bias_values(biases: np.ndarray, label: str) -> None:
+    if np.any(biases < 0) or not np.all(np.isfinite(biases)):
+        raise ValueError(f"{label} must return finite, non-negative biases")
+
+
+def validate_biases(biases: np.ndarray, expected: int, label: str) -> np.ndarray:
+    """Validate a user bias array (shared by the oracle and the engine)."""
+    biases = _sized_biases(biases, expected, label)
+    _check_bias_values(biases, label)
+    return biases
+
+
+class _Allocation(NamedTuple):
+    """Per-segment outcome of :meth:`BatchedStepEngine._allocate`."""
+
+    biases: np.ndarray  # per candidate, segment-major
+    positive: np.ndarray  # positive-bias candidates per segment
+    counts: np.ndarray  # selections to draw (0 where no warp was allocated)
+    alloc: np.ndarray  # whether the segment got a warp
+    warp_ids: np.ndarray  # its warp id (-1 elsewhere)
+
+
 class BatchedStepEngine:
-    """Vectorised executor for one MAIN-loop depth step (Fig. 2(b))."""
+    """Vectorised executor for one MAIN-loop depth step (Fig. 2(b)).
+
+    ``route`` is the planner route the engine serves (it decides the hook
+    sites, see the module docstring); without one the sites dispatch hooks.
+    """
 
     def __init__(
         self,
@@ -121,21 +150,16 @@ class BatchedStepEngine:
         program: SamplingProgram,
         config: SamplingConfig,
         rng: CounterRNG,
+        route: Optional[str] = None,
     ):
         self.graph = graph
         self.program = program
         self.config = config
         self.rng = rng
-        #: Next warp id; advanced in the scalar path's allocation order.
-        self.warp_counter = 0
-        #: Optional per-group warp numbering (coalesced multi-request runs):
-        #: maps ``id(instance)`` to a warp-group index.  When set, each group
-        #: draws warp ids from its own cursor starting at 0 -- in the same
-        #: allocation order a standalone run over just that group would use --
-        #: so the RNG streams (which mix the warp id) are unchanged by what
-        #: else shares the batch.
-        self._warp_group_of: Optional[Mapping[int, int]] = None
-        self._group_warp_cursors: Optional[np.ndarray] = None
+        #: Next warp id of ungrouped runs, advanced in the scalar path's
+        #: allocation order (one element, so the allocator can advance it in
+        #: place like any caller-owned group cursor).
+        self.warp_cursor = np.zeros(1, dtype=np.int64)
         cls = type(program)
         self._edge_bias_overridden = cls.edge_bias is not SamplingProgram.edge_bias
         self._edge_bias_batched = (
@@ -146,92 +170,33 @@ class BatchedStepEngine:
         self._neighbor_count_default = (
             cls.neighbor_count is SamplingProgram.neighbor_count
         )
-
-    # ================================================================== #
-    # Warp-id allocation (engine-global by default, per-group when coalescing)
-    # ================================================================== #
-    def set_warp_groups(
-        self,
-        group_of: Mapping[int, int],
-        num_groups: int,
-        initial_cursors: Optional[np.ndarray] = None,
-    ) -> None:
-        """Switch to per-group warp numbering (see ``_warp_group_of``).
-
-        ``initial_cursors`` seeds each group's next warp id (default 0 for
-        every group).  The sharded cluster uses it to resume an instance's
-        private warp stream after the instance migrated to another shard:
-        the cursor travels with the walker, so warp ids -- and hence the RNG
-        streams that mix them -- are independent of where each step ran.
-        """
-        self._warp_group_of = group_of
-        if initial_cursors is None:
-            self._group_warp_cursors = np.zeros(num_groups, dtype=np.int64)
-        else:
-            cursors = np.asarray(initial_cursors, dtype=np.int64).copy()
-            if cursors.shape != (num_groups,):
-                raise ValueError(
-                    f"initial_cursors must have shape ({num_groups},), "
-                    f"got {cursors.shape}"
-                )
-            self._group_warp_cursors = cursors
-
-    def group_cursors(self) -> np.ndarray:
-        """Current per-group warp cursors (copy; export for migration)."""
-        if self._group_warp_cursors is None:
-            raise RuntimeError("warp groups are not set")
-        return self._group_warp_cursors.copy()
-
-    def _alloc_warp(self, inst: InstanceState) -> int:
-        """Allocate one warp id on behalf of ``inst``."""
-        if self._warp_group_of is None:
-            warp_id = self.warp_counter
-            self.warp_counter += 1
-            return warp_id
-        group = self._warp_group_of[id(inst)]
-        warp_id = int(self._group_warp_cursors[group])
-        self._group_warp_cursors[group] += 1
-        return warp_id
-
-    def _alloc_warp_block(
-        self, instances: Sequence[InstanceState], alloc: np.ndarray
-    ) -> np.ndarray:
-        """Warp ids for the allocated segments of a batch (-1 elsewhere).
-
-        Ids are sequential in segment order within each owning group (within
-        the single global sequence when no groups are set), which is exactly
-        the order the scalar loop would hand them out.
-        """
-        warp_ids = np.full(alloc.size, -1, dtype=np.int64)
-        if self._warp_group_of is None:
-            num_alloc = int(alloc.sum())
-            warp_ids[alloc] = self.warp_counter + np.arange(num_alloc, dtype=np.int64)
-            self.warp_counter += num_alloc
-            return warp_ids
-        groups = np.fromiter(
-            (self._warp_group_of[id(inst)] for inst in instances),
-            dtype=np.int64,
-            count=len(instances),
+        #: The declared bias kind the sites are specialised to (``None`` =
+        #: interpreted: every site dispatches the program's hooks).  Exactly
+        #: what the plan of the same (program, config, route) reports.
+        self.kind: Optional[str] = (
+            None if route is None
+            else resolve_step(config, route, program=program).kind
         )
-        warp_ids[alloc] = grouped_warp_ids(groups[alloc], self._group_warp_cursors)
-        return warp_ids
+        sites = (
+            declared_sites(graph, program, config, self.kind)
+            if self.kind is not None
+            else {}
+        )
+        self._edge_biases = sites.get("edge_biases", self._hook_edge_biases)
+        self._neighbor_counts = sites.get(
+            "neighbor_counts", self._hook_neighbor_counts
+        )
+        self._update_vertices = sites.get(
+            "update_vertices", self._hook_update_vertices
+        )
+        self._frontier_biases = sites.get(
+            "frontier_biases", self._hook_frontier_biases
+        )
 
-    def _alloc_warp_block_for(
-        self, inst: InstanceState, alloc: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_alloc_warp_block` when every segment belongs to ``inst``."""
-        warp_ids = np.full(alloc.size, -1, dtype=np.int64)
-        num_alloc = int(alloc.sum())
-        if self._warp_group_of is None:
-            warp_ids[alloc] = self.warp_counter + np.arange(num_alloc, dtype=np.int64)
-            self.warp_counter += num_alloc
-        else:
-            group = self._warp_group_of[id(inst)]
-            warp_ids[alloc] = self._group_warp_cursors[group] + np.arange(
-                num_alloc, dtype=np.int64
-            )
-            self._group_warp_cursors[group] += num_alloc
-        return warp_ids
+    @property
+    def warp_counter(self) -> int:
+        """Next warp id of the engine's own (ungrouped) sequence."""
+        return int(self.warp_cursor[0])
 
     # ================================================================== #
     # In-memory sampler entry point
@@ -241,26 +206,43 @@ class BatchedStepEngine:
         instances: Sequence[InstanceState],
         depth: int,
         cost: CostModel,
-        iteration_counts: List[int],
+        iterations: list,
+        groups: Optional[np.ndarray] = None,
+        cursors: Optional[np.ndarray] = None,
     ) -> Optional[int]:
         """Advance every active instance by one MAIN-loop iteration.
 
         Returns the step's warp-task count, or ``None`` when no instance was
         active (the caller then stops without launching a kernel, exactly as
         the scalar loop does).
+
+        **Warp groups** (coalesced members, sharded walkers) are named by
+        position: ``groups[i]`` is the group of ``instances[i]``.  Group ``g``
+        draws its warp ids from ``cursors[g]`` -- a caller-owned int64 array
+        advanced in place, in the allocation order a standalone run over just
+        that group would use, so the RNG streams (which mix the warp id) are
+        unchanged by what else shares the batch or where earlier steps ran --
+        and its per-selection iteration counts land in ``iterations[g]``.
+        Without groups the ids continue the engine's own
+        :attr:`warp_cursor` and ``iterations`` is one flat list.
         """
         active: List[InstanceState] = []
-        for inst in instances:
+        positions: List[int] = []
+        for position, inst in enumerate(instances):
             if inst.finished or inst.pool_size == 0:
                 inst.finished = True
                 continue
             active.append(inst)
+            positions.append(position)
         if not active:
             return None
-        if self.config.scope is SelectionScope.PER_LAYER:
-            tasks = self._step_per_layer(active, depth, cost, iteration_counts)
+        if groups is None:
+            cursors = self.warp_cursor
         else:
-            tasks = self._step_per_vertex(active, depth, cost, iteration_counts)
+            groups = np.asarray(groups, dtype=np.int64)[positions]
+        per_layer = self.config.scope is SelectionScope.PER_LAYER
+        step = self._step_per_layer if per_layer else self._step_per_vertex
+        tasks = step(active, depth, cost, iterations, groups, cursors)
         if _trace.active():
             _metrics.REGISTRY.counter("engine_depth_steps").inc()
             _metrics.REGISTRY.counter("engine_warp_tasks").inc(int(tasks or 0))
@@ -272,7 +254,9 @@ class BatchedStepEngine:
         active: List[InstanceState],
         depth: int,
         cost: CostModel,
-        iteration_counts: List[int],
+        iterations: list,
+        groups: Optional[np.ndarray],
+        cursors: np.ndarray,
     ) -> int:
         cfg = self.config
         tasks = 0
@@ -285,148 +269,91 @@ class BatchedStepEngine:
         needs_select = cfg.frontier_size > 0 and any(
             inst.pool_size > cfg.frontier_size for inst in active
         )
-        stepped: List[Tuple[InstanceState, np.ndarray, np.ndarray]] = []
+        #: (rank in ``active``, frontier, its positions in the pool)
+        stepped: List[Tuple[int, np.ndarray, np.ndarray]] = []
 
         if not needs_select:
-            frontier_sizes = []
-            for inst in active:
-                stepped.append(
-                    (inst, inst.frontier_pool,
-                     np.arange(inst.pool_size, dtype=np.int64))
-                )
-                frontier_sizes.append(inst.pool_size)
-            seg_vertices = np.concatenate([f for _, f, _ in stepped])
-            seg_slots = concat_aranges(np.asarray(frontier_sizes, dtype=np.int64))
-            seg_rank = np.repeat(
-                np.arange(len(stepped), dtype=np.int64),
-                np.asarray(frontier_sizes, dtype=np.int64),
+            frontier_sizes = np.asarray(
+                [inst.pool_size for inst in active], dtype=np.int64
             )
-            seg_instances = [stepped[r][0] for r in seg_rank]
+            stepped = [
+                (rank, inst.frontier_pool, np.arange(inst.pool_size, dtype=np.int64))
+                for rank, inst in enumerate(active)
+            ]
+            seg_vertices = np.concatenate([inst.frontier_pool for inst in active])
+            seg_slots = concat_aranges(frontier_sizes)
+            seg_rank = np.repeat(
+                np.arange(len(active), dtype=np.int64), frontier_sizes
+            )
+            seg_instances = [active[r] for r in seg_rank]
             pool = batch_gather_neighbors(self.graph, seg_vertices, seg_instances, cost)
             prof.lap("gather")
-            lengths = pool.lengths()
-            biases, uniform = self._edge_biases(pool, validate_values=True)
-            positive = lengths if uniform else segment_positive_counts(biases, pool.offsets)
-            requested = self._neighbor_counts(pool, lengths, lengths > 0)
-            alloc = (lengths > 0) & (requested > 0) & (positive > 0)
-            counts = np.where(
-                alloc,
-                requested if cfg.with_replacement
-                else np.minimum(requested, positive),
-                0,
+            allocation, _ = self._allocate(
+                pool, None if groups is None else groups[seg_rank], cursors
             )
-            warp_ids = self._alloc_warp_block(seg_instances, alloc)
             prof.lap("bias")
         else:
             parts: List[SegmentedEdgePool] = []
-            seg_rank_parts, seg_slot_parts = [], []
-            bias_parts, positive_parts = [], []
-            requested_parts, alloc_parts, warp_parts = [], [], []
-            vertex_biases = self._frontier_biases(active)
+            allocations: List[_Allocation] = []
+            vertex_biases = self._vertex_biases(active)
             prof.lap("bias")
-            for inst in active:
+            for rank, inst in enumerate(active):
+                group = None if groups is None else groups[rank]
                 frontier, positions, tasks_inc = self._frontier_select(
-                    inst, depth, cost, biases=vertex_biases.get(id(inst))
+                    inst, depth, cost, vertex_biases[rank], group, cursors
                 )
                 prof.lap("select")
                 tasks += tasks_inc
                 if frontier.size == 0:
                     inst.finished = True
                     continue
-                rank = len(stepped)
-                stepped.append((inst, frontier, positions))
+                stepped.append((rank, frontier, positions))
                 part = batch_gather_neighbors(
                     self.graph, frontier, [inst] * int(frontier.size), cost
                 )
                 prof.lap("gather")
-                lengths = part.lengths()
-                biases, uniform = self._edge_biases(part, validate_values=True)
-                positive = lengths if uniform else segment_positive_counts(biases, part.offsets)
-                positive_parts.append(positive)
-                requested = self._neighbor_counts(part, lengths, lengths > 0)
-                alloc = (lengths > 0) & (requested > 0) & (positive > 0)
-                warp_ids = self._alloc_warp_block_for(inst, alloc)
+                allocations.append(self._allocate(part, group, cursors)[0])
                 parts.append(part)
-                seg_rank_parts.append(np.full(alloc.size, rank, dtype=np.int64))
-                seg_slot_parts.append(np.arange(alloc.size, dtype=np.int64))
-                bias_parts.append(biases)
-                requested_parts.append(requested)
-                alloc_parts.append(alloc)
-                warp_parts.append(warp_ids)
                 prof.lap("bias")
             if not stepped:
                 return tasks
             pool = _concat_pools(parts, self.graph)
-            seg_rank = np.concatenate(seg_rank_parts)
-            seg_slots = np.concatenate(seg_slot_parts)
-            biases = np.concatenate(bias_parts)
-            requested = np.concatenate(requested_parts)
-            alloc = np.concatenate(alloc_parts)
-            warp_ids = np.concatenate(warp_parts)
-            positive = np.concatenate(positive_parts)
-            counts = np.where(
-                alloc,
-                requested if cfg.with_replacement
-                else np.minimum(requested, positive),
-                0,
+            frontier_sizes = np.asarray(
+                [frontier.size for _, frontier, _ in stepped], dtype=np.int64
             )
+            seg_slots = concat_aranges(frontier_sizes)
+            seg_rank = np.repeat(
+                np.asarray([rank for rank, _, _ in stepped], dtype=np.int64),
+                frontier_sizes,
+            )
+            allocation = _Allocation(*map(np.concatenate, zip(*allocations)))
             prof.lap("gather")
 
-        allocated = np.nonzero(alloc)[0]
-        tasks += int(allocated.size)
-        selection = None
-        if allocated.size:
-            if allocated.size == alloc.size:
-                sub_biases, sub_offsets = biases, pool.offsets
-            else:
-                sub_biases, sub_offsets = take_segments(biases, pool.offsets, allocated)
-            inst_ids = np.asarray(
-                [pool.instances[k].instance_id for k in allocated], dtype=np.int64
-            )
-            selection = segmented_warp_select(
-                sub_biases,
-                sub_offsets,
-                counts[allocated],
-                self.rng,
-                [inst_ids,
-                 np.full(allocated.size, depth, dtype=np.int64),
-                 seg_slots[allocated] + 1,
-                 warp_ids[allocated]],
-                with_replacement=cfg.with_replacement,
-                strategy=cfg.strategy,
-                detector=cfg.detector,
-                cost=cost,
-                validate=False,  # validated by _edge_biases above
-                positive_counts=positive[allocated],
-            )
-        prof.lap("select")
-
-        # UPDATE phase: per allocated segment in scalar call order.
-        inserted: List[List[np.ndarray]] = [[] for _ in stepped]
-        for j, k in enumerate(allocated):
-            idx, iters = selection.segment(j)
-            inst = pool.instances[k]
-            record_iterations(iteration_counts, inst, iters)
-            sampled = pool.neighbors[pool.offsets[k] + idx]
-            segment = None
-            if self._accept_default:
-                accepted = sampled
-            else:
-                segment = pool.segment(k)
-                accepted = np.asarray(
-                    self.program.accept(segment, sampled), dtype=np.int64
-                ).reshape(-1)
-            if accepted.size:
-                inst.record_edges(int(pool.src[k]), accepted)
-                cost.sampled_edges += int(accepted.size)
-            new_vertices = self._update_vertices(pool, k, segment, accepted)
-            if accepted.size and cfg.track_visited:
-                inst.mark_visited(accepted)
+        tasks += int(np.count_nonzero(allocation.alloc))
+        instance_ids = np.asarray(
+            [inst.instance_id for inst in active], dtype=np.int64
+        )
+        inserted: List[List[np.ndarray]] = [[] for _ in active]
+        for k, new_vertices in self._sample_segments(
+            pool,
+            allocation,
+            # Draws key (instance, depth, slot + 1, warp, lane).
+            (instance_ids[seg_rank],
+             np.full(seg_rank.size, depth, dtype=np.int64),
+             seg_slots + 1),
+            cost,
+            prof,
+            iterations,
+            None if groups is None else groups[seg_rank],
+            validate=False,  # validated by _allocate above
+        ):
             if new_vertices.size:
                 inserted[seg_rank[k]].append(new_vertices)
 
-        for rank, (inst, frontier, positions) in enumerate(stepped):
-            self._finish_instance(inst, frontier, positions, inserted[rank], depth)
+        for rank, frontier, positions in stepped:
+            self._finish_instance(
+                active[rank], frontier, positions, inserted[rank], depth
+            )
         prof.lap("update")
         return tasks
 
@@ -436,25 +363,30 @@ class BatchedStepEngine:
         active: List[InstanceState],
         depth: int,
         cost: CostModel,
-        iteration_counts: List[int],
+        iterations: list,
+        groups: Optional[np.ndarray],
+        cursors: np.ndarray,
     ) -> int:
         cfg = self.config
         tasks = 0
         prof = _profiler.clock(depth)
-        stepped: List[Tuple[InstanceState, np.ndarray, np.ndarray]] = []
-        layer: List[Optional[Tuple[SegmentedEdgePool, np.ndarray, int, int]]] = []
-        vertex_biases = self._frontier_biases(active)
+        stepped: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        #: One layer-wide pool per instance that got a warp:
+        #: (rank in ``active``, pool, biases, count, warp id)
+        segments: List[Tuple[int, SegmentedEdgePool, np.ndarray, int, int]] = []
+        vertex_biases = self._vertex_biases(active)
         prof.lap("bias")
-        for inst in active:
+        for rank, inst in enumerate(active):
+            group = None if groups is None else groups[rank]
             frontier, positions, tasks_inc = self._frontier_select(
-                inst, depth, cost, biases=vertex_biases.get(id(inst))
+                inst, depth, cost, vertex_biases[rank], group, cursors
             )
             prof.lap("select")
             tasks += tasks_inc
             if frontier.size == 0:
                 inst.finished = True
                 continue
-            stepped.append((inst, frontier, positions))
+            stepped.append((rank, frontier, positions))
             part = batch_gather_neighbors(
                 self.graph, frontier, [inst] * int(frontier.size), cost
             )
@@ -462,7 +394,6 @@ class BatchedStepEngine:
             biases, uniform = self._edge_biases(part, validate_values=True)
             positive = part.size if uniform else int(np.count_nonzero(biases > 0))
             if part.size == 0 or positive == 0:
-                layer.append(None)
                 prof.lap("bias")
                 continue
             count = (
@@ -470,22 +401,20 @@ class BatchedStepEngine:
                 if cfg.with_replacement
                 else min(cfg.neighbor_size, positive)
             )
-            warp_id = self._alloc_warp(inst)
+            warp_id = int(alloc_warp_ids(cursors, 1, group)[0])
             tasks += 1
-            layer.append((part, biases, count, warp_id))
+            segments.append((rank, part, biases, count, warp_id))
             prof.lap("bias")
 
-        segments = [(rank, info) for rank, info in enumerate(layer) if info is not None]
         if segments:
-            flat_biases = np.concatenate([info[1] for _, info in segments])
-            seg_sizes = np.asarray([info[0].size for _, info in segments], dtype=np.int64)
-            offsets = np.zeros(seg_sizes.size + 1, dtype=np.int64)
-            np.cumsum(seg_sizes, out=offsets[1:])
-            counts = np.asarray([info[2] for _, info in segments], dtype=np.int64)
+            ranks, parts, bias_parts, counts, warp_ids = zip(*segments)
+            flat_biases = np.concatenate(bias_parts)
+            offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+            np.cumsum([part.size for part in parts], out=offsets[1:])
+            counts = np.asarray(counts, dtype=np.int64)
             inst_ids = np.asarray(
-                [stepped[rank][0].instance_id for rank, _ in segments], dtype=np.int64
+                [active[rank].instance_id for rank in ranks], dtype=np.int64
             )
-            warp_ids = np.asarray([info[3] for _, info in segments], dtype=np.int64)
             selection = segmented_warp_select(
                 flat_biases,
                 offsets,
@@ -494,7 +423,7 @@ class BatchedStepEngine:
                 [inst_ids,
                  np.full(counts.size, depth, dtype=np.int64),
                  np.ones(counts.size, dtype=np.int64),
-                 warp_ids],
+                 np.asarray(warp_ids, dtype=np.int64)],
                 with_replacement=cfg.with_replacement,
                 strategy=cfg.strategy,
                 detector=cfg.detector,
@@ -502,11 +431,12 @@ class BatchedStepEngine:
                 validate=False,  # validated by _edge_biases above
             )
         prof.lap("select")
-        inserted: List[List[np.ndarray]] = [[] for _ in stepped]
-        for j, (rank, (part, _, _, _)) in enumerate(segments or []):
+        inserted: List[List[np.ndarray]] = [[] for _ in active]
+        for j, (rank, part, _, _, _) in enumerate(segments):
             idx, iters = selection.segment(j)
-            inst = stepped[rank][0]
-            record_iterations(iteration_counts, inst, iters)
+            inst = active[rank]
+            sink = iterations if groups is None else iterations[groups[rank]]
+            sink.extend(iters.tolist())
             all_src = np.repeat(part.src, part.lengths())
             chosen_src = all_src[idx]
             chosen_dst = part.neighbors[idx]
@@ -529,8 +459,10 @@ class BatchedStepEngine:
             if cfg.track_visited:
                 inst.mark_visited(chosen_dst)
 
-        for rank, (inst, frontier, positions) in enumerate(stepped):
-            self._finish_instance(inst, frontier, positions, inserted[rank], depth)
+        for rank, frontier, positions in stepped:
+            self._finish_instance(
+                active[rank], frontier, positions, inserted[rank], depth
+            )
         prof.lap("update")
         return tasks
 
@@ -568,68 +500,28 @@ class BatchedStepEngine:
         seg_instances = [instance_map[int(i)] for i in instance_ids]
         pool = batch_gather_neighbors(self.graph, vertices, seg_instances, cost)
         prof.lap("gather")
-        lengths = pool.lengths()
-        biases, uniform = self._edge_biases(pool, validate_values=False)
-        positive = lengths if uniform else segment_positive_counts(biases, pool.offsets)
-        # The OOM kernel consults NeighborSize only after the positive-bias
-        # check, so the hook is skipped for all-zero pools.
-        requested = self._neighbor_counts(pool, lengths, (lengths > 0) & (positive > 0))
-        alloc = (lengths > 0) & (positive > 0) & (requested > 0)
-        counts = np.where(
-            alloc,
-            requested if cfg.with_replacement else np.minimum(requested, positive),
-            0,
+        allocation, uniform = self._allocate(
+            pool, None, self.warp_cursor, drain=True
         )
         prof.lap("bias")
-        allocated = np.nonzero(alloc)[0]
-        selection = None
-        if allocated.size:
-            warp_ids = self._alloc_warp_block(seg_instances, alloc)[allocated]
-            if allocated.size == alloc.size:
-                sub_biases, sub_offsets = biases, pool.offsets
-            else:
-                sub_biases, sub_offsets = take_segments(biases, pool.offsets, allocated)
-            selection = segmented_warp_select(
-                sub_biases,
-                sub_offsets,
-                counts[allocated],
-                self.rng,
-                [instance_ids[allocated], depths[allocated],
-                 vertices[allocated], warp_ids],
-                with_replacement=cfg.with_replacement,
-                strategy=cfg.strategy,
-                detector=cfg.detector,
-                cost=cost,
-                # OOM edge biases are only size-checked (like the scalar OOM
-                # kernel); non-uniform values still get the CTPS validation.
-                validate=not uniform,
-                positive_counts=positive[allocated],
-            )
-        prof.lap("select")
 
         succ_v: List[np.ndarray] = []
         succ_i: List[int] = []
         succ_d: List[int] = []
-        for j, k in enumerate(allocated):
-            idx, iters = selection.segment(j)
-            inst = pool.instances[k]
-            record_iterations(iteration_counts, inst, iters)
-            sampled = pool.neighbors[pool.offsets[k] + idx]
-            segment = None
-            if self._accept_default:
-                accepted = sampled
-            else:
-                segment = pool.segment(k)
-                accepted = np.asarray(
-                    self.program.accept(segment, sampled), dtype=np.int64
-                ).reshape(-1)
-            if accepted.size:
-                inst.record_edges(int(pool.src[k]), accepted)
-                cost.sampled_edges += int(accepted.size)
-            new_vertices = self._update_vertices(pool, k, segment, accepted)
-            if accepted.size and cfg.track_visited:
-                inst.mark_visited(accepted)
-            inst.prev_vertex = int(pool.src[k])
+        for k, new_vertices in self._sample_segments(
+            pool,
+            allocation,
+            # Draws key (instance, depth, vertex, warp, lane).
+            (instance_ids, depths, vertices),
+            cost,
+            prof,
+            iteration_counts,
+            None,
+            # OOM edge biases are only size-checked (like the scalar OOM
+            # kernel); non-uniform values still get the CTPS validation.
+            validate=not uniform,
+        ):
+            pool.instances[k].prev_vertex = int(pool.src[k])
             next_depth = int(depths[k]) + 1
             if next_depth >= cfg.depth or new_vertices.size == 0:
                 continue
@@ -647,23 +539,190 @@ class BatchedStepEngine:
         )
 
     # ================================================================== #
-    # Shared helpers
+    # The per-vertex bias -> SELECT -> UPDATE sequence (both entry points)
     # ================================================================== #
-    def _frontier_biases(
-        self, active: List[InstanceState]
-    ) -> Dict[int, np.ndarray]:
-        """VERTEXBIAS for every instance that will select this step, batched.
+    def _allocate(
+        self,
+        pool: SegmentedEdgePool,
+        groups,
+        cursors: np.ndarray,
+        *,
+        drain: bool = False,
+    ) -> Tuple[_Allocation, bool]:
+        """Biases, selection counts and warp ids of every segment of ``pool``.
 
-        Bias values do not depend on warp ids, so they can be evaluated in
-        one ``vertex_bias_batch`` call before the (warp-id ordered)
-        per-instance selection walk.
+        ``groups`` / ``cursors`` are :func:`alloc_warp_ids`'s.  ``drain``
+        marks the out-of-memory kernel's two deviations from the in-memory
+        step: edge biases are only size-checked here (the SELECT validates
+        non-uniform values), and NeighborSize is consulted only after the
+        positive-bias check, so the hook is skipped for all-zero pools.
+        Returns the allocation plus the all-ones-bias flag.
         """
         cfg = self.config
-        if cfg.frontier_size == 0:
-            return {}
-        selecting = [i for i in active if i.pool_size > cfg.frontier_size]
-        if not selecting:
-            return {}
+        lengths = pool.lengths()
+        biases, uniform = self._edge_biases(pool, validate_values=not drain)
+        positive = lengths if uniform else segment_positive_counts(biases, pool.offsets)
+        nonempty = lengths > 0
+        requested = self._neighbor_counts(
+            pool, lengths, nonempty & (positive > 0) if drain else nonempty
+        )
+        alloc = nonempty & (requested > 0) & (positive > 0)
+        counts = np.where(
+            alloc,
+            requested if cfg.with_replacement else np.minimum(requested, positive),
+            0,
+        )
+        # Ids are sequential in segment order within each owning group (the
+        # engine's single sequence when ungrouped) -- the scalar loop's order.
+        warp_ids = np.full(alloc.size, -1, dtype=np.int64)
+        warp_ids[alloc] = alloc_warp_ids(
+            cursors,
+            int(np.count_nonzero(alloc)),
+            groups[alloc] if np.ndim(groups) else groups,
+        )
+        return _Allocation(biases, positive, counts, alloc, warp_ids), uniform
+
+    def _sample_segments(
+        self,
+        pool: SegmentedEdgePool,
+        allocation: _Allocation,
+        coords: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        cost: CostModel,
+        prof,
+        iterations: list,
+        groups: Optional[np.ndarray],
+        *,
+        validate: bool,
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """One segmented SELECT over the allocated segments, then UPDATE.
+
+        ``coords`` are the first three RNG coordinates of every segment (the
+        warp id is the fourth); ``groups`` names each segment's list in
+        ``iterations`` (``None`` = one flat list).  Yields ``(segment,
+        new_vertices)`` per allocated segment in scalar call order, after its
+        iteration counts, ACCEPT, edge recording, UPDATE and visited marking
+        -- what becomes of the new vertices is the entry point's business.
+        """
+        cfg = self.config
+        allocated = np.nonzero(allocation.alloc)[0]
+        if allocated.size:
+            if allocated.size == allocation.alloc.size:
+                sub_biases, sub_offsets = allocation.biases, pool.offsets
+            else:
+                sub_biases, sub_offsets = take_segments(
+                    allocation.biases, pool.offsets, allocated
+                )
+            selection = segmented_warp_select(
+                sub_biases,
+                sub_offsets,
+                allocation.counts[allocated],
+                self.rng,
+                [coord[allocated] for coord in coords]
+                + [allocation.warp_ids[allocated]],
+                with_replacement=cfg.with_replacement,
+                strategy=cfg.strategy,
+                detector=cfg.detector,
+                cost=cost,
+                validate=validate,
+                positive_counts=allocation.positive[allocated],
+            )
+        prof.lap("select")
+
+        # UPDATE phase: per allocated segment in scalar call order.
+        for j, k in enumerate(allocated):
+            idx, iters = selection.segment(j)
+            inst = pool.instances[k]
+            sink = iterations if groups is None else iterations[groups[k]]
+            # tolist() converts to python ints in one C pass; extending with
+            # a genexpr of int(i) calls back into python per element.
+            sink.extend(iters.tolist())
+            sampled = pool.neighbors[pool.offsets[k] + idx]
+            segment = None
+            if self._accept_default:
+                accepted = sampled
+            else:
+                segment = pool.segment(k)
+                accepted = np.asarray(
+                    self.program.accept(segment, sampled), dtype=np.int64
+                ).reshape(-1)
+            if accepted.size:
+                inst.record_edges(int(pool.src[k]), accepted)
+                cost.sampled_edges += int(accepted.size)
+            new_vertices = self._update_vertices(pool, k, segment, accepted)
+            if accepted.size and cfg.track_visited:
+                inst.mark_visited(accepted)
+            yield k, new_vertices
+
+    # ================================================================== #
+    # Frontier selection (line 4)
+    # ================================================================== #
+    def _vertex_biases(
+        self, active: List[InstanceState]
+    ) -> List[Optional[np.ndarray]]:
+        """VERTEXBIAS of every instance that will select this step, batched.
+
+        Aligned with ``active`` (``None`` where the pool fits the frontier).
+        Bias values do not depend on warp ids, so they can be evaluated in
+        one pass before the (warp-id ordered) per-instance selection walk.
+        """
+        frontier_size = self.config.frontier_size
+        biases: List[Optional[np.ndarray]] = [None] * len(active)
+        selecting = [
+            rank for rank, inst in enumerate(active)
+            if 0 < frontier_size < inst.pool_size
+        ]
+        if selecting:
+            batch = self._frontier_biases([active[rank] for rank in selecting])
+            for rank, vertex_biases in zip(selecting, batch):
+                biases[rank] = vertex_biases
+        return biases
+
+    def _frontier_select(
+        self,
+        inst: InstanceState,
+        depth: int,
+        cost: CostModel,
+        biases: Optional[np.ndarray],
+        group,
+        cursors: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Line 4: SELECT(VERTEXBIAS(FrontierPool), FrontierSize).
+
+        ``biases`` is the instance's entry of :meth:`_vertex_biases`.
+        """
+        cfg = self.config
+        pool = inst.frontier_pool
+        if biases is None:  # the pool fits the frontier: nothing to select
+            return pool, np.arange(pool.size, dtype=np.int64), 0
+        positive = int(np.count_nonzero(biases > 0))
+        count = min(cfg.frontier_size, positive)
+        if count == 0:
+            return _EMPTY, _EMPTY, 0
+        warp = WarpExecutor(
+            warp_id=int(alloc_warp_ids(cursors, 1, group)[0]),
+            cost=cost,
+            rng=self.rng,
+        )
+        result = warp_select(
+            biases,
+            count,
+            warp,
+            inst.instance_id,
+            depth,
+            0,
+            with_replacement=False,
+            strategy=cfg.strategy,
+            detector=cfg.detector,
+        )
+        return pool[result.indices], result.indices, 1
+
+    # ================================================================== #
+    # Hook-dispatching sites (the interpreted tier)
+    # ================================================================== #
+    def _hook_frontier_biases(
+        self, selecting: List[InstanceState]
+    ) -> List[np.ndarray]:
+        """One validated ``vertex_bias_batch`` call over the selecting pools."""
         views = [
             FrontierPoolView(
                 vertices=inst.frontier_pool,
@@ -679,52 +738,12 @@ class BatchedStepEngine:
                 f"vertex_bias_batch must return one bias array per pool "
                 f"(expected {len(selecting)}, got {len(batch)})"
             )
-        return {
-            id(inst): validate_biases(b, inst.pool_size, "vertex_bias")
+        return [
+            validate_biases(b, inst.pool_size, "vertex_bias")
             for inst, b in zip(selecting, batch)
-        }
+        ]
 
-    def _frontier_select(
-        self,
-        inst: InstanceState,
-        depth: int,
-        cost: CostModel,
-        biases: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Line 4: SELECT(VERTEXBIAS(FrontierPool), FrontierSize)."""
-        cfg = self.config
-        pool = inst.frontier_pool
-        if cfg.frontier_size == 0 or pool.size <= cfg.frontier_size:
-            return pool, np.arange(pool.size, dtype=np.int64), 0
-        if biases is None:
-            view = FrontierPoolView(
-                vertices=pool,
-                degrees=self.graph.degrees[pool],
-                instance=inst,
-                graph=self.graph,
-            )
-            biases = validate_biases(
-                self.program.vertex_bias(view), pool.size, "vertex_bias"
-            )
-        positive = int(np.count_nonzero(biases > 0))
-        count = min(cfg.frontier_size, positive)
-        if count == 0:
-            return _EMPTY, _EMPTY, 0
-        warp = WarpExecutor(warp_id=self._alloc_warp(inst), cost=cost, rng=self.rng)
-        result = warp_select(
-            biases,
-            count,
-            warp,
-            inst.instance_id,
-            depth,
-            0,
-            with_replacement=False,
-            strategy=cfg.strategy,
-            detector=cfg.detector,
-        )
-        return pool[result.indices], result.indices, 1
-
-    def _edge_biases(
+    def _hook_edge_biases(
         self, pool: SegmentedEdgePool, *, validate_values: bool
     ) -> Tuple[np.ndarray, bool]:
         """EDGEBIAS for a whole batch, preserving scalar hook-call order.
@@ -734,36 +753,27 @@ class BatchedStepEngine:
         """
         total = pool.size
         if self._edge_bias_batched:
-            biases = np.asarray(
-                self.program.edge_bias_batch(pool), dtype=np.float64
-            ).reshape(-1)
-            if biases.size != total:
-                raise ValueError(
-                    f"edge_bias_batch must return one bias per candidate "
-                    f"(expected {total}, got {biases.size})"
-                )
-            if validate_values and (np.any(biases < 0) or not np.all(np.isfinite(biases))):
-                raise ValueError("edge_bias must return finite, non-negative biases")
+            biases = _sized_biases(
+                self.program.edge_bias_batch(pool), total, "edge_bias_batch"
+            )
+            if validate_values:
+                _check_bias_values(biases, "edge_bias")
             return biases, False
         if not self._edge_bias_overridden:
             return np.ones(total, dtype=np.float64), True
         out = np.empty(total, dtype=np.float64)
         lengths = pool.lengths()
         for k in np.nonzero(lengths > 0)[0]:
-            part = np.asarray(
-                self.program.edge_bias(pool.segment(int(k))), dtype=np.float64
-            ).reshape(-1)
-            if part.size != int(lengths[k]):
-                raise ValueError(
-                    f"edge_bias must return one bias per candidate "
-                    f"(expected {int(lengths[k])}, got {part.size})"
-                )
-            if validate_values and (np.any(part < 0) or not np.all(np.isfinite(part))):
-                raise ValueError("edge_bias must return finite, non-negative biases")
+            part = _sized_biases(
+                self.program.edge_bias(pool.segment(int(k))),
+                int(lengths[k]), "edge_bias",
+            )
+            if validate_values:
+                _check_bias_values(part, "edge_bias")
             out[pool.offsets[k] : pool.offsets[k + 1]] = part
         return out, False
 
-    def _update_vertices(
+    def _hook_update_vertices(
         self,
         pool: SegmentedEdgePool,
         k: int,
@@ -773,9 +783,7 @@ class BatchedStepEngine:
         """UPDATE for one segment (lines 7-8's filter).
 
         ``segment`` is a pre-materialised scalar view when the accept hook
-        already built one, else ``None``.  The compiled step engine overrides
-        this with the program's *declared* update shape, skipping hook
-        dispatch and segment materialisation.
+        already built one, else ``None``.
         """
         if self._update_default:
             return accepted
@@ -784,7 +792,7 @@ class BatchedStepEngine:
             self.program.update(segment, accepted), dtype=np.int64
         ).reshape(-1)
 
-    def _neighbor_counts(
+    def _hook_neighbor_counts(
         self, pool: SegmentedEdgePool, lengths: np.ndarray, hook_mask: np.ndarray
     ) -> np.ndarray:
         """Requested NeighborSize per segment (hook looped in call order)."""
@@ -798,6 +806,7 @@ class BatchedStepEngine:
                 )
         return requested
 
+    # ================================================================== #
     def _finish_instance(
         self,
         inst: InstanceState,
@@ -829,16 +838,7 @@ class BatchedStepEngine:
 def _concat_pools(
     parts: List[SegmentedEdgePool], graph: CSRGraph
 ) -> SegmentedEdgePool:
-    """Concatenate per-instance gathers into one step-wide pool."""
-    if not parts:
-        return SegmentedEdgePool(
-            src=_EMPTY,
-            offsets=np.zeros(1, dtype=np.int64),
-            neighbors=_EMPTY,
-            weights=np.empty(0, dtype=np.float64),
-            instances=[],
-            graph=graph,
-        )
+    """Concatenate per-instance gathers (at least one) into one step-wide pool."""
     sizes = np.asarray([p.num_segments for p in parts], dtype=np.int64)
     offsets = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
     pos = 0

@@ -152,7 +152,7 @@ class OutOfMemorySampler:
         partitions: Optional[PartitionSet] = None,
         algorithm: Optional[str] = None,
     ):
-        from repro.compiled.step_engine import make_step_engine
+        from repro.engine.step import BatchedStepEngine
         from repro.graph.delta import as_csr
 
         graph = as_csr(graph)  # DeltaGraphs sample their canonical snapshot
@@ -169,7 +169,7 @@ class OutOfMemorySampler:
             else partition_graph(graph, self.oom.num_partitions)
         )
         self.rng = CounterRNG(config.seed)
-        self.engine = make_step_engine(
+        self.engine = BatchedStepEngine(
             graph, program, config, self.rng, "out_of_memory"
         )
 

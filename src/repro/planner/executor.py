@@ -34,7 +34,6 @@ from repro.api.instance import InstanceBatch, InstanceState
 from repro.api.results import SampleColumns, SampleResult
 from repro.compiled.compiler import resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel
-from repro.engine.hetero import GroupedIterationSink
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device
@@ -169,20 +168,20 @@ class Executor:
             ).run(batch, groups, num_groups)
         instances = batch.states()
         if groups is None:
-            sink = iterations = []
+            # The four-argument call: all the scalar oracle implements.
+            iterations, grouped = [], ()
         else:
-            group_of = {
-                id(inst): rank for inst, rank in zip(instances, groups.tolist())
-            }
-            self.engine.set_warp_groups(group_of, num_groups)
-            sink = GroupedIterationSink(group_of, num_groups)
-            iterations = sink.lists
+            # One iteration list and one warp cursor (from 0) per member.
+            iterations = [[] for _ in range(num_groups)]
+            grouped = (groups, np.zeros(num_groups, dtype=np.int64))
         kernels: List[KernelLaunch] = []
         total = CostModel()
         for depth in range(self.plan.config.depth):
             step_cost = CostModel()
             with _trace.span("depth_step", depth=depth) as sp:
-                tasks = self.engine.step_instances(instances, depth, step_cost, sink)
+                tasks = self.engine.step_instances(
+                    instances, depth, step_cost, iterations, *grouped
+                )
                 sp.set(tasks=tasks)
             if tasks is None:
                 break

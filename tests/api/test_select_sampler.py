@@ -6,7 +6,7 @@ import pytest
 from repro.api.bias import EdgePool, FrontierPoolView, SamplingProgram, UniformProgram
 from repro.api.config import SamplingConfig
 from repro.api.sampler import GraphSampler, sample_graph
-from repro.api.select import batch_walk_step, gather_neighbors, warp_select
+from repro.api.select import gather_neighbors, warp_select
 from repro.api.instance import InstanceState
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
@@ -61,57 +61,6 @@ class TestWarpSelect:
         warp = make_warp()
         warp_select(np.ones(8), 4, warp, 0, strategy="repeated", detector="linear")
         assert warp.cost.warp_steps > 0
-
-
-class TestBatchWalkStep:
-    def test_moves_all_walkers_on_ring(self, ring10):
-        current = np.arange(10)
-        nxt, moved = batch_walk_step(ring10, current, CounterRNG(0), 0)
-        assert moved.all()
-        # On a ring every move goes to a neighbour.
-        for before, after in zip(current, nxt):
-            assert after in ring10.neighbors(before)
-
-    def test_dead_end_walkers_stay(self):
-        graph = star_graph(3, bidirectional=False)  # leaves have no out-edges
-        current = np.array([1, 2, 0])
-        nxt, moved = batch_walk_step(graph, current, CounterRNG(1), 0)
-        assert not moved[0] and not moved[1] and moved[2]
-        assert nxt[0] == 1 and nxt[1] == 2
-
-    def test_inactive_mask_respected(self, ring10):
-        current = np.arange(10)
-        active = np.zeros(10, dtype=bool)
-        active[3] = True
-        nxt, moved = batch_walk_step(ring10, current, CounterRNG(2), 0, active=active)
-        assert moved.sum() == 1 and moved[3]
-        assert np.array_equal(nxt[active == False], current[active == False])  # noqa: E712
-
-    def test_weighted_bias_prefers_heavy_edge(self, toy_graph):
-        # Give vertex 8 one overwhelmingly heavy edge and check the walkers take it.
-        weights = np.ones(toy_graph.num_edges)
-        start, end = toy_graph.edge_range(8)
-        heavy_position = start + 2
-        weights[heavy_position] = 1e6
-        g = toy_graph.with_weights(weights)
-        target = int(g.col_idx[heavy_position])
-        current = np.full(200, 8)
-        nxt, _ = batch_walk_step(g, current, CounterRNG(3), 0, edge_bias="weight")
-        assert np.mean(nxt == target) > 0.95
-
-    def test_cost_counts_sampled_edges(self, ring10):
-        cost = CostModel()
-        batch_walk_step(ring10, np.arange(10), CounterRNG(0), 0, cost=cost)
-        assert cost.sampled_edges == 10
-        assert cost.rng_draws == 10
-
-    def test_unknown_bias_rejected(self, ring10):
-        with pytest.raises(ValueError):
-            batch_walk_step(ring10, np.arange(3), CounterRNG(0), 0, edge_bias="degree")
-
-    def test_empty_walkers(self, ring10):
-        nxt, moved = batch_walk_step(ring10, np.array([], dtype=np.int64), CounterRNG(0), 0)
-        assert nxt.size == 0 and moved.size == 0
 
 
 class TestGraphSampler:

@@ -1,4 +1,4 @@
-"""CompiledStepEngine: construction policy and declared-shape equivalence."""
+"""The step engine's hook sites: binding policy and declared-shape equivalence."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.sampler import GraphSampler
 from repro.compiled import clear_structure_cache, structure_cache_stats
-from repro.compiled.step_engine import CompiledStepEngine, make_step_engine
-from repro.engine.step import BatchedStepEngine
+from repro.engine.step import BatchedStepEngine, alloc_warp_ids
 from repro.gpusim.prng import CounterRNG
 from repro.graph.generators import powerlaw_graph
 
@@ -42,7 +41,7 @@ def fresh_structures():
 def _build(graph, name):
     info = ALGORITHM_REGISTRY[name]
     config = info.config_factory(seed=13)
-    return make_step_engine(
+    return BatchedStepEngine(
         graph, info.program_factory(), config, CounterRNG(config.seed),
         "in_memory",
     )
@@ -50,36 +49,56 @@ def _build(graph, name):
 
 class TestEngineSelection:
     @pytest.mark.parametrize("name", ENGINE_SHAPED)
-    def test_eligible_programs_get_the_compiled_engine(self, graph, name):
+    def test_eligible_programs_get_declared_sites(self, graph, name):
         engine = _build(graph, name)
-        assert isinstance(engine, CompiledStepEngine)
+        program = ALGORITHM_REGISTRY[name].program_factory()
+        assert engine.kind == program.compiled_bias
 
     @pytest.mark.parametrize("name", STATEFUL)
     def test_stateful_programs_stay_interpreted(self, graph, name):
-        engine = _build(graph, name)
-        assert not isinstance(engine, CompiledStepEngine)
-        assert isinstance(engine, BatchedStepEngine)
+        assert _build(graph, name).kind is None
 
     def test_env_disable_forces_interpreted(self, graph, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
-        engine = _build(graph, "biased_neighbor_sampling")
-        assert not isinstance(engine, CompiledStepEngine)
+        assert _build(graph, "biased_neighbor_sampling").kind is None
 
-    def test_biased_engines_share_cached_structures(self, graph):
-        _build(graph, "biased_neighbor_sampling")
-        first = structure_cache_stats()
-        assert first["misses"] == 1
-        _build(graph, "biased_neighbor_sampling")
-        second = structure_cache_stats()
-        assert (second["hits"], second["misses"]) == (first["hits"] + 1, 1)
+    def test_no_route_means_hook_dispatching_sites(self, graph):
+        info = ALGORITHM_REGISTRY["biased_neighbor_sampling"]
+        engine = BatchedStepEngine(
+            graph, info.program_factory(), info.config_factory(), CounterRNG(0)
+        )
+        assert engine.kind is None
+
+    def test_only_the_walk_kernel_reads_the_structure_cache(self, graph):
+        """The engine evaluates biases per step; the per-graph tables have
+        one reader, the fused walk kernel."""
+        seeds = list(range(0, graph.num_vertices, 15))
+
+        def run(name):
+            info = ALGORITHM_REGISTRY[name]
+            sampler = GraphSampler(
+                graph, info.program_factory(), info.config_factory(seed=13)
+            )
+            sampler.run(seeds)
+            return sampler
+
+        assert run("biased_neighbor_sampling").engine.kind == "weight_or_degree"
+        stats = structure_cache_stats()
+        assert (stats["builds"], stats["hits"], stats["misses"]) == (0, 0, 0)
+        run("biased_random_walk")
+        stats = structure_cache_stats()
+        assert (stats["builds"], stats["hits"], stats["misses"]) == (1, 0, 1)
+        run("biased_random_walk")
+        stats = structure_cache_stats()
+        assert (stats["builds"], stats["hits"], stats["misses"]) == (1, 1, 1)
 
 
 class TestDeclaredShapeEquivalence:
-    """The compiled engine's declared-shape overrides vs the real hooks.
+    """The engine's declared-shape sites vs the real hooks.
 
     The cross-route matrix already pins full-run bit-identity; these tests
     pin it at the engine level, per algorithm, so a shape regression is
-    attributed to the override rather than to route plumbing.
+    attributed to the site rather than to route plumbing.
     """
 
     @pytest.mark.parametrize("name", ENGINE_SHAPED)
@@ -90,7 +109,7 @@ class TestDeclaredShapeEquivalence:
 
         def run(compiled):
             sampler = GraphSampler(graph, info.program_factory(), config)
-            assert isinstance(sampler.engine, CompiledStepEngine) == compiled
+            assert (sampler.engine.kind is not None) == compiled
             return sampler.run(seeds)
 
         compiled = run(True)
@@ -103,40 +122,40 @@ class TestDeclaredShapeEquivalence:
 
 
 class TestGroupedWarpIds:
-    """``_alloc_warp_block`` with warp groups: one grouped running count."""
+    """``alloc_warp_ids``: the one allocator of the engine and the walk kernel."""
 
     @staticmethod
-    def loop_reference(groups, alloc, cursors):
-        """The per-group loop the running count replaced."""
-        warp_ids = np.full(alloc.size, -1, dtype=np.int64)
-        for group in np.unique(groups[alloc]):
-            members = alloc & (groups == group)
+    def loop_reference(groups, cursors):
+        """The per-group loop the grouped running count replaced."""
+        warp_ids = np.full(groups.size, -1, dtype=np.int64)
+        for group in np.unique(groups):
+            members = groups == group
             count = int(members.sum())
             warp_ids[members] = cursors[group] + np.arange(count, dtype=np.int64)
             cursors[group] += count
         return warp_ids
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_the_loop_on_random_layouts(self, graph, seed):
+    def test_matches_the_loop_on_random_layouts(self, seed):
         rng = np.random.default_rng(seed)
         num_groups = int(rng.integers(1, 12))
         num_segments = int(rng.integers(0, 40))
-        # Repeated and interleaved groups, some never allocated, some
-        # segments unallocated; a per-walker layout when groups are distinct.
+        # Repeated and interleaved groups, some never allocated; a
+        # per-walker layout when groups are distinct.
         groups = rng.integers(0, num_groups, num_segments)
-        alloc = rng.random(num_segments) < 0.7
-        start = rng.integers(0, 50, num_groups)
+        start = rng.integers(0, 50, num_groups).astype(np.int64)
 
-        info = ALGORITHM_REGISTRY["simple_random_walk"]
-        engine = BatchedStepEngine(
-            graph, info.program_factory(), info.config_factory(), CounterRNG(0)
+        expected_cursors = start.copy()
+        expected = self.loop_reference(groups, expected_cursors)
+        cursors = start.copy()
+        assert np.array_equal(
+            alloc_warp_ids(cursors, num_segments, groups), expected
         )
-        instances = [object() for _ in range(num_segments)]
-        engine.set_warp_groups(
-            {id(inst): int(g) for inst, g in zip(instances, groups)},
-            num_groups, initial_cursors=start,
-        )
-        expected_cursors = start.astype(np.int64)
-        expected = self.loop_reference(groups, alloc, expected_cursors)
-        assert np.array_equal(engine._alloc_warp_block(instances, alloc), expected)
-        assert np.array_equal(engine.group_cursors(), expected_cursors)
+        assert np.array_equal(cursors, expected_cursors)
+
+    def test_one_group_is_a_plain_run(self):
+        cursors = np.array([5, 9], dtype=np.int64)
+        assert alloc_warp_ids(cursors, 3, 1).tolist() == [9, 10, 11]
+        assert alloc_warp_ids(cursors, 2).tolist() == [5, 6]  # ungrouped: 0
+        assert alloc_warp_ids(cursors, 0, 1).size == 0
+        assert cursors.tolist() == [7, 12]

@@ -1,18 +1,18 @@
 """What a plan reports is what was constructed -- every algorithm, every route.
 
 ``resolve_step`` is the single decider of "which code runs the depth step";
-the planner reports it, ``make_step_engine`` constructs from it and the
-executor instantiates the walk kernel from it.  These tests spy on what was
+the planner reports it, ``BatchedStepEngine`` binds its hook sites from it and
+the executor instantiates the walk kernel from it.  These tests spy on what was
 actually built and run and hold it to the plan: ``step_tier == "compiled"``
-<=> every engine is a ``CompiledStepEngine``; ``kernel == "walk"`` <=> a
+<=> every engine has a declared ``kind``; ``kernel == "walk"`` <=> a
 ``CompiledWalkKernel`` ran (either driver: the depth loop's ``run`` or the
 partition drain's ``expand``); through the service both equal
 ``SampleResponse.stats["step_tier"]``.
 
 The second half holds the walk kernel's drain driver to the engines it
 stands in for: on the out-of-memory route, for every walk algorithm and
-every ``OutOfMemoryConfig`` preset, the kernel, ``CompiledStepEngine.
-expand_entries`` and the ``ScalarMainLoop`` oracle agree on samples,
+every ``OutOfMemoryConfig`` preset, the kernel, the declared-site engine's
+``expand_entries`` and the ``ScalarMainLoop`` oracle agree on samples,
 iteration counts, cost totals and the whole simulated schedule.
 """
 
@@ -26,8 +26,7 @@ from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import InstanceBatch, make_instances
 from repro.api.sampler import GraphSampler
 from repro.baselines.reference import ScalarMainLoop
-from repro.compiled import CompiledStepEngine, clear_kernel_cache, resolve_step
-from repro.compiled.step_engine import make_step_engine
+from repro.compiled import clear_kernel_cache, resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel
 from repro.distributed import ShardedSamplingCluster
 from repro.engine.hetero import run_coalesced
@@ -62,8 +61,8 @@ def built(monkeypatch):
     init = BatchedStepEngine.__init__
 
     def spy_init(self, *args, **kwargs):
-        engines.append(type(self) is CompiledStepEngine)
         init(self, *args, **kwargs)
+        engines.append(self.kind is not None)
 
     def spy_driver(driver):
         def spy(self, *args, **kwargs):
@@ -135,7 +134,7 @@ def test_calibration_cannot_split_plan_from_engine(
 ):
     # A calibration written before the tier stopped being cost-guessed: its
     # huge compiled overhead used to make plan() report "interpreted" while
-    # the sampler had built a CompiledStepEngine.  The key must load
+    # the sampler had built a compiled engine.  The key must load
     # (ignored) and move nothing.
     legacy = tmp_path / "calibration.json"
     legacy.write_text(json.dumps({
@@ -215,7 +214,7 @@ def drain(graph, program, config, oom, instances, engine=None):
     """
     with interpreted() if engine is not None else contextlib.nullcontext():
         if engine is None:
-            engine = make_step_engine(
+            engine = BatchedStepEngine(
                 graph, program, config, CounterRNG(config.seed), "out_of_memory"
             )
         executor = Executor(
@@ -228,6 +227,15 @@ def drain(graph, program, config, oom, instances, engine=None):
             partitions=partition_graph(graph, oom.num_partitions),
         )
         return executor.execute(instances)
+
+
+def declared_engine(graph, program, config):
+    """The engine with declared-shape sites (built while the tier is on)."""
+    engine = BatchedStepEngine(
+        graph, program, config, CounterRNG(config.seed), "out_of_memory"
+    )
+    assert engine.kind == program.compiled_bias
+    return engine
 
 
 def assert_same_drain(a, b):
@@ -251,10 +259,7 @@ def test_drain_driver_agrees_with_both_engines(graph, algorithm, preset, case):
     assert kernel_run.total_sampled_edges > 0
     engine_run = drain(
         graph, program, config, oom, batch(),
-        engine=CompiledStepEngine(
-            graph, program, config, CounterRNG(config.seed),
-            kind=program.compiled_bias,
-        ),
+        engine=declared_engine(graph, program, config),
     )
     assert_same_drain(kernel_run, engine_run)
     if algorithm == "node2vec" and case == "multi_seed":
@@ -284,7 +289,7 @@ def test_node2vec_prev_column_tracks_prev_vertex(graph, monkeypatch, preset, cas
 
     column_trace, state_trace = [], []
     expand = CompiledWalkKernel.expand
-    expand_entries = CompiledStepEngine.expand_entries
+    expand_entries = BatchedStepEngine.expand_entries
 
     def spy_expand(self, *args):
         out = expand(self, *args)
@@ -298,13 +303,11 @@ def test_node2vec_prev_column_tracks_prev_vertex(graph, monkeypatch, preset, cas
         return out
 
     monkeypatch.setattr(CompiledWalkKernel, "expand", spy_expand)
-    monkeypatch.setattr(CompiledStepEngine, "expand_entries", spy_expand_entries)
+    monkeypatch.setattr(BatchedStepEngine, "expand_entries", spy_expand_entries)
     drain(graph, program, config, oom, batch())
     drain(
         graph, program, config, oom, batch(),
-        engine=CompiledStepEngine(
-            graph, program, config, CounterRNG(config.seed), kind="node2vec"
-        ),
+        engine=declared_engine(graph, program, config),
     )
     assert len(column_trace) > len(batch())
     assert column_trace == state_trace

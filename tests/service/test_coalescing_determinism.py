@@ -4,9 +4,9 @@ A request with a fixed seed must return identical edges whether it ran alone
 or coalesced into a batch with other requests -- for every registered
 algorithm, at both layers:
 
-* engine layer: :func:`repro.engine.hetero.run_coalesced` /
-  :func:`run_heterogeneous` vs standalone :class:`GraphSampler` runs
-  (extending the ``tests/integration/test_engine_equivalence`` approach);
+* engine layer: :func:`repro.engine.hetero.run_coalesced` vs standalone
+  :class:`GraphSampler` runs (extending the
+  ``tests/integration/test_engine_equivalence`` approach);
 * service layer: responses from a live :class:`SamplingService` under
   concurrent submission vs the same standalone runs.
 """
@@ -19,7 +19,7 @@ import pytest
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import make_instances
 from repro.api.sampler import GraphSampler
-from repro.engine.hetero import InstanceGroup, run_coalesced, run_heterogeneous
+from repro.engine.hetero import run_coalesced
 from repro.graph.generators import powerlaw_graph
 from repro.service import SamplingClient, SamplingService
 
@@ -36,17 +36,20 @@ MEMBER_SEEDS = [
 ]
 
 
-def make_groups(info, config):
-    """Instance groups as the service builds them: one shared program for
-    coalescable algorithms, a fresh program per request otherwise."""
-    if info.program_factory().supports_coalescing:
-        program = info.program_factory()
-        return [
-            InstanceGroup(program, config, make_instances(seeds))
-            for seeds in MEMBER_SEEDS
-        ]
+def coalesce(graph, info, config):
+    """Batches as the service builds them: one shared program and one batch
+    for coalescable algorithms, a fresh program and a single-member batch
+    per request otherwise."""
+    program = info.program_factory()
+    if program.supports_coalescing:
+        return run_coalesced(
+            graph, program, config,
+            [make_instances(seeds) for seeds in MEMBER_SEEDS],
+        )
     return [
-        InstanceGroup(info.program_factory(), config, make_instances(seeds))
+        run_coalesced(
+            graph, info.program_factory(), config, [make_instances(seeds)]
+        )[0]
         for seeds in MEMBER_SEEDS
     ]
 
@@ -69,30 +72,8 @@ class TestEngineLayer:
             GraphSampler(graph, info.program_factory(), config).run(seeds)
             for seeds in MEMBER_SEEDS
         ]
-        coalesced = run_heterogeneous(graph, make_groups(info, config))
+        coalesced = coalesce(graph, info, config)
         for ref, got in zip(standalone, coalesced):
-            assert_member_equivalent(ref, got)
-
-    def test_mixed_configs_in_one_heterogeneous_batch(self, graph):
-        """Different (algorithm, config) groups ride one batch untouched."""
-        walk = ALGORITHM_REGISTRY["simple_random_walk"]
-        neigh = ALGORITHM_REGISTRY["unbiased_neighbor_sampling"]
-        walk_config = walk.config_factory(seed=2, depth=5)
-        neigh_config = neigh.config_factory(seed=8, depth=2, neighbor_size=3)
-        walk_program = walk.program_factory()
-        groups = [
-            InstanceGroup(walk_program, walk_config, make_instances([1, 2, 3])),
-            InstanceGroup(neigh.program_factory(), neigh_config,
-                          make_instances([10, 20])),
-            InstanceGroup(walk_program, walk_config, make_instances([7])),
-        ]
-        results = run_heterogeneous(graph, groups)
-        refs = [
-            GraphSampler(graph, walk.program_factory(), walk_config).run([1, 2, 3]),
-            GraphSampler(graph, neigh.program_factory(), neigh_config).run([10, 20]),
-            GraphSampler(graph, walk.program_factory(), walk_config).run([7]),
-        ]
-        for ref, got in zip(refs, results):
             assert_member_equivalent(ref, got)
 
     def test_coalesced_metadata_records_batch_size(self, graph):
