@@ -28,7 +28,7 @@ from repro.gpusim.device import POWER9_SPEC, DeviceSpec
 from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.prng import CounterRNG
 from repro.graph.csr import CSRGraph
-from repro.selection.incremental import VertexAliasCache
+from repro.selection.alias import AliasTable, build_alias_table
 
 __all__ = ["KnightKingEngine", "KnightKingResult"]
 
@@ -91,36 +91,16 @@ class KnightKingEngine:
         self.spec = spec
         self.rng = CounterRNG(seed)
         self.preprocessing_cost = CostModel()
-        self._alias_cache: Optional[VertexAliasCache] = None
+        #: One alias table per vertex, ``None`` where the row has no
+        #: positive weight (the walker stops there).
+        self.alias_tables: List[Optional[AliasTable]] = []
         if self.biased:
-            self._alias_cache = VertexAliasCache.build(
-                graph, self.preprocessing_cost
-            )
-
-    # ------------------------------------------------------------------ #
-    def update_graph(self, graph: CSRGraph,
-                     touched: Optional[np.ndarray] = None) -> None:
-        """Swap in a mutated graph, patching alias tables incrementally.
-
-        ``touched`` is the changed-vertex set a
-        :meth:`~repro.graph.delta.DeltaGraph.compact` reports; only those
-        vertices' alias tables are rebuilt (and charged to the
-        preprocessing cost).  With ``touched=None`` every table is rebuilt
-        -- the full static preprocessing pass.
-        """
-        if graph.num_vertices == 0:
-            raise ValueError("cannot walk an empty graph")
-        if self.biased and not graph.is_weighted:
-            raise ValueError("a biased engine needs a weighted graph")
-        self.graph = graph
-        if not self.biased:
-            return
-        if touched is None or self._alias_cache is None:
-            self._alias_cache = VertexAliasCache.build(
-                graph, self.preprocessing_cost
-            )
-        else:
-            self._alias_cache.update(graph, touched, self.preprocessing_cost)
+            for vertex in range(graph.num_vertices):
+                weights = graph.neighbor_weights(vertex)
+                self.alias_tables.append(
+                    build_alias_table(weights, self.preprocessing_cost)
+                    if np.any(weights > 0) else None
+                )
 
     # ------------------------------------------------------------------ #
     def run_walks(
@@ -192,9 +172,9 @@ class KnightKingEngine:
         cost.charge_global_bytes(neighbors.nbytes + 16)
         cost.charge_warp_step(DEPENDENT_ACCESS_CYCLES, active_lanes=1)
         if self.biased:
-            if not self._alias_cache.has(vertex):
+            table = self.alias_tables[vertex]
+            if table is None:
                 return None
-            table = self._alias_cache.table(vertex)
             index = table.sample(self.rng, walker, step, cost=cost)
         else:
             r = float(self.rng.uniform(walker, step))

@@ -60,12 +60,10 @@ from repro.compiled.step_engine import declared_sites
 from repro.compiled.structures import (
     GraphStructures,
     Node2VecPrefixTable,
-    bind_structures,
     clear_structure_cache,
     evict_graph,
     get_structures,
     structure_cache_stats,
-    update_structures,
 )
 
 __all__ = [
@@ -84,10 +82,8 @@ __all__ = [
     "declared_sites",
     "GraphStructures",
     "Node2VecPrefixTable",
-    "bind_structures",
     "clear_structure_cache",
     "evict_graph",
     "get_structures",
     "structure_cache_stats",
-    "update_structures",
 ]

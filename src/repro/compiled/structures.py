@@ -3,8 +3,7 @@
 C-SAW's biased walks spend most of every depth step rebuilding inverse-
 transform (CTPS) prefix tables over the frontier's neighbor pools --
 tables that depend only on the graph, never on the step.  This module
-caches the flat graph-wide analogue of the per-vertex structures in
-:mod:`repro.selection.incremental`, keyed by graph identity:
+caches them graph-wide, keyed by graph identity:
 
 * ``weight_or_degree`` -- one segmented Kogge-Stone prefix over every
   adjacency row (the concatenation of every vertex's CTPS), wrapped in a
@@ -24,10 +23,9 @@ kernel charges the cost model the same closed forms either way.
 
 Lifecycle: entries evict when their graph is garbage-collected, when the
 service retires the owning epoch (:func:`evict_graph`), or explicitly
-(:func:`clear_structure_cache`).  :func:`bind_structures` chains onto a
-:class:`~repro.graph.delta.DeltaGraph`'s ``on_compact`` hook (preserving
-any hook already installed) so a compaction *patches* the touched rows
-instead of rebuilding the whole graph's tables.
+(:func:`clear_structure_cache`).  A mutated graph is a new snapshot
+(:meth:`~repro.graph.delta.DeltaGraph.to_csr`), so its structures build
+lazily on first use like any other graph's.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.selection.segmented import (
     SegmentedCTPS,
-    concat_aranges,
     segment_positive_counts,
     segmented_kogge_stone_inclusive,
 )
@@ -52,12 +49,10 @@ __all__ = [
     "STRUCTURE_KINDS",
     "GraphStructures",
     "Node2VecPrefixTable",
-    "bind_structures",
     "clear_structure_cache",
     "evict_graph",
     "get_structures",
     "structure_cache_stats",
-    "update_structures",
 ]
 
 #: Bias kinds that carry a cacheable per-graph structure.  Uniform kinds
@@ -161,9 +156,7 @@ class _Cache:
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        self.updates = 0
         self.evictions = 0
-        self.rows_rebuilt = 0
 
 
 _CACHE = _Cache()
@@ -301,12 +294,11 @@ def clear_structure_cache() -> None:
             finalizer.detach()
         _CACHE.entries.clear()
         _CACHE.finalizers.clear()
-        _CACHE.hits = _CACHE.misses = _CACHE.builds = 0
-        _CACHE.updates = _CACHE.evictions = _CACHE.rows_rebuilt = 0
+        _CACHE.hits = _CACHE.misses = _CACHE.builds = _CACHE.evictions = 0
 
 
 def structure_cache_stats() -> Dict[str, int]:
-    """Counter snapshot: entries, hits, misses, builds, updates, evictions.
+    """Counter snapshot: entries, hits, misses, builds, evictions.
 
     The ``table_*`` counters aggregate the node2vec prefix tables of every
     live entry (per-row hits/misses and buffer floats in use); tables die
@@ -325,156 +317,9 @@ def structure_cache_stats() -> Dict[str, int]:
             "hits": _CACHE.hits,
             "misses": _CACHE.misses,
             "builds": _CACHE.builds,
-            "updates": _CACHE.updates,
             "evictions": _CACHE.evictions,
-            "rows_rebuilt": _CACHE.rows_rebuilt,
             "table_hits": table_hits,
             "table_misses": table_misses,
             "table_resets": table_resets,
             "table_floats": table_floats,
         }
-
-
-# --------------------------------------------------------------------- #
-# Incremental updates (DeltaGraph compaction)
-# --------------------------------------------------------------------- #
-def _patch_weight_or_degree(
-    entry: GraphStructures,
-    old_graph: CSRGraph,
-    new_graph: CSRGraph,
-    touched: np.ndarray,
-    new_entry: GraphStructures,
-) -> int:
-    """Rebuild only the rows a compaction invalidated; copy the rest.
-
-    For weighted graphs the touched set is exactly the invalidation set.
-    For degree bias a touched vertex also invalidates every row that holds
-    it as a *neighbor* (its degree value appears in their bias slices), so
-    those in-neighbor rows join the rebuild set.
-    """
-    v_old, v_new = old_graph.num_vertices, new_graph.num_vertices
-    old_deg, new_deg = old_graph.degrees, new_graph.degrees
-    shared = min(v_old, v_new)
-
-    rebuild = np.zeros(v_new, dtype=bool)
-    rebuild[touched[touched < v_new]] = True
-    rebuild[shared:] = True
-    deg_changed = np.ones(v_new, dtype=bool)
-    deg_changed[:shared] = old_deg[:shared] != new_deg[:shared]
-    rebuild[:shared] |= deg_changed[:shared]
-    if not new_graph.is_weighted and new_graph.num_edges:
-        hit = deg_changed[new_graph.col_idx]
-        if hit.any():
-            rows = (
-                np.searchsorted(
-                    new_graph.row_ptr, np.nonzero(hit)[0], side="right"
-                )
-                - 1
-            )
-            rebuild[np.unique(rows)] = True
-
-    new_bias = np.empty(new_graph.num_edges, dtype=np.float64)
-    new_prefix = np.empty(new_graph.num_edges, dtype=np.float64)
-
-    keep = np.nonzero(~rebuild[:shared] & (new_deg[:shared] > 0))[0]
-    if keep.size:
-        lens = new_deg[keep]
-        local = concat_aranges(lens)
-        src_pos = np.repeat(old_graph.row_ptr[:-1][keep], lens) + local
-        dst_pos = np.repeat(new_graph.row_ptr[:-1][keep], lens) + local
-        new_bias[dst_pos] = entry.flat_bias[src_pos]
-        new_prefix[dst_pos] = entry.ctps.prefix[src_pos]
-
-    rebuild_rows = np.nonzero(rebuild & (new_deg > 0))[0]
-    if rebuild_rows.size:
-        lens = new_deg[rebuild_rows]
-        dst_pos = (
-            np.repeat(new_graph.row_ptr[:-1][rebuild_rows], lens)
-            + concat_aranges(lens)
-        )
-        if new_graph.is_weighted:
-            vals = np.ascontiguousarray(
-                new_graph.weights[dst_pos], dtype=np.float64
-            )
-        else:
-            vals = new_graph.degrees[new_graph.col_idx[dst_pos]] + 1.0
-        comp_offsets = np.zeros(rebuild_rows.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=comp_offsets[1:])
-        new_bias[dst_pos] = vals
-        new_prefix[dst_pos] = segmented_kogge_stone_inclusive(
-            vals, comp_offsets, cost=None
-        )
-
-    totals = np.zeros(v_new, dtype=np.float64)
-    nz = new_deg > 0
-    if new_graph.num_edges:
-        totals[nz] = new_prefix[new_graph.row_ptr[1:][nz] - 1]
-    new_entry.flat_bias = new_bias
-    new_entry.ctps = SegmentedCTPS(
-        prefix=new_prefix,
-        offsets=new_graph.row_ptr,
-        totals=totals,
-        lengths=new_deg,
-    )
-    new_entry.positive_counts = segment_positive_counts(
-        new_bias, new_graph.row_ptr
-    )
-    new_entry._kinds.add("weight_or_degree")
-    return int(rebuild_rows.size)
-
-
-def update_structures(old_graph, new_graph, touched) -> int:
-    """Patch ``old_graph``'s cached structures onto ``new_graph``.
-
-    Returns the number of ``weight_or_degree`` rows rebuilt (0 when the
-    old graph carried no cached structures -- the new graph then builds
-    lazily on first use).
-    """
-    with _CACHE.lock:
-        entry = _CACHE.entries.pop(id(old_graph), None)
-        finalizer = _CACHE.finalizers.pop(id(old_graph), None)
-        if finalizer is not None:
-            finalizer.detach()
-    if entry is None:
-        return 0
-    prof = _profiler.clock(-1)
-    touched = np.asarray(touched, dtype=np.int64).reshape(-1)
-    new_entry = GraphStructures(
-        num_vertices=new_graph.num_vertices, num_edges=new_graph.num_edges
-    )
-    rebuilt = 0
-    if entry.has("weight_or_degree"):
-        rebuilt = _patch_weight_or_degree(
-            entry, old_graph, new_graph, touched, new_entry
-        )
-    if entry.has("node2vec"):
-        # Sorted keys do not patch; the re-sort is cheap next to the scans.
-        new_entry.sorted_edge_keys = _edge_keys(new_graph)
-        new_entry._kinds.add("node2vec")
-    with _CACHE.lock:
-        _CACHE.entries[id(new_graph)] = new_entry
-        _watch(new_graph, id(new_graph))
-        _CACHE.updates += 1
-        _CACHE.rows_rebuilt += rebuilt
-    prof.lap("structure_update")
-    return rebuilt
-
-
-def bind_structures(delta) -> None:
-    """Patch this cache on every compaction of ``delta``.
-
-    Chains after any hook already bound (:meth:`~repro.graph.delta.DeltaGraph.
-    add_compact_hook`, like :func:`repro.selection.incremental.bind`), so
-    alias/ITS caches and this cache can both follow one graph.  Bind while
-    the overlay is empty (e.g. right after construction or a compaction) so
-    the captured base is the snapshot samplers actually run against.
-    """
-    from repro.graph.delta import as_csr
-
-    holder = {"base": as_csr(delta)}
-
-    def _hook(new_base: CSRGraph, touched: np.ndarray) -> None:
-        update_structures(holder["base"], new_base, touched)
-        holder["base"] = new_base
-
-    delta.add_compact_hook(_hook)

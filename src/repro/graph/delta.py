@@ -7,10 +7,7 @@ mutations in a small *overlay* on top of a CSR base and answers
 degree/neighbor queries through a merged view, so readers never see a
 half-applied update.  When the overlay exceeds ``compaction_budget`` pending
 operations it is *compacted* -- folded into a fresh CSR base -- and the set
-of vertices whose adjacency changed is handed to an optional ``on_compact``
-hook so per-vertex sampling structures (ITS prefix sums, alias tables; see
-:mod:`repro.selection.incremental`) can be patched incrementally instead of
-rebuilt from scratch.
+of vertices whose adjacency changed is returned to the caller.
 
 Bit-compatibility contract
 --------------------------
@@ -27,7 +24,7 @@ for every registry algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,10 +34,6 @@ __all__ = ["DeltaGraph", "as_csr"]
 
 _VERTEX_DTYPE = np.int64
 _WEIGHT_DTYPE = np.float64
-
-#: Signature of the compaction hook: ``(new_base, touched_vertices)``.
-CompactHook = Callable[[CSRGraph, np.ndarray], None]
-
 
 def as_csr(graph) -> CSRGraph:
     """Coerce a :class:`CSRGraph` or :class:`DeltaGraph` to a plain CSR.
@@ -68,9 +61,6 @@ class DeltaGraph:
         edges + retirements) before a mutation triggers automatic
         compaction.  ``None`` disables auto-compaction ( :meth:`compact`
         can still be called explicitly).
-    on_compact:
-        Optional hook invoked after every compaction with the fresh base
-        and the sorted array of vertices whose adjacency list changed.
     """
 
     def __init__(
@@ -78,14 +68,10 @@ class DeltaGraph:
         base: CSRGraph,
         *,
         compaction_budget: Optional[int] = None,
-        on_compact: Optional[CompactHook] = None,
     ):
         if compaction_budget is not None and compaction_budget < 1:
             raise ValueError("compaction_budget must be >= 1 (or None)")
         self.compaction_budget = compaction_budget
-        self._compact_hooks: List[CompactHook] = (
-            [] if on_compact is None else [on_compact]
-        )
         #: Number of compactions applied so far (the graph's local version).
         self.version = 0
         self._reset(base)
@@ -403,9 +389,7 @@ class DeltaGraph:
         """Fold the overlay into a fresh base; returns the touched vertices.
 
         After compaction the overlay is empty, retired vertices stay retired
-        as permanently empty rows, and ``version`` is incremented.  The
-        ``on_compact`` hook (if any) receives the new base and the touched
-        set so per-vertex sampling structures can be patched incrementally.
+        as permanently empty rows, and ``version`` is incremented.
         """
         touched = self.touched_vertices()
         new_vertices = self._num_vertices - self._base.num_vertices
@@ -420,17 +404,7 @@ class DeltaGraph:
         self._reset(new_base)
         self._retired = retired  # retirement is permanent across compactions
         self.version += 1
-        for hook in self._compact_hooks:
-            hook(new_base, touched)
         return touched
-
-    def add_compact_hook(self, hook: CompactHook) -> None:
-        """Run ``hook`` after every compaction, after the hooks already bound.
-
-        The one way per-vertex structure caches attach themselves, so any
-        number of them (in any order) can follow one graph.
-        """
-        self._compact_hooks.append(hook)
 
     def _maybe_compact(self) -> None:
         if (

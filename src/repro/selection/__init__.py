@@ -21,8 +21,9 @@ every selection technique the paper discusses:
   repeated sampling, updated sampling or bipartite region search, with the
   iteration/probe statistics Figures 10-12 report.
 * :mod:`~repro.selection.segmented` -- batched (segmented) counterparts of
-  the above used by the execution engine: SELECT over ``K`` candidate pools
-  in one vectorised pass, bit-identical to ``K`` scalar calls.
+  ITS and the collision strategies used by the execution engine: SELECT over
+  ``K`` candidate pools in one vectorised pass, bit-identical to ``K``
+  scalar calls.
 """
 
 from repro.selection.ctps import CTPS
@@ -42,16 +43,9 @@ from repro.selection.collision import (
     SelectionResult,
     select_without_replacement,
 )
-from repro.selection.incremental import (
-    VertexAliasCache,
-    VertexITSCache,
-    bind as bind_caches,
-)
 from repro.selection.segmented import (
     SegmentedCTPS,
     SegmentedSelection,
-    segmented_alias_sample_many,
-    segmented_dartboard_sample,
     segmented_sample_with_replacement,
     segmented_select_without_replacement,
     segmented_warp_select,
@@ -74,13 +68,8 @@ __all__ = [
     "CollisionStrategy",
     "SelectionResult",
     "select_without_replacement",
-    "VertexITSCache",
-    "VertexAliasCache",
-    "bind_caches",
     "SegmentedCTPS",
     "SegmentedSelection",
-    "segmented_alias_sample_many",
-    "segmented_dartboard_sample",
     "segmented_sample_with_replacement",
     "segmented_select_without_replacement",
     "segmented_warp_select",

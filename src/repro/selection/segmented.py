@@ -1,8 +1,7 @@
 """Segmented selection kernels: SELECT over many candidate pools at once.
 
 The scalar primitives in this package (:mod:`repro.selection.its`,
-:mod:`repro.selection.collision`, :mod:`repro.selection.alias`,
-:mod:`repro.selection.dartboard`) operate on *one* candidate pool -- one
+:mod:`repro.selection.collision`) operate on *one* candidate pool -- one
 frontier vertex's neighbor list.  The batched execution engine
 (:mod:`repro.engine`) instead expresses one MAIN-loop depth step as a flat
 array program over *K* pools ("segments") concatenated back to back, which is
@@ -15,8 +14,8 @@ segment with the same counter-RNG coordinates:
 * the segmented Kogge-Stone scan performs the same doubling recurrence as
   :func:`repro.gpusim.scan.kogge_stone_inclusive` (masked so no addition
   crosses a segment boundary), so every partial sum is the same float;
-* CTPS normalisation, binary search, bipartite remapping and alias/dartboard
-  arithmetic reproduce the scalar operations operation for operation; and
+* CTPS normalisation, binary search and bipartite remapping reproduce the
+  scalar operations operation for operation; and
 * every cost-model counter is charged per segment exactly as the scalar call
   would charge it, only summed in one NumPy reduction instead of K Python
   calls.
@@ -52,8 +51,6 @@ __all__ = [
     "segmented_sample_with_replacement",
     "segmented_select_without_replacement",
     "segmented_warp_select",
-    "segmented_alias_sample_many",
-    "segmented_dartboard_sample",
 ]
 
 _BITS_PER_WORD = 8
@@ -924,114 +921,3 @@ def segmented_warp_select(
         cost.lane_ops += int(result.iterations.sum())
     return result
 
-
-# --------------------------------------------------------------------------- #
-# Segmented alias sampling
-# --------------------------------------------------------------------------- #
-def segmented_alias_sample_many(
-    prob: np.ndarray,
-    alias: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-    rng: CounterRNG,
-    coords: Sequence[np.ndarray],
-    cost: Optional[CostModel] = None,
-) -> SegmentedSelection:
-    """Batched :meth:`repro.selection.alias.AliasTable.sample_many`.
-
-    ``prob`` / ``alias`` hold every segment's alias table back to back (the
-    segment-local alias indices, as built per pool).  Draw keys and costs
-    match ``sample_many`` called once per segment.
-    """
-    prob = np.asarray(prob, dtype=np.float64)
-    alias = np.asarray(alias, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 0):
-        raise ValueError("count must be non-negative")
-    lengths = np.diff(offsets)
-    total = int(counts.sum())
-    if total == 0:
-        return SegmentedSelection(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            _sel_offsets(counts),
-            np.zeros(counts.size, dtype=np.int64),
-            np.zeros(counts.size, dtype=np.int64),
-        )
-    seg_of_draw = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    lanes = concat_aranges(counts)
-    draw_coords = _coords_at(coords, seg_of_draw)
-    r_bin = np.atleast_1d(rng.uniform(*(draw_coords + [lanes, 0])))
-    r_flip = np.atleast_1d(rng.uniform(*(draw_coords + [lanes, 1])))
-    n = lengths[seg_of_draw]
-    bins = np.minimum((r_bin * n).astype(np.int64), n - 1)
-    flat_bins = offsets[seg_of_draw] + bins
-    take_owner = r_flip < prob[flat_bins]
-    indices = np.where(take_owner, bins, alias[flat_bins]).astype(np.int64)
-    if cost is not None:
-        active = counts > 0
-        cost.rng_draws += 2 * total
-        cost.selection_attempts += total
-        cost.warp_steps += int(active.sum())
-        cost.lane_ops += int(np.minimum(counts[active], 32).sum())
-    return SegmentedSelection(
-        indices=indices,
-        iterations=np.ones(total, dtype=np.int64),
-        sel_offsets=_sel_offsets(counts),
-        probes=np.zeros(counts.size, dtype=np.int64),
-        collisions=np.zeros(counts.size, dtype=np.int64),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Segmented dartboard sampling
-# --------------------------------------------------------------------------- #
-def segmented_dartboard_sample(
-    biases: np.ndarray,
-    offsets: np.ndarray,
-    rng: CounterRNG,
-    coords: Sequence[np.ndarray],
-    cost: Optional[CostModel] = None,
-    max_trials: int = 10_000,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`repro.selection.dartboard.dartboard_sample` (one pick per segment).
-
-    Returns ``(indices, trials)`` arrays of length ``K``; rejection trials
-    proceed lock-step across all still-rejecting segments, with per-trial
-    draws and charges identical to the scalar loop.
-    """
-    biases = np.asarray(biases, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets)
-    if np.any(lengths < 1):
-        raise ValueError("biases must be a non-empty 1-D array")
-    if np.any(biases < 0) or not np.all(np.isfinite(biases)):
-        raise ValueError("biases must be non-negative and finite")
-    max_bias = np.maximum.reduceat(biases, offsets[:-1])
-    if np.any(max_bias <= 0.0):
-        raise ValueError("at least one bias must be positive")
-
-    num_segments = lengths.size
-    indices = np.full(num_segments, -1, dtype=np.int64)
-    trials = np.zeros(num_segments, dtype=np.int64)
-    pending = np.arange(num_segments, dtype=np.int64)
-    for trial in range(max_trials):
-        if pending.size == 0:
-            return indices, trials
-        draw_coords = _coords_at(coords, pending)
-        rx = np.atleast_1d(rng.uniform(*(draw_coords + [2 * trial])))
-        ry = np.atleast_1d(rng.uniform(*(draw_coords + [2 * trial + 1])))
-        n = lengths[pending]
-        idx = np.minimum((rx * n).astype(np.int64), n - 1)
-        height = ry * max_bias[pending]
-        if cost is not None:
-            cost.rng_draws += 2 * int(pending.size)
-            cost.selection_attempts += int(pending.size)
-            cost.warp_steps += int(pending.size)
-            cost.lane_ops += int(pending.size)
-        hit = height < biases[offsets[pending] + idx]
-        done = pending[hit]
-        indices[done] = idx[hit]
-        trials[done] = trial + 1
-        pending = pending[~hit]
-    raise RuntimeError(f"dartboard sampling failed to accept within {max_trials} trials")

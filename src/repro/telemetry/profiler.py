@@ -67,7 +67,7 @@ __all__ = [
 #: exporter orders rows by this sequence so profiles read as the
 #: pipeline executes.
 PHASES: Tuple[str, ...] = (
-    "gather", "bias", "bias_build", "structure_hit", "structure_update",
+    "gather", "bias", "bias_build", "structure_hit",
     "select", "update", "migrate", "reassemble",
 )
 

@@ -1,5 +1,7 @@
 """Tests for the reference oracles and the KnightKing / GraphSAINT baselines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from repro.baselines.reference import (
     reference_select_with_replacement,
     reference_select_without_replacement,
 )
+from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import POWER9_SPEC
+from repro.graph import from_edge_list
+from repro.selection import build_alias_table
 
 
 class TestReferenceOracles:
@@ -97,6 +102,132 @@ class TestKnightKing:
         result = engine.run_walks([8] * 100, walk_length=1)
         first_steps = [int(w[1]) for w in result.walks if len(w) > 1]
         assert np.mean([s == target for s in first_steps]) > 0.95
+
+    def test_alias_tables_match_fresh_builds(self):
+        rng = np.random.default_rng(7)
+        edges, weights = [], []
+        for v in range(40):
+            for dst in rng.integers(0, 40, size=int(rng.integers(0, 6))):
+                edges.append((v, int(dst)))
+                # Row 3 keeps its edges but carries no positive weight.
+                weights.append(0.0 if v == 3 else float(rng.uniform(0.1, 3.0)))
+        graph = from_edge_list(edges, num_vertices=40, weights=weights)
+        engine = KnightKingEngine(graph, biased=True, seed=0)
+        assert len(engine.alias_tables) == graph.num_vertices
+        expected_cost = CostModel()
+        for v, table in enumerate(engine.alias_tables):
+            row = graph.neighbor_weights(v)
+            if not np.any(row > 0):
+                assert table is None
+                continue
+            fresh = build_alias_table(row, expected_cost)
+            assert np.array_equal(table.prob, fresh.prob)
+            assert np.array_equal(table.alias, fresh.alias)
+        assert engine.alias_tables[3] is None
+        assert any(graph.degree(v) == 0 for v in range(40))
+        # Preprocessing charges exactly one build per table, in vertex order.
+        assert engine.preprocessing_cost.as_dict() == expected_cost.as_dict()
+
+    def test_walk_stops_at_vertex_without_positive_weight(self):
+        graph = from_edge_list([(0, 1), (1, 2), (2, 0)], num_vertices=3,
+                               weights=[1.0, 0.0, 1.0])
+        engine = KnightKingEngine(graph, biased=True, seed=0)
+        assert engine.alias_tables[1] is None
+        result = engine.run_walks([0, 1], walk_length=5)
+        assert np.array_equal(result.walks[0], [0, 1])
+        assert np.array_equal(result.walks[1], [1])
+
+    def test_mutated_graph_gets_its_own_tables(self):
+        from repro.graph.delta import DeltaGraph
+
+        graph = from_edge_list([(0, 1), (1, 0), (2, 0)], num_vertices=3,
+                               weights=[1.0, 2.0, 3.0])
+        engine = KnightKingEngine(graph, biased=True, seed=0)
+        old_table = engine.alias_tables[0]
+        delta = DeltaGraph(graph)
+        delta.add_edge(0, 2, 3.0)
+        fresh = KnightKingEngine(delta.to_csr(), biased=True, seed=0)
+        assert engine.alias_tables[0] is old_table
+        assert old_table.prob.size == 1
+        expected = build_alias_table(np.array([1.0, 3.0]))
+        assert np.array_equal(fresh.alias_tables[0].prob, expected.prob)
+        assert np.array_equal(fresh.alias_tables[0].alias, expected.alias)
+
+    def test_unbiased_engine_builds_no_tables(self, small_weighted_graph):
+        engine = KnightKingEngine(small_weighted_graph, biased=False, seed=0)
+        assert engine.alias_tables == []
+        assert engine.preprocessing_cost.as_dict() == CostModel().as_dict()
+
+
+class TestFig09Regression:
+    """KnightKing's walks, sampling cost and preprocessing cost are pinned."""
+
+    def test_knightking_walks_and_costs_are_pinned(self):
+        from repro.bench.workloads import SMALL_SCALE, get_graph
+
+        graph = get_graph("AM", weighted=True, scale=SMALL_SCALE)
+        engine = KnightKingEngine(graph, biased=True, seed=SMALL_SCALE.seed)
+        result = engine.run_walks(np.arange(0, graph.num_vertices, 7), 12)
+        digest = hashlib.sha256(
+            b"".join(w.tobytes() for w in result.walks)
+        ).hexdigest()
+        assert digest == (
+            "94db3f40ea9ae6724a32c471b5bdf936b84608f7c7e96ae5a589b64c12cff7ce"
+        )
+        cost = result.cost.as_dict()
+        assert (cost["warp_steps"], cost["global_bytes"], cost["rng_draws"],
+                cost["selection_attempts"], cost["sampled_edges"]) == (
+            849384, 767584, 6768, 3384, 3384)
+        pre = result.preprocessing_cost.as_dict()
+        assert (pre["warp_steps"], pre["lane_ops"], pre["global_bytes"]) == (
+            16330, 16330, 261280)
+
+    def test_fig09_rows_are_pinned(self):
+        from repro.bench import figures
+        from repro.bench.workloads import SMALL_SCALE
+
+        rows = figures.fig09_baseline_comparison(SMALL_SCALE)
+        assert list(rows) == FIG09_SMALL_ROWS
+
+
+FIG09_SMALL_ROWS = [
+    {"panel": "a:biased_random_walk", "graph": "AM",
+     "knightking_mseps": 46.66574833780148,
+     "csaw_1gpu_mseps": 378.8882477780557,
+     "csaw_6gpu_mseps": 315.33388293487224,
+     "speedup_1gpu": 8.119193654313225, "speedup_6gpu": 6.7572876074385535},
+    {"panel": "b:multidimensional_random_walk", "graph": "AM",
+     "graphsaint_mseps": 80.63361374619652,
+     "csaw_1gpu_mseps": 85.33960421388002,
+     "speedup_1gpu": 1.0583626387190848},
+    {"panel": "a:biased_random_walk", "graph": "RE",
+     "knightking_mseps": 38.170681324208296,
+     "csaw_1gpu_mseps": 63.45196085221375,
+     "csaw_6gpu_mseps": 58.7875076546234,
+     "speedup_1gpu": 1.6623219353428667, "speedup_6gpu": 1.540122041713195},
+    {"panel": "b:multidimensional_random_walk", "graph": "RE",
+     "graphsaint_mseps": 57.55006008903333,
+     "csaw_1gpu_mseps": 68.7713238861911,
+     "speedup_1gpu": 1.1949826599624365},
+    {"panel": "a:biased_random_walk", "graph": "WG",
+     "knightking_mseps": 44.60491141649871,
+     "csaw_1gpu_mseps": 306.74001027478795,
+     "csaw_6gpu_mseps": 263.78195647580816,
+     "speedup_1gpu": 6.876821420192964, "speedup_6gpu": 5.913742413088597},
+    {"panel": "b:multidimensional_random_walk", "graph": "WG",
+     "graphsaint_mseps": 80.52887480039088,
+     "csaw_1gpu_mseps": 84.6710808364693,
+     "speedup_1gpu": 1.0514375253143151},
+    {"panel": "a:biased_random_walk", "graph": "TW",
+     "knightking_mseps": 27.062347057016037,
+     "csaw_1gpu_mseps": 28.15254236200216,
+     "csaw_6gpu_mseps": 25.544204402968198,
+     "speedup_1gpu": 1.0402845807382948, "speedup_6gpu": 0.9439020329297619},
+    {"panel": "b:multidimensional_random_walk", "graph": "TW",
+     "graphsaint_mseps": 42.24520033258522,
+     "csaw_1gpu_mseps": 55.867535769277616,
+     "speedup_1gpu": 1.3224587723444883},
+]
 
 
 class TestGraphSAINT:

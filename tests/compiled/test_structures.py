@@ -1,15 +1,13 @@
-"""Structure-cache lifecycle: hits, eviction, and incremental patching."""
+"""Structure-cache lifecycle: hits, lazy builds and eviction."""
 
 import numpy as np
 import pytest
 
 from repro.compiled import (
-    bind_structures,
     clear_structure_cache,
     evict_graph,
     get_structures,
     structure_cache_stats,
-    update_structures,
 )
 from repro.graph.delta import DeltaGraph
 from repro.graph.generators import powerlaw_graph
@@ -64,77 +62,88 @@ class TestCacheLifecycle:
         assert structure_cache_stats()["entries"] == 0
 
 
-class TestIncrementalUpdates:
-    def test_delta_publish_patches_instead_of_rebuilding(self, graph):
+class TestPublishedSnapshots:
+    """A DeltaGraph publish is a new snapshot with its own lazy entry."""
+
+    def test_snapshot_builds_nothing_until_first_use(self, graph):
         get_structures(graph, "weight_or_degree")
-        delta = DeltaGraph(graph)
-        bind_structures(delta)
-        delta.add_edge(0, 5)
-        delta.add_edge(5, 0)
-        delta.compact()
-        new_graph = delta.base
-
-        stats = structure_cache_stats()
-        assert stats["updates"] == 1
-        # The patch rebuilt only the touched rows (plus their in-neighbor
-        # rows for the degree bias), never the whole graph.
-        assert 0 < stats["rows_rebuilt"] < graph.num_vertices
-        # The patched entry serves the new graph as a hit ...
-        patched = get_structures(new_graph, "weight_or_degree")
-        assert structure_cache_stats()["hits"] == stats["hits"] + 1
-        patched_bias = patched.flat_bias.copy()
-        patched_prefix = patched.ctps.prefix.copy()
-        patched_totals = patched.ctps.totals.copy()
-        patched_counts = patched.positive_counts.copy()
-        # ... and is bitwise identical to a from-scratch build.
-        assert evict_graph(new_graph)
-        fresh = get_structures(new_graph, "weight_or_degree")
-        assert np.array_equal(patched_bias, fresh.flat_bias)
-        assert np.array_equal(patched_prefix, fresh.ctps.prefix)
-        assert np.array_equal(patched_totals, fresh.ctps.totals)
-        assert np.array_equal(patched_counts, fresh.positive_counts)
-
-    @pytest.mark.parametrize("structures_first", [True, False])
-    def test_both_cache_families_follow_one_graph(self, graph, structures_first):
-        # The alias/ITS caches and the structure cache bind through one
-        # chaining hook, so neither order drops the other's patch.
-        from repro.selection import VertexITSCache, bind_caches
-
-        get_structures(graph, "weight_or_degree")
-        its = VertexITSCache.build(graph)
-        delta = DeltaGraph(graph)
-        if structures_first:
-            bind_structures(delta)
-            bind_caches(delta, its)
-        else:
-            bind_caches(delta, its)
-            bind_structures(delta)
-        delta.add_edge(0, 5)
-        delta.add_edge(5, 0)
-        delta.compact()
-
-        stats = structure_cache_stats()
-        assert stats["updates"] == 1
-        assert 0 < stats["rows_rebuilt"] < graph.num_vertices
-        assert its.last_update_size > 0
-
-    def test_update_without_cached_entry_is_lazy(self, graph):
         delta = DeltaGraph(graph)
         delta.add_edge(1, 7)
-        new_graph = delta.to_csr()
-        assert update_structures(graph, new_graph, [1, 7]) == 0
-        assert structure_cache_stats()["entries"] == 0
+        delta.to_csr()
+        stats = structure_cache_stats()
+        assert (stats["entries"], stats["builds"]) == (1, 1)
 
-    def test_node2vec_keys_follow_the_update(self, graph):
-        entry = get_structures(graph, "node2vec")
-        old_keys = entry.sorted_edge_keys
+    def test_snapshot_misses_and_builds_its_own_entry(self, graph):
+        old = get_structures(graph, "weight_or_degree")
         delta = DeltaGraph(graph)
-        bind_structures(delta)
+        delta.add_edge(0, 5)
+        delta.add_edge(5, 0)
+        new_graph = delta.to_csr()
+        new = get_structures(new_graph, "weight_or_degree")
+        assert new is not old
+        stats = structure_cache_stats()
+        assert (stats["entries"], stats["misses"], stats["builds"]) == (2, 2, 2)
+        assert new.ctps.prefix.size == old.ctps.prefix.size + 2
+
+    def test_old_entry_is_untouched_by_a_publish(self, graph):
+        old = get_structures(graph, "weight_or_degree")
+        bias = old.flat_bias.copy()
+        prefix = old.ctps.prefix.copy()
+        counts = old.positive_counts.copy()
+        delta = DeltaGraph(graph)
+        delta.add_edge(0, 5)
+        delta.retire_vertex(9)
+        get_structures(delta.to_csr(), "weight_or_degree")
+        assert get_structures(graph, "weight_or_degree") is old
+        assert np.array_equal(old.flat_bias, bias)
+        assert np.array_equal(old.ctps.prefix, prefix)
+        assert np.array_equal(old.positive_counts, counts)
+
+    def test_snapshot_structures_equal_a_rebuild(self, graph):
+        delta = DeltaGraph(graph)
+        delta.add_edge(0, 5)
+        delta.add_edge(5, 0)
+        new_graph = delta.to_csr()
+        first = get_structures(new_graph, "weight_or_degree")
+        bias = first.flat_bias.copy()
+        prefix = first.ctps.prefix.copy()
+        totals = first.ctps.totals.copy()
+        counts = first.positive_counts.copy()
+        assert evict_graph(new_graph)
+        rebuilt = get_structures(new_graph, "weight_or_degree")
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt.flat_bias, bias)
+        assert np.array_equal(rebuilt.ctps.prefix, prefix)
+        assert np.array_equal(rebuilt.ctps.totals, totals)
+        assert np.array_equal(rebuilt.positive_counts, counts)
+
+    def test_node2vec_keys_follow_the_snapshot(self, graph):
+        old_keys = get_structures(graph, "node2vec").sorted_edge_keys
+        delta = DeltaGraph(graph)
         delta.add_edge(2, 9)
-        delta.compact()
-        new_entry = get_structures(delta.base, "node2vec")
+        new_entry = get_structures(delta.to_csr(), "node2vec")
         assert new_entry.has("node2vec")
-        assert new_entry.sorted_edge_keys.size == old_keys.size + 1
+        assert not new_entry.has("weight_or_degree")
+        keys = new_entry.sorted_edge_keys
+        assert keys.size == old_keys.size + 1
+        assert np.all(np.diff(keys) >= 0)
+        assert 2 * graph.num_vertices + 9 in keys
+
+    def test_vertex_losing_all_edges_has_no_positive_pool(self):
+        from repro.graph import from_edge_list
+
+        graph = from_edge_list([(0, 1), (1, 0)], num_vertices=2,
+                               weights=[1.0, 2.0])
+        delta = DeltaGraph(graph)
+        delta.remove_edge(0, 1)
+        entry = get_structures(delta.to_csr(), "weight_or_degree")
+        assert np.array_equal(entry.positive_counts, [0, 1])
+        assert np.array_equal(entry.ctps.totals, [0.0, 2.0])
+
+    def test_unknown_kind_is_rejected(self, graph):
+        with pytest.raises(ValueError):
+            get_structures(graph, "alias")
+        assert structure_cache_stats()["entries"] == 0
 
 
 class TestNode2VecTableReuse:
@@ -170,12 +179,24 @@ class TestServiceEpochRetirement:
             client = SamplingClient(svc)
             client.sample("g", "biased_random_walk", [0, 1], depth=4,
                           seed=2, timeout=30)
-            assert structure_cache_stats()["entries"] >= 1
-            before = structure_cache_stats()["evictions"]
+            assert structure_cache_stats()["entries"] == 1
+            before = structure_cache_stats()
             svc.update_graph("g", add_edges=[(0, 7), (7, 0)])
             svc.drain(10.0)
             # Epoch 0 retires once its requests drain; its structures go
             # with it (thread workers share this process's cache).
-            assert structure_cache_stats()["evictions"] > before
+            retired = structure_cache_stats()
+            assert retired["evictions"] == before["evictions"] + 1
+            assert retired["entries"] == 0
+            # A publish is a fresh snapshot: the new epoch's first biased
+            # walk misses and builds its structures from scratch.
+            response = client.sample("g", "biased_random_walk", [0, 1],
+                                     depth=4, seed=2, timeout=30)
+            assert response.epoch == 1
+            after = structure_cache_stats()
+            assert after["misses"] == retired["misses"] + 1
+            assert after["builds"] == retired["builds"] + 1
+            assert after["hits"] == retired["hits"]
+            assert after["entries"] == 1
         finally:
             svc.shutdown()

@@ -176,22 +176,39 @@ class TestCompaction:
         assert delta.is_retired(3)
 
     def test_budget_triggers_auto_compaction(self, base):
-        seen = []
-        delta = DeltaGraph(
-            base, compaction_budget=2,
-            on_compact=lambda g, touched: seen.append((g, list(touched))),
-        )
+        delta = DeltaGraph(base, compaction_budget=2)
         delta.add_edge(0, 3)
         delta.add_edge(1, 3)
         assert delta.version == 0  # at budget, not over it
+        assert delta.overlay_size == 2
+        assert delta.base is base
         delta.add_edge(3, 0)
         assert delta.version == 1
         assert delta.overlay_size == 0
-        assert len(seen) == 1
-        new_base, touched = seen[0]
-        assert isinstance(new_base, CSRGraph)
-        assert touched == [0, 1, 3]
-        assert new_base.num_edges == 7
+        assert delta.base is not base
+        assert isinstance(delta.base, CSRGraph)
+        assert delta.base.num_edges == 7
+        assert delta.touched_vertices().size == 0
+
+    def test_vertex_losing_all_edges_is_touched_and_empty(self, base):
+        delta = DeltaGraph(base)
+        delta.remove_edge(1, 2)
+        touched = delta.compact()
+        assert np.array_equal(touched, [1])
+        assert delta.base.degree(1) == 0
+        assert delta.base.neighbor_weights(1).size == 0
+        assert np.array_equal(delta.base.neighbors(0), [1, 2])
+
+    def test_to_csr_publishes_without_compacting(self, base):
+        delta = DeltaGraph(base)
+        delta.add_edge(0, 3)
+        delta.retire_vertex(1)
+        snap = delta.to_csr()
+        assert snap is not base
+        assert delta.base is base
+        assert delta.version == 0
+        assert np.array_equal(delta.touched_vertices(), [0, 1])
+        assert snap.num_edges == delta.num_edges == 3
 
     def test_compact_includes_new_vertices_in_touched(self, base):
         delta = DeltaGraph(base)

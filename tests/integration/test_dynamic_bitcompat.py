@@ -3,9 +3,8 @@
 Sampling a mutated-then-compacted :class:`~repro.graph.delta.DeltaGraph`
 must be bit-identical to sampling a freshly built CSR holding the same
 edges: same sampled edges in the same order, same iteration counts, same
-cost totals.  These tests assert that for every registered algorithm, for
-the DeltaGraph handed directly to the samplers, and for the incremental
-per-vertex structure caches the compaction patches.
+cost totals.  These tests assert that for every registered algorithm and
+for the DeltaGraph handed directly to the samplers.
 """
 
 import numpy as np
@@ -104,3 +103,69 @@ class TestCompactionBitCompat:
         ):
             for sa, sb in zip(ra.samples, rb.samples):
                 assert np.array_equal(sa.edges, sb.edges)
+
+
+class TestStructureBitCompat:
+    """A compacted graph's cached structures equal a fresh CSR's, bitwise."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        from repro.compiled import clear_structure_cache
+
+        clear_structure_cache()
+        yield
+        clear_structure_cache()
+
+    @staticmethod
+    def _assert_weight_or_degree_equal(a_graph, b_graph):
+        from repro.compiled import get_structures
+
+        a = get_structures(a_graph, "weight_or_degree")
+        b = get_structures(b_graph, "weight_or_degree")
+        assert a is not b
+        assert np.array_equal(a.flat_bias, b.flat_bias)
+        assert np.array_equal(a.ctps.prefix, b.ctps.prefix)
+        assert np.array_equal(a.ctps.totals, b.ctps.totals)
+        assert np.array_equal(a.positive_counts, b.positive_counts)
+
+    def test_weight_structures_equal_fresh_build(self, mutated_pair):
+        delta, fresh = mutated_pair
+        self._assert_weight_or_degree_equal(delta.base, fresh)
+
+    def test_degree_structures_equal_fresh_build(self):
+        # Degree bias reads the in-neighbor's degree, so a mutation moves
+        # rows the overlay never touched directly.
+        base = powerlaw_graph(120, 4.0, exponent=2.1, seed=5)
+        delta = DeltaGraph(base)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            delta.add_edge(int(rng.integers(120)), int(rng.integers(120)))
+        delta.retire_vertex(11)
+        delta.compact()
+        assert not delta.base.is_weighted
+        edges = [(v, int(d)) for v in range(delta.num_vertices)
+                 for d in delta.neighbors(v)]
+        fresh = from_edge_list(edges, num_vertices=delta.num_vertices)
+        self._assert_weight_or_degree_equal(delta.base, fresh)
+
+    def test_node2vec_keys_equal_fresh_build(self, mutated_pair):
+        from repro.compiled import get_structures
+
+        delta, fresh = mutated_pair
+        a = get_structures(delta.base, "node2vec").sorted_edge_keys
+        b = get_structures(fresh, "node2vec").sorted_edge_keys
+        assert np.array_equal(a, b)
+
+    def test_knightking_on_compacted_graph_matches_fresh(self, mutated_pair):
+        from repro.baselines.knightking import KnightKingEngine
+
+        delta, fresh = mutated_pair
+        a = KnightKingEngine(delta.base, biased=True, seed=11)
+        b = KnightKingEngine(fresh, biased=True, seed=11)
+        walks_a = a.run_walks(SEEDS, walk_length=8)
+        walks_b = b.run_walks(SEEDS, walk_length=8)
+        for wa, wb in zip(walks_a.walks, walks_b.walks):
+            assert np.array_equal(wa, wb)
+        assert walks_a.cost.as_dict() == walks_b.cost.as_dict()
+        assert (a.preprocessing_cost.as_dict()
+                == b.preprocessing_cost.as_dict())

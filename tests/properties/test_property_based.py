@@ -16,11 +16,8 @@ from repro.selection.bipartite import bipartite_remap
 from repro.selection.bitmap import ContiguousBitmap, StridedBitmap
 from repro.selection.collision import select_without_replacement
 from repro.selection.ctps import CTPS
-from repro.selection.dartboard import dartboard_sample
 from repro.selection.segmented import (
     SegmentedCTPS,
-    segmented_alias_sample_many,
-    segmented_dartboard_sample,
     segmented_kogge_stone_inclusive,
     segmented_warp_select,
 )
@@ -279,53 +276,6 @@ class TestSegmentedSelectionProperties:
             idx, iters = result.segment(k)
             assert np.array_equal(idx, ref.indices)
             assert np.array_equal(iters, ref.iterations)
-        assert c_seg.as_dict() == c_ref.as_dict()
-
-    @given(segment_pools, st.integers(0, 2**20))
-    @settings(max_examples=30, deadline=None)
-    def test_segmented_alias_matches_scalar_sample_many(self, pools, seed):
-        biases, offsets, lengths = _flatten_pools(pools)
-        rng = CounterRNG(seed)
-        counts = np.minimum(4, lengths)
-        insts = np.arange(len(pools), dtype=np.int64)
-        depths = insts + 3
-        prob = np.concatenate(
-            [build_alias_table(np.asarray(p, dtype=np.float64)).prob for p in pools]
-        )
-        alias = np.concatenate(
-            [build_alias_table(np.asarray(p, dtype=np.float64)).alias for p in pools]
-        )
-        c_seg, c_ref = CostModel(), CostModel()
-        result = segmented_alias_sample_many(
-            prob, alias, offsets, counts, rng, [insts, depths], c_seg
-        )
-        for k, pool in enumerate(pools):
-            table = build_alias_table(np.asarray(pool, dtype=np.float64))
-            ref = table.sample_many(
-                int(counts[k]), rng, int(insts[k]), int(depths[k]), cost=c_ref
-            )
-            idx, _ = result.segment(k)
-            assert np.array_equal(idx, ref)
-        assert c_seg.as_dict() == c_ref.as_dict()
-
-    @given(segment_pools, st.integers(0, 2**20))
-    @settings(max_examples=30, deadline=None)
-    def test_segmented_dartboard_matches_scalar(self, pools, seed):
-        biases, offsets, _ = _flatten_pools(pools)
-        rng = CounterRNG(seed)
-        insts = np.arange(len(pools), dtype=np.int64)
-        depths = insts + 1
-        c_seg, c_ref = CostModel(), CostModel()
-        indices, trials = segmented_dartboard_sample(
-            biases, offsets, rng, [insts, depths], c_seg
-        )
-        for k, pool in enumerate(pools):
-            ref_idx, ref_trials = dartboard_sample(
-                np.asarray(pool, dtype=np.float64), rng,
-                int(insts[k]), int(depths[k]), cost=c_ref,
-            )
-            assert int(indices[k]) == ref_idx
-            assert int(trials[k]) == ref_trials
         assert c_seg.as_dict() == c_ref.as_dict()
 
 
