@@ -36,8 +36,8 @@ Bit-compatibility is the contract: the compiled tier draws the same
 ``(instance, depth, slot, warp, lane, attempt)`` RNG keys and charges the
 same per-segment cost-model counters as the interpreted engine, so samples,
 iteration counts, per-kernel records and simulated times are identical
-(asserted by the compiled axis of
-``tests/integration/test_cross_route_matrix.py``).  See ``docs/compiled.md``.
+(asserted by the ``compiled`` cells of
+``tests/integration/test_bitcompat_matrix.py``).  See ``docs/compiled.md``.
 """
 
 from repro.compiled.backends import (

@@ -17,8 +17,8 @@ Bit-compatibility: every site computes exactly the values the declared hook
 computes (the declarations are promises, checked by the compiler's
 eligibility pass) at the exact call sites the hook-dispatching engine
 evaluates them, so RNG keys, cost charges, samples and iteration counts are
-identical -- the compiled axis of
-``tests/integration/test_cross_route_matrix.py`` pins this for all four
+identical -- the ``compiled`` cells of
+``tests/integration/test_bitcompat_matrix.py`` pin this for all four
 routes.
 """
 

@@ -49,9 +49,9 @@ cursors in the same order, and charges every cost-model counter exactly as
 the interpreted path charges it (the uniform specialisation charges the
 closed forms of the scan/normalise/search work it skipped).  Samples, iteration
 counts, per-kernel cost records and warp-task counts are all identical; the
-compiled axis of ``tests/integration/test_cross_route_matrix.py``,
-``tests/compiled/test_walk_kernel.py`` and (for the drain)
-``tests/integration/test_tier_agreement.py`` hold it to that.
+``compiled`` and (for the drain) ``preset``/``shape`` cells of
+``tests/integration/test_bitcompat_matrix.py`` and
+``tests/compiled/test_walk_kernel.py`` hold it to that.
 """
 
 from __future__ import annotations

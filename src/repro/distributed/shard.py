@@ -17,8 +17,9 @@ instance id, its own warp cursor (per-instance warp groups, carried in the
 walker's envelope across migrations) and the stateless counter RNG.  A
 step's selections and per-segment cost charges therefore depend only on the
 walker's own history, never on which shard ran it or what else shared the
-batch -- which is why results and cost totals are bit-identical across 1, 2
-and 4 shards (``tests/integration/test_sharded_bitcompat.py``).
+batch -- which is why results and cost totals are bit-identical across 1
+to 4 shards (the ``sharded`` cells of
+``tests/integration/test_bitcompat_matrix.py``).
 
 Two execution paths mirror the service's coalescing rule:
 

@@ -10,7 +10,7 @@ step to it, so the gather/select/update sequence lives in exactly one place.
 
 The engine is bit-compatible with the scalar path: for a fixed seed it
 produces the same sampled edges, the same per-selection iteration counts and
-the same cost-model totals (see ``tests/integration/test_engine_equivalence``
+the same cost-model totals (see ``tests/integration/test_bitcompat_matrix.py``
 and ``docs/engine.md`` for the contract with stateful user hooks).
 """
 

@@ -18,8 +18,9 @@ and edges touching retired vertices are dropped.  :meth:`DeltaGraph.to_csr`
 produces **exactly** the CSR that :func:`~repro.graph.builder.from_edge_list`
 builds from that edge sequence, so sampling a mutated-then-compacted
 ``DeltaGraph`` is bit-identical to sampling a freshly built CSR holding the
-same edges.  ``tests/integration/test_dynamic_bitcompat.py`` asserts this
-for every registry algorithm.
+same edges.  The ``graph=compacted`` cells of
+``tests/integration/test_bitcompat_matrix.py`` assert this for every
+registry algorithm on every route.
 """
 
 from __future__ import annotations

@@ -176,7 +176,7 @@ class OutOfMemorySampler:
     # ------------------------------------------------------------------ #
     def plan(
         self,
-        seeds: Union[Sequence[int], np.ndarray],
+        seeds: Union[Sequence[int], Sequence[Sequence[int]], np.ndarray],
         *,
         num_instances: Optional[int] = None,
     ):
@@ -184,9 +184,7 @@ class OutOfMemorySampler:
 
         Also performs the uniform plan-time seed validation.
         """
-        return self._plan(make_instances(
-            list(np.asarray(seeds).reshape(-1)), num_instances=num_instances
-        ))
+        return self._plan(make_instances(seeds, num_instances=num_instances))
 
     def _plan(self, instances):
         from repro.planner.planner import PlanRequest, plan
@@ -203,15 +201,14 @@ class OutOfMemorySampler:
 
     def run(
         self,
-        seeds: Union[Sequence[int], np.ndarray],
+        seeds: Union[Sequence[int], Sequence[Sequence[int]], np.ndarray],
         *,
         num_instances: Optional[int] = None,
     ) -> OutOfMemoryResult:
         """Sample all instances, scheduling partitions through device memory."""
         from repro.planner.executor import Executor
 
-        instances = make_instances(list(np.asarray(seeds).reshape(-1)),
-                                   num_instances=num_instances)
+        instances = make_instances(seeds, num_instances=num_instances)
         executor = Executor(
             self._plan(instances),
             self.graph,

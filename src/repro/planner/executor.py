@@ -13,7 +13,7 @@ pre-refactor loop moved verbatim -- same warp-id allocation order, same RNG
 coordinates, same per-step cost accounting -- so every registry algorithm
 produces identical samples, iteration counts and cost totals through the
 planner as through the old per-facade paths (asserted by
-``tests/integration/test_cross_route_matrix.py``).
+``tests/integration/test_bitcompat_matrix.py``).
 
 Unless the plan resolves to the fused walk kernel (whose depth-loop and
 drain drivers then take the engine's place), the executor only ever talks to

@@ -1102,7 +1102,7 @@ class SamplingService:
                 },
                 "service": self.diagnose(),
             })
-        except Exception:  # pragma: no cover - diagnostics must not kill
+        except Exception:  # diagnostics must not kill the collector
             pass
 
     # ------------------------------------------------------------------ #

@@ -40,9 +40,9 @@ mode costs near zero: every instrumented hot path is guarded by a no-op
 span / a single boolean check, and ``benchmarks/bench_telemetry_overhead.py``
 pins the total disabled-mode instrumentation cost of a run below 3% of its
 wall time.  Enabling telemetry never changes sampling results -- spans and
-metrics observe the RNG-independent control flow only (asserted over the
-full 13-algorithm x 4-route matrix by
-``tests/integration/test_telemetry_bitcompat.py``).
+metrics observe the RNG-independent control flow only (asserted for all
+13 algorithms x 4 routes by the ``telemetry=on`` and ``profiler=on`` cells
+of ``tests/integration/test_bitcompat_matrix.py``).
 
 Enable with :func:`enable` (or ``REPRO_TELEMETRY=1``), disable with
 :func:`disable`.

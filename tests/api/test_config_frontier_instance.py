@@ -82,6 +82,16 @@ class TestFrontierQueue:
         q.push(1, 0, 0)
         assert q and q.nbytes() == 24
 
+    def test_push_batch_matches_push_many(self):
+        q1, q2 = FrontierQueue(), FrontierQueue()
+        q1.push_many(np.array([4, 5, 6]), instance=2, depth=3)
+        q2.push_batch(np.array([4, 5, 6]), np.array([2, 2, 2]), np.array([3, 3, 3]))
+        assert list(q1) == list(q2)
+        # Scalar broadcast form.
+        q3 = FrontierQueue()
+        q3.push_batch(np.array([4, 5, 6]), 2, 3)
+        assert list(q1) == list(q3)
+
 
 class TestInstanceState:
     def test_record_edges_and_arrays(self):

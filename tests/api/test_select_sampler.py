@@ -72,6 +72,13 @@ class TestGraphSampler:
         assert result.total_sampled_edges > 0
         assert len(result.kernels) <= 2
 
+    def test_result_cost_is_a_copy_of_the_device_cost(self, small_powerlaw_graph):
+        sampler = GraphSampler(small_powerlaw_graph, UniformProgram(),
+                               SamplingConfig(neighbor_size=1, depth=4, seed=1))
+        result = sampler.run(list(range(10)))
+        assert result.cost.as_dict() == sampler.device.cost.as_dict()
+        assert result.cost is not sampler.device.cost
+
     def test_sampled_edges_exist_in_graph(self, toy_graph):
         program = UniformProgram()
         config = SamplingConfig(frontier_size=0, neighbor_size=3, depth=3)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
+from repro.api.instance import make_instances
 from repro.api.sampler import GraphSampler
+from repro.baselines.reference import ScalarMainLoop
 from repro.compiled import clear_structure_cache, structure_cache_stats
 from repro.engine.step import BatchedStepEngine, alloc_warp_ids
+from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
 from repro.graph.generators import powerlaw_graph
 
@@ -159,3 +162,35 @@ class TestGroupedWarpIds:
         assert alloc_warp_ids(cursors, 2).tolist() == [5, 6]  # ungrouped: 0
         assert alloc_warp_ids(cursors, 0, 1).size == 0
         assert cursors.tolist() == [7, 12]
+
+
+class TestPrevVertex:
+    """``prev_vertex`` feeds node2vec's dynamic bias: walks only."""
+
+    @pytest.fixture(scope="class")
+    def walk_graph(self):
+        return powerlaw_graph(300, 6.0, exponent=2.2, seed=3)
+
+    @pytest.mark.parametrize("stepper", ["oracle", "engine"])
+    def test_prev_vertex_only_set_for_single_vertex_frontiers(self, walk_graph,
+                                                              stepper):
+        """Multi-vertex frontiers must not clobber prev_vertex (the node2vec bug)."""
+        info = ALGORITHM_REGISTRY["unbiased_neighbor_sampling"]
+        program, config = info.program_factory(), info.config_factory(seed=1, depth=2)
+        if stepper == "engine":
+            engine = GraphSampler(walk_graph, program, config).engine
+        else:
+            engine = ScalarMainLoop(walk_graph, program, config)
+        insts = make_instances([[1, 2, 3]])
+        engine.step_instances(insts, 0, CostModel(), [])
+        assert insts[0].prev_vertex == -1  # three-vertex frontier: untouched
+
+    def test_walk_prev_vertex_still_tracked(self, walk_graph):
+        """Single-vertex (walk) frontiers keep feeding node2vec's dynamic bias."""
+        info = ALGORITHM_REGISTRY["simple_random_walk"]
+        sampler = GraphSampler(
+            walk_graph, info.program_factory(), info.config_factory(seed=1),
+        )
+        insts = make_instances([5])
+        sampler.engine.step_instances(insts, 0, CostModel(), [])
+        assert insts[0].prev_vertex == 5

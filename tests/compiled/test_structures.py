@@ -9,6 +9,7 @@ from repro.compiled import (
     get_structures,
     structure_cache_stats,
 )
+from repro.graph import from_edge_list
 from repro.graph.delta import DeltaGraph
 from repro.graph.generators import powerlaw_graph
 
@@ -200,3 +201,64 @@ class TestServiceEpochRetirement:
             assert after["entries"] == 1
         finally:
             svc.shutdown()
+
+
+class TestStructureBitCompat:
+    """A compacted graph's arrays and cached structures equal a fresh CSR's."""
+
+    @staticmethod
+    def _assert_weight_or_degree_equal(a_graph, b_graph):
+        a = get_structures(a_graph, "weight_or_degree")
+        b = get_structures(b_graph, "weight_or_degree")
+        assert a is not b
+        assert np.array_equal(a.flat_bias, b.flat_bias)
+        assert np.array_equal(a.ctps.prefix, b.ctps.prefix)
+        assert np.array_equal(a.ctps.totals, b.ctps.totals)
+        assert np.array_equal(a.positive_counts, b.positive_counts)
+
+    def test_compacted_arrays_equal_fresh_build(self, mutated_pair):
+        delta, fresh = mutated_pair
+        assert np.array_equal(delta.base.row_ptr, fresh.row_ptr)
+        assert np.array_equal(delta.base.col_idx, fresh.col_idx)
+        assert np.array_equal(delta.base.weights, fresh.weights)
+
+    def test_weight_structures_equal_fresh_build(self, mutated_pair):
+        delta, fresh = mutated_pair
+        self._assert_weight_or_degree_equal(delta.base, fresh)
+
+    def test_degree_structures_equal_fresh_build(self):
+        # Degree bias reads the in-neighbor's degree, so a mutation moves
+        # rows the overlay never touched directly.
+        base = powerlaw_graph(120, 4.0, exponent=2.1, seed=5)
+        delta = DeltaGraph(base)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            delta.add_edge(int(rng.integers(120)), int(rng.integers(120)))
+        delta.retire_vertex(11)
+        delta.compact()
+        assert not delta.base.is_weighted
+        edges = [(v, int(d)) for v in range(delta.num_vertices)
+                 for d in delta.neighbors(v)]
+        fresh = from_edge_list(edges, num_vertices=delta.num_vertices)
+        self._assert_weight_or_degree_equal(delta.base, fresh)
+
+    def test_node2vec_keys_equal_fresh_build(self, mutated_pair):
+        delta, fresh = mutated_pair
+        a = get_structures(delta.base, "node2vec").sorted_edge_keys
+        b = get_structures(fresh, "node2vec").sorted_edge_keys
+        assert np.array_equal(a, b)
+
+    def test_knightking_on_compacted_graph_matches_fresh(self, mutated_pair):
+        from repro.baselines.knightking import KnightKingEngine
+
+        delta, fresh = mutated_pair
+        seeds = [0, 3, 17, 42, 77, 101]
+        a = KnightKingEngine(delta.base, biased=True, seed=11)
+        b = KnightKingEngine(fresh, biased=True, seed=11)
+        walks_a = a.run_walks(seeds, walk_length=8)
+        walks_b = b.run_walks(seeds, walk_length=8)
+        for wa, wb in zip(walks_a.walks, walks_b.walks):
+            assert np.array_equal(wa, wb)
+        assert walks_a.cost.as_dict() == walks_b.cost.as_dict()
+        assert (a.preprocessing_cost.as_dict()
+                == b.preprocessing_cost.as_dict())

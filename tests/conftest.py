@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import from_edge_list
+from repro.graph.delta import DeltaGraph
 from repro.graph.generators import generate_dataset, powerlaw_graph, ring_graph
 
 
@@ -62,3 +63,39 @@ def ring10():
 def am_dataset():
     """The Table II 'AM' stand-in graph, weighted."""
     return generate_dataset("AM", seed=1, weighted=True)
+
+
+@pytest.fixture(scope="session")
+def mutated_pair():
+    """``(delta, fresh)``: a mutated-then-compacted ``DeltaGraph`` and a CSR
+    built from scratch out of the same edges, read through the overlay
+    before compaction so the two builds share no code."""
+    base = powerlaw_graph(200, 5.0, exponent=2.1, seed=13)
+    rng = np.random.default_rng(29)
+    base = base.with_weights(rng.uniform(0.1, 2.0, size=base.num_edges))
+    delta = DeltaGraph(base)
+    # A representative mutation mix: inserts (some parallel), deletions,
+    # new vertices and a retirement.
+    for _ in range(60):
+        delta.add_edge(int(rng.integers(200)), int(rng.integers(200)),
+                       float(rng.uniform(0.1, 2.0)))
+    removed = 0
+    for v in rng.permutation(200):
+        if removed >= 25:
+            break
+        neigh = delta.neighbors(int(v))
+        if neigh.size:
+            delta.remove_edge(int(v), int(neigh[removed % neigh.size]))
+            removed += 1
+    first_new = delta.add_vertices(3)
+    delta.add_edge(first_new, 0, 1.0)
+    delta.add_edge(0, first_new + 1, 0.7)
+    delta.retire_vertex(150)
+    rows = range(delta.num_vertices)
+    fresh = from_edge_list(
+        [(v, int(d)) for v in rows for d in delta.neighbors(v)],
+        num_vertices=delta.num_vertices,
+        weights=[float(w) for v in rows for w in delta.neighbor_weights(v)],
+    )
+    delta.compact()
+    return delta, fresh

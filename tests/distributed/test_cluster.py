@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api.instance import InstanceState, make_instances
-from repro.algorithms.registry import default_config
+from repro.api.sampler import GraphSampler
+from repro.algorithms.registry import default_config, get_algorithm
 from repro.distributed import (
     ClusterTransportError,
     MigrationRouter,
@@ -13,7 +14,9 @@ from repro.distributed import (
     WalkerEnvelope,
     bucket_by_shard,
     routing_vertex,
+    walker_program_seed,
 )
+from repro.gpusim.costmodel import CostModel
 from repro.graph.generators import powerlaw_graph, ring_graph
 from repro.graph.partition import partition_bounds
 from repro.service.store import SharedGraphStore, leaked_segments
@@ -246,3 +249,73 @@ class TestMultiprocessTransport:
         with pytest.raises(ValueError, match="does not match"):
             cluster.run([1, 2])
         store.close()
+
+
+class TestStreamSemantics:
+    """The contract behind shard-count invariance (whose cells live in the
+    bit-compat matrix): every walker replays a standalone stream."""
+
+    SEEDS = list(range(0, 72, 6))
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return powerlaw_graph(80, 6.0, seed=7)
+
+    @pytest.mark.parametrize(
+        "algorithm", ["deepwalk", "biased_neighbor_sampling", "forest_fire_sampling"]
+    )
+    def test_walker_equals_standalone_single_instance_run(self, graph, algorithm):
+        info = get_algorithm(algorithm)
+        config = info.config_factory()
+        coalescable = info.program_factory().supports_coalescing
+        sharded = ShardedSamplingCluster(graph, algorithm, num_shards=4).run(
+            self.SEEDS
+        )
+        for rank, seed in enumerate(self.SEEDS):
+            inst = InstanceState(
+                instance_id=rank, frontier_pool=np.array([seed], dtype=np.int64)
+            )
+            if coalescable:
+                program = info.program_factory()
+            else:
+                # Stateful programs: the cluster seeds one replica per
+                # walker so their private hook streams are independent.
+                program = info.program_factory(seed=walker_program_seed(0, rank))
+            sampler = GraphSampler(graph, program, config)
+            iteration_counts = []
+            for depth in range(config.depth):
+                stepped = sampler.engine.step_instances(
+                    [inst], depth, CostModel(), iteration_counts
+                )
+                if stepped is None:
+                    break
+            assert np.array_equal(
+                inst.sampled_edges(), sharded.result.samples[rank].edges
+            )
+
+    def test_stateful_walkers_have_independent_hook_streams(self, graph):
+        """Per-walker program replicas must not replay one shared stream.
+
+        With a common replica seed, every jump walker would teleport to the
+        same vertex at the same step ordinal; jump_probability=1 makes the
+        walk *be* the teleport sequence, so correlated streams show up as
+        identical walks from a shared start vertex.
+        """
+        result = ShardedSamplingCluster(
+            graph,
+            "random_walk_with_jump",
+            num_shards=2,
+            program_kwargs={"jump_probability": 1.0},
+        ).run([1] * 6)
+        walks = [tuple(s.edges[:, 1]) for s in result.result.samples]
+        assert len(set(walks)) > 1
+
+    def test_cost_totals_are_sums_of_shard_costs(self, graph):
+        result = ShardedSamplingCluster(graph, "deepwalk", num_shards=4).run(
+            self.SEEDS
+        )
+        summed = CostModel()
+        for shard_cost in result.shard_costs:
+            summed.merge(shard_cost)
+        summed.kernel_launches = result.epochs
+        assert summed.as_dict() == result.result.cost.as_dict()

@@ -128,6 +128,18 @@ class TestOutOfMemorySampler:
         assert result.partition_transfers >= 1
         assert result.rounds >= 1
 
+    def test_engine_run_is_deterministic(self, small_powerlaw_graph):
+        """Two fresh samplers of one configuration are bit-identical."""
+        a, b = (self.run_config(small_powerlaw_graph,
+                                OutOfMemoryConfig.batched_only())
+                for _ in range(2))
+        assert np.array_equal(a.sample.samples.edges, b.sample.samples.edges)
+        assert np.array_equal(a.sample.samples.edge_offsets,
+                              b.sample.samples.edge_offsets)
+        assert a.sample.iteration_counts == b.sample.iteration_counts
+        assert a.cost.as_dict() == b.cost.as_dict()
+        assert a.makespan == b.makespan
+
     def test_matches_in_memory_edge_volume(self, small_powerlaw_graph):
         """Out-of-memory scheduling changes the order, not the amount, of sampling."""
         program = UnbiasedNeighborSampling()

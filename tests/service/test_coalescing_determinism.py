@@ -1,14 +1,13 @@
 """Per-request determinism under coalescing (the service's acceptance bar).
 
 A request with a fixed seed must return identical edges whether it ran alone
-or coalesced into a batch with other requests -- for every registered
-algorithm, at both layers:
-
-* engine layer: :func:`repro.engine.hetero.run_coalesced` vs standalone
-  :class:`GraphSampler` runs (extending the
-  ``tests/integration/test_engine_equivalence`` approach);
-* service layer: responses from a live :class:`SamplingService` under
-  concurrent submission vs the same standalone runs.
+or coalesced into a batch with other requests.  The engine layer's
+every-algorithm cells (``run_coalesced`` vs standalone ``GraphSampler``
+runs, 2 and 3 members) are the ``members`` axis of
+``tests/integration/test_bitcompat_matrix.py``; this module keeps the
+batch-company and validation checks, and the service layer: responses from
+a live :class:`SamplingService` under concurrent submission vs the same
+standalone runs, for every registered algorithm.
 """
 
 import threading
@@ -36,24 +35,6 @@ MEMBER_SEEDS = [
 ]
 
 
-def coalesce(graph, info, config):
-    """Batches as the service builds them: one shared program and one batch
-    for coalescable algorithms, a fresh program and a single-member batch
-    per request otherwise."""
-    program = info.program_factory()
-    if program.supports_coalescing:
-        return run_coalesced(
-            graph, program, config,
-            [make_instances(seeds) for seeds in MEMBER_SEEDS],
-        )
-    return [
-        run_coalesced(
-            graph, info.program_factory(), config, [make_instances(seeds)]
-        )[0]
-        for seeds in MEMBER_SEEDS
-    ]
-
-
 def assert_member_equivalent(standalone, coalesced):
     assert len(standalone.samples) == len(coalesced.samples)
     for a, b in zip(standalone.samples, coalesced.samples):
@@ -64,18 +45,6 @@ def assert_member_equivalent(standalone, coalesced):
 
 
 class TestEngineLayer:
-    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
-    def test_every_registered_algorithm(self, graph, name):
-        info = ALGORITHM_REGISTRY[name]
-        config = info.config_factory(seed=11)
-        standalone = [
-            GraphSampler(graph, info.program_factory(), config).run(seeds)
-            for seeds in MEMBER_SEEDS
-        ]
-        coalesced = coalesce(graph, info, config)
-        for ref, got in zip(standalone, coalesced):
-            assert_member_equivalent(ref, got)
-
     def test_coalesced_metadata_records_batch_size(self, graph):
         info = ALGORITHM_REGISTRY["deepwalk"]
         config = info.config_factory(seed=1)

@@ -248,23 +248,31 @@ class TestProfilerAccounting:
 
 
 class TestCrashDiagnostics:
+    @pytest.mark.parametrize("dump_target", ["directory", "regular_file"])
     def test_killed_worker_leaves_a_complete_post_mortem(self, tracing,
                                                          tmp_path,
-                                                         watch_claims):
+                                                         watch_claims,
+                                                         dump_target):
         """SIGKILL a claimed worker: events + auto-dumped snapshot appear.
 
         Mirrors the crash-regression scenario with diagnostics on: the
         doomed unit's claim and crash are in the flight recorder, and the
         auto-dump on disk names the victim's trace id and embeds a full
-        service snapshot taken at reap time.
+        service snapshot taken at reap time.  A ``diagnostics_dir`` that is
+        a regular file cannot take the dump: the unit still fails
+        transiently, the survivor still answers and the collector lives.
         """
         prefix = "diagcrash"
+        dump_dir = tmp_path
+        if dump_target == "regular_file":
+            dump_dir = tmp_path / "not_a_directory"
+            dump_dir.write_text("occupied")
         store = SharedGraphStore(prefix=prefix)
         svc = SamplingService(num_workers=2, mode="process",
                               batch_window_s=0.0, max_batch_requests=1,
                               memory_budget_bytes=None, store=store,
                               unit_timeout_s=150.0,
-                              diagnostics_dir=str(tmp_path))
+                              diagnostics_dir=str(dump_dir))
         try:
             svc.load_graph("g", ring_graph(64))
             claimed_by = watch_claims(svc)
@@ -280,8 +288,9 @@ class TestCrashDiagnostics:
             survivor = svc.submit(_request())
             os.kill(victim, signal.SIGKILL)
 
-            with pytest.raises(ServiceError):
+            with pytest.raises(ServiceError) as lost:
                 doomed.result(timeout=120)
+            assert lost.value.transient
             assert survivor.result(timeout=120).ok
 
             counts = svc.recorder.counts()
@@ -290,23 +299,31 @@ class TestCrashDiagnostics:
             assert counts.get("snapshot_dump", 0) >= 1
             crash_events = svc.recorder.events(kind="worker_crash")
             assert any(e.trace_id == doomed_trace for e in crash_events)
-
-            dumps = glob.glob(
-                str(tmp_path / "diagnostics-worker_crash-unit*.json"))
-            assert len(dumps) == 1
-            payload = json.loads(open(dumps[0]).read())
-            failure = payload["failure"]
-            assert failure["reason"] == "worker_crash"
-            assert doomed_trace in failure["trace_ids"]
-            assert failure["error"]
-            # The embedded snapshot is the full diagnose() view at reap
-            # time: the crash event is already in it, the victim is dead.
-            snapshot = payload["service"]
-            assert snapshot["event_counts"]["worker_crash"] >= 1
-            assert victim in snapshot["workers"]["dead_pids"]
-            kinds = {e["kind"] for e in payload["events"]}
-            assert "worker_claim" in kinds
-            assert "worker_crash" in kinds
+            if dump_target == "regular_file":
+                # The dump failed and was swallowed: nothing written, the
+                # file untouched, the collector still answering.
+                assert svc._collector.is_alive()
+                assert glob.glob(str(tmp_path / "**" / "*.json"),
+                                 recursive=True) == []
+                assert dump_dir.read_text() == "occupied"
+                assert svc.submit(_request()).result(timeout=120).ok
+            else:
+                dumps = glob.glob(
+                    str(tmp_path / "diagnostics-worker_crash-unit*.json"))
+                assert len(dumps) == 1
+                payload = json.loads(open(dumps[0]).read())
+                failure = payload["failure"]
+                assert failure["reason"] == "worker_crash"
+                assert doomed_trace in failure["trace_ids"]
+                assert failure["error"]
+                # The embedded snapshot is the full diagnose() view at reap
+                # time: the crash event is already in it, the victim is dead.
+                snapshot = payload["service"]
+                assert snapshot["event_counts"]["worker_crash"] >= 1
+                assert victim in snapshot["workers"]["dead_pids"]
+                kinds = {e["kind"] for e in payload["events"]}
+                assert "worker_claim" in kinds
+                assert "worker_crash" in kinds
 
             # One worker down, one alive: health degrades with a reason.
             verdict = svc.health()

@@ -263,6 +263,26 @@ class TestAdmissionRouting:
         finally:
             svc.shutdown()
 
+    @pytest.mark.parametrize("seeds", [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]],
+                             ids=["nested", "ragged"])
+    def test_multi_seed_instances_survive_every_route(self, graph, seeds):
+        """A multi-seed request keeps its instances on every route (the
+        out-of-memory sampler used to flatten them to one seed each, and to
+        reject a ragged request)."""
+        over_budget = graph.nbytes // 4
+        for route, kwargs in (
+            ("in_memory", {"memory_budget_bytes": None}),
+            ("out_of_memory", {"memory_budget_bytes": over_budget}),
+            ("sharded", {"memory_budget_bytes": over_budget,
+                         "cluster_shards": 3}),
+        ):
+            with SamplingService(num_workers=1, mode="thread", **kwargs) as svc:
+                assert svc.load_graph("g", graph) == route
+                response = SamplingClient(svc).sample(
+                    "g", "deepwalk", seeds, timeout=60)
+            assert response.ok and response.route == route
+            assert [s.seeds.tolist() for s in response.samples] == seeds
+
     def test_small_graph_routes_in_memory(self, graph):
         svc = SamplingService(num_workers=1, mode="thread",
                               memory_budget_bytes=64 * 1024 * 1024)
