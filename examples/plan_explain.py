@@ -1,11 +1,12 @@
 """Dry-run an over-budget graph through the execution planner.
 
-Builds a graph that exceeds a (deliberately tiny) memory budget, asks the
-planner how each entry point would execute it, and prints the plans'
-``explain()`` output -- no sampling runs.  Shows the three admission
-outcomes side by side: in-memory (budget fits), serial out-of-memory
-partition scheduling (over budget, no shards) and the sharded cluster tier
-(over budget, shards available).
+Builds a graph that exceeds a (deliberately tiny) memory budget, routes it
+the way the sampling service does -- admission (``plan_admission``) picks
+the route and sizes its layout, then ``plan(force_route=...)`` describes
+the run -- and prints the plans' ``explain()`` output; no sampling runs.
+Shows the three admission outcomes side by side: in-memory (budget fits),
+serial out-of-memory partition scheduling (over budget, no shards) and the
+sharded cluster tier (over budget, shards available).
 
     PYTHONPATH=src python examples/plan_explain.py
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 from repro.algorithms.registry import default_config
 from repro.api.instance import make_instances
 from repro.graph.generators import powerlaw_graph
-from repro.planner.planner import PlanRequest, plan
+from repro.graph.partition import partition_bounds
+from repro.planner.planner import PlanRequest, plan, plan_admission
 
 
 def main() -> None:
@@ -27,18 +29,30 @@ def main() -> None:
           f"budget: {budget / 2**20:.1f} MiB\n")
 
     scenarios = [
-        ("within budget", dict(memory_budget_bytes=graph.nbytes + 1)),
-        ("over budget, no shards", dict(memory_budget_bytes=budget)),
-        ("over budget, sharded tier", dict(memory_budget_bytes=budget,
-                                           cluster_shards=2)),
+        ("within budget", graph.nbytes + 1, 0),
+        ("over budget, no shards", budget, 0),
+        ("over budget, sharded tier", budget, 2),
     ]
-    for label, kwargs in scenarios:
+    for label, memory_budget_bytes, cluster_shards in scenarios:
+        route, layout = plan_admission(
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            nbytes=graph.nbytes,
+            memory_budget_bytes=memory_budget_bytes,
+            cluster_shards=cluster_shards,
+        )
+        boundaries = None
+        if route == "sharded":
+            boundaries = partition_bounds(graph, layout.num_partitions)
         execution_plan = plan(PlanRequest(
             graph=graph,
             algorithm="deepwalk",
             config=config,
             instances=instances,
-            **kwargs,
+            memory_budget_bytes=memory_budget_bytes,
+            oom_config=layout.oom,
+            boundaries=boundaries,
+            force_route=route,
         ))
         print(f"--- {label} ---")
         print(execution_plan.explain())

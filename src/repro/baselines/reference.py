@@ -1,19 +1,12 @@
-"""Reference samplers used as correctness oracles.
+"""The scalar MAIN-loop correctness oracle.
 
-The ``reference_*`` functions use :class:`numpy.random.Generator` directly
-and make no attempt to model GPU execution; they exist so the test suite can
-compare the framework's selection distributions and sample structure against
-an independent, easy-to-audit implementation of the same mathematical
-definitions.
-
-:class:`ScalarMainLoop` is the other kind of oracle: the original
-instance-by-instance C-SAW MAIN loop (Fig. 2(b)) and per-entry out-of-memory
-expansion (Section V), one ``warp_select`` call per SELECT, with the RNG keys
-and cost charges the batched engines must reproduce bit for bit.  It has the
-engine's ``step_instances`` / ``expand_entries`` interface, so the
-equivalence suites hand it to the unchanged
-:class:`~repro.planner.executor.Executor` in an engine's place.  Nothing in
-the product imports it.
+:class:`ScalarMainLoop` is the original instance-by-instance C-SAW MAIN
+loop (Fig. 2(b)) and per-entry out-of-memory expansion (Section V), one
+``warp_select`` call per SELECT, with the RNG keys and cost charges the
+batched engines must reproduce bit for bit.  It has the engine's
+``step_instances`` / ``expand_entries`` interface, so the equivalence
+suites hand it to the unchanged :class:`~repro.planner.executor.Executor`
+in an engine's place.  Nothing in the product imports it.
 """
 
 from __future__ import annotations
@@ -32,123 +25,7 @@ from repro.gpusim.prng import CounterRNG
 from repro.gpusim.warp import WarpExecutor
 from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "ScalarMainLoop",
-    "reference_select_with_replacement",
-    "reference_select_without_replacement",
-    "reference_random_walk",
-    "reference_neighbor_sampling",
-]
-
-
-def _normalised(biases: np.ndarray) -> np.ndarray:
-    biases = np.asarray(biases, dtype=np.float64)
-    if biases.ndim != 1 or biases.size == 0:
-        raise ValueError("biases must be a non-empty 1-D array")
-    if np.any(biases < 0) or not np.all(np.isfinite(biases)):
-        raise ValueError("biases must be non-negative and finite")
-    total = biases.sum()
-    if total <= 0:
-        raise ValueError("at least one bias must be positive")
-    return biases / total
-
-
-def reference_select_with_replacement(
-    biases: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """i.i.d. selection proportional to biases (Theorem 1), with replacement."""
-    probs = _normalised(biases)
-    return rng.choice(probs.size, size=count, replace=True, p=probs).astype(np.int64)
-
-
-def reference_select_without_replacement(
-    biases: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sequential weighted selection without replacement.
-
-    Candidate ``k`` is drawn proportionally to its bias among the not-yet
-    selected candidates -- the distribution updated sampling (and therefore
-    bipartite region search) realises.
-    """
-    probs = _normalised(biases)
-    if count > int(np.count_nonzero(probs > 0)):
-        raise ValueError("not enough candidates with positive bias")
-    remaining = probs.copy()
-    chosen: List[int] = []
-    for _ in range(count):
-        current = remaining / remaining.sum()
-        pick = int(rng.choice(current.size, p=current))
-        chosen.append(pick)
-        remaining[pick] = 0.0
-    return np.asarray(chosen, dtype=np.int64)
-
-
-def reference_random_walk(
-    graph: CSRGraph,
-    start: int,
-    length: int,
-    rng: np.random.Generator,
-    *,
-    biased: bool = False,
-) -> np.ndarray:
-    """A single random walk; returns the visited vertex sequence (start included)."""
-    path = [int(start)]
-    current = int(start)
-    for _ in range(length):
-        neighbors = graph.neighbors(current)
-        if neighbors.size == 0:
-            break
-        if biased and graph.is_weighted:
-            weights = graph.neighbor_weights(current)
-            probs = weights / weights.sum()
-            current = int(rng.choice(neighbors, p=probs))
-        else:
-            current = int(rng.choice(neighbors))
-        path.append(current)
-    return np.asarray(path, dtype=np.int64)
-
-
-def reference_neighbor_sampling(
-    graph: CSRGraph,
-    seed: int,
-    neighbor_size: int,
-    depth: int,
-    rng: np.random.Generator,
-    *,
-    biased: bool = False,
-) -> Tuple[np.ndarray, set]:
-    """BFS-style neighbor sampling without replacement.
-
-    Returns ``(edges, visited)`` where ``edges`` is an ``(n, 2)`` array of
-    sampled edges and ``visited`` the set of vertices in the sample.
-    """
-    frontier = [int(seed)]
-    visited = {int(seed)}
-    edges: List[Tuple[int, int]] = []
-    for _ in range(depth):
-        next_frontier: List[int] = []
-        for vertex in frontier:
-            neighbors = graph.neighbors(vertex)
-            if neighbors.size == 0:
-                continue
-            if biased and graph.is_weighted:
-                weights = graph.neighbor_weights(vertex)
-                probs = weights / weights.sum()
-            else:
-                probs = np.full(neighbors.size, 1.0 / neighbors.size)
-            count = min(neighbor_size, int(np.count_nonzero(probs > 0)))
-            picks = rng.choice(neighbors.size, size=count, replace=False, p=probs)
-            for p in picks:
-                target = int(neighbors[p])
-                edges.append((vertex, target))
-                if target not in visited:
-                    visited.add(target)
-                    next_frontier.append(target)
-        frontier = next_frontier
-        if not frontier:
-            break
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return edge_array, visited
+__all__ = ["ScalarMainLoop"]
 
 
 _EMPTY = np.empty(0, dtype=np.int64)

@@ -35,10 +35,10 @@ import numpy as np
 from repro.api.config import SamplingConfig
 from repro.api.instance import make_instances
 from repro.api.results import SampleResult
-from repro.distributed.transport import InProcessTransport, MultiprocessTransport
+from repro.distributed.transport import MultiprocessTransport
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import DeviceSpec, V100_SPEC
-from repro.graph.partition import partition_bounds, uniform_stride
+from repro.graph.partition import partition_bounds
 from repro.service.store import SharedGraphStore
 
 __all__ = ["ClusterResult", "ShardedSamplingCluster"]
@@ -142,7 +142,6 @@ class ShardedSamplingCluster:
         self.bounds = partition_bounds(
             self.graph, min(num_shards, self.graph.num_vertices), balance=balance
         )
-        self._stride = uniform_stride(self.bounds)
         self.transport = transport
         self._mp_context = mp_context
         self._store = store
@@ -154,20 +153,16 @@ class ShardedSamplingCluster:
         return int(self.bounds.size - 1)
 
     # ------------------------------------------------------------------ #
-    def _make_transport(self):
-        if self.transport == "multiprocess":
-            return MultiprocessTransport(
-                self.graph,
-                self.bounds,
-                self.algorithm,
-                self.program_kwargs,
-                self.config,
-                mp_context=self._mp_context,
-                store=self._store,
-                graph_name=self._graph_name,
-            )
-        return InProcessTransport(
-            self.graph, self.bounds, self.algorithm, self.program_kwargs, self.config
+    def _multiprocess_transport(self, bounds: np.ndarray):
+        return MultiprocessTransport(
+            self.graph,
+            bounds,
+            self.algorithm,
+            self.program_kwargs,
+            self.config,
+            mp_context=self._mp_context,
+            store=self._store,
+            graph_name=self._graph_name,
         )
 
     def plan(
@@ -204,11 +199,16 @@ class ShardedSamplingCluster:
         from repro.planner.executor import Executor
 
         instances = make_instances(seeds, num_instances=num_instances)
+        # In-process shards are the Executor's own; only the multiprocess
+        # transport needs this facade's store and spawn context.
         executor = Executor(
             self._plan(instances),
             self.graph,
-            transport_factory=self._make_transport,
-            stride=self._stride,
-            transport_name=self.transport,
+            program_kwargs=self.program_kwargs,
+            transport=(
+                self._multiprocess_transport
+                if self.transport == "multiprocess"
+                else None
+            ),
         )
         return executor.execute(instances)

@@ -30,8 +30,10 @@ The one thing that must *not* be shared is program-private mutable state:
 hooks that consume their own RNG stream in call order (forest fire's
 geometric draws, Metropolis-Hastings acceptance, jump/restart teleports)
 would interleave across members.  Such programs set
-``supports_coalescing = False`` and the coalescer runs each of their
-requests as a single-member batch, which is trivially standalone-identical.
+``supports_coalescing = False``: the planner's
+:func:`~repro.planner.planner.scale_plan` never makes their units
+``"coalesced"``, so the service runs each of their requests alone, which is
+trivially standalone-identical.
 
 Cost attribution: a coalesced batch is one sequence of fused kernels, so the
 per-member results carry the *batch's* aggregate cost and kernel records

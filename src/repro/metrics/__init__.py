@@ -1,15 +1,14 @@
-"""Metrics: SEPS, iteration/search statistics and distribution checks.
+"""Metrics: iteration/search statistics and distribution checks.
 
-The paper introduces SEPS (Sampled Edges Per Second) as its headline metric
-and additionally reports per-optimisation statistics: average do-while
-iterations per selected vertex (Fig. 11), collision-search reduction ratios
-(Fig. 12), kernel-time standard deviation (Fig. 14) and partition transfer
-counts (Fig. 15).  This package computes all of them plus the statistical
+Besides SEPS (Sampled Edges Per Second), which every result type computes
+itself (``seps()``), the paper reports per-optimisation statistics:
+average do-while iterations per selected vertex (Fig. 11),
+collision-search reduction ratios (Fig. 12) and kernel-time standard
+deviation (Fig. 14).  This package computes them plus the statistical
 helpers the test suite uses to verify that selection probabilities follow
 Theorem 1.
 """
 
-from repro.metrics.seps import seps, speedup, million_seps
 from repro.metrics.stats import (
     empirical_distribution,
     chi_square_uniformity,
@@ -18,18 +17,12 @@ from repro.metrics.stats import (
     search_reduction_ratio,
     mean_iterations,
 )
-from repro.metrics.timing import Timer, host_time
 
 __all__ = [
-    "seps",
-    "speedup",
-    "million_seps",
     "empirical_distribution",
     "chi_square_uniformity",
     "total_variation_distance",
     "kernel_time_std",
     "search_reduction_ratio",
     "mean_iterations",
-    "Timer",
-    "host_time",
 ]

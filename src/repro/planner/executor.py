@@ -3,10 +3,14 @@
 The four sampling entry points used to carry four private copies of the
 run loop -- the in-memory MAIN loop, the coalesced multi-member loop, the
 out-of-memory partition scheduler and the sharded cluster's epoch loop.
-:class:`Executor` is that logic in one place: a facade builds a plan
-(:func:`repro.planner.planner.plan`), binds its runtime objects (graph,
-program, engine, device, transport) to an executor and calls
-:meth:`Executor.execute`.
+:class:`Executor` is that logic in one place, and it runs a plan as built:
+whoever planned the run -- a facade (:func:`repro.planner.planner.plan`)
+or the service (admission, cached class plan,
+:func:`~repro.planner.planner.scale_plan`) -- hands the plan over together
+with only what a plan cannot name: the program (or, on ``sharded``, its
+registry kwargs and transport), the device and the engine.  Everything the
+plan fixes -- shard bounds, out-of-memory partitions, the registry program
+and its engine when the caller brings none -- is derived here.
 
 Bit-compatibility is the headline invariant: each route's loop here is the
 pre-refactor loop moved verbatim -- same warp-id allocation order, same RNG
@@ -36,10 +40,12 @@ from repro.compiled.compiler import resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.device import Device
+from repro.gpusim.device import Device, make_device
+from repro.gpusim.prng import CounterRNG
 from repro.gpusim.kernel import KernelLaunch, StreamTimeline
 from repro.gpusim.memory import TransferEngine
 from repro.graph.csr import CSRGraph
+from repro.graph.partition import partition_bounds, partition_graph, uniform_stride
 from repro.oom.balancing import block_fractions
 from repro.oom.batching import group_entries_by_instance, single_batch
 from repro.oom.transfer import PartitionResidency
@@ -55,9 +61,13 @@ __all__ = ["Executor"]
 class Executor:
     """Runs any :class:`ExecutionPlan` on the :class:`BatchedStepEngine`.
 
-    The constructor takes the runtime bindings the plan's route needs;
-    unused ones may stay ``None`` (an in-memory plan never touches
-    ``partitions`` or ``transport_factory``).
+    The constructor takes the runtime objects a plan cannot name; every one
+    may stay ``None``.  Left out, the program comes from the registry
+    (``plan.algorithm`` with ``program_kwargs``), the engine is a fresh
+    :class:`BatchedStepEngine` for the plan's route, the device a fresh
+    GPU, the out-of-memory ``partitions`` the plan's ``layout.oom`` split
+    and the sharded ``transport`` in-process shards.  ``transport``, when
+    given, builds the transport from the shard bounds.
     """
 
     def __init__(
@@ -66,22 +76,20 @@ class Executor:
         graph: CSRGraph,
         *,
         program=None,
+        program_kwargs: Optional[dict] = None,
         engine: Optional[BatchedStepEngine] = None,
         device: Optional[Device] = None,
         partitions=None,
-        transport_factory: Optional[Callable] = None,
-        stride: Optional[int] = None,
-        transport_name: str = "in_process",
+        transport: Optional[Callable] = None,
     ):
         self.plan = plan
         self.graph = graph
         self.program = program
+        self.program_kwargs = dict(program_kwargs or {})
         self.engine = engine
-        self.device = device
+        self.device = device if device is not None else make_device("gpu")
         self.partitions = partitions
-        self.transport_factory = transport_factory
-        self.stride = stride
-        self.transport_name = transport_name
+        self.transport = transport
 
     # ------------------------------------------------------------------ #
     def execute(
@@ -133,16 +141,33 @@ class Executor:
         if route == "coalesced":
             if members is None:
                 raise ValueError("a coalesced plan needs member instance lists")
-            return self._run_coalesced(members)
-        if instances is None:
+        elif instances is None:
             raise ValueError(f"a {route} plan needs instances")
+        if route == "sharded":
+            return self._run_sharded(list(instances))
+        self._bind()
+        if route == "coalesced":
+            return self._run_coalesced(members)
         if route == "in_memory":
             return self._run_in_memory(instances)
         if route == "out_of_memory":
             return self._run_out_of_memory(instances)
-        if route == "sharded":
-            return self._run_sharded(list(instances))
         raise ValueError(f"unknown route {route!r}")  # pragma: no cover
+
+    def _bind(self) -> None:
+        """The registry program and its engine, when the caller brought none."""
+        config = self.plan.config
+        if self.program is None:
+            from repro.algorithms.registry import get_algorithm
+
+            self.program = get_algorithm(self.plan.algorithm).program_factory(
+                **self.program_kwargs
+            )
+        if self.engine is None:
+            self.engine = BatchedStepEngine(
+                self.graph, self.program, config, CounterRNG(config.seed),
+                self.plan.route,
+            )
 
     # ================================================================== #
     # In-memory MAIN loop (Fig. 2(b)) -- the GraphSampler route
@@ -250,6 +275,8 @@ class Executor:
         from repro.oom.scheduler import OutOfMemoryResult
 
         oom = self.plan.layout.oom
+        if self.partitions is None:
+            self.partitions = partition_graph(self.graph, oom.num_partitions)
         partitions = self.partitions
         queues: Dict[int, FrontierQueue] = {
             p: FrontierQueue() for p in range(len(partitions))
@@ -419,9 +446,16 @@ class Executor:
         # Deferred: repro.distributed's __init__ pulls the coordinator,
         # which itself plans+executes through this module.
         from repro.distributed.router import MigrationRouter, WalkerEnvelope, bucket_by_shard
+        from repro.distributed.transport import InProcessTransport
 
-        bounds = np.asarray(self.plan.layout.boundaries, dtype=np.int64)
-        num_shards = self.plan.layout.num_partitions
+        layout = self.plan.layout
+        # Admission leaves the boundaries to the graph the run samples.
+        bounds = np.asarray(
+            layout.boundaries
+            or partition_bounds(self.graph, layout.num_partitions),
+            dtype=np.int64,
+        )
+        num_shards = int(bounds.size - 1)
         envelopes = [WalkerEnvelope(instance=inst) for inst in instances]
         ctx = _trace.current()
         if ctx is not None:
@@ -429,11 +463,19 @@ class Executor:
             # in other processes) join this request's span tree.
             for env in envelopes:
                 env.trace_ctx = ctx
-        placement = bucket_by_shard(envelopes, bounds, stride=self.stride)
+        placement = bucket_by_shard(
+            envelopes, bounds, stride=uniform_stride(bounds)
+        )
 
         router = MigrationRouter(num_shards)
         epochs = 0
-        transport = self.transport_factory()
+        if self.transport is not None:
+            transport = self.transport(bounds)
+        else:
+            transport = InProcessTransport(
+                self.graph, bounds, self.plan.algorithm, self.program_kwargs,
+                self.plan.config,
+            )
         try:
             transport.admit(placement)
             active = len(instances)
@@ -455,7 +497,8 @@ class Executor:
             _metrics.REGISTRY.counter("walker_migrations").inc(router.migrations)
         prof = _profiler.clock(-1)
         result = self._reassemble_shards(
-            reports, len(instances), epochs, router.migrations, num_shards
+            reports, len(instances), epochs, router.migrations, num_shards,
+            transport.name,
         )
         prof.lap("reassemble")
         return result
@@ -467,6 +510,7 @@ class Executor:
         epochs: int,
         migrations: int,
         num_shards: int,
+        transport_name: str,
     ):
         from repro.distributed.coordinator import ClusterResult
         from repro.distributed.router import WalkerEnvelope
@@ -510,7 +554,7 @@ class Executor:
         return ClusterResult(
             result=result,
             num_shards=num_shards,
-            transport=self.transport_name,
+            transport=transport_name,
             epochs=epochs,
             migrations=migrations,
             shard_costs=[r.cost for r in reports],

@@ -1,32 +1,33 @@
-"""``plan(request) -> ExecutionPlan``: the one place routing is decided.
+"""``plan(request) -> ExecutionPlan``: the one place a run is described.
 
 Every sampling entry point -- :class:`~repro.api.sampler.GraphSampler`,
 :class:`~repro.oom.scheduler.OutOfMemorySampler`,
 :func:`~repro.engine.hetero.run_coalesced`, the sharded cluster and the
 sampling service -- builds a :class:`~repro.planner.plan.ExecutionPlan`
-here before executing it on the shared
+here and hands it, as built, to the shared
 :class:`~repro.planner.executor.Executor`.
 
-The planner inspects:
+Three decisions live in this module, each in one function:
 
-* **graph size vs memory budget** -- an over-budget CSR leaves the
-  in-memory tier;
-* **shard count** -- a non-zero ``cluster_shards`` makes the sharded tier
-  available for over-budget graphs, sized so every shard's partition fits
-  the budget;
-* **program coalescability / statefulness** -- stateful-hook programs never
-  share an engine batch (they run as singleton members with per-walker
-  replicas on the sharded tier);
-* **the cost-model estimate** (:mod:`repro.planner.cost`) -- when both
-  over-budget tiers are available, the predicted simulated time picks the
-  winner (the sharded tier's parallel shards beat the serial
-  partition-scheduled sampler on every realistic layout, and the estimate
-  records *why* in the plan).
+* **routing** -- :func:`plan_admission` (through :func:`plan_route`): a
+  graph within the memory budget is ``"in_memory"``; an over-budget graph
+  is ``"sharded"`` when ``cluster_shards > 0`` (parallel shards beat the
+  serial partition-scheduled sampler on every realistic layout) and
+  ``"out_of_memory"`` otherwise.  :func:`plan` never routes: every caller
+  names the route (``force_route``) -- a facade *is* its tier, and the
+  service passes the admitted one;
+* **layout** -- :func:`plan` sizes the route's partitions: shard counts so
+  every shard's partition fits the budget, out-of-memory partitions from
+  the admission sizing rule;
+* **fusion** -- :func:`scale_plan`: a unit of several members becomes
+  ``"coalesced"`` exactly when its class plan is in-memory and
+  ``coalescable`` (stateful-hook programs never share an engine batch);
+  otherwise it keeps its route and its members run one by one.
 
-Seed validation happens at plan time, uniformly: every entry point raises
-the same :class:`~repro.planner.errors.SeedValidationError` for an empty
-seed list, out-of-range vertex ids or duplicate seeds inside one instance's
-pool.
+Seed validation happens at plan time, uniformly: every facade raises the
+same :class:`~repro.planner.errors.SeedValidationError` for an empty seed
+list, out-of-range vertex ids or duplicate seeds inside one instance's
+pool.  The service validates at submit time and plans without instances.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 @dataclass
 class PlanRequest:
-    """Everything the planner may inspect when routing one run.
+    """Everything the planner may inspect when describing one run.
 
     Facades fill the subset they know: the standalone samplers pass a live
     ``graph`` object, their resolved ``program`` and the instances they
     built; the service passes graph *stats* (from its shared-memory handle)
-    plus the cached coalescability bit, and no instances (it validated the
-    request's batch at submit time).
+    and no instances (it validated the request's batch at submit time).
     """
 
     graph: Optional[object] = None  # CSRGraph / DeltaGraph
@@ -82,15 +82,14 @@ class PlanRequest:
     #: Instance count when neither instances nor members are given.
     num_instances: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
-    #: Sharded-tier floor; 0 keeps the tier unavailable.
-    cluster_shards: int = 0
     oom_config: Optional[OutOfMemoryConfig] = None
     #: Shard-range boundaries already chosen by the caller (cluster facade).
     boundaries: Optional[np.ndarray] = None
-    #: Pin the route instead of letting admission decide (facades that *are*
-    #: a tier -- GraphSampler is in-memory by definition).
+    #: The route to plan (required): a facade's own tier, or the service's
+    #: admitted one (:func:`plan_admission` is the router).
     force_route: Optional[str] = None
-    #: Override when the program object is not available (service: cached).
+    #: Override when the program object is not available (the registry
+    #: program's ``supports_coalescing`` otherwise).
     coalescable: Optional[bool] = None
     #: Graph stats when no graph object is available (service handles).
     graph_num_vertices: Optional[int] = None
@@ -104,41 +103,16 @@ def plan_route(
     *,
     memory_budget_bytes: Optional[int],
     cluster_shards: int,
-    num_vertices: int = 0,
-    num_edges: int = 0,
-    config: Optional[SamplingConfig] = None,
-    num_instances: int = 1,
-    spec: DeviceSpec = V100_SPEC,
 ) -> str:
     """Admission decision alone: which tier serves a graph of ``nbytes``.
 
-    Within budget is always ``"in_memory"``.  Over budget, the available
-    tiers (``"sharded"`` when ``cluster_shards > 0``, ``"out_of_memory"``
-    always) are ranked by the cost-model estimate when a config is known,
-    and by the tier order (parallel shards before serial partition
-    scheduling) otherwise.
+    Within budget is always ``"in_memory"``.  Over budget, the parallel
+    shards (``"sharded"``) serve when ``cluster_shards > 0``, and the serial
+    partition-scheduled sampler (``"out_of_memory"``) otherwise.
     """
     if memory_budget_bytes is None or nbytes <= memory_budget_bytes:
         return "in_memory"
-    if not cluster_shards:
-        return "out_of_memory"
-    if config is None or num_vertices == 0:
-        return "sharded"
-    graph_stats = GraphStats(num_vertices, num_edges, nbytes)
-    num_shards = _shard_count(nbytes, memory_budget_bytes, cluster_shards)
-    oom = _derive_oom_config(nbytes, memory_budget_bytes)
-    sharded_time = predict_time_s(
-        graph_stats, config, num_instances,
-        route="sharded", num_shards=num_shards, spec=spec,
-    )
-    oom_time = predict_time_s(
-        graph_stats, config, num_instances,
-        route="out_of_memory",
-        num_partitions=oom.num_partitions,
-        max_resident_partitions=oom.max_resident_partitions,
-        spec=spec,
-    )
-    return "sharded" if sharded_time <= oom_time else "out_of_memory"
+    return "sharded" if cluster_shards else "out_of_memory"
 
 
 class GraphStats:
@@ -208,9 +182,9 @@ def plan_admission(
             _shard_count(nbytes, memory_budget_bytes, cluster_shards),
             max(num_vertices, 1),
         )
-        # Boundaries stay unresolved: the executing worker's cluster facade
-        # derives them from the shared graph (shard-count invariance makes
-        # the exact split irrelevant to results).
+        # Boundaries stay unresolved: the Executor derives them from the
+        # worker's shared graph (shard-count invariance makes the exact
+        # split irrelevant to results).
         layout = PartitionLayout(kind="shard_ranges", num_partitions=num_shards)
     else:
         layout = PartitionLayout()
@@ -264,6 +238,13 @@ def _calibrated_time_s(predicted_time_s: float, step_tier: str) -> float:
     return calibrated
 
 
+def _warp_cursors(route: str) -> str:
+    """The RNG-stream numbering that keeps a route bit-identical."""
+    return {"coalesced": "per_member", "sharded": "per_walker"}.get(
+        route, "global"
+    )
+
+
 def scale_plan(
     base: ExecutionPlan,
     member_sizes: Sequence[int],
@@ -274,20 +255,21 @@ def scale_plan(
 
     The service caches one :class:`ExecutionPlan` per ``(graph, epoch,
     algorithm, config)`` -- everything expensive (routing, layout sizing,
-    coalescability probing) -- and cheaply re-scales it per batch: the
-    fusion grouping becomes the unit's member sizes (an in-memory class
-    with several members becomes a ``"coalesced"`` unit) and the predicted
-    cost is recomputed for the unit's instance count from the closed-form
-    model.
+    coalescability) -- and cheaply re-scales it per batch.  This is the one
+    place fusion is decided: an in-memory class with several members becomes
+    a ``"coalesced"`` unit when the class is ``coalescable``; any other unit
+    keeps its route (its members then run one by one), and a single member
+    is never coalesced.  The predicted cost is recomputed for the unit's
+    instance count from the closed-form model.
     """
     from dataclasses import replace
 
     member_sizes = tuple(int(m) for m in member_sizes)
     total = int(sum(member_sizes))
     route = base.route
-    warp_cursors = base.warp_cursors
-    if route == "in_memory" and len(member_sizes) > 1:
-        route, warp_cursors = "coalesced", "per_member"
+    if route in ("in_memory", "coalesced"):
+        fused = len(member_sizes) > 1 and base.coalescable
+        route = "coalesced" if fused else "in_memory"
     stats = GraphStats(
         base.graph_num_vertices, base.graph_num_edges, base.graph_nbytes
     )
@@ -300,7 +282,7 @@ def scale_plan(
     return replace(
         base,
         route=route,
-        warp_cursors=warp_cursors,
+        warp_cursors=_warp_cursors(route),
         num_instances=total,
         member_sizes=member_sizes,
         predicted_cost=predicted,
@@ -385,22 +367,14 @@ def plan(request: PlanRequest) -> ExecutionPlan:
     )
 
     # ------------------------------------------------------------------ #
-    # Routing
+    # Route: named by the caller (plan_admission is the router)
     # ------------------------------------------------------------------ #
     route = request.force_route
     if route is None:
-        route = plan_route(
-            nbytes,
-            memory_budget_bytes=request.memory_budget_bytes,
-            cluster_shards=request.cluster_shards,
-            num_vertices=num_vertices,
-            num_edges=num_edges,
-            config=config,
-            num_instances=num_instances,
-            spec=request.spec,
+        raise PlanError(
+            "plan needs force_route: the facade's own tier, or the route "
+            "plan_admission chose"
         )
-        if route == "in_memory" and len(member_sizes) > 1:
-            route = "coalesced"
     if route == "coalesced" and len(member_sizes) > 1 and not coalescable:
         raise PlanError(
             f"program {program_name or '?'} has stateful hooks and cannot "
@@ -423,9 +397,7 @@ def plan(request: PlanRequest) -> ExecutionPlan:
             num_shards = len(boundaries) - 1
         else:
             num_shards = min(
-                _shard_count(
-                    nbytes, request.memory_budget_bytes, request.cluster_shards
-                ),
+                _shard_count(nbytes, request.memory_budget_bytes, 1),
                 num_vertices,
             )
             if graph is not None:
@@ -436,17 +408,14 @@ def plan(request: PlanRequest) -> ExecutionPlan:
                 )
                 num_shards = len(boundaries) - 1
             else:
-                boundaries = ()  # resolved by the executing worker
+                boundaries = ()  # resolved by the Executor
         layout = PartitionLayout(
             kind="shard_ranges", num_partitions=num_shards, boundaries=boundaries
         )
     else:
         layout = PartitionLayout()
 
-    warp_cursors = {
-        "coalesced": "per_member",
-        "sharded": "per_walker",
-    }.get(route, "global")
+    warp_cursors = _warp_cursors(route)
 
     # ------------------------------------------------------------------ #
     # Cost prediction

@@ -15,7 +15,10 @@ each published graph epoch's route and partition layout at load time (the
 route table *is* a table of plans), and full
 :class:`~repro.planner.plan.ExecutionPlan`\\ s are built lazily and cached
 per ``(graph, epoch, algorithm, config)``, then specialised per dispatched
-unit (fusion grouping, predicted cost).  The winning plan's metadata rides
+unit by :func:`~repro.planner.planner.scale_plan` (fusion grouping,
+predicted cost); the worker executes that unit plan as shipped.  A class
+is split into one-request units exactly when its unit plan is not
+``"coalesced"``.  The unit plan's metadata rides
 on every answer as ``SampleResponse.plan`` (including the
 :meth:`~repro.planner.plan.ExecutionPlan.explain` dry-run text).  Changing
 ``memory_budget_bytes`` (or ``cluster_shards``) never resizes an admitted
@@ -455,12 +458,7 @@ class SamplingService:
         """The cached :class:`ExecutionPlan` of one request class."""
 
         def build(admitted: Epoch) -> ExecutionPlan:
-            from repro.algorithms.registry import get_algorithm
-
             handle = self.store.handle(request.graph, epoch)
-            program = get_algorithm(request.algorithm).program_factory(
-                **request.program_kwargs
-            )
             base = plan(PlanRequest(
                 config=request.resolve_config(),
                 algorithm=request.algorithm,
@@ -468,7 +466,6 @@ class SamplingService:
                 memory_budget_bytes=self.memory_budget_bytes,
                 oom_config=admitted.layout.oom,
                 force_route=admitted.route,
-                coalescable=bool(program.supports_coalescing),
                 graph_num_vertices=handle.num_vertices,
                 graph_num_edges=handle.num_edges,
                 graph_nbytes=handle.nbytes,
@@ -669,30 +666,28 @@ class SamplingService:
             classes.setdefault(key, []).append(record)
         for group in classes.values():
             class_plan = self._class_plan(group[0].request, group[0].epoch)
-            fusible = class_plan.route == "in_memory" and class_plan.coalescable
-            if len(group) > 1 and not fusible:
-                # Non-coalescable programs and the out-of-memory path never
-                # fuse; one unit per request keeps them spread across
-                # workers instead of serialised on one (and keeps the
-                # coalescing stats honest).
-                units = [[record] for record in group]
-            else:
-                units = [group]
-            for members in units:
-                self._dispatch_unit(members, class_plan)
+            unit_plan = scale_plan(
+                class_plan, [r.request.instance_count() for r in group]
+            )
+            if len(group) == 1 or unit_plan.route == "coalesced":
+                self._dispatch_unit(group, unit_plan)
+                continue
+            # The plan did not fuse the class (stateful hooks, or an
+            # over-budget route): one unit per request keeps them spread
+            # across workers instead of serialised on one (and keeps the
+            # coalescing stats honest).
+            for record in group:
+                self._dispatch_unit([record], scale_plan(
+                    class_plan, [record.request.instance_count()]
+                ))
 
     def _dispatch_unit(
-        self, members: List[RequestRecord], class_plan: ExecutionPlan
+        self, members: List[RequestRecord], unit_plan: ExecutionPlan
     ) -> None:
         head = members[0].request
         epoch = members[0].epoch
-        # Specialise the cached class plan to this unit: fusion grouping
-        # (member sizes) and predicted cost for the unit's instance count.
-        unit_plan = scale_plan(
-            class_plan,
-            [p.request.instance_count() for p in members],
-        )
-        route = class_plan.route  # the worker-facing tier name
+        # The worker-facing tier name: a fused unit is served in memory.
+        route = "in_memory" if unit_plan.route == "coalesced" else unit_plan.route
         # A fused unit runs once, so its worker spans join the HEAD
         # request's trace; sibling members keep their own trace ids but
         # only record service-side spans (see docs/telemetry.md).

@@ -1,12 +1,13 @@
-"""Worker pool: each worker drives coalesced engine batches over shared graphs.
+"""Worker pool: each worker executes the front-end's plans over shared graphs.
 
 A :class:`WorkUnit` is one dispatchable chunk of the front-end's batching
 decision: a graph handle plus one *class* of compatible requests (same
-algorithm, config and program constructor arguments).  Workers execute the
-whole class as a single coalesced engine batch
-(:func:`repro.engine.hetero.run_coalesced`) when the program allows it, or
-one standalone run per request otherwise, and ship back per-request payloads
-of plain arrays (one :class:`~repro.api.results.SampleColumns` each).
+algorithm, config and program constructor arguments) and the unit's
+:class:`~repro.planner.plan.ExecutionPlan`.  Workers run that plan as
+shipped on the :class:`~repro.planner.executor.Executor`: a ``"coalesced"``
+plan as a single fused engine batch, any other plan as one standalone run
+per request.  They ship back per-request payloads of plain arrays (one
+:class:`~repro.api.results.SampleColumns` each).
 
 Three pool modes share the exact same execution path
 (:func:`execute_unit`):
@@ -28,17 +29,18 @@ import threading
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.config import SamplingConfig
 from repro.api.instance import make_instances
 from repro.api.results import SampleColumns
-from repro.api.sampler import GraphSampler
-from repro.engine.hetero import run_coalesced
-from repro.graph.csr import CSRGraph
 from repro.compiled.compiler import kernel_cache_stats
 from repro.compiled.structures import structure_cache_stats
-from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
+from repro.graph.csr import CSRGraph
+from repro.graph.partition import partition_bounds
+from repro.oom.scheduler import OutOfMemoryConfig
+from repro.planner.plan import ExecutionPlan
+from repro.planner.planner import PlanRequest, plan, scale_plan
 from repro.service.store import SharedGraphHandle, attach
 from repro.telemetry import profiler as _profiler
 from repro.telemetry import trace as _trace
@@ -81,9 +83,9 @@ class WorkUnit:
     #: executing worker, sized so each partition fits the memory budget).
     cluster_shards: Optional[int] = None
     #: The service's :class:`~repro.planner.plan.ExecutionPlan` for this
-    #: unit.  ``route`` / ``oom_config`` / ``cluster_shards`` above are its
-    #: worker-facing projection; directly constructed units (tests) may
-    #: omit it.
+    #: unit, executed as shipped.  ``route`` / ``oom_config`` /
+    #: ``cluster_shards`` above are its worker-facing projection; a unit
+    #: constructed without a plan gets one built from them.
     plan: Optional[object] = None
     #: Telemetry trace context of the (head) request this unit serves, so
     #: worker-side spans join the request's trace; ``None`` = tracing off.
@@ -146,14 +148,27 @@ def _cache_counters() -> Tuple[int, ...]:
             structure["hits"], structure["misses"])
 
 
-def _payload(unit: WorkUnit, spec: RequestSpec, result, route: str,
-             coalesced_with: int, cache_before: Tuple[int, ...],
+def _payload(spec: RequestSpec, ran, route: str, coalesced_with: int,
+             cache_before: Tuple[int, ...], step_tier: str,
              extra: Dict[str, float]) -> RequestPayload:
     """One finished run as a payload, with the stats every route reports.
 
-    Both caches live in the worker process; the front-end only ever sees
-    the per-payload deltas since ``cache_before``.
+    ``ran`` is the route's native result: a ``SampleResult``, or the
+    out-of-memory / cluster result wrapping one (their schedule figures
+    join the stats).  Both caches live in the worker process; the front-end
+    only ever sees the per-payload deltas since ``cache_before``.
     """
+    if route == "out_of_memory":
+        result, extra = ran.sample, {**extra, "makespan": float(ran.makespan)}
+    elif route == "sharded":
+        result, extra = ran.result, {
+            **extra,
+            "makespan": float(ran.makespan()),
+            "num_shards": float(ran.num_shards),
+            "migrations": float(ran.migrations),
+        }
+    else:
+        result = ran
     stats: Dict[str, object] = {
         "sampled_edges": float(result.total_sampled_edges),
         "kernel_time_s": float(result.kernel_time()),
@@ -162,8 +177,7 @@ def _payload(unit: WorkUnit, spec: RequestSpec, result, route: str,
     for key, after, before in zip(CACHE_DELTA_KEYS, _cache_counters(),
                                   cache_before):
         stats[key] = float(after - before)
-    if unit.plan is not None:
-        stats["step_tier"] = unit.plan.step_tier
+    stats["step_tier"] = step_tier
     return RequestPayload(
         request_id=spec.request_id,
         samples=result.samples,
@@ -174,41 +188,43 @@ def _payload(unit: WorkUnit, spec: RequestSpec, result, route: str,
     )
 
 
-def _run_each(unit: WorkUnit, route: str,
-              run: Callable[[RequestSpec], Tuple[object, Dict[str, float]]],
-              ) -> UnitResult:
-    """One standalone run per request; a failure fails only its request.
+def _instances(spec: RequestSpec):
+    return make_instances(list(spec.seeds), num_instances=spec.num_instances)
 
-    ``run(spec)`` returns the route's ``SampleResult`` plus its
-    route-specific stats.
-    """
-    payloads: List[RequestPayload] = []
-    for spec in unit.requests:
-        try:
-            # Snapshot before the run constructs anything: building a
-            # sampler is what resolves the compiled tier's cached structures.
-            cache_before = _cache_counters()
-            result, extra = run(spec)
-            payloads.append(
-                _payload(unit, spec, result, route, 1, cache_before, extra)
-            )
-        except Exception:
-            payloads.append(RequestPayload(
-                request_id=spec.request_id, route=route,
-                error=traceback.format_exc(limit=8),
-            ))
-    return UnitResult(unit_id=unit.unit_id, payloads=payloads)
+
+def _flat_plan(graph: CSRGraph, unit: WorkUnit) -> ExecutionPlan:
+    """The plan of a unit built without one, from its flat fields."""
+    boundaries = None
+    if unit.route == "sharded":
+        if not unit.cluster_shards:
+            # A missing shard count must not silently run partitions over
+            # the budget.
+            raise ValueError("sharded unit carries no cluster_shards")
+        boundaries = partition_bounds(
+            graph, min(int(unit.cluster_shards), graph.num_vertices)
+        )
+    class_plan = plan(PlanRequest(
+        graph=graph, config=unit.config, algorithm=unit.algorithm,
+        oom_config=unit.oom_config, boundaries=boundaries,
+        force_route=unit.route,
+    ))
+    return scale_plan(class_plan, [
+        spec.num_instances if spec.num_instances is not None
+        else len(spec.seeds)
+        for spec in unit.requests
+    ])
 
 
 def execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
     """Run one work unit against an already-attached graph.
 
-    The unit's :class:`ExecutionPlan` (when the front-end attached one) is
-    authoritative for the route and partition layout; the flat
-    ``route`` / ``oom_config`` / ``cluster_shards`` fields are its
-    projection and the fallback for directly constructed units.  Each
-    branch below delegates to a facade that itself plans + executes on the
-    shared executor, so the worker never re-implements a run loop.
+    The unit's :class:`ExecutionPlan` is executed as shipped: the
+    front-end's admission, class plan and :func:`scale_plan` already fixed
+    the route, the layout and the fusion, so the worker hands it to the
+    :class:`~repro.planner.executor.Executor` with only the registry
+    program kwargs.  A unit built without a plan (the flat ``route`` /
+    ``oom_config`` / ``cluster_shards`` fields alone) gets its plan built
+    from those fields first, then takes the same path.
 
     When the unit carries a trace context the whole execution is adopted
     into that trace under a ``unit`` span, so worker-side spans connect to
@@ -227,85 +243,26 @@ def execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
 
 
 def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
-    from repro.algorithms.registry import get_algorithm
+    # Deferred like every facade's: the Executor and the kernels it pulls in
+    # load on a worker's first unit, not when the service module is imported.
+    from repro.planner.executor import Executor
 
-    info = get_algorithm(unit.algorithm)
+    unit_plan = unit.plan if unit.plan is not None else _flat_plan(graph, unit)
     kwargs = dict(unit.program_kwargs)
-    payloads: List[RequestPayload] = []
-    route = unit.route
-    oom_config = unit.oom_config
-    cluster_shards = unit.cluster_shards
-    if unit.plan is not None:
-        route = unit.plan.route
-        if route == "coalesced":
-            route = "in_memory"
-        layout = unit.plan.layout
-        if layout.oom is not None:
-            oom_config = layout.oom
-        if route == "sharded":
-            cluster_shards = layout.num_partitions
-
-    if route == "sharded":
-        # Oversized graphs served by the sharded tier: one in-process
-        # cluster run per request (bit-identical for any shard count, so
-        # the sizing decision never changes results -- see
-        # docs/distributed.md).
-        from repro.distributed import ShardedSamplingCluster
-
-        if not cluster_shards:
-            # The front-end froze the shard count at admission; a missing
-            # value must not silently run partitions over the budget.
-            return UnitResult(
-                unit_id=unit.unit_id,
-                error="sharded unit carries no cluster_shards",
-            )
-
-        def run_sharded(spec):
-            ran = ShardedSamplingCluster(
-                graph, unit.algorithm, unit.config,
-                num_shards=int(cluster_shards), program_kwargs=kwargs,
-                transport="in_process",
-            ).run(list(spec.seeds), num_instances=spec.num_instances)
-            return ran.result, {
-                "makespan": float(ran.makespan()),
-                "num_shards": float(ran.num_shards),
-                "migrations": float(ran.migrations),
-            }
-
-        return _run_each(unit, "sharded", run_sharded)
-
-    if route == "out_of_memory":
-        # Oversized graphs run the partition-scheduled sampler, one request
-        # per run (bit-identical to a standalone OutOfMemorySampler by
-        # construction); a fresh program per request keeps stateful hooks
-        # standalone-equivalent.
-        def run_oom(spec):
-            ran = OutOfMemorySampler(
-                graph, info.program_factory(**kwargs), unit.config,
-                oom_config, algorithm=unit.algorithm,
-            ).run(list(spec.seeds), num_instances=spec.num_instances)
-            return ran.sample, {"makespan": float(ran.makespan)}
-
-        return _run_each(unit, "out_of_memory", run_oom)
-
-    probe = info.program_factory(**kwargs)
+    step_tier = unit_plan.step_tier
     fallback: Dict[str, float] = {}
-    if probe.supports_coalescing and len(unit.requests) > 1:
+    if unit_plan.route == "coalesced":
         try:
-            members = [
-                make_instances(
-                    list(spec.seeds), num_instances=spec.num_instances
-                )
-                for spec in unit.requests
-            ]
+            members = [_instances(spec) for spec in unit.requests]
             cache_before = _cache_counters()
-            results = run_coalesced(graph, probe, unit.config, members,
-                                    algorithm=unit.algorithm)
+            results = Executor(unit_plan, graph, program_kwargs=kwargs).execute(
+                members=members
+            )
             # One kernel/structure lookup served the fused batch; every
             # member reports the shared delta.
             return UnitResult(unit_id=unit.unit_id, payloads=[
-                _payload(unit, spec, result, "in_memory",
-                         len(unit.requests), cache_before, {})
+                _payload(spec, result, unit.route, len(unit.requests),
+                         cache_before, step_tier, {})
                 for spec, result in zip(unit.requests, results)
             ])
         except Exception:
@@ -320,14 +277,28 @@ def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
             )
             fallback = {"coalesced_fallback": 1.0}
 
-    def run_solo(spec):
-        ran = GraphSampler(
-            graph, info.program_factory(**kwargs), unit.config,
-            algorithm=unit.algorithm,
-        ).run(list(spec.seeds), num_instances=spec.num_instances)
-        return ran, fallback
-
-    return _run_each(unit, "in_memory", run_solo)
+    # One run per request, each on a fresh program (stateful hooks stay
+    # standalone-equivalent); a failure fails only its request.
+    payloads: List[RequestPayload] = []
+    for spec in unit.requests:
+        try:
+            batch = _instances(spec)
+            run_plan = (
+                unit_plan if len(unit.requests) == 1
+                else scale_plan(unit_plan, [len(batch)])
+            )
+            # Snapshot before the run constructs anything: building the
+            # engine is what resolves the compiled tier's cached structures.
+            cache_before = _cache_counters()
+            ran = Executor(run_plan, graph, program_kwargs=kwargs).execute(batch)
+            payloads.append(_payload(spec, ran, unit.route, 1, cache_before,
+                                     step_tier, fallback))
+        except Exception:
+            payloads.append(RequestPayload(
+                request_id=spec.request_id, route=unit.route,
+                error=traceback.format_exc(limit=8),
+            ))
+    return UnitResult(unit_id=unit.unit_id, payloads=payloads)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for the reference oracles and the KnightKing / GraphSAINT baselines."""
+"""Tests for the KnightKing / GraphSAINT baselines."""
 
 import hashlib
 
@@ -7,50 +7,10 @@ import pytest
 
 from repro.baselines.graphsaint import GraphSAINTSampler
 from repro.baselines.knightking import KnightKingEngine
-from repro.baselines.reference import (
-    reference_neighbor_sampling,
-    reference_random_walk,
-    reference_select_with_replacement,
-    reference_select_without_replacement,
-)
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import POWER9_SPEC
 from repro.graph import from_edge_list
 from repro.selection import build_alias_table
-
-
-class TestReferenceOracles:
-    def test_with_replacement_distribution(self):
-        rng = np.random.default_rng(0)
-        biases = np.array([1.0, 3.0])
-        picks = reference_select_with_replacement(biases, 10000, rng)
-        assert abs(np.mean(picks == 1) - 0.75) < 0.03
-
-    def test_without_replacement_distinct(self):
-        rng = np.random.default_rng(1)
-        picks = reference_select_without_replacement(np.ones(6), 6, rng)
-        assert sorted(picks.tolist()) == list(range(6))
-
-    def test_without_replacement_too_many(self):
-        with pytest.raises(ValueError):
-            reference_select_without_replacement(np.array([1.0, 0.0]), 2,
-                                                 np.random.default_rng(0))
-
-    def test_random_walk_path_valid(self, toy_graph):
-        rng = np.random.default_rng(2)
-        path = reference_random_walk(toy_graph, 8, 10, rng)
-        assert path[0] == 8
-        for a, b in zip(path, path[1:]):
-            assert toy_graph.has_edge(int(a), int(b))
-
-    def test_neighbor_sampling_no_revisit(self, toy_graph):
-        rng = np.random.default_rng(3)
-        edges, visited = reference_neighbor_sampling(toy_graph, 8, 2, 3, rng)
-        assert 8 in visited
-        targets = edges[:, 1].tolist()
-        # every sampled edge starts from a visited vertex
-        assert all(int(src) in visited for src in edges[:, 0])
-        assert len(visited) <= len(targets) + 1
 
 
 class TestKnightKing:

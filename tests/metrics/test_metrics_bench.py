@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench.harness import ExperimentTable, format_table, write_csv
 from repro.bench.workloads import DEFAULT_SCALE, SMALL_SCALE, get_graph
-from repro.metrics.seps import million_seps, seps, speedup
 from repro.metrics.stats import (
     chi_square_uniformity,
     empirical_distribution,
@@ -14,25 +13,6 @@ from repro.metrics.stats import (
     search_reduction_ratio,
     total_variation_distance,
 )
-from repro.metrics.timing import Timer, host_time
-
-
-class TestSEPS:
-    def test_basic(self):
-        assert seps(1000, 2.0) == 500.0
-        assert million_seps(2_000_000, 1.0) == 2.0
-
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == 2.0
-        assert speedup(1.0, 2.0) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            seps(-1, 1.0)
-        with pytest.raises(ValueError):
-            seps(10, 0.0)
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
 
 
 class TestStats:
@@ -78,24 +58,6 @@ class TestStats:
         assert kernel_time_std([1.0, 3.0]) > 0
         assert kernel_time_std([]) == 0.0
         assert kernel_time_std([1.0, 3.0], normalize=False) == pytest.approx(1.0)
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure("phase"):
-            sum(range(1000))
-        with timer.measure("phase"):
-            sum(range(1000))
-        assert timer.total("phase") > 0
-        assert timer.mean("phase") > 0
-        assert timer.counts["phase"] == 2
-        assert "phase" in timer.as_dict()
-
-    def test_host_time(self):
-        with host_time() as t:
-            sum(range(1000))
-        assert t["seconds"] > 0
 
 
 class TestHarness:

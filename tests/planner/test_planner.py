@@ -32,6 +32,7 @@ def make_plan(graph, algorithm="deepwalk", **overrides):
         program=info.program_factory(),
         config=info.config_factory(),
         instances=make_instances([0, 1, 2]),
+        force_route="in_memory",
     )
     defaults.update(overrides)
     return plan(PlanRequest(**defaults))
@@ -59,21 +60,6 @@ class TestRouting:
         assert plan_route(
             graph.nbytes, memory_budget_bytes=1024, cluster_shards=2
         ) == "sharded"
-
-    def test_cost_model_prefers_parallel_shards(self, graph):
-        """With both over-budget tiers available the estimate picks sharded:
-        the overlappable work divides across shards while the serial
-        scheduler additionally pays PCIe partition transfers."""
-        route = plan_route(
-            graph.nbytes,
-            memory_budget_bytes=1024,
-            cluster_shards=4,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            config=default_config("deepwalk"),
-            num_instances=100,
-        )
-        assert route == "sharded"
 
     def test_admission_freezes_oom_layout(self, graph):
         route, layout = plan_admission(
@@ -175,6 +161,11 @@ class TestPlanConstruction:
         assert clone.route == p.route
         assert clone.predicted_cost.as_dict() == p.predicted_cost.as_dict()
 
+    def test_route_is_required(self, graph):
+        """plan() never routes: admission (or the facade's tier) names it."""
+        with pytest.raises(PlanError, match="force_route"):
+            make_plan(graph, force_route=None)
+
     def test_unknown_route_rejected(self, graph):
         with pytest.raises(ValueError, match="unknown route"):
             ExecutionPlan(route="warp_drive", config=default_config("deepwalk"))
@@ -210,6 +201,23 @@ class TestScalePlan:
         assert unit.warp_cursors == "per_member"
         assert unit.member_sizes == (2, 3, 1)
         assert unit.num_instances == 6
+        # One member of a fused unit (its fallback run) is never coalesced.
+        solo = scale_plan(unit, [2])
+        assert (solo.route, solo.warp_cursors) == ("in_memory", "global")
+
+    def test_non_coalescable_class_keeps_its_route(self, graph):
+        """Fusion is decided here alone: a stateful class never fuses, and
+        an over-budget class keeps its route with one entry per member."""
+        stateful = scale_plan(
+            make_plan(graph, "forest_fire_sampling"), [2, 3, 1]
+        )
+        assert not stateful.coalescable
+        assert stateful.route == "in_memory"
+        assert stateful.warp_cursors == "global"
+        assert stateful.member_sizes == (2, 3, 1)
+        oom = make_plan(graph, force_route="out_of_memory",
+                        oom_config=OutOfMemoryConfig.baseline())
+        assert scale_plan(oom, [2, 3, 1]).route == "out_of_memory"
 
     def test_predicted_cost_scales_with_instances(self, graph):
         base = make_plan(graph, force_route="in_memory")

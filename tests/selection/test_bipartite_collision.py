@@ -8,7 +8,6 @@ weighted sampling without replacement, while never rebuilding the CTPS.
 import numpy as np
 import pytest
 
-from repro.baselines.reference import reference_select_without_replacement
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
 from repro.metrics.stats import total_variation_distance
@@ -123,6 +122,18 @@ class TestStrategiesAgainstReference:
             )
 
 
+def sequential_without_replacement(biases, count, rng):
+    """The updated-sampling distribution, drawn directly: candidate ``k`` is
+    picked proportionally to its bias among the not-yet-selected ones."""
+    remaining = biases / biases.sum()
+    picks = []
+    for _ in range(count):
+        pick = int(rng.choice(remaining.size, p=remaining / remaining.sum()))
+        picks.append(pick)
+        remaining[pick] = 0.0
+    return tuple(picks)
+
+
 class TestBipartiteMatchesUpdatedDistribution:
     def test_pairwise_distribution_equivalence(self):
         """The full 2-selection distribution of bipartite region search matches
@@ -144,7 +155,7 @@ class TestBipartiteMatchesUpdatedDistribution:
         bipartite = pair_histogram("bipartite")
         reference = {}
         for _ in range(trials):
-            picks = tuple(reference_select_without_replacement(biases, 2, ref_rng).tolist())
+            picks = sequential_without_replacement(biases, 2, ref_rng)
             reference[picks] = reference.get(picks, 0) + 1
 
         keys = sorted(set(bipartite) | set(reference))

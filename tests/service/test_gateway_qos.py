@@ -1,8 +1,10 @@
 """Admission control: token buckets, per-tenant sheds, overload ceiling,
 priority lanes, client retry-after handling."""
 
+import asyncio
 import itertools
 import queue
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,29 @@ class FakeClock:
 
     def advance(self, dt):
         self.now += dt
+
+
+@pytest.fixture
+def manual_clock(monkeypatch):
+    """A manual admission clock that the clients' backoff sleeps advance.
+
+    Retry-after hints are milliseconds; on the wall clock a slow first
+    request alone can refill the bucket before the next one is submitted.
+    """
+    from repro.service import client as client_module
+
+    clock = FakeClock()
+
+    async def backoff(seconds):
+        clock.advance(seconds)
+
+    monkeypatch.setattr(client_module, "time",
+                        SimpleNamespace(sleep=clock.advance))
+    monkeypatch.setattr(client_module, "asyncio", SimpleNamespace(
+        sleep=backoff, wait_for=asyncio.wait_for,
+        wrap_future=asyncio.wrap_future,
+    ))
+    return clock
 
 
 class TestTokenBucket:
@@ -199,12 +224,13 @@ class TestServiceAdmission:
         finally:
             svc.shutdown()
 
-    def test_client_retry_honours_retry_after(self, graph):
+    def test_client_retry_honours_retry_after(self, graph, manual_clock):
         # burst/rate = 10ms: the shed's retry_after hint is short enough
         # that one retry (which sleeps it out) succeeds.
         svc = make_service(
             graph, quotas={"t": TenantQuota(rate=1e-4, burst=1e-6)}
         )
+        svc.gateway.admission._clock = manual_clock
         try:
             client = SamplingClient(svc)
             client.sample("g", "deepwalk", [1], depth=3, seed=1, tenant="t",
@@ -220,14 +246,14 @@ class TestServiceAdmission:
         finally:
             svc.shutdown()
 
-    def test_async_client_retry_honours_retry_after(self, graph):
-        import asyncio
-
+    def test_async_client_retry_honours_retry_after(self, graph,
+                                                    manual_clock):
         from repro.service import AsyncSamplingClient
 
         svc = make_service(
             graph, quotas={"t": TenantQuota(rate=1e-4, burst=1e-6)}
         )
+        svc.gateway.admission._clock = manual_clock
 
         async def scenario():
             client = AsyncSamplingClient(svc)

@@ -447,3 +447,122 @@ class TestStatsAndSlicing:
         assert part.metadata["program"] == "deepwalk"
         with pytest.raises(ValueError):
             result.slice_instances(2, 9)
+
+
+class TestExecuteUnit:
+    """The worker runs the unit's plan as shipped: no second plan, no
+    facade, and a plan-less unit gets its plan from its flat fields."""
+
+    ALGORITHM = "deepwalk"
+    SEEDS = ((3, 5, 7), (11, 13), (17,))
+
+    def units(self, graph, route, requests):
+        """Units built the way the service builds them: admission, class
+        plan, then ``scale_plan`` over the unit's requests."""
+        from dataclasses import replace
+
+        from repro.planner.planner import (
+            PlanRequest, plan, plan_admission, scale_plan,
+        )
+        from repro.service.workers import RequestSpec, WorkUnit
+
+        budget = None if route == "in_memory" else graph.nbytes // 4
+        admitted, layout = plan_admission(
+            num_vertices=graph.num_vertices, num_edges=graph.num_edges,
+            nbytes=graph.nbytes, memory_budget_bytes=budget,
+            cluster_shards=3 if route == "sharded" else 0,
+        )
+        assert admitted == route
+        config = ALGORITHM_REGISTRY[self.ALGORITHM].config_factory(seed=5)
+        class_plan = replace(plan(PlanRequest(
+            config=config, algorithm=self.ALGORITHM, num_instances=1,
+            memory_budget_bytes=budget, oom_config=layout.oom,
+            force_route=route, graph_num_vertices=graph.num_vertices,
+            graph_num_edges=graph.num_edges, graph_nbytes=graph.nbytes,
+        )), layout=layout)
+        unit_plan = scale_plan(class_plan, [len(s) for s in requests])
+        return WorkUnit(
+            unit_id=0, handle=None, algorithm=self.ALGORITHM, config=config,
+            program_kwargs=(),
+            requests=tuple(RequestSpec(request_id=i, seeds=seeds)
+                           for i, seeds in enumerate(requests)),
+            route=route, oom_config=layout.oom, plan=unit_plan,
+        )
+
+    @pytest.mark.parametrize("route, requests", [
+        ("in_memory", SEEDS[:1]),
+        ("coalesced", SEEDS),
+        ("out_of_memory", SEEDS),
+        ("sharded", SEEDS),
+    ])
+    def test_planned_unit_is_not_planned_again(self, graph, monkeypatch,
+                                               route, requests):
+        from repro.distributed import ShardedSamplingCluster
+        from repro.planner import planner
+        from repro.service import workers
+
+        unit = self.units(
+            graph, "in_memory" if route == "coalesced" else route, requests
+        )
+        assert unit.plan.route == route
+        calls = []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(planner, "plan", spy("plan", planner.plan))
+        monkeypatch.setattr(workers, "plan", spy("plan", planner.plan),
+                            raising=False)
+        for facade in (GraphSampler, OutOfMemorySampler,
+                       ShardedSamplingCluster):
+            monkeypatch.setattr(facade, "__init__",
+                                spy(facade.__name__, facade.__init__))
+        result = workers.execute_unit(graph, unit)
+        assert result.error is None
+        assert all(p.error is None for p in result.payloads)
+        assert len(result.payloads) == len(requests)
+        assert calls == []
+        fused = len(requests) if route == "coalesced" else 1
+        assert all(p.coalesced_with == fused for p in result.payloads)
+
+    @pytest.mark.parametrize("route", ["in_memory", "out_of_memory",
+                                       "sharded"])
+    def test_plan_less_unit_matches_the_facade(self, graph, route):
+        """A unit carrying only the flat fields (no plan) samples exactly
+        what the route's facade samples."""
+        from repro.distributed import ShardedSamplingCluster
+        from repro.oom.scheduler import OutOfMemoryConfig
+        from repro.service.workers import RequestSpec, WorkUnit, execute_unit
+
+        info = ALGORITHM_REGISTRY[self.ALGORITHM]
+        config = info.config_factory(seed=5)
+        oom = OutOfMemoryConfig.fully_optimized(num_partitions=3)
+        seeds = list(self.SEEDS[0])
+        unit = WorkUnit(
+            unit_id=0, handle=None, algorithm=self.ALGORITHM, config=config,
+            program_kwargs=(),
+            requests=(RequestSpec(request_id=0, seeds=tuple(seeds)),),
+            route=route,
+            oom_config=oom if route == "out_of_memory" else None,
+            cluster_shards=3 if route == "sharded" else None,
+        )
+        [payload] = execute_unit(graph, unit).payloads
+        assert payload.error is None and payload.route == route
+        if route == "in_memory":
+            expected = GraphSampler(graph, info.program_factory(),
+                                    config).run(seeds)
+        elif route == "out_of_memory":
+            expected = OutOfMemorySampler(graph, info.program_factory(),
+                                          config, oom).run(seeds).sample
+        else:
+            expected = ShardedSamplingCluster(
+                graph, self.ALGORITHM, config, num_shards=3,
+            ).run(seeds).result
+            assert payload.stats["num_shards"] == 3.0
+        assert list(payload.iteration_counts) == list(
+            expected.iteration_counts)
+        for ours, theirs in zip(payload.samples, expected.samples):
+            assert np.array_equal(ours.edges, theirs.edges)
