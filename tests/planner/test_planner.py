@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import default_config, get_algorithm
@@ -369,6 +370,75 @@ class TestExecutorContracts:
         p = make_plan(graph, force_route="in_memory")
         with pytest.raises(ValueError, match="needs instances"):
             Executor(p, graph).execute()
+
+    @staticmethod
+    def registry_plan(graph, **overrides):
+        """A plan that names its registry algorithm, as the service's do."""
+        return plan(PlanRequest(**{
+            "graph": graph, "algorithm": "deepwalk",
+            "config": default_config("deepwalk"),
+            "instances": make_instances([0, 1, 2]),
+            "force_route": "in_memory", **overrides,
+        }))
+
+    def test_registry_program_when_none_is_given(self, graph):
+        """Left out, the program and its engine come from the registry."""
+        from repro.planner.executor import Executor
+
+        info = get_algorithm("deepwalk")
+        p = self.registry_plan(graph)
+        derived = Executor(p, graph).execute(make_instances([0, 1, 2]))
+        given = Executor(p, graph, program=info.program_factory()).execute(
+            make_instances([0, 1, 2])
+        )
+        assert derived.iteration_counts == given.iteration_counts
+        for ours, theirs in zip(derived.samples, given.samples):
+            assert np.array_equal(ours.edges, theirs.edges)
+
+    def test_oom_partitions_come_from_the_layout(self, graph):
+        """Without a caller's PartitionSet the run splits the graph as the
+        plan's ``layout.oom`` says, and samples what the explicit split
+        samples."""
+        from repro.graph.partition import partition_graph
+        from repro.planner.executor import Executor
+
+        p = self.registry_plan(
+            graph, force_route="out_of_memory",
+            oom_config=OutOfMemoryConfig.baseline(num_partitions=3),
+        )
+        derived = Executor(p, graph)
+        ran = derived.execute(make_instances([0, 1, 2]))
+        assert derived.partitions.num_partitions == 3
+        explicit = Executor(
+            p, graph, partitions=partition_graph(graph, 3)
+        ).execute(make_instances([0, 1, 2]))
+        assert ran.partition_transfers == explicit.partition_transfers
+        assert ran.sample.iteration_counts == explicit.sample.iteration_counts
+        for ours, theirs in zip(ran.sample.samples, explicit.sample.samples):
+            assert np.array_equal(ours.edges, theirs.edges)
+
+    def test_sharded_bounds_come_from_the_layout(self, graph):
+        """Admission leaves a sharded layout's boundaries empty; the run then
+        splits the graph into ``num_partitions`` shards itself, exactly as
+        if the boundaries had been planned."""
+        from dataclasses import replace
+
+        from repro.graph.partition import partition_bounds
+        from repro.planner.executor import Executor
+
+        seeds = list(range(0, 200, 9))
+        planned = self.registry_plan(graph, instances=make_instances(seeds),
+                                     force_route="sharded",
+                                     boundaries=partition_bounds(graph, 3))
+        empty = replace(planned, layout=replace(planned.layout, boundaries=()))
+        assert empty.layout.num_partitions == 3
+        ran = Executor(empty, graph).execute(make_instances(seeds))
+        expected = Executor(planned, graph).execute(make_instances(seeds))
+        assert ran.num_shards == expected.num_shards == 3
+        assert ran.migrations == expected.migrations
+        assert ran.result.iteration_counts == expected.result.iteration_counts
+        for ours, theirs in zip(ran.result.samples, expected.result.samples):
+            assert np.array_equal(ours.edges, theirs.edges)
 
     def test_plan_without_graph_needs_stats(self):
         with pytest.raises(PlanError, match="graph or explicit graph stats"):

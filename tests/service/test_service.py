@@ -528,6 +528,38 @@ class TestExecuteUnit:
         fused = len(requests) if route == "coalesced" else 1
         assert all(p.coalesced_with == fused for p in result.payloads)
 
+    @pytest.mark.parametrize("route, requests, keys", [
+        ("in_memory", SEEDS[:1], ()),
+        ("coalesced", SEEDS, ()),
+        ("out_of_memory", SEEDS, ("makespan",)),
+        ("sharded", SEEDS, ("makespan", "num_shards", "migrations")),
+    ])
+    def test_planned_unit_response_shape(self, graph, route, requests, keys):
+        """Each route's payload keeps its admitted route (a fused unit reports
+        ``in_memory``), its fusion width and its schedule stats."""
+        from repro.service.workers import execute_unit
+
+        unit = self.units(
+            graph, "in_memory" if route == "coalesced" else route, requests
+        )
+        result = execute_unit(graph, unit)
+        fused = len(requests) if route == "coalesced" else 1
+        by_id = {p.request_id: p for p in result.payloads}
+        assert sorted(by_id) == list(range(len(requests)))
+        for request_id, seeds in enumerate(requests):
+            payload = by_id[request_id]
+            assert payload.route == unit.route
+            assert payload.coalesced_with == fused
+            assert len(payload.samples) == len(seeds)
+            assert isinstance(payload.stats["step_tier"], str)
+            assert "coalesced_fallback" not in payload.stats
+            for key in keys:
+                assert payload.stats[key] >= 0.0
+        if route == "sharded":
+            shards = float(unit.plan.layout.num_partitions)
+            assert all(p.stats["num_shards"] == shards
+                       for p in result.payloads)
+
     @pytest.mark.parametrize("route", ["in_memory", "out_of_memory",
                                        "sharded"])
     def test_plan_less_unit_matches_the_facade(self, graph, route):
