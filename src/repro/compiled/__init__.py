@@ -22,7 +22,12 @@ two kernels:
   eligible shape (without-replacement, frontier and per-layer selection,
   visited tracking) on every route, and for walk shapes on the sharded
   route, which steps through per-shard engines: hook dispatch and per-step
-  bias revalidation are replaced by the declared shapes.
+  bias revalidation are replaced by the declared shapes, and biases are
+  evaluated per step -- the engine reads no cached structure.
+
+Each declared bias kind's formula is written once
+(:func:`~repro.compiled.step_engine.kind_biases`) and shared by both
+kernels and the structure cache.
 
 Two backends sit behind one interface:
 

@@ -10,8 +10,14 @@ shape on the sharded route's per-shard engines runs on the one
 bound at construction to the functions below: the program's *declared*
 shapes (``compiled_bias`` / ``compiled_update`` / ``compiled_neighbor_count``
 / ``compiled_vertex_bias``) evaluated directly, so the hot loop never
-dispatches user hooks, never re-validates bias arrays, and answers node2vec
-membership probes from the structure cache's sorted edge keys.
+dispatches user hooks and never re-validates bias arrays.  The engine reads
+no cached structure: it evaluates biases per step.
+
+:func:`kind_biases` is the one formula of each declared bias kind.  The
+engine's bias site, the walk kernel's node2vec prefix-row builds and the
+structure cache's graph-wide weight/degree table all call it, so each
+kind's arithmetic exists once in the compiled tier (the program hooks stay
+the independent reference the interpreted tier runs).
 
 Bit-compatibility: every site computes exactly the values the declared hook
 computes (the declarations are promises, checked by the compiler's
@@ -29,11 +35,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.api.bias import SamplingProgram, SegmentedEdgePool
+from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
 from repro.graph.csr import CSRGraph
 
-__all__ = ["declared_sites"]
+__all__ = ["declared_sites", "kind_biases"]
 
 
 def declared_sites(
@@ -46,13 +52,8 @@ def declared_sites(
     declares a shape for them -- an eligible program that declares none does
     not override the hook, so the engine's own site is already hook-free).
     """
-    keys = None
-    if kind == "node2vec":
-        from repro.compiled.structures import get_structures
-
-        keys = get_structures(graph, "node2vec").sorted_edge_keys
     sites = {
-        "edge_biases": partial(_edge_biases, graph, program, kind, keys),
+        "edge_biases": partial(_edge_biases, graph, program, kind),
         "update_vertices": partial(
             _update_vertices, getattr(program, "compiled_update", None)
         ),
@@ -67,7 +68,59 @@ def declared_sites(
 
 
 # ---------------------------------------------------------------------- #
-def _edge_biases(graph, program, kind, n2v_keys, pool, *, validate_values):
+def kind_biases(
+    kind: str,
+    graph: CSRGraph,
+    program: Optional[SamplingProgram],
+    neighbors: np.ndarray,
+    weights: Optional[np.ndarray],
+    offsets: Optional[np.ndarray] = None,
+    prevs: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """EDGEBIAS of a declared bias ``kind`` over pools stored back to back.
+
+    ``neighbors`` / ``weights`` are the flat candidate ids and their edge
+    weights (``weights`` is ``None`` exactly on unweighted graphs);
+    node2vec also needs the pools' ``(K + 1,)`` ``offsets`` and each pool's
+    walker's ``prevs`` (-1 at a seed).  Returns ``None`` when every bias is
+    1, so callers that know the pool size need not materialise the ones.
+
+    Elementwise the formula the program's hooks compute (the declaration is
+    that promise): node2vec's "is the candidate next to ``prev``" test is
+    :meth:`Node2Vec.edge_bias_batch`'s per-pool stamp loop, and every value
+    is independent of which other pools share the batch.
+    """
+    if kind == "weight_or_degree":
+        if weights is None:
+            return graph.degrees[neighbors] + 1.0  # int64 + 1.0: exact
+        return np.asarray(weights, dtype=np.float64)
+    if kind == "weight_or_uniform":
+        if weights is None or not program.weighted_bias:
+            return None
+        return np.asarray(weights, dtype=np.float64)
+    if kind != "node2vec":
+        return None
+    weights = (
+        np.ones(neighbors.size, dtype=np.float64) if weights is None
+        else np.asarray(weights, dtype=np.float64)
+    )
+    prev_of_edge = np.repeat(prevs, np.diff(offsets))
+    bias = weights / program.q  # distance 2 from prev
+    is_prev_neighbor = np.zeros(neighbors.size, dtype=bool)
+    stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
+    for k in np.nonzero(prevs >= 0)[0]:
+        lo, hi = int(offsets[k]), int(offsets[k + 1])
+        stamps[graph.neighbors(int(prevs[k]))] = k
+        is_prev_neighbor[lo:hi] = stamps[neighbors[lo:hi]] == k
+    is_prev = (neighbors == prev_of_edge) & (prev_of_edge >= 0)
+    bias[is_prev_neighbor] = weights[is_prev_neighbor]  # distance 1
+    bias[is_prev] = weights[is_prev] / program.p  # distance 0 (return)
+    first = prev_of_edge < 0  # a walk's first step: plain weighted pick
+    bias[first] = weights[first]
+    return bias
+
+
+def _edge_biases(graph, program, kind, pool, *, validate_values):
     """EDGEBIAS from the declared kind -- no dispatch, no revalidation.
 
     The ``uniform`` flag may be truer than the hook-dispatching site's
@@ -75,63 +128,20 @@ def _edge_biases(graph, program, kind, n2v_keys, pool, *, validate_values):
     only short-circuits positive-bias counting and value validation,
     both of which are value-identical for all-ones biases.
     """
-    total = pool.size
-    if kind == "uniform":
-        return np.ones(total, dtype=np.float64), True
-    if kind == "weight_or_uniform":
-        if program.weighted_bias and graph.is_weighted:
-            return np.asarray(pool.weights, dtype=np.float64), False
-        return np.ones(total, dtype=np.float64), True
-    if kind == "weight_or_degree":
-        if graph.is_weighted:
-            return np.asarray(pool.weights, dtype=np.float64), False
-        return pool.neighbor_degrees().astype(np.float64) + 1.0, False
-    return _node2vec_biases(graph, program, n2v_keys, pool), False
-
-
-def _node2vec_biases(
-    graph: CSRGraph,
-    program: SamplingProgram,
-    keys: Optional[np.ndarray],
-    pool: SegmentedEdgePool,
-) -> np.ndarray:
-    """Second-order bias, membership answered by the sorted edge keys.
-
-    Elementwise identical to :meth:`Node2Vec.edge_bias_batch`; the
-    vectorised key search returns the same booleans as the hook's
-    per-segment stamp loop (kept as the fallback when the key space
-    would overflow int64).
-    """
-    weights = np.asarray(pool.weights, dtype=np.float64)
-    lengths = pool.lengths()
-    prevs = np.fromiter(
-        (inst.prev_vertex for inst in pool.instances),
-        dtype=np.int64,
-        count=pool.num_segments,
-    )
-    prev_of_edge = np.repeat(prevs, lengths)
-    bias = weights / program.q
-    is_prev_neighbor = np.zeros(pool.size, dtype=bool)
-    valid = prev_of_edge >= 0
-    if keys is not None and keys.size and np.any(valid):
-        probe = (
-            prev_of_edge[valid] * np.int64(graph.num_vertices)
-            + pool.neighbors[valid]
+    prevs = None
+    if kind == "node2vec":
+        prevs = np.fromiter(
+            (inst.prev_vertex for inst in pool.instances),
+            dtype=np.int64,
+            count=pool.num_segments,
         )
-        pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        is_prev_neighbor[valid] = keys[pos] == probe
-    elif keys is None:
-        stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
-        for k in np.nonzero(prevs >= 0)[0]:
-            lo, hi = int(pool.offsets[k]), int(pool.offsets[k + 1])
-            stamps[graph.neighbors(int(prevs[k]))] = k
-            is_prev_neighbor[lo:hi] = stamps[pool.neighbors[lo:hi]] == k
-    is_prev = (pool.neighbors == prev_of_edge) & valid
-    bias[is_prev_neighbor] = weights[is_prev_neighbor]
-    bias[is_prev] = weights[is_prev] / program.p
-    first = ~valid
-    bias[first] = weights[first]
-    return bias
+    biases = kind_biases(
+        kind, graph, program, pool.neighbors,
+        pool.weights if graph.is_weighted else None, pool.offsets, prevs,
+    )
+    if biases is None:
+        return np.ones(pool.size, dtype=np.float64), True
+    return biases, False
 
 
 # ---------------------------------------------------------------------- #

@@ -5,14 +5,18 @@ transform (CTPS) prefix tables over the frontier's neighbor pools --
 tables that depend only on the graph, never on the step.  This module
 caches them graph-wide, keyed by graph identity:
 
-* ``weight_or_degree`` -- one segmented Kogge-Stone prefix over every
-  adjacency row (the concatenation of every vertex's CTPS), wrapped in a
-  zero-copy :class:`~repro.selection.segmented.SegmentedCTPS` view whose
-  offsets *are* ``row_ptr``, so the compiled walk kernel can binary-search
-  any frontier's pools without materialising or rescanning them;
-* ``node2vec`` -- the sorted global edge-key array used to answer the
-  "is neighbor ``y`` adjacent to ``prev``" membership probes with one
-  vectorised binary search instead of a per-pool Python loop.
+* ``weight_or_degree`` (the one structure kind) -- one segmented
+  Kogge-Stone prefix over every adjacency row (the concatenation of every
+  vertex's CTPS), wrapped in a zero-copy
+  :class:`~repro.selection.segmented.SegmentedCTPS` view whose offsets *are*
+  ``row_ptr``, so the compiled walk kernel can binary-search any frontier's
+  pools without materialising or rescanning them;
+* per-``(p, q)`` node2vec prefix rows (:class:`Node2VecPrefixTable`), hung
+  off the same entry and filled by the walk kernel as walkers traverse
+  edges.
+
+The fused walk kernel is the only reader; the engine evaluates its biases
+per step.
 
 Bit-compatibility: the segmented scan's arithmetic is per-segment (bucketed
 doubling gives every segment its own step schedule, and the integer fast
@@ -37,6 +41,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
+from repro.compiled.step_engine import kind_biases
 from repro.graph.csr import CSRGraph
 from repro.selection.segmented import (
     SegmentedCTPS,
@@ -56,8 +61,9 @@ __all__ = [
 ]
 
 #: Bias kinds that carry a cacheable per-graph structure.  Uniform kinds
-#: need none; per-pool weight slices are recomputed cheaply by the engine.
-STRUCTURE_KINDS = ("weight_or_degree", "node2vec")
+#: need none; node2vec's walk kernel reads the weight/degree entry (its
+#: positivity counts) and fills that entry's per-``(p, q)`` prefix rows.
+STRUCTURE_KINDS = ("weight_or_degree",)
 
 
 class Node2VecPrefixTable:
@@ -71,9 +77,11 @@ class Node2VecPrefixTable:
     ``table`` maps the edge key (``prev * V + vertex``, or ``-(vertex+1)``
     for the first, prev-less step) to ``(buffer offset, total)``.
 
-    When the buffer would exceed ``max_floats`` the table resets wholesale
-    (epoch-style) rather than tracking per-row recency -- the cache is an
-    accelerator, never a correctness dependency.
+    When a kernel's missing rows would take the buffer past ``max_floats``
+    the kernel clears the table wholesale (epoch-style) *before* it serves
+    any hit, then rebuilds every row it needs -- no row a kernel reads is
+    ever overwritten under it, so the cache is an accelerator, never a
+    correctness dependency.
     """
 
     def __init__(self, max_floats: int = 1 << 24):
@@ -92,18 +100,17 @@ class Node2VecPrefixTable:
         keys: np.ndarray,
         totals: np.ndarray,
     ) -> np.ndarray:
-        """Store freshly scanned rows; returns each row's buffer offset."""
+        """Store freshly scanned rows; returns each row's buffer offset.
+
+        Never drops a row: the caller decides a reset (:meth:`clear`) before
+        it resolves any hit.
+        """
         n = int(prefix.size)
         if self.used + n > self.buffer.size:
-            if self.used + n > self.max_floats:
-                self.table.clear()
-                self.used = 0
-                self.resets += 1
-            if self.used + n > self.buffer.size:
-                size = max(1024, 2 * self.buffer.size, self.used + n)
-                grown = np.empty(size, dtype=np.float64)
-                grown[: self.used] = self.buffer[: self.used]
-                self.buffer = grown
+            size = max(1024, 2 * self.buffer.size, self.used + n)
+            grown = np.empty(size, dtype=np.float64)
+            grown[: self.used] = self.buffer[: self.used]
+            self.buffer = grown
         start = self.used
         self.buffer[start : start + n] = prefix
         offs = start + np.asarray(row_offsets[:-1], dtype=np.int64)
@@ -113,6 +120,12 @@ class Node2VecPrefixTable:
             self.table[int(key)] = (off, float(tot))
         self.used += n
         return offs
+
+    def clear(self) -> None:
+        """Drop every row (the epoch-style reset)."""
+        self.table.clear()
+        self.used = 0
+        self.resets += 1
 
 
 @dataclass
@@ -127,9 +140,6 @@ class GraphStructures:
     ctps: Optional[SegmentedCTPS] = None
     #: Per-vertex count of positive-bias neighbors (the alloc mask input).
     positive_counts: Optional[np.ndarray] = None
-    #: Sorted ``src * V + dst`` edge keys (``node2vec``); ``None`` when the
-    #: key space would overflow int64 and membership must be recomputed.
-    sorted_edge_keys: Optional[np.ndarray] = None
     _kinds: Set[str] = field(default_factory=set)
     _n2v_tables: Dict[tuple, Node2VecPrefixTable] = field(default_factory=dict)
 
@@ -179,14 +189,6 @@ def _watch(graph: CSRGraph, key: int) -> None:
 # --------------------------------------------------------------------- #
 # Builders
 # --------------------------------------------------------------------- #
-def _weight_or_degree_bias(graph: CSRGraph) -> np.ndarray:
-    """Per-edge bias in CSR order: weights, or neighbor degree + 1."""
-    if graph.is_weighted:
-        return np.ascontiguousarray(graph.weights, dtype=np.float64)
-    # Same arithmetic as pool.neighbor_degrees() + 1.0 (int64 + 1.0).
-    return graph.degrees[graph.col_idx] + 1.0
-
-
 def _scan_rows(values: np.ndarray, graph: CSRGraph):
     """Graph-wide segmented prefix and per-row totals (empty rows skipped).
 
@@ -207,38 +209,20 @@ def _scan_rows(values: np.ndarray, graph: CSRGraph):
     return prefix, totals
 
 
-def _edge_keys(graph: CSRGraph) -> Optional[np.ndarray]:
-    num_vertices = graph.num_vertices
-    if num_vertices and num_vertices * num_vertices > 2 ** 63:
-        return None
-    src = np.repeat(
-        np.arange(num_vertices, dtype=np.int64), graph.degrees
-    )
-    keys = src * np.int64(max(num_vertices, 1)) + graph.col_idx
-    keys.sort()
-    return keys
-
-
 def _build_kind(entry: GraphStructures, graph: CSRGraph, kind: str) -> None:
-    if kind == "weight_or_degree":
-        flat_bias = _weight_or_degree_bias(graph)
-        prefix, totals = _scan_rows(flat_bias, graph)
-        entry.flat_bias = flat_bias
-        # Direct construction: from_biases would reject all-zero rows, but
-        # empty/zero rows are never searched (the alloc mask excludes them).
-        entry.ctps = SegmentedCTPS(
-            prefix=prefix,
-            offsets=graph.row_ptr,
-            totals=totals,
-            lengths=graph.degrees,
-        )
-        entry.positive_counts = segment_positive_counts(
-            flat_bias, graph.row_ptr
-        )
-    elif kind == "node2vec":
-        entry.sorted_edge_keys = _edge_keys(graph)
-    else:  # pragma: no cover - guarded by get_structures
-        raise ValueError(f"unknown structure kind {kind!r}")
+    # Per-edge bias in CSR order: every adjacency row as one pool.
+    flat_bias = kind_biases(kind, graph, None, graph.col_idx, graph.weights)
+    prefix, totals = _scan_rows(flat_bias, graph)
+    entry.flat_bias = flat_bias
+    # Direct construction: from_biases would reject all-zero rows, but
+    # empty/zero rows are never searched (the alloc mask excludes them).
+    entry.ctps = SegmentedCTPS(
+        prefix=prefix,
+        offsets=graph.row_ptr,
+        totals=totals,
+        lengths=graph.degrees,
+    )
+    entry.positive_counts = segment_positive_counts(flat_bias, graph.row_ptr)
     entry._kinds.add(kind)
 
 

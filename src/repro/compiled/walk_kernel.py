@@ -30,17 +30,22 @@ Specialisations, by plan-proved properties:
 * ``kind="weight_or_degree"`` (BiasedRandomWalk) -- the per-vertex CTPS
   prefixes depend only on the graph, so they come from the per-graph
   structure cache (:mod:`repro.compiled.structures`): the kernel never
-  materialises neighbor pools or bias arrays, charges the closed forms of
-  the scan/normalisation it skipped, and binary-searches the cached
-  graph-wide prefix directly (optionally in the numba backend).
+  materialises neighbor pools or bias arrays.
 * ``kind="node2vec"`` (Node2Vec) -- a transition's bias vector depends only
   on the traversed edge ``prev -> vertex`` (given ``(p, q)``), so the
   structure cache keeps a per-edge table of scanned CTPS prefix rows
   (:class:`~repro.compiled.structures.Node2VecPrefixTable`): cache hits
   skip pool materialisation, the bias formula *and* the segmented scan
-  entirely, misses build their rows once with the same stamp-loop formula
-  and scan the interpreted hook runs, and every draw binary-searches the
-  cached rows with probes bitwise equal to the per-step CTPS.
+  entirely; misses build their rows once with
+  :func:`~repro.compiled.step_engine.kind_biases` and the segmented scan.
+  The row key ``prev * V + vertex`` is one int64, so the kind needs
+  ``V**2 < 2**63`` (the constructor raises past it).
+
+Both biased kinds select through one ``_rows_select``: charge the closed
+forms of the SELECT the interpreted path would run over the same pools
+(:func:`~repro.selection.segmented.charge_its_select`), then binary-search
+the cached rows (:func:`~repro.selection.segmented.prefix_local_search`,
+or its numba twin) with probes bitwise equal to the per-step CTPS.
 
 **Bit-compatibility contract.**  The kernel draws the same RNG keys
 (``(instance, depth, slot, warp, lane)`` in the depth loop, ``(instance,
@@ -62,21 +67,22 @@ import numpy as np
 
 from repro.api.instance import InstanceBatch
 from repro.api.results import SampleColumns
+from repro.compiled.compiler import WALK_KINDS
+from repro.compiled.step_engine import kind_biases
+from repro.compiled.structures import get_structures
 from repro.engine.step import alloc_warp_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
 from repro.selection.segmented import (
-    _ceil_log2,
+    charge_its_select,
     concat_aranges,
-    segment_positive_counts,
+    prefix_local_search,
     segmented_kogge_stone_inclusive,
-    segmented_warp_select,
-    take_segments,
 )
 from repro.telemetry import profiler as _profiler
 from repro.telemetry import trace as _trace
 
-__all__ = ["CompiledWalkKernel", "prefix_local_search", "uniform_local_search"]
+__all__ = ["CompiledWalkKernel", "uniform_local_search"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -102,37 +108,6 @@ def uniform_local_search(rs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         hi = np.where(active & ~go_right, mid, hi)
         active = lo < hi
     return lo
-
-
-def prefix_local_search(
-    prefix: np.ndarray,
-    base: np.ndarray,
-    lengths: np.ndarray,
-    totals: np.ndarray,
-    rs: np.ndarray,
-) -> np.ndarray:
-    """Binary-search each draw against a cached unnormalised prefix row.
-
-    Operation-for-operation :meth:`SegmentedCTPS.search` with explicit
-    per-draw base offsets into one flat buffer: probe ``prefix[mid] /
-    total`` against the draw, identical float ops, so the local indices
-    are bitwise those the per-step CTPS over the same rows would return.
-    """
-    rs = np.asarray(rs, dtype=np.float64)
-    if rs.size and (float(rs.min()) < 0.0 or float(rs.max()) >= 1.0):
-        raise ValueError("random numbers for CTPS search must lie in [0, 1)")
-    lo = np.asarray(base, dtype=np.int64).copy()
-    hi = lo + lengths - 1
-    active = lo < hi
-    while np.any(active):
-        mid = (lo + hi) >> 1
-        probe = prefix[np.where(active, mid, 0)] / totals
-        go_right = active & (probe <= rs)
-        stay = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[stay] = mid[stay]
-        active = lo < hi
-    return lo - base
 
 
 def _per_draw(values: np.ndarray, ns: int) -> np.ndarray:
@@ -219,10 +194,18 @@ class CompiledWalkKernel:
     """
 
     def __init__(self, engine, *, kind: str, backend: str):
-        if kind not in ("uniform", "weight_or_degree", "node2vec"):
+        if kind not in WALK_KINDS:
             raise ValueError(f"unknown compiled bias kind {kind!r}")
         if backend not in ("numpy", "numba"):
             raise ValueError(f"unknown compiled backend {backend!r}")
+        num_vertices = int(engine.graph.num_vertices)
+        if kind == "node2vec" and num_vertices * num_vertices >= 2**63:
+            raise ValueError(
+                f"the node2vec walk kernel keys each traversed edge as "
+                f"prev * V + vertex in one int64, which needs V**2 < 2**63; "
+                f"this graph has V = {num_vertices} -- run it interpreted "
+                f"(REPRO_COMPILED=0)"
+            )
         self.engine = engine
         self.graph = engine.graph
         self.program = engine.program
@@ -231,8 +214,7 @@ class CompiledWalkKernel:
         self.kind = kind
         self.backend = backend
         self._walkers: Optional[_WalkerColumns] = None
-        self._numba_select = None
-        self._numba_prefix_search = None
+        self._numba_select = self._numba_prefix_search = None
         if backend == "numba":
             from repro.compiled.numba_backend import (
                 get_prefix_search,
@@ -240,24 +222,19 @@ class CompiledWalkKernel:
             )
 
             self._numba_select = get_uniform_select()
-            if kind in ("weight_or_degree", "node2vec"):
+            if kind != "uniform":
                 self._numba_prefix_search = get_prefix_search()
-        self._structures = None
-        self._n2v_table = None
-        if kind in ("weight_or_degree", "node2vec"):
-            from repro.compiled.structures import get_structures
-
+        self._structures = self._n2v_table = None
+        if kind != "uniform":
             # Both biased kinds lean on the weight/degree structures: the
             # flat CTPS answers first-order selection, and its positivity
             # counts (bias > 0 iff weight > 0) equal node2vec's, whose
             # positive scale factors never zero a bias.
             self._structures = get_structures(self.graph, "weight_or_degree")
             if kind == "node2vec":
-                nv = int(self.graph.num_vertices)
-                if nv * nv < 2**63:  # (prev, vertex) packs into one int64 key
-                    self._n2v_table = self._structures.node2vec_table(
-                        self.program.p, self.program.q
-                    )
+                self._n2v_table = self._structures.node2vec_table(
+                    self.program.p, self.program.q
+                )
 
     # ------------------------------------------------------------------ #
     # Driver 1: the depth loop
@@ -454,38 +431,16 @@ class CompiledWalkKernel:
         # gather, charged whether or not the neighbors materialise.
         cost.charge_global_bytes(16 * int(lengths.sum()) + 16 * K)
         starts = graph.row_ptr[seg_vertices]
-
-        neighbors = offsets = biases = None
-        if self.kind == "uniform":
-            positive = lengths
-            prof.lap("gather")
-        elif self.kind == "weight_or_degree" or self._n2v_table is not None:
-            # Structure reuse: cached structures answer every bias question,
-            # so the pool never materialises.  The graph constructor already
-            # validated the weights (finite, non-negative) and node2vec's
-            # scale factors are positive, which is what the per-step
-            # validation checks.
-            positive = self._structures.positive_counts[seg_vertices]
-            prof.lap("gather")
-        else:
-            offsets = np.zeros(K + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            total_pool = int(offsets[-1])
-            flat_idx = (
-                np.repeat(starts - offsets[:-1], lengths)
-                + np.arange(total_pool, dtype=np.int64)
-            )
-            neighbors = graph.col_idx[flat_idx]
-            prof.lap("gather")
-            biases = self._compute_biases(
-                neighbors, flat_idx, lengths, offsets, seg_owner, walkers.prevs
-            )
-            if np.any(biases < 0) or not np.all(np.isfinite(biases)):
-                raise ValueError(
-                    "edge_bias must return finite, non-negative biases"
-                )
-            positive = segment_positive_counts(biases, offsets)
-            prof.lap("bias")
+        # The pools never materialise.  Uniform pools draw wherever they are
+        # non-empty; the biased kinds' positivity is the cached structure's
+        # (the graph constructor validated the weights -- finite and
+        # non-negative -- and node2vec's scale factors are positive, which
+        # is what the per-step validation checks).
+        positive = (
+            lengths if self._structures is None
+            else self._structures.positive_counts[seg_vertices]
+        )
+        prof.lap("gather")
 
         alloc = (lengths > 0) & (positive > 0)
         allocated = np.nonzero(alloc)[0]
@@ -508,30 +463,15 @@ class CompiledWalkKernel:
         )
         if self.kind == "uniform":
             idx = self._uniform_select(len_a, coords, cost)
-        elif self.kind == "weight_or_degree":
-            idx = self._cached_biased_select(verts_a, len_a, coords, cost)
-        elif self._n2v_table is not None:
-            idx = self._node2vec_select(
-                verts_a, len_a, walkers.prevs[owners_a], coords, cost, prof
-            )
         else:
-            sub_biases, sub_offsets = (
-                (biases, offsets) if tasks == K
-                else take_segments(biases, offsets, allocated)
-            )
-            idx = segmented_warp_select(
-                sub_biases,
-                sub_offsets,
-                np.full(tasks, ns, dtype=np.int64),
-                self.rng,
-                list(coords),
-                with_replacement=True,
-                strategy=self.config.strategy,
-                detector=self.config.detector,
-                cost=cost,
-                validate=False,  # validated over the whole pool above
-                positive_counts=positive[allocated],
-            ).indices
+            if self.kind == "weight_or_degree":
+                ctps = self._structures.ctps
+                prefix, base, totals = ctps.prefix, starts_a, ctps.totals[verts_a]
+            else:
+                prefix, base, totals = self._node2vec_rows(
+                    verts_a, len_a, walkers.prevs[owners_a], prof
+                )
+            idx = self._rows_select(prefix, base, len_a, totals, coords, cost)
         dst = graph.col_idx[_per_draw(starts_a, ns) + idx]
         cost.sampled_edges += tasks * ns
         walkers.log_edges(
@@ -540,41 +480,8 @@ class CompiledWalkKernel:
         return allocated, dst
 
     # ------------------------------------------------------------------ #
-    # Charges and draws shared by the three specialisations
+    # SELECT: closed-form uniform, or cached prefix rows
     # ------------------------------------------------------------------ #
-    def _charge_ctps_build(self, len_a: np.ndarray, cost: CostModel) -> None:
-        """The closed forms of the CTPS work a specialisation skips:
-        segmented scan, normalisation and draw accounting, exactly the
-        counters ``segmented_warp_select`` accumulates over these pools."""
-        num_alloc = int(len_a.size)
-        # Segmented Kogge-Stone scan over the allocated bias segments.
-        steps = _ceil_log2(len_a)
-        chunks = np.maximum(1, (len_a + 31) // 32)
-        lanes = np.minimum(len_a, 32)
-        cost.prefix_sum_steps += int((steps * chunks).sum())
-        cost.warp_steps += int(steps.sum())
-        cost.lane_ops += int((steps * lanes).sum())
-        cost.charge_global_bytes(int(len_a.sum()) * 8)
-        # CTPS normalisation: one warp step per segment.
-        cost.warp_steps += num_alloc
-        cost.lane_ops += int(lanes.sum())
-        # Draw accounting (segmented ITS).
-        draws = num_alloc * int(self.config.neighbor_size)
-        cost.rng_draws += draws
-        cost.selection_attempts += draws
-
-    @staticmethod
-    def _charge_search(n_draw: np.ndarray, cost: CostModel) -> None:
-        """Binary-search charges (one per draw, as ``SegmentedCTPS.search``)."""
-        search_steps = int(np.maximum(1, _ceil_log2(n_draw + 1)).sum())
-        cost.binary_search_steps += search_steps
-        cost.charge_global_bytes(search_steps * 8)
-
-    def _charge_warp_wrapper(self, num_alloc: int, cost: CostModel) -> None:
-        """With-replacement warp wrapper: one lock-step instruction per warp."""
-        cost.warp_steps += num_alloc
-        cost.lane_ops += min(int(self.config.neighbor_size), 32) * num_alloc
-
     def _draw_coords(self, coords) -> List[np.ndarray]:
         """Per-draw ``[instance, depth, third, warp, lane]`` coordinates."""
         ns = int(self.config.neighbor_size)
@@ -588,85 +495,66 @@ class CompiledWalkKernel:
             c.astype(np.uint64) for c in draw_coords
         ]
 
-    # ------------------------------------------------------------------ #
     def _uniform_select(self, len_a, coords, cost) -> np.ndarray:
         """Closed-form SELECT for all-ones biases (one draw block per kernel).
 
         Charges the exact counters the interpreted path accumulates while
-        building and searching the ones-CTPS -- segmented scan, CTPS
-        normalisation, draw accounting, per-draw binary-search steps, and the
-        with-replacement warp wrapper -- then draws and searches directly.
+        building and searching the ones-CTPS, then draws and searches
+        directly.
         """
         ns = int(self.config.neighbor_size)
-        self._charge_ctps_build(len_a, cost)
+        charge_its_select(len_a, ns, cost)
         draw_coords = self._draw_coords(coords)
         n_draw = _per_draw(len_a, ns)
         if self._numba_select is not None:
-            idx = self._numba_select(*self._numba_args(draw_coords), n_draw)
-        else:
-            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
-            idx = uniform_local_search(rs, n_draw)
-        self._charge_search(n_draw, cost)
-        self._charge_warp_wrapper(int(len_a.size), cost)
-        return idx
+            return self._numba_select(*self._numba_args(draw_coords), n_draw)
+        rs = np.atleast_1d(self.rng.uniform(*draw_coords))
+        return uniform_local_search(rs, n_draw)
 
-    # ------------------------------------------------------------------ #
-    def _cached_biased_select(self, verts_a, len_a, coords, cost) -> np.ndarray:
-        """Structure-reuse SELECT for weight/degree biases.
+    def _rows_select(self, prefix, base, lengths, totals, coords, cost) -> np.ndarray:
+        """SELECT from cached unnormalised prefix rows (both biased kinds).
 
-        The interpreted path re-scans every allocated pool's biases into a
-        fresh :class:`SegmentedCTPS` each kernel; here the per-graph cached
-        prefix answers the same binary searches, so the kernel only applies
-        the *charges* of the scan and normalisation it skipped (identical
-        closed forms) and then searches the cached prefix with the same
-        draws -- bit-identical indices at O(draws) work per kernel.
+        Segment ``k`` searches ``prefix[base[k] : base[k] + lengths[k]]``
+        (total ``totals[k]``).  The interpreted path re-scans every
+        allocated pool into a fresh :class:`SegmentedCTPS` each kernel;
+        here the cached rows answer the same binary searches, so the kernel
+        only applies the *charges* of that SELECT (identical closed forms)
+        and searches the rows with the same draws -- bit-identical indices
+        at O(draws) work per kernel.
         """
         ns = int(self.config.neighbor_size)
-        self._charge_ctps_build(len_a, cost)
+        charge_its_select(lengths, ns, cost)
         draw_coords = self._draw_coords(coords)
-        ctps = self._structures.ctps
-        verts = _per_draw(verts_a, ns)
+        base, n_draw, totals = (_per_draw(a, ns) for a in (base, lengths, totals))
         if self._numba_prefix_search is not None:
-            n_draw = _per_draw(len_a, ns)
-            idx = self._numba_prefix_search(
-                *self._numba_args(draw_coords),
-                self.graph.row_ptr[verts],
-                n_draw,
-                ctps.prefix,
-                ctps.totals[verts],
+            return self._numba_prefix_search(
+                *self._numba_args(draw_coords), base, n_draw, prefix, totals
             )
-            self._charge_search(n_draw, cost)
-        else:
-            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
-            idx = ctps.search(rs, verts, cost)  # charges the search itself
-        self._charge_warp_wrapper(int(len_a.size), cost)
-        return idx
+        rs = np.atleast_1d(self.rng.uniform(*draw_coords))
+        return prefix_local_search(prefix, base, n_draw, totals, rs)
 
-    # ------------------------------------------------------------------ #
-    def _node2vec_select(
-        self, verts, len_a, pr, coords, cost, prof
-    ) -> np.ndarray:
-        """Structure-reuse SELECT for second-order (node2vec) biases.
+    def _node2vec_rows(self, verts, lengths, prevs, prof):
+        """``(buffer, offsets, totals)`` of each segment's node2vec row.
 
         A transition's bias vector depends only on the traversed edge
-        ``prev -> vertex`` (and ``(p, q)``), so each vector's scanned CTPS
-        prefix is built at most once -- by the exact stamp-loop formula and
-        segmented scan the interpreted hook runs -- and cached in the
+        ``prev -> vertex`` (and ``(p, q)``), so each row's prefix is built
+        at most once -- :func:`kind_biases` and the segmented scan the
+        interpreted path runs over the same pool -- and cached in the
         per-graph :class:`Node2VecPrefixTable`.  Hits cost a dict lookup;
-        only misses materialise their pools.  Either way the kernel charges
-        the closed forms of the full gather/scan/normalise work (identical
-        to the interpreted path) and searches with the same draws.
-        ``pr`` is each segment's walker's ``prev`` vertex (-1 at a seed).
+        only misses materialise their pools.  ``prevs`` is each segment's
+        walker's ``prev`` vertex (-1 at a seed).
+
+        A reset is decided before any hit is served: when this kernel's
+        missing rows would take the table past ``max_floats``, the table is
+        cleared and every row of the kernel rebuilt, so no offset resolved
+        here can point at rows the rebuild overwrites.
         """
-        ns = int(self.config.neighbor_size)
-        num_alloc = int(len_a.size)
-        self._charge_ctps_build(len_a, cost)
-        # Resolve the cached prefix row of each walker's traversed edge.
         table = self._n2v_table
         nv = np.int64(self.graph.num_vertices)
-        keys = np.where(pr >= 0, pr * nv + verts, -(verts + np.int64(1)))
-        row_off = np.empty(num_alloc, dtype=np.int64)
-        row_tot = np.empty(num_alloc, dtype=np.float64)
+        keys = np.where(prevs >= 0, prevs * nv + verts, -(verts + np.int64(1)))
+        num = int(verts.size)
+        row_off = np.empty(num, dtype=np.int64)
+        row_tot = np.empty(num, dtype=np.float64)
         lookup = table.table.get
         miss: List[int] = []
         for i, key in enumerate(keys.tolist()):
@@ -674,126 +562,27 @@ class CompiledWalkKernel:
             if entry is None:
                 miss.append(i)
             else:
-                row_off[i] = entry[0]
-                row_tot[i] = entry[1]
-        table.hits += num_alloc - len(miss)
-        table.misses += len(miss)
+                row_off[i], row_tot[i] = entry
+        m = np.asarray(miss, dtype=np.int64)
+        if m.size and table.used + int(lengths[m].sum()) > table.max_floats:
+            table.clear()
+            m = np.arange(num, dtype=np.int64)
+        table.hits += num - int(m.size)
+        table.misses += int(m.size)
         prof.lap("structure_hit")
-        if miss:
-            m = np.asarray(miss, dtype=np.int64)
-            pref, moff, tots = self._build_n2v_rows(verts[m], pr[m], len_a[m])
-            row_off[m] = table.append(pref, moff, keys[m], tots)
-            row_tot[m] = tots
+        if m.size:
+            graph = self.graph
+            ml = lengths[m]
+            offsets = np.zeros(m.size + 1, dtype=np.int64)
+            np.cumsum(ml, out=offsets[1:])
+            flat = np.repeat(graph.row_ptr[verts[m]], ml) + concat_aranges(ml)
+            bias = kind_biases(
+                "node2vec", graph, self.program, graph.col_idx[flat],
+                None if graph.weights is None else graph.weights[flat],
+                offsets, prevs[m],
+            )
+            prefix = segmented_kogge_stone_inclusive(bias, offsets)
+            row_tot[m] = totals = prefix[offsets[1:] - 1]
+            row_off[m] = table.append(prefix, offsets, keys[m], totals)
             prof.lap("bias_build")
-        draw_coords = self._draw_coords(coords)
-        n_draw = _per_draw(len_a, ns)
-        if self._numba_prefix_search is not None:
-            idx = self._numba_prefix_search(
-                *self._numba_args(draw_coords),
-                _per_draw(row_off, ns),
-                n_draw,
-                table.buffer,
-                _per_draw(row_tot, ns),
-            )
-        else:
-            rs = np.atleast_1d(self.rng.uniform(*draw_coords))
-            idx = prefix_local_search(
-                table.buffer,
-                _per_draw(row_off, ns),
-                n_draw,
-                _per_draw(row_tot, ns),
-                rs,
-            )
-        self._charge_search(n_draw, cost)
-        self._charge_warp_wrapper(num_alloc, cost)
-        return idx
-
-    def _build_n2v_rows(self, mv, mp, ml):
-        """Materialise, bias and scan the table-miss segments only.
-
-        Mirrors :meth:`Node2Vec.edge_bias_batch` restricted to the missing
-        ``prev -> vertex`` pairs -- elementwise bias arithmetic and the
-        per-segment scan are batch-independent, so the rows are bitwise
-        what a whole-pool rebuild would produce.
-        """
-        graph = self.graph
-        program = self.program
-        moff = np.zeros(mv.size + 1, dtype=np.int64)
-        np.cumsum(ml, out=moff[1:])
-        total = int(moff[-1])
-        flat = (
-            np.repeat(graph.row_ptr[mv] - moff[:-1], ml)
-            + np.arange(total, dtype=np.int64)
-        )
-        nbrs = graph.col_idx[flat]
-        weights = (
-            np.asarray(graph.weights[flat], dtype=np.float64)
-            if graph.weights is not None
-            else np.ones(total, dtype=np.float64)
-        )
-        prev_of_edge = np.repeat(mp, ml)
-        bias = weights / program.q
-        is_prev_neighbor = np.zeros(total, dtype=bool)
-        stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
-        for k in np.nonzero(mp >= 0)[0]:
-            lo, hi = int(moff[k]), int(moff[k + 1])
-            stamps[graph.neighbors(int(mp[k]))] = k
-            is_prev_neighbor[lo:hi] = stamps[nbrs[lo:hi]] == k
-        is_prev = (nbrs == prev_of_edge) & (prev_of_edge >= 0)
-        bias[is_prev_neighbor] = weights[is_prev_neighbor]
-        bias[is_prev] = weights[is_prev] / program.p
-        first = prev_of_edge < 0
-        bias[first] = weights[first]
-        pref = segmented_kogge_stone_inclusive(bias, moff)
-        return pref, moff, pref[moff[1:] - 1]
-
-    # ------------------------------------------------------------------ #
-    def _compute_biases(
-        self, neighbors, flat_idx, lengths, offsets, seg_owner, prevs
-    ) -> np.ndarray:
-        """Inlined bias formula for the non-uniform kinds (whole pool)."""
-        graph = self.graph
-        if self.kind == "weight_or_degree":
-            if graph.is_weighted:
-                return np.asarray(graph.weights[flat_idx], dtype=np.float64)
-            return graph.degrees[neighbors].astype(np.float64) + 1.0
-        # node2vec: second-order bias with the prev-neighbor membership test
-        # answered by the cached sorted edge keys in one vectorised binary
-        # search -- the same booleans the per-segment stamp loop computes,
-        # then operation-for-operation the Node2Vec.edge_bias_batch formula.
-        program = self.program
-        weights = (
-            np.asarray(graph.weights[flat_idx], dtype=np.float64)
-            if graph.weights is not None
-            else np.ones(neighbors.size, dtype=np.float64)
-        )
-        prevs_seg = prevs[seg_owner]
-        prev_of_edge = np.repeat(prevs_seg, lengths)
-        bias = weights / program.q
-        is_prev_neighbor = np.zeros(neighbors.size, dtype=bool)
-        keys = (
-            self._structures.sorted_edge_keys
-            if self._structures is not None
-            else None
-        )
-        valid = prev_of_edge >= 0
-        if keys is not None and keys.size and np.any(valid):
-            probe = (
-                prev_of_edge[valid] * np.int64(graph.num_vertices)
-                + neighbors[valid]
-            )
-            pos = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-            is_prev_neighbor[valid] = keys[pos] == probe
-        elif keys is None:
-            # Key space overflowed int64: per-segment stamp-array fallback.
-            stamps = np.full(graph.num_vertices, -1, dtype=np.int64)
-            for k in np.nonzero(prevs_seg >= 0)[0]:
-                lo, hi = int(offsets[k]), int(offsets[k + 1])
-                stamps[graph.neighbors(int(prevs_seg[k]))] = k
-                is_prev_neighbor[lo:hi] = stamps[neighbors[lo:hi]] == k
-        is_prev = (neighbors == prev_of_edge) & (prev_of_edge >= 0)
-        bias[is_prev_neighbor] = weights[is_prev_neighbor]
-        bias[is_prev] = weights[is_prev] / program.p
-        first = prev_of_edge < 0
-        bias[first] = weights[first]
-        return bias
+        return table.buffer, row_off, row_tot

@@ -56,9 +56,7 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
 from repro.gpusim.warp import WarpExecutor
 from repro.graph.csr import CSRGraph
-from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiler as _profiler
-from repro.telemetry import trace as _trace
 from repro.selection.segmented import (
     concat_aranges,
     segment_positive_counts,
@@ -242,11 +240,7 @@ class BatchedStepEngine:
             groups = np.asarray(groups, dtype=np.int64)[positions]
         per_layer = self.config.scope is SelectionScope.PER_LAYER
         step = self._step_per_layer if per_layer else self._step_per_vertex
-        tasks = step(active, depth, cost, iterations, groups, cursors)
-        if _trace.active():
-            _metrics.REGISTRY.counter("engine_depth_steps").inc()
-            _metrics.REGISTRY.counter("engine_warp_tasks").inc(int(tasks or 0))
-        return tasks
+        return step(active, depth, cost, iterations, groups, cursors)
 
     # ------------------------------------------------------------------ #
     def _step_per_vertex(

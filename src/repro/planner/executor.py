@@ -50,7 +50,6 @@ from repro.oom.balancing import block_fractions
 from repro.oom.batching import group_entries_by_instance, single_batch
 from repro.oom.transfer import PartitionResidency
 from repro.planner.plan import ExecutionPlan
-from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiler as _profiler
 from repro.telemetry import trace as _trace
 from repro.telemetry.feedback import FEEDBACK
@@ -493,8 +492,6 @@ class Executor:
                 reports = transport.collect()
         finally:
             transport.close()
-        if _trace.active():
-            _metrics.REGISTRY.counter("walker_migrations").inc(router.migrations)
         prof = _profiler.clock(-1)
         result = self._reassemble_shards(
             reports, len(instances), epochs, router.migrations, num_shards,

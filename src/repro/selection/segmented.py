@@ -43,6 +43,8 @@ __all__ = [
     "segment_positive_counts",
     "take_segments",
     "segmented_kogge_stone_inclusive",
+    "prefix_local_search",
+    "charge_its_select",
     "SegmentedCTPS",
     "SegmentedSelection",
     "make_segmented_detector",
@@ -160,12 +162,98 @@ def segmented_kogge_stone_inclusive(
                     offset *= 2
                 result[flat] = sub
     if cost is not None:
-        chunks = np.maximum(1, (lengths + 31) // 32)
-        cost.prefix_sum_steps += int((steps * chunks).sum())
-        cost.warp_steps += int(steps.sum())
-        cost.lane_ops += int((steps * np.minimum(lengths, 32)).sum())
-        cost.charge_global_bytes(int(lengths.sum()) * 8)
+        _charge_scan(lengths, steps, cost)
     return result
+
+
+# --------------------------------------------------------------------------- #
+# Cost charges of the with-replacement SELECT, one helper per phase
+# --------------------------------------------------------------------------- #
+def _charge_scan(lengths: np.ndarray, steps: np.ndarray, cost: CostModel) -> None:
+    """Segmented Kogge-Stone scan: ``steps = ceil(log2(n_k))`` per segment."""
+    chunks = np.maximum(1, (lengths + 31) // 32)
+    cost.prefix_sum_steps += int((steps * chunks).sum())
+    cost.warp_steps += int(steps.sum())
+    cost.lane_ops += int((steps * np.minimum(lengths, 32)).sum())
+    cost.charge_global_bytes(int(lengths.sum()) * 8)
+
+
+def _charge_normalisation(lengths: np.ndarray, cost: CostModel) -> None:
+    """CTPS normalisation: one warp step per segment (``CTPS.from_biases``)."""
+    cost.warp_steps += int(lengths.size)
+    cost.lane_ops += int(np.minimum(lengths, 32).sum())
+
+
+def _charge_draws(num_draws: int, cost: CostModel) -> None:
+    """One RNG draw and one selection attempt per draw."""
+    cost.rng_draws += num_draws
+    cost.selection_attempts += num_draws
+
+
+def _charge_search(draw_lengths: np.ndarray, cost: CostModel) -> None:
+    """``max(1, ceil(log2(n + 1)))`` binary-search steps per draw."""
+    steps = int(np.maximum(1, _ceil_log2(draw_lengths + 1)).sum())
+    cost.binary_search_steps += steps
+    cost.charge_global_bytes(steps * 8)
+
+
+def _charge_lockstep(counts: np.ndarray, cost: CostModel) -> None:
+    """With-replacement warp wrapper: one lock-step instruction per warp."""
+    cost.warp_steps += int(counts.size)
+    cost.lane_ops += int(np.minimum(counts, 32).sum())
+
+
+def charge_its_select(lengths: np.ndarray, count: int, cost: CostModel) -> None:
+    """Every charge of a with-replacement SELECT of ``count`` draws per pool.
+
+    For callers that answer the draws from cached prefix rows (or the
+    closed-form uniform CTPS) instead of scanning the pools of ``lengths``:
+    the same scan, normalisation, draw, search and lock-step counters
+    :func:`segmented_warp_select` accumulates over those pools.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    _charge_scan(lengths, _ceil_log2(lengths), cost)
+    _charge_normalisation(lengths, cost)
+    _charge_draws(int(lengths.size) * count, cost)
+    _charge_search(np.repeat(lengths, count), cost)
+    _charge_lockstep(np.full(lengths.size, count, dtype=np.int64), cost)
+
+
+# --------------------------------------------------------------------------- #
+# Prefix-row search
+# --------------------------------------------------------------------------- #
+def prefix_local_search(
+    prefix: np.ndarray,
+    base: np.ndarray,
+    lengths: np.ndarray,
+    totals: np.ndarray,
+    rs: np.ndarray,
+) -> np.ndarray:
+    """Binary-search each draw against an unnormalised prefix row.
+
+    Draw ``i`` searches ``prefix[base[i] : base[i] + lengths[i]]`` (total
+    ``totals[i]``) and returns the local index of the last CTPS boundary
+    ``<= rs[i]``.  Boundary ``b`` (``1 <= b <= n - 1``) is ``prefix[b - 1] /
+    total``; ``F[0] = 0`` is always ``<= r`` and the forced ``F[n] = 1``
+    never is, so the scalar ``CTPS.search`` over ``n + 1`` boundaries reduces
+    to a search over the first ``n - 1`` normalised prefix values -- one
+    division per probe, so the comparisons are bitwise the scalar ones.
+    """
+    rs = np.asarray(rs, dtype=np.float64)
+    if rs.size and (float(rs.min()) < 0.0 or float(rs.max()) >= 1.0):
+        raise ValueError("random number must lie in [0, 1)")
+    lo = np.array(base, dtype=np.int64)
+    hi = lo + lengths - 1
+    active = lo < hi
+    while np.any(active):
+        mid = (lo + hi) >> 1
+        probe = prefix[np.where(active, mid, 0)] / totals
+        go_right = active & (probe <= rs)
+        stay = active & ~go_right
+        lo[go_right] = mid[go_right] + 1
+        hi[stay] = mid[stay]
+        active = lo < hi
+    return lo - base
 
 
 # --------------------------------------------------------------------------- #
@@ -230,9 +318,7 @@ class SegmentedCTPS:
         if np.any(totals <= 0.0):
             raise ValueError("at least one bias must be positive")
         if cost is not None:
-            # Normalisation: one warp step per segment (CTPS.from_biases).
-            cost.warp_steps += int(lengths.size)
-            cost.lane_ops += int(np.minimum(lengths, 32).sum())
+            _charge_normalisation(lengths, cost)
         return cls(
             prefix=inclusive,
             offsets=offsets,
@@ -249,38 +335,18 @@ class SegmentedCTPS:
     ) -> np.ndarray:
         """Binary-search each ``rs[i]`` inside segment ``segs[i]``.
 
-        Identical to ``CTPS.search`` on the segment's boundary array: the
-        returned local index is the last boundary ``<= r``.  Only the
-        boundaries the search actually probes are computed (one division
-        each); each draw is charged ``max(1, ceil(log2(n_k + 1)))`` search
-        steps like the scalar binary search.
+        Identical to ``CTPS.search`` on the segment's boundary array
+        (:func:`prefix_local_search` over the segment's row); each draw is
+        charged ``max(1, ceil(log2(n_k + 1)))`` search steps like the scalar
+        binary search.
         """
-        rs = np.asarray(rs, dtype=np.float64)
         segs = np.asarray(segs, dtype=np.int64)
-        if rs.size and (rs.min() < 0.0 or rs.max() >= 1.0):
-            raise ValueError("random number must lie in [0, 1)")
-        # Boundary b of segment k (1 <= b <= n-1) equals prefix[b-1]/total;
-        # F[0] = 0 is always <= r and the forced F[n] = 1 never is, so the
-        # scalar searchsorted over n+1 boundaries reduces to a searchsorted
-        # over the first n-1 normalised prefix values.
-        base = self.offsets[segs]
-        totals = self.totals[segs]
-        lo = base.copy()
-        hi = base + self.lengths[segs] - 1
-        active = lo < hi
-        while np.any(active):
-            mid = (lo + hi) >> 1
-            probe = self.prefix[np.where(active, mid, 0)] / totals
-            go_right = active & (probe <= rs)
-            stay = active & ~go_right
-            lo[go_right] = mid[go_right] + 1
-            hi[stay] = mid[stay]
-            active = lo < hi
-        indices = lo - base
+        lengths = self.lengths[segs]
+        indices = prefix_local_search(
+            self.prefix, self.offsets[segs], lengths, self.totals[segs], rs
+        )
         if cost is not None:
-            steps = np.maximum(1, _ceil_log2(self.lengths[segs] + 1))
-            cost.binary_search_steps += int(steps.sum())
-            cost.charge_global_bytes(int(steps.sum()) * 8)
+            _charge_search(lengths, cost)
         return indices
 
     def region(self, segs: np.ndarray, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -520,8 +586,7 @@ def segmented_sample_with_replacement(
     lanes = concat_aranges(counts)
     rs = np.atleast_1d(rng.uniform(*(_coords_at(coords, seg_of_draw) + [lanes])))
     if cost is not None:
-        cost.rng_draws += total
-        cost.selection_attempts += total
+        _charge_draws(total, cost)
     indices = ctps.search(rs, seg_of_draw, cost)
     return SegmentedSelection(
         indices=indices,
@@ -654,8 +719,7 @@ def _bipartite_lanes(
                 rng.uniform(*(_coords_at(coords, pending) + [lane, 2 * attempt]))
             )
             if cost is not None:
-                cost.rng_draws += int(pending.size)
-                cost.selection_attempts += int(pending.size)
+                _charge_draws(int(pending.size), cost)
             idx = ctps.search(rs, pending, cost)
             marked = det.is_marked(pending, idx)
             if np.any(marked):
@@ -730,8 +794,7 @@ def _bipartite_fallback(
         seg_coords = [int(np.asarray(c)[seg]) for c in coords]
         r = float(rng.uniform(*(seg_coords + [lane, 2 * _BIPARTITE_MAX_ATTEMPTS])))
         if cost is not None:
-            cost.rng_draws += 1
-            cost.selection_attempts += 1
+            _charge_draws(1, cost)
         index = updated.search(r, cost)
         one = np.array([seg], dtype=np.int64)
         _probe_charges(det, one, probes)
@@ -765,8 +828,7 @@ def _repeated_lanes(
                 rng.uniform(*(_coords_at(coords, pending) + [lane, attempt]))
             )
             if cost is not None:
-                cost.rng_draws += int(pending.size)
-                cost.selection_attempts += int(pending.size)
+                _charge_draws(int(pending.size), cost)
             idx = ctps.search(rs, pending, cost)
             _probe_charges(det, pending, probes)
             was_set = det.check_and_mark(pending, idx, cost)
@@ -831,8 +893,7 @@ def _updated_lanes(
             local = np.arange(segs.size, dtype=np.int64)
         rs = np.atleast_1d(rng.uniform(*(_coords_at(coords, segs) + [lane, 0])))
         if cost is not None:
-            cost.rng_draws += int(segs.size)
-            cost.selection_attempts += int(segs.size)
+            _charge_draws(int(segs.size), cost)
         idx = current.search(rs, local, cost)
         _probe_charges(det, segs, probes)
         det.check_and_mark(segs, idx, cost)
@@ -905,8 +966,7 @@ def segmented_warp_select(
             biases, offsets, counts, rng, coords, cost, validate=validate
         )
         if cost is not None:
-            cost.warp_steps += int(active.sum())
-            cost.lane_ops += int(np.minimum(counts[active], 32).sum())
+            _charge_lockstep(counts[active], cost)
         return result
     result = segmented_select_without_replacement(
         biases, offsets, counts, rng, coords,

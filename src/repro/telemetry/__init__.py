@@ -75,7 +75,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
 )
 from repro.telemetry.export import (
     chrome_counter_events,
@@ -133,7 +132,6 @@ __all__ = [
     "LatencyObjective",
     "MetricsRegistry",
     "PlanFeedbackSink",
-    "REGISTRY",
     "RecorderEvent",
     "profiler",
     "Span",

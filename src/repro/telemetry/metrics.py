@@ -26,7 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
 ]
 
 # Geometric latency buckets: 1 microsecond .. ~67 seconds, doubling.
@@ -324,8 +323,3 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-
-# Process-global default registry, used by hot-path instrumentation in the
-# engine and executor. The sampling service keeps its own registry.
-REGISTRY = MetricsRegistry()

@@ -77,15 +77,21 @@ class TestEngineSelection:
         one reader, the fused walk kernel."""
         seeds = list(range(0, graph.num_vertices, 15))
 
-        def run(name):
+        def run(name, **overrides):
             info = ALGORITHM_REGISTRY[name]
             sampler = GraphSampler(
-                graph, info.program_factory(), info.config_factory(seed=13)
+                graph, info.program_factory(),
+                info.config_factory(seed=13, **overrides),
             )
             sampler.run(seeds)
             return sampler
 
         assert run("biased_neighbor_sampling").engine.kind == "weight_or_degree"
+        # A frontier-selecting node2vec is no walk shape: the engine kernel
+        # runs its declared node2vec site, which reads no structure.
+        node2vec = run("node2vec", frontier_size=2)
+        assert node2vec.engine.kind == "node2vec"
+        assert node2vec.plan(seeds).step_tier == "compiled"
         stats = structure_cache_stats()
         assert (stats["builds"], stats["hits"], stats["misses"]) == (0, 0, 0)
         run("biased_random_walk")

@@ -120,6 +120,25 @@ class TestWalkKernelScenarios:
             assert result.iteration_counts
             assert all(type(i) is int for i in result.iteration_counts)
 
+    def test_node2vec_rejects_a_key_space_past_int64(self):
+        """(prev, vertex) packs into one int64 row key only while V**2 <
+        2**63; past that the kernel refuses before touching the cache."""
+        from types import SimpleNamespace
+
+        from repro.compiled import structure_cache_stats
+        from repro.compiled.walk_kernel import CompiledWalkKernel
+        from repro.gpusim.prng import CounterRNG
+
+        stand_in = SimpleNamespace(
+            graph=SimpleNamespace(num_vertices=3_037_000_500),
+            program=Node2Vec(), config=Node2Vec.default_config(),
+            rng=CounterRNG(0),
+        )
+        before = structure_cache_stats()
+        with pytest.raises(ValueError, match="REPRO_COMPILED=0"):
+            CompiledWalkKernel(stand_in, kind="node2vec", backend="numpy")
+        assert structure_cache_stats() == before
+
 
 class TestBackends:
     def test_forced_numpy_matches_default(self, small_powerlaw_graph):

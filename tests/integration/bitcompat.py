@@ -107,7 +107,9 @@ AXES = [
          {"profiler": "on"}, {"graph": "compacted"}],
         ROUTES, ALGORITHMS,
     ),
-    ([{"graph": "weighted"}], ("in_memory",), ALGORITHMS),
+    # Weighted graphs reach the walk kernel's weighted rows in memory and
+    # the engine's declared node2vec / weight-or-degree sites when sharded.
+    ([{"graph": "weighted"}], ("in_memory", "sharded"), ALGORITHMS),
     ([{"members": 2}, {"members": 3}], ("coalesced",), ALGORITHMS),
     (
         # Every preset on the default shape, every shape on the default

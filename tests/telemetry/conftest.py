@@ -9,7 +9,6 @@ from repro import telemetry as tel
 
 def _reset() -> None:
     tel.clear()
-    tel.REGISTRY.clear()
     tel.FEEDBACK.clear()
 
 
