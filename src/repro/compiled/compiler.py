@@ -21,15 +21,16 @@ what a plan says and what runs cannot disagree.  Eligible plans resolve to:
   (:class:`~repro.compiled.walk_kernel.CompiledWalkKernel`) for walk-shaped
   plans (single-neighbor-ish per-vertex selection with replacement, no
   frontier sub-selection, no visited tracking, no declared hook shapes) on
-  the routes it has a driver for (:data:`COMPILABLE_ROUTES`): the depth
-  loop of the in-memory and coalesced routes, the partition drain of the
-  out-of-memory route;
+  the routes it has a driver for (:data:`COMPILABLE_ROUTES` -- all
+  four): the depth loop of the in-memory and coalesced routes, the
+  partition drain of the out-of-memory route, the shard epoch of the
+  sharded route;
 * ``"engine"`` -- the batched engine with declared-shape hook sites
   (:func:`~repro.compiled.step_engine.declared_sites`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
-  eligible shape *and* every route (the OOM scheduler drains non-walk
-  shapes through ``expand_entries``, the sharded route steps per-shard
-  engines).
+  eligible shape on every route (the OOM scheduler drains non-walk shapes
+  through ``expand_entries``, the sharded route steps their envelopes on
+  per-shard engines).
 
 Resolutions -- refusals included, so ``explain()`` can say *why* a plan
 interprets -- are memoised in the kernel cache per ``(program class + cache
@@ -78,9 +79,9 @@ KNOWN_NEIGHBOR_COUNT_SHAPES = ("pool_capped",)
 KNOWN_VERTEX_BIAS_SHAPES = ("degree_plus_one",)
 
 #: Routes on which the fused walk kernel has a driver: the depth loop
-#: (in-memory, coalesced) and the partition drain (out-of-memory).  The
-#: sharded route still compiles -- through the engine kernel.
-COMPILABLE_ROUTES = ("in_memory", "coalesced", "out_of_memory")
+#: (in-memory, coalesced), the partition drain (out-of-memory) and the
+#: shard epoch (sharded).
+COMPILABLE_ROUTES = ("in_memory", "coalesced", "out_of_memory", "sharded")
 
 
 @dataclass(frozen=True)

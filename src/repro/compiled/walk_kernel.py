@@ -12,11 +12,15 @@ whole fleet of walkers in flat ndarrays -- columns in
 per-instance object: one stable sort by owner after the last kernel turns
 the per-kernel draws into every instance's edge range.
 
-Two drivers share that state and one SELECT: the depth loop (in-memory and
-coalesced routes: one kernel per depth over every walker's frontier) and the
-partition drain (out-of-memory route: one kernel per group of frontier-queue
-entries of a resident partition, Section V-C's batched multi-instance
-kernel).
+Three drivers share one SELECT over that state: the depth loop (in-memory
+and coalesced routes: one kernel per depth over every walker's frontier),
+the partition drain (out-of-memory route: one kernel per group of
+frontier-queue entries of a resident partition, Section V-C's batched
+multi-instance kernel) and the shard epoch (sharded route: one kernel per
+shard per depth over the walkers resident on that shard, each drawing from
+the private warp cursor that migrates with it).  The depth loop and the
+shard epoch run one per-depth body over walker rows; the shard's rows
+arrive and leave as column batches, never as per-walker objects.
 
 Specialisations, by plan-proved properties:
 
@@ -48,13 +52,15 @@ the cached rows (:func:`~repro.selection.segmented.prefix_local_search`,
 or its numba twin) with probes bitwise equal to the per-step CTPS.
 
 **Bit-compatibility contract.**  The kernel draws the same RNG keys
-(``(instance, depth, slot, warp, lane)`` in the depth loop, ``(instance,
-depth, vertex, warp, lane)`` in the drain), advances the engine's warp
-cursors in the same order, and charges every cost-model counter exactly as
-the interpreted path charges it (the uniform specialisation charges the
-closed forms of the scan/normalise/search work it skipped).  Samples, iteration
-counts, per-kernel cost records and warp-task counts are all identical; the
-``compiled`` and (for the drain) ``preset``/``shape`` cells of
+(``(instance, depth, slot, warp, lane)`` in the depth loop and the shard
+epoch, ``(instance, depth, vertex, warp, lane)`` in the drain), advances the
+engine's (or each walker's) warp cursors in the same order, and charges
+every cost-model counter exactly as the interpreted path charges it (the
+uniform specialisation charges the closed forms of the
+scan/normalise/search work it skipped).  Samples, iteration counts,
+per-kernel cost records and warp-task counts are all identical; the
+``compiled``, (for the drain) ``preset``/``shape`` and (for the shard
+epoch) ``shards``/``transport`` cells of
 ``tests/integration/test_bitcompat_matrix.py`` and
 ``tests/compiled/test_walk_kernel.py`` hold it to that.
 """
@@ -116,22 +122,27 @@ def _per_draw(values: np.ndarray, ns: int) -> np.ndarray:
 
 
 class _WalkerColumns:
-    """Run-level walker state as columns, shared by both drivers.
+    """Run-level walker state as columns, shared by the depth loop and the
+    drain.
 
     One row per instance of the batch: the ``prev`` vertex node2vec's bias
-    reads, and an append-only ``(owner rank, src, dst)`` edge log that one
-    stable sort by owner closes into :class:`SampleColumns`.  Iteration
-    counts need no column of their own: with-replacement selections iterate
-    exactly once, so an instance's total is its edge count.
+    reads, the segmented frontier pool the depth loop advances (``counts``
+    plus the row-major flat ``pool``, seeded from the batch), and an
+    append-only ``(owner rank, src, dst)`` edge log that one stable sort by
+    owner closes into :class:`SampleColumns`.  Iteration counts need no
+    column of their own: with-replacement selections iterate exactly once,
+    so an instance's total is its edge count.
     """
 
-    __slots__ = ("batch", "ids", "prevs", "_owner", "_src", "_dst",
-                 "_id_order", "_sorted_ids")
+    __slots__ = ("batch", "ids", "prevs", "counts", "pool", "_owner", "_src",
+                 "_dst", "_id_order", "_sorted_ids")
 
     def __init__(self, batch: InstanceBatch):
         self.batch = batch
         self.ids = ids = batch.instance_ids
         self.prevs = np.full(ids.size, -1, dtype=np.int64)
+        self.counts = np.diff(batch.seed_offsets)
+        self.pool = batch.seeds
         self._owner: List[np.ndarray] = []
         self._src: List[np.ndarray] = []
         self._dst: List[np.ndarray] = []
@@ -182,15 +193,19 @@ class CompiledWalkKernel:
     Instantiated per run by the executor around a live
     :class:`~repro.engine.step.BatchedStepEngine` (whose RNG and warp
     cursors it shares, so interleaving compiled and interpreted runs on one
-    sampler keeps a single warp-id stream).  Two drivers share one SELECT
-    and one walker-state object:
+    sampler keeps a single warp-id stream).  Three drivers share one SELECT;
+    the depth loop and the shard epoch also share one per-depth body
+    (:meth:`_advance`):
 
     * :meth:`run` -- the depth loop: replaces the executor's
       ``_depth_loop`` wholesale (in-memory and coalesced routes);
     * :meth:`begin` / :meth:`expand` / :meth:`finish` -- the drain: the
       Section V-C batched kernel over frontier-queue entries, called once
       per kernel by the out-of-memory scheduler where it would call
-      ``engine.expand_entries``.
+      ``engine.expand_entries``;
+    * :meth:`epoch` -- the shard epoch: one kernel per shard per depth over
+      the shard's resident walker rows, called by
+      :class:`~repro.distributed.shard.ShardRuntime` (sharded route).
     """
 
     def __init__(self, engine, *, kind: str, backend: str):
@@ -268,17 +283,9 @@ class CompiledWalkKernel:
             return self._run(batch, groups, num_groups)
 
     def _run(self, batch: InstanceBatch, groups: Optional[np.ndarray], num_groups: int):
-        cfg = self.config
-        num = len(batch)
         kernels: List[KernelLaunch] = []
         total = CostModel()
-
         walkers = _WalkerColumns(batch)
-        prevs = walkers.prevs
-        pool_counts = np.diff(batch.seed_offsets)
-        pool_flat = batch.seeds
-        finished = pool_counts == 0
-        ns = int(cfg.neighbor_size)
 
         # Members draw from their own cursors; an ungrouped run continues
         # the engine's sequence (so interpreted and compiled runs of one
@@ -288,36 +295,15 @@ class CompiledWalkKernel:
             else np.zeros(num_groups, dtype=np.int64)
         )
 
-        for depth in range(cfg.depth):
-            act = np.nonzero(~finished)[0]
-            if act.size == 0:
+        for depth in range(self.config.depth):
+            if not walkers.counts.any():
                 break
             prof = _profiler.clock(depth)
             step_cost = CostModel()
-            counts_a = pool_counts[act]
-            seg_owner = np.repeat(act, counts_a)
-            # Draws key (instance, depth, slot + 1, warp, lane).
-            allocated, dst = self._select(
-                walkers, pool_flat, seg_owner,
-                np.full(seg_owner.size, depth, dtype=np.int64),
-                concat_aranges(counts_a) + 1,
-                step_cost, prof, groups, cursors,
+            tasks, owner, src, dst = self._advance(
+                walkers, depth, step_cost, prof, groups, cursors
             )
-            tasks = int(allocated.size)
-            new_counts = np.bincount(seg_owner[allocated], minlength=num) * ns
-            prof.lap("select")
-
-            # Walk bookkeeping: prev_vertex tracks single-vertex frontiers,
-            # updated from the *pre-step* pool (biases at depth d + 1 see it).
-            single = counts_a == 1
-            if np.any(single):
-                block_starts = np.zeros(act.size, dtype=np.int64)
-                np.cumsum(counts_a[:-1], out=block_starts[1:])
-                prevs[act[single]] = pool_flat[block_starts[single]]
-
-            pool_flat = dst
-            pool_counts = new_counts
-            finished[act] = new_counts[act] == 0
+            walkers.log_edges(owner, src, dst)
             step_cost.kernel_launches += 1
             kernels.append(
                 KernelLaunch(
@@ -342,6 +328,44 @@ class CompiledWalkKernel:
             iterations = [[1] * int(count) for count in per_group]
         prof.lap("update")
         return kernels, total, samples, iterations
+
+    def _advance(self, walkers, depth: int, cost: CostModel, prof, groups, cursors):
+        """One depth step of every walker row: the body of the depth loop
+        and of the shard epoch.
+
+        ``walkers`` holds one row per walker: ``ids``, ``prevs`` and the
+        segmented frontier pool (``counts`` plus the row-major flat
+        ``pool``); rows with an empty pool are finished and draw nothing.
+        Draws key ``(instance, depth, slot + 1, warp, lane)``, warp ids come
+        from ``cursors`` (per row group when ``groups`` is given).  Runs
+        SELECT, then updates ``prevs`` and swaps in the new pools, in place.
+        Returns ``(tasks, owner rows, src, dst)``: the step's warp tasks and
+        its drawn edges in draw order.
+        """
+        counts, pool = walkers.counts, walkers.pool
+        act = np.flatnonzero(counts)
+        counts_a = counts[act]
+        seg_owner = np.repeat(act, counts_a)
+        allocated, owner, src, dst = self._select(
+            walkers, pool, seg_owner,
+            np.full(seg_owner.size, depth, dtype=np.int64),
+            concat_aranges(counts_a) + 1,
+            cost, prof, groups, cursors,
+        )
+        prof.lap("select")
+
+        # Walk bookkeeping: prev tracks single-vertex frontiers, updated from
+        # the *pre-step* pool (biases at depth d + 1 see it).
+        single = counts_a == 1
+        if np.any(single):
+            block_starts = np.zeros(act.size, dtype=np.int64)
+            np.cumsum(counts_a[:-1], out=block_starts[1:])
+            walkers.prevs[act[single]] = pool[block_starts[single]]
+        walkers.counts = np.bincount(
+            seg_owner[allocated], minlength=counts.size
+        ) * int(self.config.neighbor_size)
+        walkers.pool = dst
+        return int(allocated.size), owner, src, dst
 
     # ------------------------------------------------------------------ #
     # Driver 2: the partition drain (Section V-C batched kernel)
@@ -383,13 +407,14 @@ class CompiledWalkKernel:
         prof = _profiler.clock(-1)
         walkers = self._walkers
         owners = walkers.ranks(instance_ids)
-        allocated, dst = self._select(
+        allocated, owner, src, dst = self._select(
             walkers, vertices, owners, depths, vertices, cost, prof,
             None, self.engine.warp_cursor,
         )
         prof.lap("select")
         if allocated.size == 0:
             return _EMPTY, _EMPTY, _EMPTY
+        walkers.log_edges(owner, src, dst)
         walkers.set_prevs(owners[allocated], vertices[allocated])
         succ_ids = instance_ids[allocated]
         succ_depths = depths[allocated] + 1
@@ -408,7 +433,33 @@ class CompiledWalkKernel:
         return samples, [1] * samples.num_edges
 
     # ------------------------------------------------------------------ #
-    # GATHER + SELECT of one kernel (both drivers)
+    # Driver 3: the shard epoch (sharded route)
+    # ------------------------------------------------------------------ #
+    def epoch(self, rows, depth: int, cost: CostModel):
+        """One depth step of a shard's resident walkers, as one kernel.
+
+        ``rows`` are the shard's walker columns
+        (:class:`~repro.distributed.router.WalkerBatch`: ``ids``,
+        ``prevs``, the pool ``counts`` + ``pool`` and one warp ``cursors``
+        entry per row), advanced in place.  Every row is its own warp group
+        drawing from its own cursor -- the private stream that migrates with
+        the walker -- so draws key ``(instance, depth, slot + 1, warp,
+        lane)`` exactly as a standalone run of that walker keys them,
+        whichever shard runs the step and whatever shares its batch.
+        Charges ``cost`` and returns ``(tasks, instance ids, src, dst)``:
+        the kernel's warp tasks and its drawn edges in draw order.
+        """
+        prof = _profiler.clock(depth)
+        tasks, owner, src, dst = self._advance(
+            rows, depth, cost, prof,
+            np.arange(len(rows), dtype=np.int64), rows.cursors,
+        )
+        ids = rows.ids[owner]
+        prof.lap("update")
+        return tasks, ids, src, dst
+
+    # ------------------------------------------------------------------ #
+    # GATHER + SELECT of one kernel (every driver)
     # ------------------------------------------------------------------ #
     def _select(
         self, walkers, seg_vertices, seg_owner, depths, third, cost, prof,
@@ -417,11 +468,12 @@ class CompiledWalkKernel:
         """Sample ``neighbor_size`` neighbors of every segment of one kernel.
 
         Segment ``k`` expands ``seg_vertices[k]`` for walker row
-        ``seg_owner[k]`` and keys its draws ``(instance, depths[k],
-        third[k], warp, lane)``.  Charges ``cost`` for the gather and the
-        selection, logs the sampled edges and returns ``(allocated, dst)``:
-        the indices of the segments that drew (non-empty pool, some positive
-        bias) and their draws, segment by segment.
+        ``seg_owner[k]`` (of ``walkers.ids`` / ``walkers.prevs``) and keys
+        its draws ``(instance, depths[k], third[k], warp, lane)``.  Charges
+        ``cost`` for the gather and the selection and returns ``(allocated,
+        owner, src, dst)``: the indices of the segments that drew (non-empty
+        pool, some positive bias) and the sampled edges, segment by segment
+        -- each draw's walker row, source and destination.
         """
         graph = self.graph
         ns = int(self.config.neighbor_size)
@@ -446,7 +498,7 @@ class CompiledWalkKernel:
         allocated = np.nonzero(alloc)[0]
         tasks = int(allocated.size)
         if tasks == 0:
-            return allocated, _EMPTY
+            return allocated, _EMPTY, _EMPTY, _EMPTY
         # Every segment drawing is the common case: index nothing then.
         take = (lambda a: a) if tasks == K else (lambda a: a[allocated])
         len_a, owners_a, verts_a, starts_a, depths_a, third_a = map(
@@ -474,10 +526,7 @@ class CompiledWalkKernel:
             idx = self._rows_select(prefix, base, len_a, totals, coords, cost)
         dst = graph.col_idx[_per_draw(starts_a, ns) + idx]
         cost.sampled_edges += tasks * ns
-        walkers.log_edges(
-            _per_draw(owners_a, ns), _per_draw(verts_a, ns), dst
-        )
-        return allocated, dst
+        return allocated, _per_draw(owners_a, ns), _per_draw(verts_a, ns), dst
 
     # ------------------------------------------------------------------ #
     # SELECT: closed-form uniform, or cached prefix rows

@@ -3,7 +3,8 @@
 The distributed tier runs one :class:`~repro.distributed.shard.ShardRuntime`
 per contiguous vertex-range partition (Section V-A partitioning) and moves
 walkers between shards KnightKing-style whenever a step carries their
-frontier across a partition boundary.  Results -- including cost totals --
+frontier across a partition boundary -- walk-kernel walkers as one column
+batch per destination, every other program's as per-walker envelopes.  Results -- including cost totals --
 are bit-identical for every shard count and transport; see
 ``docs/distributed.md`` for the model and the invariance contract.
 """
@@ -11,6 +12,7 @@ are bit-identical for every shard count and transport; see
 from repro.distributed.coordinator import ClusterResult, ShardedSamplingCluster
 from repro.distributed.router import (
     MigrationRouter,
+    WalkerBatch,
     WalkerEnvelope,
     bucket_by_shard,
     routing_vertex,
@@ -31,6 +33,7 @@ __all__ = [
     "ShardReport",
     "ShardRuntime",
     "ShardedSamplingCluster",
+    "WalkerBatch",
     "WalkerEnvelope",
     "bucket_by_shard",
     "routing_vertex",

@@ -1,52 +1,136 @@
-"""Cross-shard walker migration: envelopes, bucketing, exchange.
+"""Cross-shard walker migration: column batches, envelopes, exchange.
 
 The sharded cluster follows KnightKing's walker-migration model: a sampling
 instance ("walker") lives on the shard that owns its current frontier, and
 when a depth step moves the frontier into another shard's vertex range the
-walker is shipped there before the next step.  Everything the destination
-shard needs travels in one :class:`WalkerEnvelope`:
+walker is shipped there before the next step.  Walkers travel in one of two
+forms, fixed per run by the step resolution of the sharded route:
 
-* the :class:`~repro.api.instance.InstanceState` itself (frontier pool,
-  sampled edges, visited set, ``prev_vertex`` -- node2vec's dynamic bias
-  keeps working after a hop);
-* the instance's private *warp cursor* -- the next warp id of its
-  per-instance warp stream.  Warp ids are mixed into the counter RNG's
-  stream coordinates, so carrying the cursor is what makes selection
-  independent of where a step executes (the shard-count invariance
-  contract, see ``docs/distributed.md``);
-* the per-selection iteration counts accumulated so far (a result field);
-* for programs whose hooks consume a private RNG stream
-  (``supports_coalescing = False``: forest fire, Metropolis-Hastings,
-  jump/restart) the per-walker program object itself, mid-stream state and
-  all.  Stateless programs leave this ``None`` and use the shard-resident
-  shared program.
+* :class:`WalkerBatch` -- walk-kernel walkers (``resolve_step(...).kernel
+  == "walk"``: the four walk algorithms on the compiled tier) as columns:
+  global instance id, segmented frontier pool, ``prev`` vertex (node2vec's
+  dynamic bias keeps working after a hop) and the walker's private *warp
+  cursor*.  A shard ships its emigrants as one batch per destination
+  (KnightKing's per-destination message batching), carrying the trace
+  context once per batch; the batch is also the shard's resident form.
+* :class:`WalkerEnvelope` -- one object per walker, for every other run:
+  the stateful programs, non-walk coalescable programs and any run with
+  the compiled tier off (``REPRO_COMPILED=0``).  It carries the
+  :class:`~repro.api.instance.InstanceState` itself (frontier pool, sampled
+  edges, visited set, ``prev_vertex``), the warp cursor, the per-selection
+  iteration counts accumulated so far and, for programs whose hooks consume
+  a private RNG stream (``supports_coalescing = False``: forest fire,
+  Metropolis-Hastings, jump/restart), the per-walker program object itself,
+  mid-stream state and all.
 
-Bucketing is vectorised: one :func:`~repro.graph.partition.range_owners`
-call maps every migrating walker's routing vertex to its destination shard.
+Warp ids are mixed into the counter RNG's stream coordinates, so carrying the
+cursor is what makes selection independent of where a step executes (the
+shard-count invariance contract, see ``docs/distributed.md``).
+
+Bucketing is vectorised in both forms: one
+:func:`~repro.graph.partition.range_owners` call maps every migrating
+walker's routing vertex to its destination shard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram
-from repro.api.instance import InstanceState
+from repro.api.instance import InstanceBatch, InstanceState, offsets_from_counts
 from repro.graph.partition import range_owners
+from repro.selection.segmented import take_segments
 
 __all__ = [
+    "WalkerBatch",
     "WalkerEnvelope",
     "routing_vertex",
     "bucket_by_shard",
     "MigrationRouter",
 ]
 
+_COLUMNS = ("ids", "counts", "pool", "prevs", "cursors")
+
+
+@dataclass
+class WalkerBatch:
+    """Walk-kernel walkers as columns: the wire and resident form.
+
+    One row per walker: its global instance id, its segmented frontier pool
+    (``counts`` plus the row-major flat ``pool``; an empty pool is a
+    finished walker), the ``prev`` vertex node2vec's bias reads and the next
+    warp id of its private warp stream (``cursors``).  Edges never ride
+    along: each shard keeps the edges it drew.  The trace context rides once
+    per batch.
+    """
+
+    ids: np.ndarray
+    counts: np.ndarray
+    pool: np.ndarray
+    prevs: np.ndarray
+    cursors: np.ndarray
+    #: Telemetry trace context (see :attr:`WalkerEnvelope.trace_ctx`).
+    trace_ctx: Optional[tuple] = None
+
+    @classmethod
+    def seeded(
+        cls, batch: InstanceBatch, trace_ctx: Optional[tuple] = None
+    ) -> "WalkerBatch":
+        """The walkers of ``batch`` before their first step."""
+        num = len(batch)
+        return cls(
+            batch.instance_ids, np.diff(batch.seed_offsets), batch.seeds,
+            np.full(num, -1, dtype=np.int64), np.zeros(num, dtype=np.int64),
+            trace_ctx,
+        )
+
+    @classmethod
+    def empty(cls) -> "WalkerBatch":
+        return cls(*(np.empty(0, dtype=np.int64) for _ in _COLUMNS))
+
+    def __len__(self) -> int:
+        return int(self.ids.size)
+
+    def __add__(self, other: "WalkerBatch") -> "WalkerBatch":
+        """Both batches' rows, in order; the first trace context carried."""
+        return WalkerBatch(
+            *(np.concatenate([getattr(self, c), getattr(other, c)])
+              for c in _COLUMNS),
+            trace_ctx=self.trace_ctx if self.trace_ctx is not None
+            else other.trace_ctx,
+        )
+
+    def take(self, rows: np.ndarray) -> "WalkerBatch":
+        """The given rows, in the given order, each with its pool."""
+        pool, _ = take_segments(self.pool, offsets_from_counts(self.counts), rows)
+        return WalkerBatch(
+            self.ids[rows], self.counts[rows], pool, self.prevs[rows],
+            self.cursors[rows], self.trace_ctx,
+        )
+
+    def heads(self) -> np.ndarray:
+        """Each row's routing vertex (:func:`routing_vertex`: the first pool
+        vertex); ``-1`` for a finished row."""
+        heads = np.full(len(self), -1, dtype=np.int64)
+        live = self.counts > 0
+        heads[live] = self.pool[offsets_from_counts(self.counts)[:-1][live]]
+        return heads
+
+    def split(self, owners: np.ndarray) -> Dict[int, "WalkerBatch"]:
+        """Rows grouped by ``owners[row]``, each group in row order."""
+        return {
+            int(owner): self.take(np.flatnonzero(owners == owner))
+            for owner in np.unique(owners)
+        }
+
 
 @dataclass
 class WalkerEnvelope:
-    """One migrating walker: instance state plus its execution context."""
+    """One migrating walker: instance state plus its execution context
+    (every run that is not on the walk kernel, see the module docstring)."""
 
     instance: InstanceState
     #: Next warp id of the instance's private warp stream.
@@ -101,12 +185,18 @@ def bucket_by_shard(
     return buckets
 
 
+#: What one shard ships to one destination in one epoch.
+Walkers = Union[WalkerBatch, List[WalkerEnvelope]]
+
+
 class MigrationRouter:
     """Merges per-shard outboxes into per-shard inboxes once per depth step.
 
     Delivery is deterministic -- source shards are drained in index order --
     though results never depend on it: every walker carries its own RNG
-    coordinates, so arrival order only affects in-memory layout.
+    coordinates, so arrival order only affects in-memory layout.  Outboxes
+    hold column batches or envelope lists (one form per run); either merges
+    with ``+`` and counts its walkers with ``len``.
     """
 
     def __init__(self, num_shards: int):
@@ -117,29 +207,30 @@ class MigrationRouter:
         self.migrations = 0
 
     def exchange(
-        self, outboxes: Sequence[Mapping[int, List[WalkerEnvelope]]]
-    ) -> Dict[int, List[WalkerEnvelope]]:
+        self, outboxes: Sequence[Mapping[int, Walkers]]
+    ) -> Dict[int, Walkers]:
         """Combine every shard's outbox into per-destination inboxes.
 
         ``outboxes[src]`` maps destination shard to the walkers ``src``
         emits this step; the result maps each destination to its merged
-        arrivals.
+        arrivals, in source order.
         """
         if len(outboxes) != self.num_shards:
             raise ValueError(
                 f"expected one outbox per shard ({self.num_shards}), "
                 f"got {len(outboxes)}"
             )
-        inboxes: Dict[int, List[WalkerEnvelope]] = {}
+        inboxes: Dict[int, Walkers] = {}
         for src, outbox in enumerate(outboxes):
             for dst in sorted(outbox):
-                envelopes = outbox[dst]
-                if not envelopes:
+                walkers = outbox[dst]
+                if not len(walkers):
                     continue
                 if not (0 <= dst < self.num_shards):
                     raise ValueError(f"shard {src} routed to unknown shard {dst}")
                 if dst == src:
                     raise ValueError(f"shard {src} routed walkers to itself")
-                inboxes.setdefault(dst, []).extend(envelopes)
-                self.migrations += len(envelopes)
+                merged = inboxes.get(dst)
+                inboxes[dst] = walkers if merged is None else merged + walkers
+                self.migrations += len(walkers)
         return inboxes

@@ -4,8 +4,8 @@ A :class:`ShardRuntime` owns one contiguous vertex-range partition of the
 graph and advances, depth step by depth step, exactly the walkers whose
 current frontier it owns.  Per depth step it:
 
-1. advances every resident active walker one MAIN-loop iteration on the
-   batched execution engine (:class:`~repro.engine.step.BatchedStepEngine`);
+1. advances every resident active walker one MAIN-loop iteration, as one
+   kernel;
 2. records the step as one simulated kernel on the shard's device timeline
    (the cluster's throughput model: shards sample concurrently, the slowest
    shard sets the makespan);
@@ -13,20 +13,31 @@ current frontier it owns.  Per depth step it:
    destination shard (vectorised) and hands them to the migration router.
 
 **Shard-count invariance.**  Every walker computes on private streams: its
-instance id, its own warp cursor (per-instance warp groups, carried in the
-walker's envelope across migrations) and the stateless counter RNG.  A
-step's selections and per-segment cost charges therefore depend only on the
+instance id, its own warp cursor (per-instance warp groups, carried with the
+walker across migrations) and the stateless counter RNG.  A step's
+selections and per-segment cost charges therefore depend only on the
 walker's own history, never on which shard ran it or what else shared the
 batch -- which is why results and cost totals are bit-identical across 1
 to 4 shards (the ``sharded`` cells of
 ``tests/integration/test_bitcompat_matrix.py``).
 
-Two execution paths mirror the service's coalescing rule:
+Three execution paths, fixed per shard by the sharded route's step
+resolution (:func:`~repro.compiled.compiler.resolve_step`):
 
-* ``supports_coalescing`` programs share one program object and one engine
-  per shard; all residents advance as a single fused batch with
-  per-instance warp groups (fast path -- this is what the throughput
-  benchmark exercises);
+* walk-kernel programs (the four walk algorithms on the compiled tier) keep
+  their residents as the rows of one
+  :class:`~repro.distributed.router.WalkerBatch` and advance them with the
+  shard-epoch driver of :class:`~repro.compiled.walk_kernel.
+  CompiledWalkKernel` -- one kernel over every resident row, each row its
+  own warp group.  Walkers arrive and leave as column batches (one per
+  destination), and the edges they draw stay here in an append-only
+  ``(instance id, depth, src, dst)`` log that :meth:`collect` hands back.
+  No per-walker object is built;
+* other ``supports_coalescing`` programs (and the walks with
+  ``REPRO_COMPILED=0``) share one program object and one
+  :class:`~repro.engine.step.BatchedStepEngine` per shard; all resident
+  :class:`~repro.distributed.router.WalkerEnvelope` walkers advance as a
+  single fused batch with per-instance warp groups;
 * stateful programs (private hook RNG streams) get one program per walker,
   travelling in its envelope, so hook draws are consumed in a
   placement-independent order; each replica is seeded per walker
@@ -44,12 +55,19 @@ the simulated per-shard device work, not a physical slice of host memory.
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api.config import SamplingConfig
-from repro.distributed.router import WalkerEnvelope, routing_vertex
+from repro.compiled.compiler import resolve_step
+from repro.compiled.walk_kernel import CompiledWalkKernel
+from repro.distributed.router import (
+    WalkerBatch,
+    WalkerEnvelope,
+    Walkers,
+    routing_vertex,
+)
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
@@ -92,10 +110,19 @@ class ShardReport:
         admitted: int,
         emigrated: int,
         telemetry: Optional[tuple] = None,
+        *,
+        walkers: Optional[WalkerBatch] = None,
+        edges: Optional[Tuple[np.ndarray, ...]] = None,
     ):
         self.shard_index = shard_index
-        #: Every walker resident at collection (finished and active alike).
+        #: Every walker resident at collection (finished and active alike):
+        #: envelopes, or -- on walk-kernel shards -- the rows of
+        #: :attr:`walkers` (then ``envelopes`` is empty).
         self.envelopes = envelopes
+        self.walkers = walkers
+        #: Walk-kernel shards: every edge drawn here, as ``(instance ids,
+        #: depths, src, dst)`` columns in draw order.
+        self.edges = edges
         #: Sum of the shard's per-segment sampling charges (ints only, so
         #: cluster-level merging is order-independent).
         self.cost = cost
@@ -158,6 +185,16 @@ class ShardRuntime:
             if self.coalescable
             else None
         )
+        resolution = resolve_step(config, "sharded", program=probe)
+        #: The shard-epoch driver when the route resolves to the walk
+        #: kernel: residents are then the rows of :attr:`_rows`.
+        self._kernel = (
+            CompiledWalkKernel(
+                self._engine, kind=resolution.kind, backend=resolution.backend
+            )
+            if resolution.kernel == "walk"
+            else None
+        )
         #: The step tier this shard actually runs (profiler attribution):
         #: compiled exactly when the shared engine's sites are the declared
         #: shapes.  Stateful programs get private interpreted engines, so
@@ -167,12 +204,16 @@ class ShardRuntime:
             if self._engine is not None and self._engine.kind is not None
             else "interpreted"
         )
-        #: Resident walkers keyed by global instance id: the envelopes the
-        #: shard was handed, stepped in place and handed on as they are.
+        #: Walk-kernel residents as columns (finished rows included) and
+        #: the ``(depth, instance ids, src, dst)`` edges of each epoch.
+        self._rows = WalkerBatch.empty()
+        self._edges: List[tuple] = []
+        #: Every other program's residents keyed by global instance id: the
+        #: envelopes the shard was handed, stepped in place and handed on.
         self._residents: Dict[int, WalkerEnvelope] = {}
         #: Stateful programs' private engines, by instance id.
         self._engines: Dict[int, BatchedStepEngine] = {}
-        #: Trace context adopted from the first carrying envelope, so shard
+        #: Trace context adopted from the first carrying arrival, so shard
         #: spans (possibly minted in a shard process) join the request tree.
         self._trace_ctx = None
         self.cost = CostModel()
@@ -194,6 +235,8 @@ class ShardRuntime:
 
     def active_count(self) -> int:
         """Resident walkers that still have work."""
+        if self._kernel is not None:
+            return int(np.count_nonzero(self._rows.counts))
         return sum(
             1
             for env in self._residents.values()
@@ -202,11 +245,45 @@ class ShardRuntime:
 
     def resident_count(self) -> int:
         """All resident walkers, finished included."""
+        if self._kernel is not None:
+            return len(self._rows)
         return len(self._residents)
 
     # ------------------------------------------------------------------ #
-    def admit(self, envelopes: List[WalkerEnvelope]) -> None:
-        """Accept walkers (initial seeds or immigrants) into this shard."""
+    def admit(self, walkers: Walkers) -> None:
+        """Accept walkers (initial seeds or immigrants) into this shard: a
+        :class:`WalkerBatch` on a walk-kernel shard, envelopes otherwise."""
+        if self._kernel is not None:
+            self._admit_rows(walkers)
+        else:
+            self._admit_envelopes(walkers)
+
+    def _admit_rows(self, batch: WalkerBatch) -> None:
+        if not isinstance(batch, WalkerBatch):
+            raise TypeError(
+                f"shard {self.shard_index} runs the walk kernel and admits "
+                f"WalkerBatch columns, not {type(batch).__name__}"
+            )
+        if not len(batch):
+            return
+        if self._trace_ctx is None:
+            self._trace_ctx = batch.trace_ctx
+        ids = np.sort(np.concatenate([self._rows.ids, batch.ids]))
+        twice = ids[1:][ids[1:] == ids[:-1]]
+        if twice.size:
+            raise ValueError(
+                f"walker {int(twice[0])} is already resident on shard "
+                f"{self.shard_index}"
+            )
+        self._rows = self._rows + batch
+        self.admitted += len(batch)
+
+    def _admit_envelopes(self, envelopes: List[WalkerEnvelope]) -> None:
+        if isinstance(envelopes, WalkerBatch):
+            raise TypeError(
+                f"shard {self.shard_index} steps {self.algorithm} on "
+                f"envelopes and cannot admit a WalkerBatch"
+            )
         for env in envelopes:
             if self._trace_ctx is None and env.trace_ctx is not None:
                 self._trace_ctx = env.trace_ctx
@@ -238,21 +315,25 @@ class ShardRuntime:
             self.admitted += 1
 
     # ------------------------------------------------------------------ #
-    def step(self, depth: int) -> Dict[int, List[WalkerEnvelope]]:
+    def step(self, depth: int) -> Dict[int, Walkers]:
         """Advance resident walkers one depth step; return the outboxes.
 
         The returned mapping holds, per destination shard, the walkers whose
-        new frontier left the owned range (this shard excluded).
+        new frontier left the owned range (this shard excluded): one
+        :class:`WalkerBatch` per destination on a walk-kernel shard, an
+        envelope list otherwise.
         """
-        active = [
+        columnar = self._kernel is not None
+        active = [] if columnar else [
             env
             for _, env in sorted(self._residents.items())
             if not env.instance.finished and env.instance.pool_size > 0
         ]
-        if not active:
+        num_active = self.active_count() if columnar else len(active)
+        if not num_active:
             return {}
         step_cost = CostModel()
-        # Adopt the envelope-carried context only when no ambient one exists
+        # Adopt the arrival-carried context only when no ambient one exists
         # (shard processes); in-process shards nest under the epoch span.
         ctx = self._trace_ctx if _trace.current() is None else None
         # Shard processes have no ambient profiling context, so pin the
@@ -264,9 +345,11 @@ class ShardRuntime:
             "shard_step",
             shard=self.shard_index,
             depth=depth,
-            walkers=len(active),
+            walkers=num_active,
         ):
-            if self.coalescable:
+            if columnar:
+                tasks = self._step_rows(depth, step_cost)
+            elif self.coalescable:
                 tasks = self._step_fused(active, depth, step_cost)
             else:
                 tasks = self._step_private(active, depth, step_cost)
@@ -281,9 +364,18 @@ class ShardRuntime:
                     )
                 )
             prof = _profiler.clock(depth)
-            outboxes = self._emigrate(active)
+            outboxes = (
+                self._emigrate_rows() if columnar else self._emigrate(active)
+            )
             prof.lap("migrate")
         return outboxes
+
+    def _step_rows(self, depth: int, cost: CostModel) -> int:
+        """One shard-epoch kernel over every resident row."""
+        tasks, ids, src, dst = self._kernel.epoch(self._rows, depth, cost)
+        if ids.size:
+            self._edges.append((depth, ids, src, dst))
+        return tasks
 
     def _step_fused(
         self, active: List[WalkerEnvelope], depth: int, cost: CostModel
@@ -316,6 +408,20 @@ class ShardRuntime:
             env.warp_cursor = engine.warp_counter
         return tasks
 
+    def _emigrate_rows(self) -> Dict[int, WalkerBatch]:
+        """Split off the rows whose frontier left the owned range: one
+        column batch per destination (finished rows stay)."""
+        rows = self._rows
+        owners = range_owners(self.bounds, rows.heads(), stride=self._stride)
+        owners[rows.counts == 0] = self.shard_index
+        if (owners == self.shard_index).all():
+            return {}
+        outboxes = rows.split(owners)
+        staying = outboxes.pop(self.shard_index, None)
+        self._rows = staying if staying is not None else WalkerBatch.empty()
+        self.emigrated += len(rows) - len(self._rows)
+        return outboxes
+
     def _emigrate(
         self, stepped: List[WalkerEnvelope]
     ) -> Dict[int, List[WalkerEnvelope]]:
@@ -346,6 +452,9 @@ class ShardRuntime:
     # ------------------------------------------------------------------ #
     def collect(self) -> ShardReport:
         """Report every resident walker plus the shard's accounting."""
+        walkers = edges = None
+        if self._kernel is not None:
+            walkers, edges = self._rows, self._edge_log()
         return ShardReport(
             shard_index=self.shard_index,
             envelopes=[env for _, env in sorted(self._residents.items())],
@@ -354,4 +463,18 @@ class ShardRuntime:
             steps=self.steps,
             admitted=self.admitted,
             emigrated=self.emigrated,
+            walkers=walkers,
+            edges=edges,
+        )
+
+    def _edge_log(self) -> Tuple[np.ndarray, ...]:
+        """The edge log as ``(instance ids, depths, src, dst)`` columns."""
+        if not self._edges:
+            return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+        depths, ids, src, dst = zip(*self._edges)
+        return (
+            np.concatenate(ids),
+            np.repeat(np.asarray(depths, dtype=np.int64), [i.size for i in ids]),
+            np.concatenate(src),
+            np.concatenate(dst),
         )

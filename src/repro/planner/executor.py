@@ -20,7 +20,8 @@ planner as through the old per-facade paths (asserted by
 ``tests/integration/test_bitcompat_matrix.py``).
 
 Unless the plan resolves to the fused walk kernel (whose depth-loop and
-drain drivers then take the engine's place), the executor only ever talks to
+drain drivers then take the engine's place, and whose shard-epoch driver
+runs inside each shard), the executor only ever talks to
 ``engine.step_instances`` / ``engine.expand_entries``, so the equivalence
 suites hand it the scalar MAIN-loop oracle
 (:mod:`repro.baselines.reference`) in the engine's place.
@@ -45,7 +46,12 @@ from repro.gpusim.prng import CounterRNG
 from repro.gpusim.kernel import KernelLaunch, StreamTimeline
 from repro.gpusim.memory import TransferEngine
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import partition_bounds, partition_graph, uniform_stride
+from repro.graph.partition import (
+    partition_bounds,
+    partition_graph,
+    range_owners,
+    uniform_stride,
+)
 from repro.oom.balancing import block_fractions
 from repro.oom.batching import group_entries_by_instance, single_batch
 from repro.oom.transfer import PartitionResidency
@@ -143,7 +149,7 @@ class Executor:
         elif instances is None:
             raise ValueError(f"a {route} plan needs instances")
         if route == "sharded":
-            return self._run_sharded(list(instances))
+            return self._run_sharded(instances)
         self._bind()
         if route == "coalesced":
             return self._run_coalesced(members)
@@ -168,6 +174,16 @@ class Executor:
                 self.plan.route,
             )
 
+    def _resolution(self):
+        """The step resolution of the plan's route: ``kernel == "walk"`` runs
+        the walk kernel's driver for the route.  Sharded runs bind no
+        program here (each shard builds its own), so they resolve by
+        algorithm name, as their plan did."""
+        return resolve_step(
+            self.plan.config, self.plan.route, program=self.program,
+            algorithm=self.plan.algorithm,
+        )
+
     # ================================================================== #
     # In-memory MAIN loop (Fig. 2(b)) -- the GraphSampler route
     # ================================================================== #
@@ -181,9 +197,7 @@ class Executor:
         ``num_groups`` members; the iteration counts then come back as one
         list per member.
         """
-        resolution = resolve_step(
-            self.plan.config, self.plan.route, program=self.program
-        )
+        resolution = self._resolution()
         if resolution.kernel == "walk":
             # The fused kernel runs the whole depth loop on the batch's
             # columns, producing the same kernel records and cost totals.
@@ -287,9 +301,7 @@ class Executor:
             queues, batch.seeds, seed_ids, np.zeros_like(batch.seeds)
         )
 
-        resolution = resolve_step(
-            self.plan.config, self.plan.route, program=self.program
-        )
+        resolution = self._resolution()
         if resolution.kernel == "walk":
             # The drain driver of the fused kernel: the same schedule, kernel
             # boundaries and charges, with walker state kept as columns.
@@ -441,10 +453,15 @@ class Executor:
     # ================================================================== #
     # Sharded cluster epochs + reassembly -- the cluster route
     # ================================================================== #
-    def _run_sharded(self, instances: List[InstanceState]):
+    def _run_sharded(self, batch: InstanceBatch):
         # Deferred: repro.distributed's __init__ pulls the coordinator,
         # which itself plans+executes through this module.
-        from repro.distributed.router import MigrationRouter, WalkerEnvelope, bucket_by_shard
+        from repro.distributed.router import (
+            MigrationRouter,
+            WalkerBatch,
+            WalkerEnvelope,
+            bucket_by_shard,
+        )
         from repro.distributed.transport import InProcessTransport
 
         layout = self.plan.layout
@@ -455,16 +472,22 @@ class Executor:
             dtype=np.int64,
         )
         num_shards = int(bounds.size - 1)
-        envelopes = [WalkerEnvelope(instance=inst) for inst in instances]
+        stride = uniform_stride(bounds)
+        # The trace context rides the walkers so shard runtimes (possibly
+        # in other processes) join this request's span tree.
         ctx = _trace.current()
-        if ctx is not None:
-            # Trace context rides the envelopes so shard runtimes (possibly
-            # in other processes) join this request's span tree.
-            for env in envelopes:
-                env.trace_ctx = ctx
-        placement = bucket_by_shard(
-            envelopes, bounds, stride=uniform_stride(bounds)
-        )
+        if self._resolution().kernel == "walk":
+            # Walk-kernel shards hold their walkers as columns: each shard
+            # is admitted the slice of the batch whose seeds it owns.
+            walkers = WalkerBatch.seeded(batch, ctx)
+            placement = walkers.split(
+                range_owners(bounds, walkers.heads(), stride=stride)
+            )
+        else:
+            placement = bucket_by_shard(
+                [WalkerEnvelope(instance=inst, trace_ctx=ctx) for inst in batch],
+                bounds, stride=stride,
+            )
 
         router = MigrationRouter(num_shards)
         epochs = 0
@@ -477,7 +500,7 @@ class Executor:
             )
         try:
             transport.admit(placement)
-            active = len(instances)
+            active = len(batch)
             for depth in range(self.plan.config.depth):
                 if active == 0:
                     break
@@ -494,7 +517,7 @@ class Executor:
             transport.close()
         prof = _profiler.clock(-1)
         result = self._reassemble_shards(
-            reports, len(instances), epochs, router.migrations, num_shards,
+            reports, batch, epochs, router.migrations, num_shards,
             transport.name,
         )
         prof.lap("reassemble")
@@ -503,26 +526,13 @@ class Executor:
     def _reassemble_shards(
         self,
         reports,
-        num_instances: int,
+        batch: InstanceBatch,
         epochs: int,
         migrations: int,
         num_shards: int,
         transport_name: str,
     ):
         from repro.distributed.coordinator import ClusterResult
-        from repro.distributed.router import WalkerEnvelope
-
-        collected: Dict[int, WalkerEnvelope] = {}
-        for report in reports:
-            for env in report.envelopes:
-                if env.instance_id in collected:
-                    raise RuntimeError(
-                        f"walker {env.instance_id} reported by two shards"
-                    )
-                collected[env.instance_id] = env
-        if len(collected) != num_instances:
-            missing = set(range(num_instances)) - set(collected)
-            raise RuntimeError(f"walkers lost during the run: {sorted(missing)}")
 
         total_cost = CostModel()
         for report in reports:  # shard order; integer counters commute
@@ -531,14 +541,16 @@ class Executor:
         # and unlike per-shard counting, invariant across shard counts.
         total_cost.kernel_launches = epochs
 
-        ordered = [collected[instance_id] for instance_id in sorted(collected)]
-        iteration_counts: List[int] = []
-        for env in ordered:
-            iteration_counts.extend(env.iterations)
+        if reports and reports[0].walkers is not None:
+            samples = self._shard_log_samples(reports, batch)
+            # With-replacement walks iterate once per selection.
+            iteration_counts = [1] * samples.num_edges
+        else:
+            samples, iteration_counts = self._envelope_samples(reports, batch)
         cfg = self.plan.config
-        result = SampleResult.from_instances(
-            [env.instance for env in ordered],
-            total_cost,
+        result = SampleResult(
+            samples=samples,
+            cost=total_cost,
             iteration_counts=iteration_counts,
             metadata={
                 "program": self.plan.algorithm,
@@ -557,4 +569,50 @@ class Executor:
             shard_costs=[r.cost for r in reports],
             shard_kernels=[r.kernels for r in reports],
             shard_admitted=[r.admitted for r in reports],
+        )
+
+    @staticmethod
+    def _check_walkers(reported: np.ndarray, batch: InstanceBatch) -> None:
+        """Every walker of ``batch`` reported by exactly one shard."""
+        ids = np.sort(reported)
+        twice = ids[1:][ids[1:] == ids[:-1]]
+        if twice.size:
+            raise RuntimeError(f"walker {int(twice[0])} reported by two shards")
+        missing = np.setdiff1d(batch.instance_ids, ids)
+        if missing.size:
+            raise RuntimeError(f"walkers lost during the run: {missing.tolist()}")
+
+    def _shard_log_samples(self, reports, batch: InstanceBatch) -> SampleColumns:
+        """Close the walk-kernel shards' edge logs: every walker's edges by
+        depth (one shard ran each of its steps, in draw order), walkers in
+        batch order."""
+        self._check_walkers(
+            np.concatenate([r.walkers.ids for r in reports]), batch
+        )
+        ids, depths, src, dst = (
+            np.concatenate([r.edges[k] for r in reports]) for k in range(4)
+        )
+        by_id = np.argsort(batch.instance_ids, kind="stable")
+        owner = by_id[np.searchsorted(batch.instance_ids[by_id], ids)]
+        order = np.lexsort((depths, owner))
+        return SampleColumns.from_owner_edges(
+            batch.instance_ids, batch.seed_offsets, batch.seeds,
+            owner[order], src[order], dst[order],
+        )
+
+    def _envelope_samples(self, reports, batch: InstanceBatch):
+        """``(samples, iteration_counts)`` of envelope shards, walkers in
+        instance-id order."""
+        envelopes = [env for report in reports for env in report.envelopes]
+        self._check_walkers(
+            np.asarray([env.instance_id for env in envelopes], dtype=np.int64),
+            batch,
+        )
+        envelopes.sort(key=lambda env: env.instance_id)
+        iteration_counts: List[int] = []
+        for env in envelopes:
+            iteration_counts.extend(env.iterations)
+        return (
+            SampleColumns.from_instances([env.instance for env in envelopes]),
+            iteration_counts,
         )

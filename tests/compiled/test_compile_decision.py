@@ -106,8 +106,9 @@ class TestCompileDecision:
 class TestResolveStep:
     def test_eligible_walk_compiles_on_engine_routes(self):
         # The walk kernel has a driver on each: the depth loop (in-memory,
-        # coalesced) and the partition drain (out-of-memory).
-        for route in ("in_memory", "coalesced", "out_of_memory"):
+        # coalesced), the partition drain (out-of-memory) and the shard
+        # epoch (sharded).
+        for route in ("in_memory", "coalesced", "out_of_memory", "sharded"):
             resolution = resolve_step(
                 walk_config(), route, program=SimpleRandomWalk()
             )
@@ -117,14 +118,10 @@ class TestResolveStep:
             assert resolution.fallback is None
 
     def test_non_engine_routes_compile_on_the_engine(self):
-        # The sharded route steps through per-shard engines, so eligible
-        # programs compile there too -- on the numpy engine kernel (no
-        # walk-kernel driver to jit).  Non-walk shapes do the same on the
-        # out-of-memory route.
+        # Non-walk shapes compile on the numpy engine kernel (no walk-kernel
+        # driver to jit), here on the out-of-memory route.
         non_walk = walk_config().replace(with_replacement=False)
-        for route, config in (
-            ("sharded", walk_config()), ("out_of_memory", non_walk),
-        ):
+        for route, config in (("out_of_memory", non_walk),):
             resolution = resolve_step(config, route, program=SimpleRandomWalk())
             assert resolution.tier == "compiled"
             assert resolution.kernel == "engine"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api.instance import InstanceState, make_instances
+from repro.api.instance import InstanceBatch, InstanceState, make_instances
 from repro.api.sampler import GraphSampler
 from repro.algorithms.registry import default_config, get_algorithm
 from repro.distributed import (
@@ -11,6 +11,7 @@ from repro.distributed import (
     MigrationRouter,
     ShardRuntime,
     ShardedSamplingCluster,
+    WalkerBatch,
     WalkerEnvelope,
     bucket_by_shard,
     routing_vertex,
@@ -28,6 +29,14 @@ def envelope(instance_id: int, vertex: int) -> WalkerEnvelope:
             instance_id=instance_id,
             frontier_pool=np.array([vertex], dtype=np.int64),
         )
+    )
+
+
+def walker_batch(pairs) -> WalkerBatch:
+    """Unstepped walk-kernel walkers, one ``(instance id, vertex)`` row each."""
+    ids, vertices = (np.asarray(column, dtype=np.int64) for column in zip(*pairs))
+    return WalkerBatch.seeded(
+        InstanceBatch(ids, np.arange(ids.size + 1, dtype=np.int64), vertices)
     )
 
 
@@ -74,37 +83,95 @@ class TestRouter:
         with pytest.raises(ValueError, match="one outbox per shard"):
             MigrationRouter(2).exchange([{}])
 
+    def test_exchange_merges_column_batches_in_source_order(self):
+        router = MigrationRouter(3)
+        outboxes = [
+            {1: walker_batch([(0, 12), (4, 13)])},
+            {},
+            {1: walker_batch([(1, 14)]), 0: walker_batch([(2, 3)])},
+        ]
+        inboxes = router.exchange(outboxes)
+        assert all(isinstance(b, WalkerBatch) for b in inboxes.values())
+        assert inboxes[1].ids.tolist() == [0, 4, 1]
+        assert inboxes[1].heads().tolist() == [12, 13, 14]
+        assert inboxes[0].ids.tolist() == [2]
+        # Migrations count walkers, not batches.
+        assert router.migrations == 4
+
+    def test_exchange_skips_empty_column_batches(self):
+        router = MigrationRouter(2)
+        assert router.exchange([{1: WalkerBatch.empty()}, {}]) == {}
+        assert router.migrations == 0
+
+    def test_exchange_rejects_column_self_routing(self):
+        router = MigrationRouter(2)
+        with pytest.raises(ValueError, match="itself"):
+            router.exchange([{0: walker_batch([(0, 1)])}, {}])
+
+    def test_exchange_rejects_column_unknown_destination(self):
+        router = MigrationRouter(2)
+        with pytest.raises(ValueError, match="unknown shard"):
+            router.exchange([{7: walker_batch([(0, 1)])}, {}])
+
+    def test_column_batch_keeps_pools_and_trace_context(self):
+        batch = WalkerBatch.seeded(
+            make_instances([[5, 2, 9], [7], [1, 3]]), trace_ctx=("t", "s")
+        )
+        taken = batch.take(np.array([2, 0]))
+        assert taken.ids.tolist() == [2, 0]
+        assert taken.counts.tolist() == [2, 3]
+        assert taken.pool.tolist() == [1, 3, 5, 2, 9]
+        assert taken.heads().tolist() == [1, 5]
+        assert taken.trace_ctx == ("t", "s")
+        merged = WalkerBatch.empty() + taken
+        assert len(merged) == 2 and merged.trace_ctx == ("t", "s")
+
 
 class TestShardRuntime:
+    """Walk-kernel shards: residents are columns, arrivals column batches."""
+
+    ALGORITHM = "deepwalk"
+
+    @staticmethod
+    def arrivals(pairs):
+        return walker_batch(pairs)
+
+    @staticmethod
+    def heads(walkers):
+        return walkers.heads().tolist()
+
     @pytest.fixture(scope="class")
     def graph(self):
         return powerlaw_graph(40, 6.0, seed=3)
 
+    def shard(self, graph, index, bounds):
+        return ShardRuntime(index, graph, bounds, self.ALGORITHM, {},
+                            default_config(self.ALGORITHM))
+
     def test_owned_range_and_admit(self, graph):
         bounds = partition_bounds(graph, 2)
-        shard = ShardRuntime(0, graph, bounds, "deepwalk", {}, default_config("deepwalk"))
+        shard = self.shard(graph, 0, bounds)
         assert shard.lo == 0 and shard.hi == int(bounds[1])
-        shard.admit([envelope(0, 1), envelope(1, 2)])
+        shard.admit(self.arrivals([(0, 1), (1, 2)]))
         assert shard.resident_count() == 2
         assert shard.active_count() == 2
 
     def test_double_admit_rejected(self, graph):
         bounds = partition_bounds(graph, 2)
-        shard = ShardRuntime(0, graph, bounds, "deepwalk", {}, default_config("deepwalk"))
-        shard.admit([envelope(0, 1)])
+        shard = self.shard(graph, 0, bounds)
+        shard.admit(self.arrivals([(0, 1)]))
         with pytest.raises(ValueError, match="already resident"):
-            shard.admit([envelope(0, 1)])
+            shard.admit(self.arrivals([(0, 1)]))
 
     def test_step_emigrates_walkers_leaving_the_range(self, graph):
         bounds = partition_bounds(graph, 4)
-        config = default_config("deepwalk")
-        shard = ShardRuntime(0, graph, bounds, "deepwalk", {}, config)
-        shard.admit([envelope(i, v) for i, v in enumerate(range(0, int(bounds[1])))])
+        shard = self.shard(graph, 0, bounds)
+        shard.admit(self.arrivals(list(enumerate(range(0, int(bounds[1]))))))
         outboxes = shard.step(0)
-        for dst, envelopes in outboxes.items():
+        for dst, walkers in outboxes.items():
             assert dst != 0
-            for env in envelopes:
-                assert bounds[dst] <= routing_vertex(env.instance) < bounds[dst + 1]
+            for vertex in self.heads(walkers):
+                assert bounds[dst] <= vertex < bounds[dst + 1]
         # Every walker is either still resident or in an outbox.
         shipped = sum(len(v) for v in outboxes.values())
         assert shard.resident_count() + shipped == int(bounds[1])
@@ -113,17 +180,39 @@ class TestShardRuntime:
     def test_invalid_shard_index(self, graph):
         bounds = partition_bounds(graph, 2)
         with pytest.raises(ValueError, match="outside the partitioning|outside"):
-            ShardRuntime(5, graph, bounds, "deepwalk", {}, default_config("deepwalk"))
+            self.shard(graph, 5, bounds)
 
     def test_kernels_record_one_launch_per_active_step(self, graph):
         bounds = partition_bounds(graph, 1)
-        config = default_config("deepwalk")
-        shard = ShardRuntime(0, graph, bounds, "deepwalk", {}, config)
-        shard.admit([envelope(0, 1)])
-        for depth in range(config.depth):
+        shard = self.shard(graph, 0, bounds)
+        shard.admit(self.arrivals([(0, 1)]))
+        for depth in range(default_config(self.ALGORITHM).depth):
             shard.step(depth)
         assert len(shard.kernels) == shard.steps
         assert all(k.cost.sampled_edges >= 0 for k in shard.kernels)
+
+    def test_rejects_the_other_resident_form(self, graph):
+        shard = self.shard(graph, 0, partition_bounds(graph, 2))
+        other = (
+            [envelope(0, 1)] if self.ALGORITHM == "deepwalk"
+            else walker_batch([(0, 1)])
+        )
+        with pytest.raises(TypeError):
+            shard.admit(other)
+
+
+class TestEnvelopeShardRuntime(TestShardRuntime):
+    """The same contract on envelope shards (a stateful program)."""
+
+    ALGORITHM = "random_walk_with_jump"
+
+    @staticmethod
+    def arrivals(pairs):
+        return [envelope(i, v) for i, v in pairs]
+
+    @staticmethod
+    def heads(walkers):
+        return [routing_vertex(env.instance) for env in walkers]
 
 
 class TestCoordinator:

@@ -62,7 +62,7 @@ STATEFUL = {
     "random_walk_with_restart": "overrides",
 }
 #: Routes on which the walk shapes run the fused walk kernel.
-WALK_KERNEL_ROUTES = {"in_memory", "coalesced", "out_of_memory"}
+WALK_KERNEL_ROUTES = {"in_memory", "coalesced", "out_of_memory", "sharded"}
 
 
 def expected_step(algorithm, route):
@@ -108,7 +108,8 @@ AXES = [
         ROUTES, ALGORITHMS,
     ),
     # Weighted graphs reach the walk kernel's weighted rows in memory and
-    # the engine's declared node2vec / weight-or-degree sites when sharded.
+    # in the shard epoch, and the engine's declared weight-or-degree sites
+    # when sharded.
     ([{"graph": "weighted"}], ("in_memory", "sharded"), ALGORITHMS),
     ([{"members": 2}, {"members": 3}], ("coalesced",), ALGORITHMS),
     (
@@ -313,6 +314,7 @@ class Run:
     schedule: dict = field(default_factory=dict)
     plan: object = None
     step_tier: Optional[str] = None
+    cluster: Optional[dict] = None   # sharded: per-shard accounting
 
 
 def result_run(result, execution_plan=None, schedule=None):
@@ -323,6 +325,18 @@ def result_run(result, execution_plan=None, schedule=None):
         schedule or {}, execution_plan,
         None if execution_plan is None else execution_plan.step_tier,
     )
+
+
+def cluster_of(ran):
+    """A sharded run's per-shard accounting, as the contract compares it."""
+    return {
+        "shard_costs": [cost.as_dict() for cost in ran.shard_costs],
+        "shard_kernels": [[(k.name, k.num_warp_tasks, k.cost.as_dict())
+                           for k in kernels] for kernels in ran.shard_kernels],
+        "shard_admitted": ran.shard_admitted,
+        "migrations": ran.migrations,
+        "epochs": ran.epochs,
+    }
 
 
 def drain_run(ran, execution_plan=None):
@@ -368,7 +382,8 @@ def assert_bit_identical(a, b, *, kernels=False, step_tier=None):
 @dataclass
 class Seen:
     """What a run constructed: engines (declared kind or not), walk-kernel
-    driver calls, ``InstanceState`` constructions and ``record_edges`` calls."""
+    driver calls (depth loop, drain, shard epoch), ``InstanceState``
+    constructions and ``record_edges`` calls."""
 
     engines: list = field(default_factory=list)
     walk_runs: int = 0
@@ -400,7 +415,7 @@ def observe():
         seen.record_edges += 1
         record(self, *args)
 
-    def spy_driver(driver):  # the depth loop's run, the drain's expand
+    def spy_driver(driver):  # the depth loop, the drain, the shard epoch
         def spy(self, *args, **kwargs):
             seen.walk_runs += 1
             return driver(self, *args, **kwargs)
@@ -412,7 +427,9 @@ def observe():
             mock.patch.object(CompiledWalkKernel, "run",
                               spy_driver(CompiledWalkKernel.run)), \
             mock.patch.object(CompiledWalkKernel, "expand",
-                              spy_driver(CompiledWalkKernel.expand)):
+                              spy_driver(CompiledWalkKernel.expand)), \
+            mock.patch.object(CompiledWalkKernel, "epoch",
+                              spy_driver(CompiledWalkKernel.epoch)):
         yield seen
 
 
@@ -459,6 +476,7 @@ class Matrix:
         self.graphs = {"plain": (GRAPH, GRAPH), "weighted": (weighted, weighted),
                        "compacted": compacted}
         self._references = {}
+        self._twins = {}
         self._drained = set()
         self._service = None
 
@@ -469,6 +487,7 @@ class Matrix:
     def check(self, cell):
         tier, kernel = expected(cell)
         reference = self.reference(cell)
+        twin = self.twin(cell)
         graph = self.graphs[cell.settings["graph"]][0]
         with observe() as seen:
             with switched(cell.settings):
@@ -480,6 +499,8 @@ class Matrix:
             )
             assert sum(len(s.edges) for member in run.samples
                        for s in member) > 0
+        if twin is not None:
+            assert run.cluster == twin
         if run.plan is not None:
             assert run.plan.route == cell.route
             if tier == "compiled":
@@ -519,6 +540,22 @@ class Matrix:
             self._references[key] = self._reference(cell)
         return self._references[key]
 
+    def twin(self, cell):
+        """A multi-shard walk cell's per-shard accounting on the interpreted
+        envelope path at the same shard count and transport (``None`` for
+        every other cell): the shard epoch must split work, costs, kernels
+        and migrations exactly as the walkers' envelopes did."""
+        s = cell.settings
+        if cell.route != "sharded" or cell.algorithm not in WALKS \
+                or s["shards"] == 1:
+            return None
+        key = self._key(cell) + (s["shards"], s["transport"])
+        if key not in self._twins:
+            with interpreted():
+                self._twins[key] = self._sharded(
+                    cell, self.graphs[s["graph"]][1]).cluster
+        return self._twins[key]
+
     def _reference(self, cell):
         graph = self.graphs[cell.settings["graph"]][1]
         config, shape = config_of(cell), cell.settings["shape"]
@@ -538,10 +575,15 @@ class Matrix:
             return drain_run(oracle_run(graph, program, config, batch,
                                         oom=oom_of(cell)))
         seeds, count = SHAPES[shape]
-        return result_run(ShardedSamplingCluster(
-            graph, cell.algorithm, config, num_shards=1,
-            program_kwargs=PROGRAM_KWARGS.get(cell.algorithm),
-        ).run(seeds, num_instances=count).result)
+        # Walks: the envelope path on the interpreted engine, planned and
+        # run with the compiled tier off, so the reference never runs the
+        # shard-epoch driver the variants test.
+        with interpreted() if cell.algorithm in WALKS \
+                else contextlib.nullcontext():
+            return result_run(ShardedSamplingCluster(
+                graph, cell.algorithm, config, num_shards=1,
+                program_kwargs=PROGRAM_KWARGS.get(cell.algorithm),
+            ).run(seeds, num_instances=count).result)
 
     # -- variants: what a user runs, with the cell's axes moved ----------- #
     def _in_memory(self, cell, graph):
@@ -612,7 +654,9 @@ class Matrix:
         assert ran.num_shards == cluster.num_shards
         if ran.num_shards > 1:  # walkers really crossed shards
             assert ran.migrations > 0
-        return result_run(ran.result, execution_plan)
+        run = result_run(ran.result, execution_plan)
+        run.cluster = cluster_of(ran)
+        return run
 
     def _served(self, graph, algorithm, seeds, count, config):
         """One request through a thread-worker service: its stats report the
