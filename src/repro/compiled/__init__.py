@@ -9,9 +9,10 @@ decisions are fixed at plan time, so this package compiles them out through
 two kernels:
 
 * the **fused walk kernel** (:class:`~repro.compiled.walk_kernel.
-  CompiledWalkKernel`) for walk-shaped plans on the in-memory and coalesced
-  routes (its depth-loop driver) and in the out-of-memory route's partition
-  drains (its drain driver): every walker stays in flat arrays, hook dispatch
+  CompiledWalkKernel`) for walk-shaped plans on every route, stepped by the
+  executor's depth loop and partition drain and by the shard runtimes
+  through its two entry points (``step`` / ``expand``, the engine's twins):
+  every walker stays in flat arrays, hook dispatch
   disappears, and the biased kinds answer selection from per-graph cached
   structures (:mod:`repro.compiled.structures`) -- flat CTPS prefixes for
   weight/degree biases, per-traversed-edge prefix rows for node2vec -- built

@@ -21,10 +21,10 @@ what a plan says and what runs cannot disagree.  Eligible plans resolve to:
   (:class:`~repro.compiled.walk_kernel.CompiledWalkKernel`) for walk-shaped
   plans (single-neighbor-ish per-vertex selection with replacement, no
   frontier sub-selection, no visited tracking, no declared hook shapes) on
-  the routes it has a driver for (:data:`COMPILABLE_ROUTES` -- all
-  four): the depth loop of the in-memory and coalesced routes, the
-  partition drain of the out-of-memory route, the shard epoch of the
-  sharded route;
+  the routes whose loops call it (:data:`COMPILABLE_ROUTES` -- all
+  four): the depth loop of the in-memory and coalesced routes and the
+  partition drain of the out-of-memory route (its ``step`` / ``expand``),
+  each shard's epoch on the sharded route (its ``step``);
 * ``"engine"`` -- the batched engine with declared-shape hook sites
   (:func:`~repro.compiled.step_engine.declared_sites`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
@@ -78,7 +78,7 @@ KNOWN_UPDATE_SHAPES = ("unvisited", "keep_src_on_dead_end")
 KNOWN_NEIGHBOR_COUNT_SHAPES = ("pool_capped",)
 KNOWN_VERTEX_BIAS_SHAPES = ("degree_plus_one",)
 
-#: Routes on which the fused walk kernel has a driver: the depth loop
+#: Routes whose loops call the fused walk kernel: the depth loop
 #: (in-memory, coalesced), the partition drain (out-of-memory) and the
 #: shard epoch (sharded).
 COMPILABLE_ROUTES = ("in_memory", "coalesced", "out_of_memory", "sharded")

@@ -6,21 +6,19 @@ default accept/update hooks, a recognised bias kind).  Where the interpreted
 :class:`~repro.engine.step.BatchedStepEngine` re-dispatches program hooks,
 materialises a :class:`~repro.api.bias.SegmentedEdgePool` and walks a Python
 loop over allocated segments every kernel, the compiled kernel keeps the
-whole fleet of walkers in flat ndarrays -- columns in
-(:class:`~repro.api.instance.InstanceBatch`), columns out
-(:class:`~repro.api.results.SampleColumns`) -- and never builds a
-per-instance object: one stable sort by owner after the last kernel turns
-the per-kernel draws into every instance's edge range.
+whole fleet of walkers in flat ndarrays -- the rows of one
+:class:`WalkerBatch` in, one :class:`EdgeLog` of drawn edges out -- and
+never builds a per-instance object: the log closes into
+:class:`~repro.api.results.SampleColumns` with one stable sort by owner.
 
-Three drivers share one SELECT over that state: the depth loop (in-memory
-and coalesced routes: one kernel per depth over every walker's frontier),
-the partition drain (out-of-memory route: one kernel per group of
-frontier-queue entries of a resident partition, Section V-C's batched
-multi-instance kernel) and the shard epoch (sharded route: one kernel per
-shard per depth over the walkers resident on that shard, each drawing from
-the private warp cursor that migrates with it).  The depth loop and the
-shard epoch run one per-depth body over walker rows; the shard's rows
-arrive and leave as column batches, never as per-walker objects.
+The kernel keeps no per-run state and runs no loop.  It has the engine's
+two entry points: :meth:`~CompiledWalkKernel.step` (every walker row one
+depth, the twin of ``BatchedStepEngine.step_instances``) and
+:meth:`~CompiledWalkKernel.expand` (one Section V-C batched kernel over
+frontier-queue entries, the twin of ``expand_entries``).  Whoever loops
+calls them as it calls the engine: the executor's depth loop (in-memory
+and coalesced routes) and partition drain (out-of-memory route), and each
+:class:`~repro.distributed.shard.ShardRuntime` (sharded route).
 
 Specialisations, by plan-proved properties:
 
@@ -52,45 +50,47 @@ the cached rows (:func:`~repro.selection.segmented.prefix_local_search`,
 or its numba twin) with probes bitwise equal to the per-step CTPS.
 
 **Bit-compatibility contract.**  The kernel draws the same RNG keys
-(``(instance, depth, slot, warp, lane)`` in the depth loop and the shard
-epoch, ``(instance, depth, vertex, warp, lane)`` in the drain), advances the
-engine's (or each walker's) warp cursors in the same order, and charges
-every cost-model counter exactly as the interpreted path charges it (the
-uniform specialisation charges the closed forms of the
-scan/normalise/search work it skipped).  Samples, iteration counts,
-per-kernel cost records and warp-task counts are all identical; the
-``compiled``, (for the drain) ``preset``/``shape`` and (for the shard
-epoch) ``shards``/``transport`` cells of
+(``(instance, depth, slot, warp, lane)`` in :meth:`~CompiledWalkKernel.step`,
+``(instance, depth, vertex, warp, lane)`` in
+:meth:`~CompiledWalkKernel.expand`), advances the engine's (or each warp
+group's) cursors in the same order, and charges every cost-model counter
+exactly as the interpreted path charges it (the uniform specialisation
+charges the closed forms of the scan/normalise/search work it skipped).
+Samples, iteration counts, per-kernel cost records and warp-task counts are
+all identical; the ``compiled``, (for the drain) ``preset``/``shape`` and
+(for the shards) ``shards``/``transport`` cells of
 ``tests/integration/test_bitcompat_matrix.py`` and
 ``tests/compiled/test_walk_kernel.py`` hold it to that.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.instance import InstanceBatch
+from repro.api.instance import InstanceBatch, offsets_from_counts
 from repro.api.results import SampleColumns
 from repro.compiled.compiler import WALK_KINDS
 from repro.compiled.step_engine import kind_biases
 from repro.compiled.structures import get_structures
 from repro.engine.step import alloc_warp_ids
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.kernel import KernelLaunch
 from repro.selection.segmented import (
     charge_its_select,
     concat_aranges,
     prefix_local_search,
     segmented_kogge_stone_inclusive,
+    take_segments,
 )
 from repro.telemetry import profiler as _profiler
-from repro.telemetry import trace as _trace
 
-__all__ = ["CompiledWalkKernel", "uniform_local_search"]
+__all__ = ["CompiledWalkKernel", "EdgeLog", "WalkerBatch", "uniform_local_search"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_COLUMNS = ("ids", "counts", "pool", "prevs", "cursors")
 
 
 def uniform_local_search(rs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -121,91 +121,166 @@ def _per_draw(values: np.ndarray, ns: int) -> np.ndarray:
     return values if ns == 1 else np.repeat(values, ns)
 
 
-class _WalkerColumns:
-    """Run-level walker state as columns, shared by the depth loop and the
-    drain.
+# ---------------------------------------------------------------------- #
+# Walker state: rows, and the edges they drew
+# ---------------------------------------------------------------------- #
+@dataclass
+class WalkerBatch:
+    """Walk-kernel walkers as rows of columns: the one walker state, also
+    the sharded route's resident and wire form.
 
-    One row per instance of the batch: the ``prev`` vertex node2vec's bias
-    reads, the segmented frontier pool the depth loop advances (``counts``
-    plus the row-major flat ``pool``, seeded from the batch), and an
-    append-only ``(owner rank, src, dst)`` edge log that one stable sort by
-    owner closes into :class:`SampleColumns`.  Iteration counts need no
-    column of their own: with-replacement selections iterate exactly once,
-    so an instance's total is its edge count.
+    One row per walker: its global instance id, its segmented frontier pool
+    (``counts`` plus the row-major flat ``pool``; an empty pool is a
+    finished walker), the ``prev`` vertex node2vec's bias reads and the next
+    warp id of its private warp stream (``cursors``).  Edges never ride
+    along (they go to an :class:`EdgeLog`); the trace context rides once
+    per batch.
     """
 
-    __slots__ = ("batch", "ids", "prevs", "counts", "pool", "_owner", "_src",
-                 "_dst", "_id_order", "_sorted_ids")
+    ids: np.ndarray
+    counts: np.ndarray
+    pool: np.ndarray
+    prevs: np.ndarray
+    cursors: np.ndarray
+    #: Telemetry trace context
+    #: (see :attr:`~repro.distributed.router.WalkerEnvelope.trace_ctx`).
+    trace_ctx: Optional[tuple] = None
 
-    def __init__(self, batch: InstanceBatch):
-        self.batch = batch
-        self.ids = ids = batch.instance_ids
-        self.prevs = np.full(ids.size, -1, dtype=np.int64)
-        self.counts = np.diff(batch.seed_offsets)
-        self.pool = batch.seeds
-        self._owner: List[np.ndarray] = []
-        self._src: List[np.ndarray] = []
-        self._dst: List[np.ndarray] = []
-        # ``make_instances`` numbers instances 0..n-1, where the id is the
-        # rank; any other id column resolves by one binary search.
-        self._id_order = self._sorted_ids = None
-        if not np.array_equal(ids, np.arange(ids.size, dtype=np.int64)):
-            self._id_order = np.argsort(ids, kind="stable")
-            self._sorted_ids = ids[self._id_order]
+    @classmethod
+    def seeded(
+        cls, batch: InstanceBatch, trace_ctx: Optional[tuple] = None
+    ) -> "WalkerBatch":
+        """The walkers of ``batch`` before their first step."""
+        num = len(batch)
+        return cls(
+            batch.instance_ids, np.diff(batch.seed_offsets), batch.seeds,
+            np.full(num, -1, dtype=np.int64), np.zeros(num, dtype=np.int64),
+            trace_ctx,
+        )
 
-    def ranks(self, instance_ids: np.ndarray) -> np.ndarray:
-        """Row of each instance id (the drain's queues carry ids)."""
-        if self._id_order is None:
-            return instance_ids
-        return self._id_order[np.searchsorted(self._sorted_ids, instance_ids)]
+    @classmethod
+    def empty(cls) -> "WalkerBatch":
+        return cls(*(np.empty(0, dtype=np.int64) for _ in _COLUMNS))
 
-    def log_edges(self, owner: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        self._owner.append(owner)
-        self._src.append(src)
-        self._dst.append(dst)
+    def __len__(self) -> int:
+        return int(self.ids.size)
 
-    def set_prevs(self, owner: np.ndarray, vertices: np.ndarray) -> None:
-        """``prev[owner[k]] = vertices[k]`` in entry order: last write wins,
-        as the per-entry loop's assignments do (numpy promises no order for
-        repeated indices, so repeats resolve to their last entry first)."""
-        if owner.size > 1:
-            owner, first = np.unique(owner[::-1], return_index=True)
-            vertices = vertices[::-1][first]
-        self.prevs[owner] = vertices
+    def __add__(self, other: "WalkerBatch") -> "WalkerBatch":
+        """Both batches' rows, in order; the first trace context carried."""
+        return WalkerBatch(
+            *(np.concatenate([getattr(self, c), getattr(other, c)])
+              for c in _COLUMNS),
+            trace_ctx=self.trace_ctx if self.trace_ctx is not None
+            else other.trace_ctx,
+        )
 
-    def samples(self) -> SampleColumns:
-        """Close the edge log: group the flat per-kernel draws by owner
-        (stable, so each owner's edges stay in the order they were drawn --
-        the exact order the interpreted UPDATE loop records them)."""
-        batch = self.batch
+    def take(self, rows: np.ndarray) -> "WalkerBatch":
+        """The given rows, in the given order, each with its pool."""
+        pool, _ = take_segments(self.pool, offsets_from_counts(self.counts), rows)
+        return WalkerBatch(
+            self.ids[rows], self.counts[rows], pool, self.prevs[rows],
+            self.cursors[rows], self.trace_ctx,
+        )
+
+    def heads(self) -> np.ndarray:
+        """Each row's routing vertex
+        (:func:`~repro.distributed.router.routing_vertex`: the first pool
+        vertex); ``-1`` for a finished row."""
+        heads = np.full(len(self), -1, dtype=np.int64)
+        live = self.counts > 0
+        heads[live] = self.pool[offsets_from_counts(self.counts)[:-1][live]]
+        return heads
+
+    def split(self, owners: np.ndarray) -> Dict[int, "WalkerBatch"]:
+        """Rows grouped by ``owners[row]``, each group in row order."""
+        return {
+            int(owner): self.take(np.flatnonzero(owners == owner))
+            for owner in np.unique(owners)
+        }
+
+
+def id_rows(ids: np.ndarray, instance_ids: np.ndarray) -> np.ndarray:
+    """Row of each of ``instance_ids`` in the (unique) id column ``ids``.
+
+    ``make_instances`` numbers instances ``0..n-1``, where the id is the
+    row; any other id column resolves by one binary search.
+    """
+    if np.array_equal(ids, np.arange(ids.size, dtype=np.int64)):
+        return instance_ids
+    order = np.argsort(ids, kind="stable")
+    return order[np.searchsorted(ids[order], instance_ids)]
+
+
+def set_prevs(prevs: np.ndarray, owner: np.ndarray, vertices: np.ndarray) -> None:
+    """``prevs[owner[k]] = vertices[k]`` in entry order: last write wins, as
+    the per-entry loop's assignments do (numpy promises no order for
+    repeated indices, so repeats resolve to their last entry first)."""
+    if owner.size > 1:
+        owner, first = np.unique(owner[::-1], return_index=True)
+        vertices = vertices[::-1][first]
+    prevs[owner] = vertices
+
+
+class EdgeLog:
+    """Every edge the kernel drew, as ``(launch, owner, src, dst)`` chunks.
+
+    One chunk per kernel that drew, its edges in draw order.  ``launch``
+    orders the chunks: the depth in the depth loop and on a shard, the
+    kernel index in the drain (where one walker's branches can sit in
+    different partitions, so launch order, not depth, is draw order).
+    ``owner`` is each edge's batch row or, ``by_id`` (shard logs: rows
+    migrate), its instance id.  Logs concatenate with ``+``.  Iteration
+    counts need no log: with-replacement selections iterate exactly once.
+    """
+
+    __slots__ = ("by_id", "chunks")
+
+    def __init__(self, by_id: bool = False):
+        self.by_id = by_id
+        self.chunks: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.chunks)
+
+    def __add__(self, other: "EdgeLog") -> "EdgeLog":
+        log = EdgeLog(self.by_id)
+        log.chunks = self.chunks + other.chunks
+        return log
+
+    def append(self, launch: int, rows: WalkerBatch, owner: np.ndarray,
+               src: np.ndarray, dst: np.ndarray) -> None:
+        """Log one kernel's draws; ``owner`` are rows of ``rows``."""
+        if owner.size:
+            self.chunks.append(
+                (launch, rows.ids[owner] if self.by_id else owner, src, dst)
+            )
+
+    def close(self, batch: InstanceBatch) -> SampleColumns:
+        """The edges of ``batch``'s instances: chunks stably sorted by
+        launch, then edges stably grouped by owner, so each instance's
+        edges keep the order they were drawn in -- the exact order the
+        interpreted UPDATE loop records them."""
+        chunks = sorted(self.chunks, key=itemgetter(0))
+        owner, src, dst = (
+            np.concatenate([chunk[k] for chunk in chunks]) if chunks else _EMPTY
+            for k in (1, 2, 3)
+        )
+        if self.by_id:
+            owner = id_rows(batch.instance_ids, owner)
         return SampleColumns.from_owner_edges(
-            self.ids, batch.seed_offsets, batch.seeds,
-            *(
-                np.concatenate(parts) if parts else _EMPTY
-                for parts in (self._owner, self._src, self._dst)
-            ),
+            batch.instance_ids, batch.seed_offsets, batch.seeds, owner, src, dst
         )
 
 
 class CompiledWalkKernel:
     """Plan-specialised fused callable for walk-shaped plans.
 
-    Instantiated per run by the executor around a live
+    Instantiated per run around a live
     :class:`~repro.engine.step.BatchedStepEngine` (whose RNG and warp
     cursors it shares, so interleaving compiled and interpreted runs on one
-    sampler keeps a single warp-id stream).  Three drivers share one SELECT;
-    the depth loop and the shard epoch also share one per-depth body
-    (:meth:`_advance`):
-
-    * :meth:`run` -- the depth loop: replaces the executor's
-      ``_depth_loop`` wholesale (in-memory and coalesced routes);
-    * :meth:`begin` / :meth:`expand` / :meth:`finish` -- the drain: the
-      Section V-C batched kernel over frontier-queue entries, called once
-      per kernel by the out-of-memory scheduler where it would call
-      ``engine.expand_entries``;
-    * :meth:`epoch` -- the shard epoch: one kernel per shard per depth over
-      the shard's resident walker rows, called by
-      :class:`~repro.distributed.shard.ShardRuntime` (sharded route).
+    sampler keeps a single warp-id stream).  Its two entry points,
+    :meth:`step` and :meth:`expand`, share one SELECT; the caller owns the
+    :class:`WalkerBatch` rows, the :class:`EdgeLog` and every loop.
     """
 
     def __init__(self, engine, *, kind: str, backend: str):
@@ -228,7 +303,6 @@ class CompiledWalkKernel:
         self.rng = engine.rng
         self.kind = kind
         self.backend = backend
-        self._walkers: Optional[_WalkerColumns] = None
         self._numba_select = self._numba_prefix_search = None
         if backend == "numba":
             from repro.compiled.numba_backend import (
@@ -252,102 +326,39 @@ class CompiledWalkKernel:
                 )
 
     # ------------------------------------------------------------------ #
-    # Driver 1: the depth loop
+    # Entry point 1: one depth of every walker row
     # ------------------------------------------------------------------ #
-    def run(
+    def step(
         self,
-        batch: InstanceBatch,
+        rows: WalkerBatch,
+        log: EdgeLog,
+        depth: int,
+        cost: CostModel,
         groups: Optional[np.ndarray] = None,
-        num_groups: int = 0,
-    ) -> Tuple[
-        List[KernelLaunch], CostModel, SampleColumns,
-        Union[List[int], List[List[int]]],
-    ]:
-        """Walk ``batch`` through every depth, from its seed columns.
+        cursors: Optional[np.ndarray] = None,
+    ) -> Optional[int]:
+        """Advance every active row of ``rows`` one depth, as one kernel.
 
-        Returns ``(kernels, cost, samples, iteration_counts)`` -- the same
-        kernel records, cost totals, per-instance edges and iteration counts
-        as the interpreted depth loop, produced in bulk.  ``groups`` (the
-        coalesced route) gives each instance's member rank among
-        ``num_groups`` members: every member then draws warp ids from its
-        own cursor starting at 0 and gets its own iteration-count list;
-        without it, warp ids continue the engine's global counter and the
-        counts are one list.
+        Rows with an empty pool are finished and draw nothing.  Draws key
+        ``(instance, depth, slot + 1, warp, lane)``; warp ids continue the
+        engine's counter, or -- with ``groups``, one group index per row --
+        row ``r`` draws from ``cursors[groups[r]]``, advanced in place, as
+        in :meth:`BatchedStepEngine.step_instances`.  Updates ``prevs`` and
+        swaps in the new pools in place, logs the drawn edges under launch
+        ``depth`` and charges ``cost``.  Returns the step's warp-task
+        count, or ``None`` when no row was active.
         """
-        with _trace.span(
-            "compiled_run",
-            kind=self.kind,
-            backend=self.backend,
-            instances=len(batch),
-        ):
-            return self._run(batch, groups, num_groups)
-
-    def _run(self, batch: InstanceBatch, groups: Optional[np.ndarray], num_groups: int):
-        kernels: List[KernelLaunch] = []
-        total = CostModel()
-        walkers = _WalkerColumns(batch)
-
-        # Members draw from their own cursors; an ungrouped run continues
-        # the engine's sequence (so interpreted and compiled runs of one
-        # sampler draw from one continuous warp-id stream).
-        cursors = (
-            self.engine.warp_cursor if groups is None
-            else np.zeros(num_groups, dtype=np.int64)
-        )
-
-        for depth in range(self.config.depth):
-            if not walkers.counts.any():
-                break
-            prof = _profiler.clock(depth)
-            step_cost = CostModel()
-            tasks, owner, src, dst = self._advance(
-                walkers, depth, step_cost, prof, groups, cursors
-            )
-            walkers.log_edges(owner, src, dst)
-            step_cost.kernel_launches += 1
-            kernels.append(
-                KernelLaunch(
-                    name=f"kernel:depth{depth}",
-                    cost=step_cost,
-                    num_warp_tasks=max(tasks, 1),
-                )
-            )
-            total.merge(step_cost)
-            prof.lap("update")
-
-        prof = _profiler.clock(-1)
-        samples = walkers.samples()
-        # Iteration counts: with-replacement selections always iterate once,
-        # so only the totals matter (per member when grouped).
-        if groups is None:
-            iterations = [1] * samples.num_edges
-        else:
-            per_group = np.bincount(
-                groups, weights=samples.edges_per_instance(), minlength=num_groups
-            )
-            iterations = [[1] * int(count) for count in per_group]
-        prof.lap("update")
-        return kernels, total, samples, iterations
-
-    def _advance(self, walkers, depth: int, cost: CostModel, prof, groups, cursors):
-        """One depth step of every walker row: the body of the depth loop
-        and of the shard epoch.
-
-        ``walkers`` holds one row per walker: ``ids``, ``prevs`` and the
-        segmented frontier pool (``counts`` plus the row-major flat
-        ``pool``); rows with an empty pool are finished and draw nothing.
-        Draws key ``(instance, depth, slot + 1, warp, lane)``, warp ids come
-        from ``cursors`` (per row group when ``groups`` is given).  Runs
-        SELECT, then updates ``prevs`` and swaps in the new pools, in place.
-        Returns ``(tasks, owner rows, src, dst)``: the step's warp tasks and
-        its drawn edges in draw order.
-        """
-        counts, pool = walkers.counts, walkers.pool
+        prof = _profiler.clock(depth)
+        counts, pool = rows.counts, rows.pool
         act = np.flatnonzero(counts)
+        if act.size == 0:
+            return None
+        if groups is None:
+            cursors = self.engine.warp_cursor
         counts_a = counts[act]
         seg_owner = np.repeat(act, counts_a)
         allocated, owner, src, dst = self._select(
-            walkers, pool, seg_owner,
+            rows, pool, seg_owner,
             np.full(seg_owner.size, depth, dtype=np.int64),
             concat_aranges(counts_a) + 1,
             cost, prof, groups, cursors,
@@ -360,22 +371,22 @@ class CompiledWalkKernel:
         if np.any(single):
             block_starts = np.zeros(act.size, dtype=np.int64)
             np.cumsum(counts_a[:-1], out=block_starts[1:])
-            walkers.prevs[act[single]] = pool[block_starts[single]]
-        walkers.counts = np.bincount(
+            rows.prevs[act[single]] = pool[block_starts[single]]
+        rows.counts = np.bincount(
             seg_owner[allocated], minlength=counts.size
         ) * int(self.config.neighbor_size)
-        walkers.pool = dst
-        return int(allocated.size), owner, src, dst
+        rows.pool = dst
+        log.append(depth, rows, owner, src, dst)
+        prof.lap("update")
+        return int(allocated.size)
 
     # ------------------------------------------------------------------ #
-    # Driver 2: the partition drain (Section V-C batched kernel)
+    # Entry point 2: one batched kernel over frontier-queue entries
     # ------------------------------------------------------------------ #
-    def begin(self, batch: InstanceBatch) -> None:
-        """Open the walker columns of one drained run over ``batch``."""
-        self._walkers = _WalkerColumns(batch)
-
     def expand(
         self,
+        rows: WalkerBatch,
+        log: EdgeLog,
         vertices: np.ndarray,
         instance_ids: np.ndarray,
         depths: np.ndarray,
@@ -385,14 +396,16 @@ class CompiledWalkKernel:
 
         ``(vertices, instance_ids, depths)`` are the int64 entry arrays the
         scheduler popped (every instance's entries of a resident partition,
-        or one instance's when batching is off); draws key ``(instance,
-        depth, vertex, warp, lane)`` and warp ids continue the engine's
-        counter in entry order, exactly as
-        :meth:`BatchedStepEngine.expand_entries` keys and allocates them.
-        Charges ``cost`` with that method's counters and returns the
-        successor entries in the order its per-entry loop enqueues them.
-        Which entries form a kernel, what the launch costs and where the
-        successors go stay the scheduler's business.
+        or one instance's when batching is off); each entry's walker is the
+        row of ``rows`` with its instance id.  Draws key ``(instance, depth,
+        vertex, warp, lane)`` and warp ids continue the engine's counter in
+        entry order, exactly as :meth:`BatchedStepEngine.expand_entries`
+        keys and allocates them.  Charges ``cost`` with that method's
+        counters, logs the drawn edges under the next launch index, updates
+        ``prevs`` and returns the successor entries in the order its
+        per-entry loop enqueues them.  Which entries form a kernel, what
+        the launch costs and where the successors go stay the scheduler's
+        business.
         """
         cfg = self.config
         live = depths < cfg.depth
@@ -405,17 +418,16 @@ class CompiledWalkKernel:
         # Entries of one kernel can sit at different depths: like the
         # engine's expansion, the profile attributes it to no depth.
         prof = _profiler.clock(-1)
-        walkers = self._walkers
-        owners = walkers.ranks(instance_ids)
+        owners = id_rows(rows.ids, instance_ids)
         allocated, owner, src, dst = self._select(
-            walkers, vertices, owners, depths, vertices, cost, prof,
+            rows, vertices, owners, depths, vertices, cost, prof,
             None, self.engine.warp_cursor,
         )
         prof.lap("select")
         if allocated.size == 0:
             return _EMPTY, _EMPTY, _EMPTY
-        walkers.log_edges(owner, src, dst)
-        walkers.set_prevs(owners[allocated], vertices[allocated])
+        log.append(len(log), rows, owner, src, dst)
+        set_prevs(rows.prevs, owners[allocated], vertices[allocated])
         succ_ids = instance_ids[allocated]
         succ_depths = depths[allocated] + 1
         ns = int(cfg.neighbor_size)
@@ -426,49 +438,17 @@ class CompiledWalkKernel:
         prof.lap("update")
         return dst, _per_draw(succ_ids, ns), _per_draw(succ_depths, ns)
 
-    def finish(self) -> Tuple[SampleColumns, List[int]]:
-        """Close the drained run: ``(samples, iteration_counts)``."""
-        samples = self._walkers.samples()
-        self._walkers = None
-        return samples, [1] * samples.num_edges
-
     # ------------------------------------------------------------------ #
-    # Driver 3: the shard epoch (sharded route)
-    # ------------------------------------------------------------------ #
-    def epoch(self, rows, depth: int, cost: CostModel):
-        """One depth step of a shard's resident walkers, as one kernel.
-
-        ``rows`` are the shard's walker columns
-        (:class:`~repro.distributed.router.WalkerBatch`: ``ids``,
-        ``prevs``, the pool ``counts`` + ``pool`` and one warp ``cursors``
-        entry per row), advanced in place.  Every row is its own warp group
-        drawing from its own cursor -- the private stream that migrates with
-        the walker -- so draws key ``(instance, depth, slot + 1, warp,
-        lane)`` exactly as a standalone run of that walker keys them,
-        whichever shard runs the step and whatever shares its batch.
-        Charges ``cost`` and returns ``(tasks, instance ids, src, dst)``:
-        the kernel's warp tasks and its drawn edges in draw order.
-        """
-        prof = _profiler.clock(depth)
-        tasks, owner, src, dst = self._advance(
-            rows, depth, cost, prof,
-            np.arange(len(rows), dtype=np.int64), rows.cursors,
-        )
-        ids = rows.ids[owner]
-        prof.lap("update")
-        return tasks, ids, src, dst
-
-    # ------------------------------------------------------------------ #
-    # GATHER + SELECT of one kernel (every driver)
+    # GATHER + SELECT of one kernel (both entry points)
     # ------------------------------------------------------------------ #
     def _select(
-        self, walkers, seg_vertices, seg_owner, depths, third, cost, prof,
+        self, rows, seg_vertices, seg_owner, depths, third, cost, prof,
         groups, cursors,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``neighbor_size`` neighbors of every segment of one kernel.
 
         Segment ``k`` expands ``seg_vertices[k]`` for walker row
-        ``seg_owner[k]`` (of ``walkers.ids`` / ``walkers.prevs``) and keys
+        ``seg_owner[k]`` (of ``rows.ids`` / ``rows.prevs``) and keys
         its draws ``(instance, depths[k], third[k], warp, lane)``.  Charges
         ``cost`` for the gather and the selection and returns ``(allocated,
         owner, src, dst)``: the indices of the segments that drew (non-empty
@@ -506,7 +486,7 @@ class CompiledWalkKernel:
         )
         # Per-segment RNG coordinates; the lane is appended per draw.
         coords = (
-            walkers.ids[owners_a], depths_a, third_a,
+            rows.ids[owners_a], depths_a, third_a,
             # Sequential in segment order within each member's cursor (the
             # engine's own when ungrouped): the engine's allocation order.
             alloc_warp_ids(
@@ -521,7 +501,7 @@ class CompiledWalkKernel:
                 prefix, base, totals = ctps.prefix, starts_a, ctps.totals[verts_a]
             else:
                 prefix, base, totals = self._node2vec_rows(
-                    verts_a, len_a, walkers.prevs[owners_a], prof
+                    verts_a, len_a, rows.prevs[owners_a], prof
                 )
             idx = self._rows_select(prefix, base, len_a, totals, coords, cost)
         dst = graph.col_idx[_per_draw(starts_a, ns) + idx]

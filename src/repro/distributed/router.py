@@ -6,13 +6,15 @@ when a depth step moves the frontier into another shard's vertex range the
 walker is shipped there before the next step.  Walkers travel in one of two
 forms, fixed per run by the step resolution of the sharded route:
 
-* :class:`WalkerBatch` -- walk-kernel walkers (``resolve_step(...).kernel
-  == "walk"``: the four walk algorithms on the compiled tier) as columns:
-  global instance id, segmented frontier pool, ``prev`` vertex (node2vec's
-  dynamic bias keeps working after a hop) and the walker's private *warp
-  cursor*.  A shard ships its emigrants as one batch per destination
-  (KnightKing's per-destination message batching), carrying the trace
-  context once per batch; the batch is also the shard's resident form.
+* :class:`~repro.compiled.walk_kernel.WalkerBatch` -- walk-kernel walkers
+  (``resolve_step(...).kernel == "walk"``: the four walk algorithms on the
+  compiled tier) as the walk kernel's own rows: global instance id,
+  segmented frontier pool, ``prev`` vertex (node2vec's dynamic bias keeps
+  working after a hop) and the walker's private *warp cursor*.  A shard
+  ships its emigrants as one batch per destination (KnightKing's
+  per-destination message batching), carrying the trace context once per
+  batch; the batch is also the shard's resident form.  It is defined with
+  the kernel and re-exported here.
 * :class:`WalkerEnvelope` -- one object per walker, for every other run:
   the stateful programs, non-walk coalescable programs and any run with
   the compiled tier off (``REPRO_COMPILED=0``).  It carries the
@@ -40,9 +42,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.api.bias import SamplingProgram
-from repro.api.instance import InstanceBatch, InstanceState, offsets_from_counts
+from repro.api.instance import InstanceState
+from repro.compiled.walk_kernel import WalkerBatch
 from repro.graph.partition import range_owners
-from repro.selection.segmented import take_segments
 
 __all__ = [
     "WalkerBatch",
@@ -51,81 +53,6 @@ __all__ = [
     "bucket_by_shard",
     "MigrationRouter",
 ]
-
-_COLUMNS = ("ids", "counts", "pool", "prevs", "cursors")
-
-
-@dataclass
-class WalkerBatch:
-    """Walk-kernel walkers as columns: the wire and resident form.
-
-    One row per walker: its global instance id, its segmented frontier pool
-    (``counts`` plus the row-major flat ``pool``; an empty pool is a
-    finished walker), the ``prev`` vertex node2vec's bias reads and the next
-    warp id of its private warp stream (``cursors``).  Edges never ride
-    along: each shard keeps the edges it drew.  The trace context rides once
-    per batch.
-    """
-
-    ids: np.ndarray
-    counts: np.ndarray
-    pool: np.ndarray
-    prevs: np.ndarray
-    cursors: np.ndarray
-    #: Telemetry trace context (see :attr:`WalkerEnvelope.trace_ctx`).
-    trace_ctx: Optional[tuple] = None
-
-    @classmethod
-    def seeded(
-        cls, batch: InstanceBatch, trace_ctx: Optional[tuple] = None
-    ) -> "WalkerBatch":
-        """The walkers of ``batch`` before their first step."""
-        num = len(batch)
-        return cls(
-            batch.instance_ids, np.diff(batch.seed_offsets), batch.seeds,
-            np.full(num, -1, dtype=np.int64), np.zeros(num, dtype=np.int64),
-            trace_ctx,
-        )
-
-    @classmethod
-    def empty(cls) -> "WalkerBatch":
-        return cls(*(np.empty(0, dtype=np.int64) for _ in _COLUMNS))
-
-    def __len__(self) -> int:
-        return int(self.ids.size)
-
-    def __add__(self, other: "WalkerBatch") -> "WalkerBatch":
-        """Both batches' rows, in order; the first trace context carried."""
-        return WalkerBatch(
-            *(np.concatenate([getattr(self, c), getattr(other, c)])
-              for c in _COLUMNS),
-            trace_ctx=self.trace_ctx if self.trace_ctx is not None
-            else other.trace_ctx,
-        )
-
-    def take(self, rows: np.ndarray) -> "WalkerBatch":
-        """The given rows, in the given order, each with its pool."""
-        pool, _ = take_segments(self.pool, offsets_from_counts(self.counts), rows)
-        return WalkerBatch(
-            self.ids[rows], self.counts[rows], pool, self.prevs[rows],
-            self.cursors[rows], self.trace_ctx,
-        )
-
-    def heads(self) -> np.ndarray:
-        """Each row's routing vertex (:func:`routing_vertex`: the first pool
-        vertex); ``-1`` for a finished row."""
-        heads = np.full(len(self), -1, dtype=np.int64)
-        live = self.counts > 0
-        heads[live] = self.pool[offsets_from_counts(self.counts)[:-1][live]]
-        return heads
-
-    def split(self, owners: np.ndarray) -> Dict[int, "WalkerBatch"]:
-        """Rows grouped by ``owners[row]``, each group in row order."""
-        return {
-            int(owner): self.take(np.flatnonzero(owners == owner))
-            for owner in np.unique(owners)
-        }
-
 
 @dataclass
 class WalkerEnvelope:

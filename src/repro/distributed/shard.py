@@ -26,13 +26,18 @@ resolution (:func:`~repro.compiled.compiler.resolve_step`):
 
 * walk-kernel programs (the four walk algorithms on the compiled tier) keep
   their residents as the rows of one
-  :class:`~repro.distributed.router.WalkerBatch` and advance them with the
-  shard-epoch driver of :class:`~repro.compiled.walk_kernel.
-  CompiledWalkKernel` -- one kernel over every resident row, each row its
-  own warp group.  Walkers arrive and leave as column batches (one per
-  destination), and the edges they draw stay here in an append-only
-  ``(instance id, depth, src, dst)`` log that :meth:`collect` hands back.
-  No per-walker object is built;
+  :class:`~repro.compiled.walk_kernel.WalkerBatch` and advance them with
+  :meth:`CompiledWalkKernel.step
+  <repro.compiled.walk_kernel.CompiledWalkKernel.step>` -- the call the
+  executor's depth loop makes, one kernel over every resident row.  The
+  shard passes ``groups = arange(rows)`` and ``cursors = rows.cursors``:
+  every row is its own warp group drawing from the private warp cursor
+  that migrates with it, so its draws key exactly as a standalone run of
+  that walker keys them, whichever shard runs the step and whatever
+  shares its batch.  Walkers arrive and leave as column batches (one per
+  destination); the edges they draw stay here in an id-owned
+  :class:`~repro.compiled.walk_kernel.EdgeLog` (launch = depth) that
+  :meth:`collect` hands back.  No per-walker object is built;
 * other ``supports_coalescing`` programs (and the walks with
   ``REPRO_COMPILED=0``) share one program object and one
   :class:`~repro.engine.step.BatchedStepEngine` per shard; all resident
@@ -55,19 +60,14 @@ the simulated per-shard device work, not a physical slice of host memory.
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.api.config import SamplingConfig
 from repro.compiled.compiler import resolve_step
-from repro.compiled.walk_kernel import CompiledWalkKernel
-from repro.distributed.router import (
-    WalkerBatch,
-    WalkerEnvelope,
-    Walkers,
-    routing_vertex,
-)
+from repro.compiled.walk_kernel import CompiledWalkKernel, EdgeLog, WalkerBatch
+from repro.distributed.router import WalkerEnvelope, Walkers, routing_vertex
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.kernel import KernelLaunch
@@ -112,7 +112,7 @@ class ShardReport:
         telemetry: Optional[tuple] = None,
         *,
         walkers: Optional[WalkerBatch] = None,
-        edges: Optional[Tuple[np.ndarray, ...]] = None,
+        log: Optional[EdgeLog] = None,
     ):
         self.shard_index = shard_index
         #: Every walker resident at collection (finished and active alike):
@@ -120,9 +120,9 @@ class ShardReport:
         #: :attr:`walkers` (then ``envelopes`` is empty).
         self.envelopes = envelopes
         self.walkers = walkers
-        #: Walk-kernel shards: every edge drawn here, as ``(instance ids,
-        #: depths, src, dst)`` columns in draw order.
-        self.edges = edges
+        #: Walk-kernel shards: every edge drawn here (owners are instance
+        #: ids, launches depths).
+        self.log = log
         #: Sum of the shard's per-segment sampling charges (ints only, so
         #: cluster-level merging is order-independent).
         self.cost = cost
@@ -186,8 +186,8 @@ class ShardRuntime:
             else None
         )
         resolution = resolve_step(config, "sharded", program=probe)
-        #: The shard-epoch driver when the route resolves to the walk
-        #: kernel: residents are then the rows of :attr:`_rows`.
+        #: The walk kernel when the route resolves to it: residents are
+        #: then the rows of :attr:`_rows`.
         self._kernel = (
             CompiledWalkKernel(
                 self._engine, kind=resolution.kind, backend=resolution.backend
@@ -204,10 +204,10 @@ class ShardRuntime:
             if self._engine is not None and self._engine.kind is not None
             else "interpreted"
         )
-        #: Walk-kernel residents as columns (finished rows included) and
-        #: the ``(depth, instance ids, src, dst)`` edges of each epoch.
+        #: Walk-kernel residents as rows (finished rows included) and the
+        #: edges they drew here.
         self._rows = WalkerBatch.empty()
-        self._edges: List[tuple] = []
+        self._log = EdgeLog(by_id=True)
         #: Every other program's residents keyed by global instance id: the
         #: envelopes the shard was handed, stepped in place and handed on.
         self._residents: Dict[int, WalkerEnvelope] = {}
@@ -348,7 +348,11 @@ class ShardRuntime:
             walkers=num_active,
         ):
             if columnar:
-                tasks = self._step_rows(depth, step_cost)
+                rows = self._rows
+                tasks = self._kernel.step(
+                    rows, self._log, depth, step_cost,
+                    np.arange(len(rows), dtype=np.int64), rows.cursors,
+                )
             elif self.coalescable:
                 tasks = self._step_fused(active, depth, step_cost)
             else:
@@ -369,13 +373,6 @@ class ShardRuntime:
             )
             prof.lap("migrate")
         return outboxes
-
-    def _step_rows(self, depth: int, cost: CostModel) -> int:
-        """One shard-epoch kernel over every resident row."""
-        tasks, ids, src, dst = self._kernel.epoch(self._rows, depth, cost)
-        if ids.size:
-            self._edges.append((depth, ids, src, dst))
-        return tasks
 
     def _step_fused(
         self, active: List[WalkerEnvelope], depth: int, cost: CostModel
@@ -452,9 +449,9 @@ class ShardRuntime:
     # ------------------------------------------------------------------ #
     def collect(self) -> ShardReport:
         """Report every resident walker plus the shard's accounting."""
-        walkers = edges = None
+        walkers = log = None
         if self._kernel is not None:
-            walkers, edges = self._rows, self._edge_log()
+            walkers, log = self._rows, self._log
         return ShardReport(
             shard_index=self.shard_index,
             envelopes=[env for _, env in sorted(self._residents.items())],
@@ -464,17 +461,5 @@ class ShardRuntime:
             admitted=self.admitted,
             emigrated=self.emigrated,
             walkers=walkers,
-            edges=edges,
-        )
-
-    def _edge_log(self) -> Tuple[np.ndarray, ...]:
-        """The edge log as ``(instance ids, depths, src, dst)`` columns."""
-        if not self._edges:
-            return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
-        depths, ids, src, dst = zip(*self._edges)
-        return (
-            np.concatenate(ids),
-            np.repeat(np.asarray(depths, dtype=np.int64), [i.size for i in ids]),
-            np.concatenate(src),
-            np.concatenate(dst),
+            log=log,
         )

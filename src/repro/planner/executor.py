@@ -19,16 +19,17 @@ produces identical samples, iteration counts and cost totals through the
 planner as through the old per-facade paths (asserted by
 ``tests/integration/test_bitcompat_matrix.py``).
 
-Unless the plan resolves to the fused walk kernel (whose depth-loop and
-drain drivers then take the engine's place, and whose shard-epoch driver
-runs inside each shard), the executor only ever talks to
-``engine.step_instances`` / ``engine.expand_entries``, so the equivalence
-suites hand it the scalar MAIN-loop oracle
-(:mod:`repro.baselines.reference`) in the engine's place.
+The executor owns every loop.  Each step is one call to the engine's
+``step_instances`` / ``expand_entries`` or, when the plan resolves to the
+fused walk kernel, to that kernel's twins ``step`` / ``expand`` over
+walker rows and one edge log (shards call the same ``step``).  Off the walk
+kernel that is all it calls, so the equivalence suites hand it the scalar
+MAIN-loop oracle (:mod:`repro.baselines.reference`) in the engine's place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -38,7 +39,7 @@ from repro.api.frontier import FrontierQueue
 from repro.api.instance import InstanceBatch, InstanceState
 from repro.api.results import SampleColumns, SampleResult
 from repro.compiled.compiler import resolve_step
-from repro.compiled.walk_kernel import CompiledWalkKernel
+from repro.compiled.walk_kernel import CompiledWalkKernel, EdgeLog, WalkerBatch
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device, make_device
@@ -175,13 +176,21 @@ class Executor:
             )
 
     def _resolution(self):
-        """The step resolution of the plan's route: ``kernel == "walk"`` runs
-        the walk kernel's driver for the route.  Sharded runs bind no
+        """The step resolution of the plan's route.  Sharded runs bind no
         program here (each shard builds its own), so they resolve by
         algorithm name, as their plan did."""
         return resolve_step(
             self.plan.config, self.plan.route, program=self.program,
             algorithm=self.plan.algorithm,
+        )
+
+    def _walk_kernel(self) -> Optional[CompiledWalkKernel]:
+        """The walk kernel when the route resolves to it, else ``None``."""
+        resolution = self._resolution()
+        if resolution.kernel != "walk":
+            return None
+        return CompiledWalkKernel(
+            self.engine, kind=resolution.kind, backend=resolution.backend
         )
 
     # ================================================================== #
@@ -190,49 +199,82 @@ class Executor:
     def _depth_loop(
         self, batch: InstanceBatch, groups=None, num_groups: int = 0
     ) -> tuple:
-        """The shared MAIN loop: one simulated kernel per depth step.
+        """The MAIN loop of both step tiers: one simulated kernel per depth,
+        stepped by the walk kernel (over rows and an edge log) or the engine
+        (over instance states).
 
         Returns ``(kernels, cost, samples, iteration_counts)``.  ``groups``
         (coalesced runs) is each instance's member rank among
-        ``num_groups`` members; the iteration counts then come back as one
-        list per member.
+        ``num_groups`` members; each member then draws warp ids from its own
+        cursor (from 0) and gets its own iteration-count list.
         """
-        resolution = self._resolution()
-        if resolution.kernel == "walk":
-            # The fused kernel runs the whole depth loop on the batch's
-            # columns, producing the same kernel records and cost totals.
-            return CompiledWalkKernel(
-                self.engine, kind=resolution.kind, backend=resolution.backend
-            ).run(batch, groups, num_groups)
-        instances = batch.states()
-        if groups is None:
-            # The four-argument call: all the scalar oracle implements.
-            iterations, grouped = [], ()
+        # The four-argument call is all the scalar oracle implements.
+        grouped = () if groups is None else (
+            groups, np.zeros(num_groups, dtype=np.int64)
+        )
+        kernel = self._walk_kernel()
+        if kernel is not None:
+            rows, log = WalkerBatch.seeded(batch), EdgeLog()
+
+            def step(depth, cost):
+                return kernel.step(rows, log, depth, cost, *grouped)
+
+            loop = _trace.span(
+                "compiled_run", kind=kernel.kind, backend=kernel.backend,
+                instances=len(batch),
+            )
         else:
-            # One iteration list and one warp cursor (from 0) per member.
-            iterations = [[] for _ in range(num_groups)]
-            grouped = (groups, np.zeros(num_groups, dtype=np.int64))
+            instances = batch.states()
+            iterations = [] if groups is None else [[] for _ in range(num_groups)]
+
+            def step(depth, cost):
+                return self.engine.step_instances(
+                    instances, depth, cost, iterations, *grouped
+                )
+
+            loop = contextlib.nullcontext()
+
         kernels: List[KernelLaunch] = []
         total = CostModel()
-        for depth in range(self.plan.config.depth):
-            step_cost = CostModel()
-            with _trace.span("depth_step", depth=depth) as sp:
-                tasks = self.engine.step_instances(
-                    instances, depth, step_cost, iterations, *grouped
+        # The step laps its own phases; this clock laps everything between
+        # steps (launch records, then the close) as ``update``.
+        prof = _profiler.clock(-1)
+        with loop:
+            for depth in range(self.plan.config.depth):
+                step_cost = CostModel()
+                with _trace.span("depth_step", depth=depth) as sp:
+                    prof.lap("update")
+                    tasks = step(depth, step_cost)
+                    prof.restart()
+                    sp.set(tasks=tasks)
+                if tasks is None:
+                    break
+                step_cost.kernel_launches += 1
+                kernels.append(
+                    KernelLaunch(
+                        name=f"kernel:depth{depth}",
+                        cost=step_cost,
+                        num_warp_tasks=max(tasks, 1),
+                    )
                 )
-                sp.set(tasks=tasks)
-            if tasks is None:
-                break
-            step_cost.kernel_launches += 1
-            kernels.append(
-                KernelLaunch(
-                    name=f"kernel:depth{depth}",
-                    cost=step_cost,
-                    num_warp_tasks=max(tasks, 1),
-                )
+                total.merge(step_cost)
+
+        if kernel is None:
+            samples = SampleColumns.from_instances(instances)
+            prof.lap("update")
+            return kernels, total, samples, iterations
+        samples = log.close(batch)
+        # With-replacement selections always iterate once, so only the
+        # totals matter (per member when grouped).
+        if groups is None:
+            iterations = [1] * samples.num_edges
+        else:
+            per_group = np.bincount(
+                groups, weights=samples.edges_per_instance(), minlength=num_groups
             )
-            total.merge(step_cost)
-        return kernels, total, SampleColumns.from_instances(instances), iterations
+            iterations = [[1] * int(count) for count in per_group]
+        prof.lap("update")
+        return kernels, total, samples, iterations
 
     def _main_metadata(self) -> Dict[str, object]:
         cfg = self.plan.config
@@ -301,15 +343,20 @@ class Executor:
             queues, batch.seeds, seed_ids, np.zeros_like(batch.seeds)
         )
 
-        resolution = self._resolution()
-        if resolution.kernel == "walk":
-            # The drain driver of the fused kernel: the same schedule, kernel
-            # boundaries and charges, with walker state kept as columns.
-            kernel = CompiledWalkKernel(
-                self.engine, kind=resolution.kind, backend=resolution.backend
-            )
-            kernel.begin(batch)
-            expand, finish = kernel.expand, kernel.finish
+        kernel = self._walk_kernel()
+        if kernel is not None:
+            # The same schedule, kernel boundaries and charges, with walker
+            # state kept as rows and one edge log.
+            rows, log = WalkerBatch.seeded(batch), EdgeLog()
+
+            def expand(vertices, instance_ids, depths, cost):
+                return kernel.expand(
+                    rows, log, vertices, instance_ids, depths, cost
+                )
+
+            def finish():
+                samples = log.close(batch)
+                return samples, [1] * samples.num_edges
         else:
             instances = batch.states()
             instance_map = {inst.instance_id: inst for inst in instances}
@@ -422,7 +469,7 @@ class Executor:
 
         ``expand(vertices, instance_ids, depths, cost)`` runs one kernel over
         a group of entries and returns their successor entries -- the walk
-        kernel's drain driver or the engine's ``expand_entries``.
+        kernel's ``expand`` or the engine's ``expand_entries``.
         """
         queue = queues[partition_index]
         while len(queue):
@@ -458,7 +505,6 @@ class Executor:
         # which itself plans+executes through this module.
         from repro.distributed.router import (
             MigrationRouter,
-            WalkerBatch,
             WalkerEnvelope,
             bucket_by_shard,
         )
@@ -542,7 +588,14 @@ class Executor:
         total_cost.kernel_launches = epochs
 
         if reports and reports[0].walkers is not None:
-            samples = self._shard_log_samples(reports, batch)
+            # Walk-kernel shards: each walker's steps ran on one shard each,
+            # so the concatenated logs close like one.
+            self._check_walkers(
+                np.concatenate([r.walkers.ids for r in reports]), batch
+            )
+            samples = sum(
+                (r.log for r in reports), EdgeLog(by_id=True)
+            ).close(batch)
             # With-replacement walks iterate once per selection.
             iteration_counts = [1] * samples.num_edges
         else:
@@ -581,24 +634,6 @@ class Executor:
         missing = np.setdiff1d(batch.instance_ids, ids)
         if missing.size:
             raise RuntimeError(f"walkers lost during the run: {missing.tolist()}")
-
-    def _shard_log_samples(self, reports, batch: InstanceBatch) -> SampleColumns:
-        """Close the walk-kernel shards' edge logs: every walker's edges by
-        depth (one shard ran each of its steps, in draw order), walkers in
-        batch order."""
-        self._check_walkers(
-            np.concatenate([r.walkers.ids for r in reports]), batch
-        )
-        ids, depths, src, dst = (
-            np.concatenate([r.edges[k] for r in reports]) for k in range(4)
-        )
-        by_id = np.argsort(batch.instance_ids, kind="stable")
-        owner = by_id[np.searchsorted(batch.instance_ids[by_id], ids)]
-        order = np.lexsort((depths, owner))
-        return SampleColumns.from_owner_edges(
-            batch.instance_ids, batch.seed_offsets, batch.seeds,
-            owner[order], src[order], dst[order],
-        )
 
     def _envelope_samples(self, reports, batch: InstanceBatch):
         """``(samples, iteration_counts)`` of envelope shards, walkers in

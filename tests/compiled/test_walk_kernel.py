@@ -4,7 +4,10 @@ The cross-route matrix covers every registry algorithm at its default
 config; these tests push the compiled kernel through the shapes that stress
 its array program specifically: ragged multi-vertex pools, weighted biases,
 non-trivial node2vec parameters, fanout > 1, dead-end early termination and
-warp-counter continuity across runs of one sampler.
+warp-counter continuity across runs of one sampler.  The pool, fanout and
+dead-end scenarios run on every walk route: the in-memory depth loop, the
+out-of-memory drain and the sharded cluster, where the closing edge log and
+the shards' per-row warp groups must not reorder a single draw.
 """
 
 import numpy as np
@@ -12,9 +15,13 @@ import pytest
 
 from repro.algorithms.node2vec import Node2Vec
 from repro.algorithms.random_walk import BiasedRandomWalk, SimpleRandomWalk
+from repro.algorithms.registry import get_algorithm
 from repro.api.sampler import GraphSampler
 from repro.compiled import NUMBA_AVAILABLE, force_backend
+from repro.compiled.walk_kernel import CompiledWalkKernel
+from repro.distributed import ShardedSamplingCluster
 from repro.graph.builder import from_edge_list
+from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
 
 def assert_bit_identical(a, b, *, kernels=True):
@@ -44,13 +51,79 @@ def run_both(graph, program_factory, config, seeds):
     return compiled
 
 
+#: Every walk route: the depth loop, the drain (two presets, 3 partitions)
+#: and the sharded cluster (1 and 3 shards).
+ROUTES = ("in_memory", "oom-baseline", "oom-fully_optimized",
+          "sharded-1", "sharded-3")
+
+
+def kernel_records(kernels):
+    return [(k.name, k.num_warp_tasks, k.cost.as_dict()) for k in kernels]
+
+
+def run_route(route, graph, algorithm, config, seeds, program_kwargs):
+    """``(result, route records)``: the run's :class:`SampleResult` plus what
+    else the route reports (kernel records, drain schedule, shard work)."""
+    info = get_algorithm(algorithm)
+    if route == "in_memory":
+        result = GraphSampler(
+            graph, info.program_factory(**program_kwargs), config
+        ).run(seeds)
+        return result, kernel_records(result.kernels)
+    if route.startswith("oom-"):
+        oom = getattr(OutOfMemoryConfig, route[4:])(num_partitions=3)
+        run = OutOfMemorySampler(
+            graph, info.program_factory(**program_kwargs), config,
+            oom_config=oom,
+        ).run(seeds)
+        return run.sample, (run.kernel_times, run.rounds, run.makespan)
+    run = ShardedSamplingCluster(
+        graph, algorithm, config, num_shards=int(route[len("sharded-"):]),
+        program_kwargs=program_kwargs,
+    ).run(seeds)
+    return run.result, (
+        run.epochs, run.migrations, run.shard_admitted,
+        [kernel_records(kernels) for kernels in run.shard_kernels],
+    )
+
+
+def run_both_on(route, graph, algorithm, config, seeds, program_kwargs=None):
+    """Compiled against ``REPRO_COMPILED=0`` on ``route``; the compiled run
+    must step the walk kernel."""
+    program_kwargs = program_kwargs or {}
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for entry in ("step", "expand"):
+            original = getattr(CompiledWalkKernel, entry)
+
+            def spy(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+
+            patch.setattr(CompiledWalkKernel, entry, spy)
+        compiled, compiled_records = run_route(
+            route, graph, algorithm, config, seeds, program_kwargs
+        )
+    assert calls, f"{route}: the compiled run never stepped the walk kernel"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_COMPILED", "0")
+        interp, interp_records = run_route(
+            route, graph, algorithm, config, seeds, program_kwargs
+        )
+    assert_bit_identical(interp, compiled, kernels=False)
+    assert interp_records == compiled_records
+    return compiled
+
+
 class TestWalkKernelScenarios:
-    def test_ragged_multi_vertex_pools(self, small_powerlaw_graph):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_ragged_multi_vertex_pools(self, small_powerlaw_graph, route):
         # Seed *groups*: instances start with pools of different sizes, so
         # every depth step is a ragged segmented batch.
         seeds = [[0], [3, 7, 11], [20, 21], [30, 31, 32, 33], [40]]
         config = SimpleRandomWalk.default_config(depth=5, seed=7)
-        run_both(small_powerlaw_graph, SimpleRandomWalk, config, seeds)
+        run_both_on(route, small_powerlaw_graph, "simple_random_walk",
+                    config, seeds)
 
     def test_weighted_biased_walk(self, small_weighted_graph):
         config = BiasedRandomWalk.default_config(depth=6, seed=3)
@@ -68,21 +141,34 @@ class TestWalkKernelScenarios:
             list(range(0, 500, 17)),
         )
 
-    def test_fanout_above_one(self, small_powerlaw_graph):
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("algorithm,fanout", [
+        ("simple_random_walk", 3), ("node2vec", 2), ("biased_random_walk", 2),
+    ])
+    def test_fanout_above_one(self, small_weighted_graph, route, algorithm,
+                              fanout):
         # neighbor_size > 1 keeps walks eligible (fixed fanout, with
-        # replacement); pools now grow by ns per vertex per depth.
-        config = SimpleRandomWalk.default_config(depth=3, neighbor_size=3, seed=2)
-        run_both(small_powerlaw_graph, SimpleRandomWalk, config, list(range(0, 100, 9)))
+        # replacement); pools now grow by ns per vertex per depth, and in
+        # the drain one walker's branches spread over partitions.
+        config = get_algorithm(algorithm).config_factory(
+            depth=3, neighbor_size=fanout, seed=2
+        )
+        run_both_on(route, small_weighted_graph, algorithm, config,
+                    list(range(0, 100, 9)))
 
-    def test_dead_ends_terminate_early(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_dead_ends_terminate_early(self, route):
         # Directed chain into sinks: walkers die before the configured depth,
         # so the kernel must stop emitting depth kernels exactly where the
         # interpreted loop does (and mark everything finished).
         edges = [(0, 1), (1, 2), (2, 3), (4, 3), (5, 4)]
         graph = from_edge_list(edges, num_vertices=7, symmetrize=False)
         config = SimpleRandomWalk.default_config(depth=8, seed=1)
-        result = run_both(graph, SimpleRandomWalk, config, [0, 2, 3, 5, 6])
-        assert len(result.kernels) < config.depth
+        result = run_both_on(route, graph, "simple_random_walk", config,
+                             [0, 2, 3, 5, 6])
+        assert result.total_sampled_edges < 5 * config.depth
+        if route == "in_memory":
+            assert len(result.kernels) < config.depth
 
     def test_warp_counter_continuity_across_runs(
         self, small_powerlaw_graph, monkeypatch

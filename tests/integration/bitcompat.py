@@ -382,7 +382,7 @@ def assert_bit_identical(a, b, *, kernels=False, step_tier=None):
 @dataclass
 class Seen:
     """What a run constructed: engines (declared kind or not), walk-kernel
-    driver calls (depth loop, drain, shard epoch), ``InstanceState``
+    entry-point calls (``step``, ``expand``), ``InstanceState``
     constructions and ``record_edges`` calls."""
 
     engines: list = field(default_factory=list)
@@ -415,21 +415,19 @@ def observe():
         seen.record_edges += 1
         record(self, *args)
 
-    def spy_driver(driver):  # the depth loop, the drain, the shard epoch
+    def spy_entry(entry):  # the walk kernel's step and expand
         def spy(self, *args, **kwargs):
             seen.walk_runs += 1
-            return driver(self, *args, **kwargs)
+            return entry(self, *args, **kwargs)
         return spy
 
     with mock.patch.object(BatchedStepEngine, "__init__", spy_init), \
             mock.patch.object(InstanceState, "__post_init__", spy_post_init), \
             mock.patch.object(InstanceState, "record_edges", spy_record), \
-            mock.patch.object(CompiledWalkKernel, "run",
-                              spy_driver(CompiledWalkKernel.run)), \
+            mock.patch.object(CompiledWalkKernel, "step",
+                              spy_entry(CompiledWalkKernel.step)), \
             mock.patch.object(CompiledWalkKernel, "expand",
-                              spy_driver(CompiledWalkKernel.expand)), \
-            mock.patch.object(CompiledWalkKernel, "epoch",
-                              spy_driver(CompiledWalkKernel.epoch)):
+                              spy_entry(CompiledWalkKernel.expand)):
         yield seen
 
 
@@ -520,7 +518,7 @@ class Matrix:
         if (cell.route == "out_of_memory" and kernel == "walk"
                 and (cell.algorithm, cell.settings["shape"]) not in ORACLE_DIVERGES
                 and key not in self._drained):
-            # The drain driver against the engine it stands in for, once
+            # The walk kernel's drain against the engine it stands in for, once
             # per reference (where the oracle diverges, that drain *is* it).
             leg = drain(graph, program_of(cell.algorithm), config_of(cell),
                         batch_of(cell.settings["shape"]), oom_of(cell),
@@ -577,7 +575,7 @@ class Matrix:
         seeds, count = SHAPES[shape]
         # Walks: the envelope path on the interpreted engine, planned and
         # run with the compiled tier off, so the reference never runs the
-        # shard-epoch driver the variants test.
+        # walk-kernel shards the variants test.
         with interpreted() if cell.algorithm in WALKS \
                 else contextlib.nullcontext():
             return result_run(ShardedSamplingCluster(

@@ -67,9 +67,9 @@ def test_node2vec_prev_column_tracks_prev_vertex(monkeypatch, preset, shape):
     expand = CompiledWalkKernel.expand
     expand_entries = BatchedStepEngine.expand_entries
 
-    def spy_expand(self, *args):
-        out = expand(self, *args)
-        column_trace.append(self._walkers.prevs.tolist())
+    def spy_expand(self, rows, *args):
+        out = expand(self, rows, *args)
+        column_trace.append(rows.prevs.tolist())
         return out
 
     def spy_expand_entries(self, v, i, d, instance_map, *rest):

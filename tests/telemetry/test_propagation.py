@@ -57,6 +57,18 @@ class TestInMemory:
         assert root.attrs["step_tier"] == "compiled"
         assert "compiled_run" in {r.name for r in records}
 
+    def test_compiled_tier_records_depth_steps(self, telemetry,
+                                               small_powerlaw_graph, seeds):
+        program, config = _deepwalk()
+        GraphSampler(small_powerlaw_graph, program, config).run(seeds)
+        root, records = _single_tree(telemetry)
+        assert root.attrs["step_tier"] == "compiled"
+        (run,) = [r for r in records if r.name == "compiled_run"]
+        assert run.parent_id == root.span_id
+        depth_steps = [r for r in records if r.name == "depth_step"]
+        assert all(r.parent_id == run.span_id for r in depth_steps)
+        assert [r.attrs["depth"] for r in depth_steps] == list(range(config.depth))
+
     def test_interpreted_tier_records_depth_steps(self, telemetry, monkeypatch,
                                                   small_powerlaw_graph, seeds):
         program, config = _deepwalk()
