@@ -73,10 +73,10 @@ SPEEDUP_FLOOR = 3.0
 OOM_SPEEDUP_FLOOR = 2.0
 
 #: The sharded route is measured on biased_random_walk, the structure-reuse
-#: showcase.  Compiled, its shards step their resident walkers as columns
-#: with the walk kernel's shard-epoch driver and ship emigrants as one column
-#: batch per destination; interpreted, every walker is an envelope stepped
-#: on a per-shard engine.  Both tiers pay the same epochs and migrations.
+#: showcase.  Compiled, each shard steps its resident walkers as columns
+#: with the walk kernel's ``step`` and ships emigrants as one column batch
+#: per destination; interpreted, every walker is an envelope stepped on a
+#: per-shard engine.  Both tiers pay the same epochs and migrations.
 ROUTE_ALGORITHM = "biased_random_walk"
 SHARDED_SPEEDUP_FLOOR = 2.0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
+from repro.api.bias import EdgePool, SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 
 __all__ = ["ForestFireSampling"]
@@ -34,12 +34,6 @@ class ForestFireSampling(SamplingProgram):
             raise ValueError("burning probability must lie in (0, 1)")
         self.burning_probability = burning_probability
         self._rng = np.random.default_rng(seed)
-
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
 
     def neighbor_count(self, edges: EdgePool, requested: int) -> int:
         """Geometric draw with mean ``p_f / (1 - p_f)``, capped by the pool size."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
+from repro.api.bias import EdgePool, SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 
 __all__ = ["RandomWalkWithJump", "RandomWalkWithRestart"]
@@ -40,12 +40,6 @@ class RandomWalkWithJump(SamplingProgram):
             raise ValueError("jump probability must lie in [0, 1]")
         self.jump_probability = jump_probability
         self._rng = np.random.default_rng(seed)
-
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
 
     def update(self, edges: EdgePool, sampled: np.ndarray) -> np.ndarray:
         if self._rng.random() < self.jump_probability:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
+from repro.api.bias import EdgePool, SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 
 __all__ = ["MetropolisHastingsWalk"]
@@ -33,12 +33,6 @@ class MetropolisHastingsWalk(SamplingProgram):
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
 
     def accept(self, edges: EdgePool, sampled: np.ndarray) -> np.ndarray:
         if sampled.size == 0:

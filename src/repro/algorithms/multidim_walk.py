@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.bias import (EdgePool, FrontierPoolView, SamplingProgram,
-                            SegmentedEdgePool)
+from repro.api.bias import EdgePool, FrontierPoolView, SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 
 __all__ = ["MultiDimensionalRandomWalk"]
@@ -33,12 +32,6 @@ class MultiDimensionalRandomWalk(SamplingProgram):
         # Degree as the pool-selection bias (Fig. 3(b)); add-one so isolated
         # vertices keep a nonzero chance of being cycled out of the pool.
         return pool.degrees.astype(np.float64) + 1.0
-
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
 
     def vertex_bias_batch(self, pools) -> list:
         return [pool.degrees.astype(np.float64) + 1.0 for pool in pools]

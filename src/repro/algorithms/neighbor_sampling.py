@@ -25,12 +25,6 @@ class UnbiasedNeighborSampling(SamplingProgram):
     compiled_bias = "uniform"
     compiled_update = "unvisited"
 
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
     def update(self, edges: EdgePool, sampled: np.ndarray) -> np.ndarray:
         # Traversal-based sampling never revisits a vertex: only neighbors not
         # seen before are added to the next frontier.

@@ -43,12 +43,6 @@ class SimpleRandomWalk(SamplingProgram):
     supports_coalescing = True  # hooks are pure functions of their arguments
     compiled_bias = "uniform"
 
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
     @staticmethod
     def default_config(**overrides) -> SamplingConfig:
         """Walk of length ``depth`` with one neighbor per step, repeats allowed."""

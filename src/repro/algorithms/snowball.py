@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.bias import EdgePool, SamplingProgram, SegmentedEdgePool
+from repro.api.bias import EdgePool, SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 
 __all__ = ["SnowballSampling"]
@@ -35,12 +35,6 @@ class SnowballSampling(SamplingProgram):
 
     def compiled_cache_token(self) -> object:
         return (self.max_per_vertex,)
-
-    def edge_bias(self, edges: EdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
-
-    def edge_bias_batch(self, edges: SegmentedEdgePool) -> np.ndarray:
-        return np.ones(edges.size, dtype=np.float64)
 
     def neighbor_count(self, edges: EdgePool, requested: int) -> int:
         count = edges.size

@@ -73,10 +73,13 @@ class GraphSampler:
         self.algorithm = algorithm
         self.device = device if device is not None else make_device("gpu")
         self.rng = CounterRNG(config.seed)
+        from repro.compiled.compiler import resolve_step
         from repro.engine.step import BatchedStepEngine
 
+        # Resolved once here: the engine is kept across runs.
         self.engine = BatchedStepEngine(
-            graph, program, config, self.rng, "in_memory"
+            graph, program, config, self.rng,
+            resolve_step(config, program=program).kind,
         )
 
     # ------------------------------------------------------------------ #

@@ -26,7 +26,6 @@ from repro.algorithms import (
     LayerSampling,
     MultiDimensionalRandomWalk,
     UnbiasedNeighborSampling,
-    run_random_walks,
 )
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.sampler import GraphSampler
@@ -36,7 +35,6 @@ from repro.bench.workloads import BenchmarkScale, DEFAULT_SCALE, get_graph
 from repro.gpusim.device import Device, V100_SPEC
 from repro.graph.generators import TABLE2_DATASETS
 from repro.graph.properties import graph_stats
-from repro.metrics.stats import kernel_time_std
 from repro.oom.multigpu import run_multi_gpu_sampling, run_multi_gpu_walks
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 
@@ -317,7 +315,7 @@ def _oom_sweep(scale: BenchmarkScale = DEFAULT_SCALE) -> Dict[Tuple[str, str, st
                     "makespan": result.makespan,
                     "partition_transfers": float(result.partition_transfers),
                     "stream_imbalance": result.stream_imbalance(),
-                    "kernel_time_std": kernel_time_std(result.kernel_times),
+                    "kernel_time_std": result.kernel_time_std(),
                     "sampled_edges": float(result.total_sampled_edges),
                     "rounds": float(result.rounds),
                 }

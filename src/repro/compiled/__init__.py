@@ -21,10 +21,12 @@ two kernels:
   BatchedStepEngine` with its hook sites bound to the declared shapes
   (:func:`~repro.compiled.step_engine.declared_sites`) -- for every other
   eligible shape (without-replacement, frontier and per-layer selection,
-  visited tracking) on every route, and for walk shapes on the sharded
-  route, which steps through per-shard engines: hook dispatch and per-step
-  bias revalidation are replaced by the declared shapes, and biases are
+  visited tracking) on every route: hook dispatch and per-step bias
+  revalidation are replaced by the declared shapes, and biases are
   evaluated per step -- the engine reads no cached structure.
+
+Which of the two runs is decided once per ``(program, config)`` by
+:func:`~repro.compiled.compiler.resolve_step`; the route plays no part.
 
 Each declared bias kind's formula is written once
 (:func:`~repro.compiled.step_engine.kind_biases`) and shared by both
@@ -55,10 +57,8 @@ from repro.compiled.backends import (
     select_backend,
 )
 from repro.compiled.compiler import (
-    CompileDecision,
     StepResolution,
     clear_kernel_cache,
-    compile_decision,
     kernel_cache_stats,
     resolve_step,
 )
@@ -79,10 +79,8 @@ __all__ = [
     "compiled_enabled",
     "force_backend",
     "select_backend",
-    "CompileDecision",
     "StepResolution",
     "clear_kernel_cache",
-    "compile_decision",
     "kernel_cache_stats",
     "resolve_step",
     "declared_sites",

@@ -1,40 +1,38 @@
-"""The kernel compiler: eligibility, the step-tier resolver and its cache.
-
-``compile_decision`` is the static eligibility check: a program compiles when
-it *declares* a recognised bias kind (``SamplingProgram.compiled_bias``) and
-every hook it overrides is covered by a recognised declared shape
-(``compiled_update`` / ``compiled_neighbor_count`` / ``compiled_vertex_bias``)
--- an overridden hook with no declaration (or an ``accept`` override, which is
-inherently stateful) keeps the program interpreted with an explicit reason.
-It never inspects instances, sizes or calibrations: compiled beats
-interpreted down to a single walker, so the tier follows from the declared
-shape alone.
+"""The kernel compiler: the step-tier resolver and its cache.
 
 :func:`resolve_step` is the one place "which code runs the depth step" is
-decided: ``(program | algorithm name, config, route)`` plus the process-wide
-``REPRO_COMPILED`` switch give a :class:`StepResolution` that the planner
-reports, :class:`~repro.engine.step.BatchedStepEngine` binds its hook sites
-from and the executor's depth loop instantiates the walk kernel from -- so
-what a plan says and what runs cannot disagree.  Eligible plans resolve to:
+decided, once per ``(program | algorithm name, config)`` plus the
+process-wide ``REPRO_COMPILED`` switch.  Its :class:`StepResolution` is what
+the planner reports, the kind a :class:`~repro.engine.step.BatchedStepEngine`
+is handed to bind its hook sites, and what the executor and the shards
+instantiate the walk kernel from -- so what a plan says and what runs cannot
+disagree.  The route is no input: every route's loop calls the same two
+kernels.
+
+Eligibility is static: a program compiles when it *declares* a recognised
+bias kind (``SamplingProgram.compiled_bias``) and every hook it overrides is
+covered by a recognised declared shape (``compiled_update`` /
+``compiled_neighbor_count`` / ``compiled_vertex_bias``) -- an overridden hook
+with no declaration (or an ``accept`` override, which is inherently
+stateful) keeps the program interpreted with an explicit reason.  It never
+inspects instances, sizes or calibrations: compiled beats interpreted down
+to a single walker, so the tier follows from the declared shape alone.
+Eligible plans resolve to:
 
 * ``"walk"`` -- the fused walk kernel
   (:class:`~repro.compiled.walk_kernel.CompiledWalkKernel`) for walk-shaped
   plans (single-neighbor-ish per-vertex selection with replacement, no
-  frontier sub-selection, no visited tracking, no declared hook shapes) on
-  the routes whose loops call it (:data:`COMPILABLE_ROUTES` -- all
-  four): the depth loop of the in-memory and coalesced routes and the
-  partition drain of the out-of-memory route (its ``step`` / ``expand``),
-  each shard's epoch on the sharded route (its ``step``);
+  frontier sub-selection, no visited tracking, no declared hook shapes):
+  the executor's depth loop and partition drain and each shard's epoch call
+  its ``step`` / ``expand``;
 * ``"engine"`` -- the batched engine with declared-shape hook sites
   (:func:`~repro.compiled.step_engine.declared_sites`), which replaces
   hook dispatch inside the batched engine and therefore covers every other
-  eligible shape on every route (the OOM scheduler drains non-walk shapes
-  through ``expand_entries``, the sharded route steps their envelopes on
-  per-shard engines).
+  eligible shape on every route.
 
 Resolutions -- refusals included, so ``explain()`` can say *why* a plan
 interprets -- are memoised in the kernel cache per ``(program class + cache
-token | algorithm name, config, route, backend fingerprint)``; flipping numba
+token | algorithm name, config, backend fingerprint)``; flipping numba
 availability or forcing a backend changes the fingerprint and can never
 serve a stale kernel.
 """
@@ -53,10 +51,8 @@ from repro.compiled.backends import (
 )
 
 __all__ = [
-    "CompileDecision",
     "StepResolution",
     "clear_kernel_cache",
-    "compile_decision",
     "kernel_cache_stats",
     "resolve_step",
 ]
@@ -78,25 +74,6 @@ KNOWN_UPDATE_SHAPES = ("unvisited", "keep_src_on_dead_end")
 KNOWN_NEIGHBOR_COUNT_SHAPES = ("pool_capped",)
 KNOWN_VERTEX_BIAS_SHAPES = ("degree_plus_one",)
 
-#: Routes whose loops call the fused walk kernel: the depth loop
-#: (in-memory, coalesced), the partition drain (out-of-memory) and the
-#: shard epoch (sharded).
-COMPILABLE_ROUTES = ("in_memory", "coalesced", "out_of_memory", "sharded")
-
-
-@dataclass(frozen=True)
-class CompileDecision:
-    """Outcome of the static eligibility check for one (program, config)."""
-
-    eligible: bool
-    #: The declared bias kind when eligible.
-    kind: Optional[str] = None
-    #: Why compilation was refused (``explain()`` surfaces it).
-    reason: Optional[str] = None
-    #: True when the plan can run on the fused walk kernel (route permitting);
-    #: eligible non-walk shapes run on the compiled step engine.
-    walk_shape: bool = False
-
 
 @dataclass(frozen=True)
 class StepResolution:
@@ -116,37 +93,32 @@ class StepResolution:
     fallback: Optional[str] = None
 
 
+def _interpreted(reason: str) -> StepResolution:
+    return StepResolution("interpreted", fallback=reason)
+
+
 # --------------------------------------------------------------------------- #
 # Eligibility
 # --------------------------------------------------------------------------- #
-def compile_decision(
+def _decide(
     program: SamplingProgram, config: SamplingConfig
-) -> CompileDecision:
-    """Static check: can this (program, config) run on the compiled tier?"""
+) -> StepResolution:
+    """Static check: which kernel runs this (program, config)."""
     cls = type(program)
     kind = getattr(program, "compiled_bias", None)
     if kind is None:
-        return CompileDecision(
-            False, reason="program declares no compiled bias kind"
-        )
+        return _interpreted("program declares no compiled bias kind")
     if kind not in KNOWN_KINDS:
-        return CompileDecision(
-            False, reason=f"unknown compiled bias kind {kind!r}"
-        )
+        return _interpreted(f"unknown compiled bias kind {kind!r}")
     if cls.accept is not SamplingProgram.accept:
-        return CompileDecision(
-            False, reason="program overrides accept (stateful hook)"
-        )
+        return _interpreted("program overrides accept (stateful hook)")
 
     update_shape = getattr(program, "compiled_update", None)
     if update_shape is not None and update_shape not in KNOWN_UPDATE_SHAPES:
-        return CompileDecision(
-            False, reason=f"unknown compiled update shape {update_shape!r}"
-        )
+        return _interpreted(f"unknown compiled update shape {update_shape!r}")
     if cls.update is not SamplingProgram.update and update_shape is None:
-        return CompileDecision(
-            False,
-            reason="program overrides update without a declared shape",
+        return _interpreted(
+            "program overrides update without a declared shape"
         )
 
     ncount_shape = getattr(program, "compiled_neighbor_count", None)
@@ -154,35 +126,31 @@ def compile_decision(
         ncount_shape is not None
         and ncount_shape not in KNOWN_NEIGHBOR_COUNT_SHAPES
     ):
-        return CompileDecision(
-            False,
-            reason=f"unknown compiled neighbor-count shape {ncount_shape!r}",
+        return _interpreted(
+            f"unknown compiled neighbor-count shape {ncount_shape!r}"
         )
     if (
         cls.neighbor_count is not SamplingProgram.neighbor_count
         and ncount_shape is None
     ):
-        return CompileDecision(
-            False,
-            reason="program overrides neighbor_count without a declared shape",
+        return _interpreted(
+            "program overrides neighbor_count without a declared shape"
         )
 
     vbias_shape = getattr(program, "compiled_vertex_bias", None)
     if vbias_shape is not None and vbias_shape not in KNOWN_VERTEX_BIAS_SHAPES:
-        return CompileDecision(
-            False,
-            reason=f"unknown compiled vertex-bias shape {vbias_shape!r}",
+        return _interpreted(
+            f"unknown compiled vertex-bias shape {vbias_shape!r}"
         )
     if (
         cls.vertex_bias is not SamplingProgram.vertex_bias
         or cls.vertex_bias_batch is not SamplingProgram.vertex_bias_batch
     ) and vbias_shape is None:
-        return CompileDecision(
-            False,
-            reason="program overrides vertex_bias without a declared shape",
+        return _interpreted(
+            "program overrides vertex_bias without a declared shape"
         )
 
-    walk_shape = (
+    if (
         kind in WALK_KINDS
         and update_shape is None
         and ncount_shape is None
@@ -192,8 +160,12 @@ def compile_decision(
         and config.with_replacement
         and config.pool_policy is PoolPolicy.NEXT_LAYER
         and not config.track_visited
-    )
-    return CompileDecision(True, kind=kind, walk_shape=walk_shape)
+    ):
+        # The fused walk kernel has a jittable scalar inner loop on every
+        # kind (uniform draw + prefix search).
+        return StepResolution("compiled", kind, "walk", select_backend())
+    # The engine kernel reuses the segmented numpy SELECT verbatim.
+    return StepResolution("compiled", kind, "engine", "numpy")
 
 
 # --------------------------------------------------------------------------- #
@@ -203,24 +175,22 @@ _KERNEL_CACHE: Dict[tuple, StepResolution] = {}
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
 
-_DISABLED = StepResolution(
-    "interpreted", fallback="compiled tier disabled (REPRO_COMPILED)"
-)
+_DISABLED = _interpreted("compiled tier disabled (REPRO_COMPILED)")
 
 
 def resolve_step(
     config: SamplingConfig,
-    route: str,
     *,
     program: Optional[SamplingProgram] = None,
     algorithm: Optional[str] = None,
 ) -> StepResolution:
-    """Which code runs the depth step of one (program, config, route).
+    """Which code runs the depth step of one (program, config).
 
     Plans that carry no program object (the service plans from graph stats)
     resolve through the registry by ``algorithm`` name.  Instance *counts*
-    are deliberately no input: kernels are shape-generic over walkers and
-    the compiled tier wins at every size.
+    and routes are deliberately no input: kernels are shape-generic over
+    walkers, every route's loop calls the same kernels and the compiled tier
+    wins at every size.
     """
     global _CACHE_HITS, _CACHE_MISSES
     if not compiled_enabled():
@@ -229,7 +199,7 @@ def resolve_step(
         identity = (type(program), program.compiled_cache_token())
     else:
         identity = (algorithm, None)
-    key = (identity, config, route, backend_fingerprint())
+    key = (identity, config, backend_fingerprint())
     resolution = _KERNEL_CACHE.get(key)
     if resolution is not None:
         _CACHE_HITS += 1
@@ -241,24 +211,9 @@ def resolve_step(
         info = ALGORITHM_REGISTRY.get(algorithm)
         program = info.program_factory() if info is not None else None
     if program is None:
-        resolution = StepResolution(
-            "interpreted", fallback="program unknown at plan time"
-        )
+        resolution = _interpreted("program unknown at plan time")
     else:
-        decision = compile_decision(program, config)
-        if not decision.eligible:
-            resolution = StepResolution("interpreted", fallback=decision.reason)
-        elif decision.walk_shape and route in COMPILABLE_ROUTES:
-            # The fused walk kernel has a jittable scalar inner loop on every
-            # kind (uniform draw + prefix search).
-            resolution = StepResolution(
-                "compiled", decision.kind, "walk", select_backend()
-            )
-        else:
-            # The engine kernel reuses the segmented numpy SELECT verbatim.
-            resolution = StepResolution(
-                "compiled", decision.kind, "engine", "numpy"
-            )
+        resolution = _decide(program, config)
     _KERNEL_CACHE[key] = resolution
     return resolution
 

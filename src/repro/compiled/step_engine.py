@@ -1,16 +1,15 @@
 """Declared-shape hook sites: the batched engine's compiled specialisation.
 
 The fused walk kernel (:mod:`repro.compiled.walk_kernel`) covers walk-shaped
-plans on the routes it has a driver for (the in-memory / coalesced depth loop
-and the out-of-memory partition drain).  Every *other* eligible shape --
-without-replacement selection, frontier selection, per-layer scope, visited
-tracking, on every route including ``expand_entries`` drains -- and every
-shape on the sharded route's per-shard engines runs on the one
-:class:`~repro.engine.step.BatchedStepEngine`, whose four hook sites are
-bound at construction to the functions below: the program's *declared*
-shapes (``compiled_bias`` / ``compiled_update`` / ``compiled_neighbor_count``
-/ ``compiled_vertex_bias``) evaluated directly, so the hot loop never
-dispatches user hooks and never re-validates bias arrays.  The engine reads
+plans on every route.  Every *other* eligible shape -- without-replacement
+selection, frontier selection, per-layer scope, visited tracking, on every
+route including ``expand_entries`` drains and the shards' envelope steps --
+runs on the one :class:`~repro.engine.step.BatchedStepEngine`, whose four
+hook sites are bound at construction to the functions below: the program's
+*declared* shapes (``compiled_bias`` / ``compiled_update`` /
+``compiled_neighbor_count`` / ``compiled_vertex_bias``) evaluated directly,
+so the hot loop never dispatches user hooks and never re-validates bias
+arrays.  The engine reads
 no cached structure: it evaluates biases per step.
 
 :func:`kind_biases` is the one formula of each declared bias kind.  The

@@ -4,7 +4,7 @@ The sharded cluster follows KnightKing's walker-migration model: a sampling
 instance ("walker") lives on the shard that owns its current frontier, and
 when a depth step moves the frontier into another shard's vertex range the
 walker is shipped there before the next step.  Walkers travel in one of two
-forms, fixed per run by the step resolution of the sharded route:
+forms, fixed per run by the program's step resolution:
 
 * :class:`~repro.compiled.walk_kernel.WalkerBatch` -- walk-kernel walkers
   (``resolve_step(...).kernel == "walk"``: the four walk algorithms on the

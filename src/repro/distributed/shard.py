@@ -21,8 +21,8 @@ batch -- which is why results and cost totals are bit-identical across 1
 to 4 shards (the ``sharded`` cells of
 ``tests/integration/test_bitcompat_matrix.py``).
 
-Three execution paths, fixed per shard by the sharded route's step
-resolution (:func:`~repro.compiled.compiler.resolve_step`):
+Three execution paths, fixed per shard by the program's step resolution
+(:func:`~repro.compiled.compiler.resolve_step`, made once per shard):
 
 * walk-kernel programs (the four walk algorithms on the compiled tier) keep
   their residents as the rows of one
@@ -179,14 +179,16 @@ class ShardRuntime:
                 self._derive_program_seed = False
             self._base_program_seed = int(self._kwargs.get("seed", 0))
         self._rng = CounterRNG(config.seed)
+        resolution = resolve_step(config, program=probe)
+        #: The declared bias kind every engine of this shard binds.
+        self._kind = resolution.kind
         #: Shared engine for coalescable programs (one fused batch per step).
         self._engine = (
-            BatchedStepEngine(self.graph, probe, config, self._rng, "sharded")
+            BatchedStepEngine(self.graph, probe, config, self._rng, self._kind)
             if self.coalescable
             else None
         )
-        resolution = resolve_step(config, "sharded", program=probe)
-        #: The walk kernel when the route resolves to it: residents are
+        #: The walk kernel when the program resolves to it: residents are
         #: then the rows of :attr:`_rows`.
         self._kernel = (
             CompiledWalkKernel(
@@ -305,7 +307,7 @@ class ShardRuntime:
                     env.program = self._factory(**kwargs)
                 engine = BatchedStepEngine(
                     self.graph, env.program, self.config,
-                    CounterRNG(self.config.seed), "sharded",
+                    CounterRNG(self.config.seed), self._kind,
                 )
                 # Alone on its engine, the walker's private warp stream is
                 # the engine's own sequence.

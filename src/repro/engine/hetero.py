@@ -49,8 +49,6 @@ from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
 from repro.api.instance import InstanceBatch
 from repro.api.results import SampleResult
-from repro.engine.step import BatchedStepEngine
-from repro.gpusim.prng import CounterRNG
 
 __all__ = ["run_coalesced"]
 
@@ -83,8 +81,5 @@ def run_coalesced(
         members=members,
         force_route="coalesced",
     ))
-    engine = BatchedStepEngine(
-        graph, program, config, CounterRNG(config.seed), "coalesced"
-    )
-    executor = Executor(execution_plan, graph, program=program, engine=engine)
+    executor = Executor(execution_plan, graph, program=program)
     return executor.execute(members=members)

@@ -22,10 +22,11 @@ segment), so the gather/select/update sequence exists once.
 **One class, two sets of hook sites.**  The four places a step consults the
 program -- edge bias, neighbor count, update, frontier vertex bias -- are
 bound once, at construction: to the hook-dispatching implementations below,
-or, when the route's :func:`~repro.compiled.compiler.resolve_step` says
-``"compiled"``, to the program's *declared* shapes
-(:func:`repro.compiled.step_engine.declared_sites`).  :attr:`kind` names the
-declared bias kind (``None`` = interpreted).
+or, when the owner hands the engine a declared bias ``kind`` (the
+``StepResolution.kind`` of :func:`~repro.compiled.compiler.resolve_step`,
+which the owner already holds), to the program's *declared* shapes
+(:func:`repro.compiled.step_engine.declared_sites`).  :attr:`kind` names
+that kind (``None`` = interpreted).
 
 **Bit-compatibility.**  For a fixed seed the engine reproduces the scalar
 loop exactly: warp ids are assigned in the same (instance, frontier-slot)
@@ -49,7 +50,6 @@ from repro.api.bias import FrontierPoolView, SamplingProgram, SegmentedEdgePool
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
 from repro.api.instance import InstanceState
 from repro.api.select import warp_select
-from repro.compiled.compiler import resolve_step
 from repro.compiled.step_engine import declared_sites
 from repro.engine.gather import batch_gather_neighbors
 from repro.gpusim.costmodel import CostModel
@@ -138,8 +138,9 @@ class _Allocation(NamedTuple):
 class BatchedStepEngine:
     """Vectorised executor for one MAIN-loop depth step (Fig. 2(b)).
 
-    ``route`` is the planner route the engine serves (it decides the hook
-    sites, see the module docstring); without one the sites dispatch hooks.
+    ``kind`` is the declared bias kind of the step resolution the owner
+    holds (it decides the hook sites, see the module docstring); without
+    one the sites dispatch hooks.
     """
 
     def __init__(
@@ -148,7 +149,7 @@ class BatchedStepEngine:
         program: SamplingProgram,
         config: SamplingConfig,
         rng: CounterRNG,
-        route: Optional[str] = None,
+        kind: Optional[str] = None,
     ):
         self.graph = graph
         self.program = program
@@ -169,15 +170,11 @@ class BatchedStepEngine:
             cls.neighbor_count is SamplingProgram.neighbor_count
         )
         #: The declared bias kind the sites are specialised to (``None`` =
-        #: interpreted: every site dispatches the program's hooks).  Exactly
-        #: what the plan of the same (program, config, route) reports.
-        self.kind: Optional[str] = (
-            None if route is None
-            else resolve_step(config, route, program=program).kind
-        )
+        #: interpreted: every site dispatches the program's hooks).
+        self.kind = kind
         sites = (
-            declared_sites(graph, program, config, self.kind)
-            if self.kind is not None
+            declared_sites(graph, program, config, kind)
+            if kind is not None
             else {}
         )
         self._edge_biases = sites.get("edge_biases", self._hook_edge_biases)

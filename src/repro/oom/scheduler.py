@@ -152,6 +152,7 @@ class OutOfMemorySampler:
         partitions: Optional[PartitionSet] = None,
         algorithm: Optional[str] = None,
     ):
+        from repro.compiled.compiler import resolve_step
         from repro.engine.step import BatchedStepEngine
         from repro.graph.delta import as_csr
 
@@ -169,8 +170,10 @@ class OutOfMemorySampler:
             else partition_graph(graph, self.oom.num_partitions)
         )
         self.rng = CounterRNG(config.seed)
+        # Resolved once here: the engine is kept across runs.
         self.engine = BatchedStepEngine(
-            graph, program, config, self.rng, "out_of_memory"
+            graph, program, config, self.rng,
+            resolve_step(config, program=program).kind,
         )
 
     # ------------------------------------------------------------------ #

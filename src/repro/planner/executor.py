@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.api.frontier import FrontierQueue
-from repro.api.instance import InstanceBatch, InstanceState
+from repro.api.instance import InstanceBatch
 from repro.api.results import SampleColumns, SampleResult
 from repro.compiled.compiler import resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel, EdgeLog, WalkerBatch
@@ -70,10 +70,12 @@ class Executor:
     The constructor takes the runtime objects a plan cannot name; every one
     may stay ``None``.  Left out, the program comes from the registry
     (``plan.algorithm`` with ``program_kwargs``), the engine is a fresh
-    :class:`BatchedStepEngine` for the plan's route, the device a fresh
-    GPU, the out-of-memory ``partitions`` the plan's ``layout.oom`` split
-    and the sharded ``transport`` in-process shards.  ``transport``, when
-    given, builds the transport from the shard bounds.
+    :class:`BatchedStepEngine` bound to the run's step resolution, the
+    device a fresh GPU, the out-of-memory ``partitions`` the plan's
+    ``layout.oom`` split and the sharded ``transport`` in-process shards.
+    ``transport``, when given, builds the transport from the shard bounds.
+    Each :meth:`execute` resolves the step once
+    (:func:`~repro.compiled.compiler.resolve_step`).
     """
 
     def __init__(
@@ -149,9 +151,28 @@ class Executor:
                 raise ValueError("a coalesced plan needs member instance lists")
         elif instances is None:
             raise ValueError(f"a {route} plan needs instances")
+        if self.program is None and route != "sharded":
+            from repro.algorithms.registry import get_algorithm
+
+            self.program = get_algorithm(self.plan.algorithm).program_factory(
+                **self.program_kwargs
+            )
+        # The run's one step decision: the engine built below, the walk
+        # kernel and the sharded placement all follow it.  Sharded runs bind
+        # no program here (each shard builds its own), so they resolve by
+        # algorithm name, as their plan did.
+        self._step = resolve_step(
+            self.plan.config, program=self.program,
+            algorithm=self.plan.algorithm,
+        )
         if route == "sharded":
             return self._run_sharded(instances)
-        self._bind()
+        if self.engine is None:
+            config = self.plan.config
+            self.engine = BatchedStepEngine(
+                self.graph, self.program, config, CounterRNG(config.seed),
+                self._step.kind,
+            )
         if route == "coalesced":
             return self._run_coalesced(members)
         if route == "in_memory":
@@ -160,37 +181,12 @@ class Executor:
             return self._run_out_of_memory(instances)
         raise ValueError(f"unknown route {route!r}")  # pragma: no cover
 
-    def _bind(self) -> None:
-        """The registry program and its engine, when the caller brought none."""
-        config = self.plan.config
-        if self.program is None:
-            from repro.algorithms.registry import get_algorithm
-
-            self.program = get_algorithm(self.plan.algorithm).program_factory(
-                **self.program_kwargs
-            )
-        if self.engine is None:
-            self.engine = BatchedStepEngine(
-                self.graph, self.program, config, CounterRNG(config.seed),
-                self.plan.route,
-            )
-
-    def _resolution(self):
-        """The step resolution of the plan's route.  Sharded runs bind no
-        program here (each shard builds its own), so they resolve by
-        algorithm name, as their plan did."""
-        return resolve_step(
-            self.plan.config, self.plan.route, program=self.program,
-            algorithm=self.plan.algorithm,
-        )
-
     def _walk_kernel(self) -> Optional[CompiledWalkKernel]:
-        """The walk kernel when the route resolves to it, else ``None``."""
-        resolution = self._resolution()
-        if resolution.kernel != "walk":
+        """The walk kernel when the run resolves to it, else ``None``."""
+        if self._step.kernel != "walk":
             return None
         return CompiledWalkKernel(
-            self.engine, kind=resolution.kind, backend=resolution.backend
+            self.engine, kind=self._step.kind, backend=self._step.backend
         )
 
     # ================================================================== #
@@ -522,7 +518,7 @@ class Executor:
         # The trace context rides the walkers so shard runtimes (possibly
         # in other processes) join this request's span tree.
         ctx = _trace.current()
-        if self._resolution().kernel == "walk":
+        if self._step.kernel == "walk":
             # Walk-kernel shards hold their walkers as columns: each shard
             # is admitted the slice of the batch whose seeds it owns.
             walkers = WalkerBatch.seeded(batch, ctx)

@@ -428,7 +428,7 @@ def plan(request: PlanRequest) -> ExecutionPlan:
     # Step tier (from eligibility alone) + host calibration
     # ------------------------------------------------------------------ #
     resolution = resolve_step(
-        config, route, program=program, algorithm=request.algorithm
+        config, program=program, algorithm=request.algorithm
     )
 
     return ExecutionPlan(

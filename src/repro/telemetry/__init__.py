@@ -4,11 +4,12 @@ One zero-dependency subsystem observes every layer of the stack:
 
 * :mod:`repro.telemetry.trace` -- lightweight spans with a trace id minted
   per request and propagated through :class:`~repro.service.workers.WorkUnit`
-  into process workers and through
-  :class:`~repro.distributed.router.WalkerEnvelope` across cluster shards,
-  so one sampling request yields a single coherent span tree covering
-  admission -> plan -> dispatch -> per-depth engine (or compiled-kernel)
-  steps -> migration epochs -> reassembly;
+  into process workers and across cluster shards on the walkers they
+  migrate (once per :class:`~repro.compiled.walk_kernel.WalkerBatch` on
+  walk-kernel shards, per :class:`~repro.distributed.router.WalkerEnvelope`
+  otherwise), so one sampling request yields a single coherent span tree
+  covering admission -> plan -> dispatch -> per-depth engine (or
+  compiled-kernel) steps -> migration epochs -> reassembly;
 * :mod:`repro.telemetry.metrics` -- a process-local registry of counters and
   fixed-bucket histograms (no locks on the hot path, mergeable across
   workers) behind the service's per-route latency / queue-wait / fusion-rate

@@ -19,7 +19,7 @@ from repro.algorithms import (
     UnbiasedNeighborSampling,
     run_random_walks,
 )
-from repro.api.bias import EdgePool
+from repro.api.bias import EdgePool, SamplingProgram
 from repro.api.instance import InstanceState
 from repro.api.sampler import sample_graph
 from repro.api.select import gather_neighbors
@@ -29,6 +29,29 @@ def edge_pool(graph, vertex, prev=-1):
     inst = InstanceState(0, np.array([vertex]))
     inst.prev_vertex = prev
     return gather_neighbors(graph, vertex, inst)
+
+
+#: The programs whose bias is all ones: ``compiled_bias = "uniform"``.
+UNIFORM_PROGRAMS = (
+    SimpleRandomWalk,
+    UnbiasedNeighborSampling,
+    SnowballSampling,
+    MultiDimensionalRandomWalk,
+    ForestFireSampling,
+    MetropolisHastingsWalk,
+    RandomWalkWithJump,
+)
+
+
+@pytest.mark.parametrize("cls", UNIFORM_PROGRAMS, ids=lambda cls: cls.__name__)
+def test_uniform_bias_is_stated_once(cls, toy_graph):
+    """The declaration and the ``SamplingProgram`` defaults state the
+    all-ones bias; no uniform program restates it in its own hooks."""
+    assert cls.compiled_bias == "uniform"
+    assert cls.edge_bias is SamplingProgram.edge_bias
+    assert cls.edge_bias_batch is SamplingProgram.edge_bias_batch
+    pool = edge_pool(toy_graph, 8)
+    assert np.array_equal(cls().edge_bias(pool), np.ones(pool.size))
 
 
 class TestNeighborSampling:

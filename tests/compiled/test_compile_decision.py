@@ -1,11 +1,16 @@
-"""Static eligibility: which (program, config) pairs compile, and why not."""
+"""Static eligibility: which (program, config) pairs compile, and why not.
+
+:func:`resolve_step` is the one decision: eligible means ``tier ==
+"compiled"``, the refusal reason is ``fallback`` and a walk shape is
+``kernel == "walk"``.
+"""
 
 import pytest
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.bias import SamplingProgram
 from repro.api.config import PoolPolicy, SamplingConfig, SelectionScope
-from repro.compiled import compile_decision, resolve_step
+from repro.compiled import resolve_step
 from repro.algorithms.random_walk import SimpleRandomWalk
 
 #: algorithm -> (kind, walk_shape) for every eligible registry default.
@@ -26,21 +31,25 @@ def walk_config(**overrides) -> SamplingConfig:
     return SimpleRandomWalk.default_config(**overrides)
 
 
-class TestCompileDecision:
+def decide(program, config):
+    return resolve_step(config, program=program)
+
+
+class TestEligibility:
     @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
     def test_registry_eligibility(self, name):
         info = ALGORITHM_REGISTRY[name]
-        decision = compile_decision(info.program_factory(), info.config_factory())
+        decision = decide(info.program_factory(), info.config_factory())
         if name in COMPILED_ALGORITHMS:
             kind, walk_shape = COMPILED_ALGORITHMS[name]
-            assert decision.eligible
+            assert decision.tier == "compiled"
             assert decision.kind == kind
-            assert decision.walk_shape == walk_shape
-            assert decision.reason is None
+            assert (decision.kernel == "walk") == walk_shape
+            assert decision.fallback is None
         else:
             # The stateful-hook programs: an explicit reason is recorded.
-            assert not decision.eligible
-            assert decision.reason
+            assert decision.tier != "compiled"
+            assert decision.fallback
 
     def test_deepwalk_inherits_uniform_and_biased_overrides_it(self):
         from repro.algorithms.random_walk import BiasedRandomWalk, DeepWalk
@@ -61,14 +70,14 @@ class TestCompileDecision:
     def test_non_walk_configs_compile_on_the_engine(self, overrides):
         # Config features the fused walk kernel cannot host no longer gate
         # eligibility -- they demote the plan to the compiled step engine.
-        decision = compile_decision(SimpleRandomWalk(), walk_config(**overrides))
-        assert decision.eligible
-        assert not decision.walk_shape
+        decision = decide(SimpleRandomWalk(), walk_config(**overrides))
+        assert decision.tier == "compiled"
+        assert decision.kernel != "walk"
 
     def test_default_walk_config_is_walk_shaped(self):
-        decision = compile_decision(SimpleRandomWalk(), walk_config())
-        assert decision.eligible
-        assert decision.walk_shape
+        decision = decide(SimpleRandomWalk(), walk_config())
+        assert decision.tier == "compiled"
+        assert decision.kernel == "walk"
 
     def test_hook_overrides_reject(self):
         class AcceptingWalk(SimpleRandomWalk):
@@ -88,62 +97,54 @@ class TestCompileDecision:
             (UpdatingWalk(), "update"),
             (CountingWalk(), "neighbor_count"),
         ):
-            decision = compile_decision(program, walk_config())
-            assert not decision.eligible
-            assert hook in decision.reason
+            decision = decide(program, walk_config())
+            assert decision.tier != "compiled"
+            assert hook in decision.fallback
 
     def test_undeclared_and_unknown_kinds_reject(self):
-        assert not compile_decision(SamplingProgram(), SamplingConfig()).eligible
+        assert decide(SamplingProgram(), SamplingConfig()).tier != "compiled"
 
         class MysteryWalk(SimpleRandomWalk):
             compiled_bias = "quantum"
 
-        decision = compile_decision(MysteryWalk(), walk_config())
-        assert not decision.eligible
-        assert "quantum" in decision.reason
+        decision = decide(MysteryWalk(), walk_config())
+        assert decision.tier != "compiled"
+        assert "quantum" in decision.fallback
 
 
 class TestResolveStep:
-    def test_eligible_walk_compiles_on_engine_routes(self):
-        # The walk kernel has a driver on each: the depth loop (in-memory,
+    def test_eligible_walk_compiles_on_the_walk_kernel(self):
+        # Every route's loop calls it: the depth loop (in-memory,
         # coalesced), the partition drain (out-of-memory) and the shard
         # epoch (sharded).
-        for route in ("in_memory", "coalesced", "out_of_memory", "sharded"):
-            resolution = resolve_step(
-                walk_config(), route, program=SimpleRandomWalk()
-            )
-            assert resolution.tier == "compiled"
-            assert resolution.kernel == "walk"
-            assert resolution.backend in ("numpy", "numba")
-            assert resolution.fallback is None
+        resolution = resolve_step(walk_config(), program=SimpleRandomWalk())
+        assert resolution.tier == "compiled"
+        assert resolution.kernel == "walk"
+        assert resolution.backend in ("numpy", "numba")
+        assert resolution.fallback is None
 
-    def test_non_engine_routes_compile_on_the_engine(self):
+    def test_non_walk_shapes_compile_on_the_engine(self):
         # Non-walk shapes compile on the numpy engine kernel (no walk-kernel
-        # driver to jit), here on the out-of-memory route.
+        # inner loop to jit).
         non_walk = walk_config().replace(with_replacement=False)
-        for route, config in (("out_of_memory", non_walk),):
-            resolution = resolve_step(config, route, program=SimpleRandomWalk())
-            assert resolution.tier == "compiled"
-            assert resolution.kernel == "engine"
-            assert resolution.backend == "numpy"
-            assert resolution.fallback is None
+        resolution = resolve_step(non_walk, program=SimpleRandomWalk())
+        assert resolution.tier == "compiled"
+        assert resolution.kernel == "engine"
+        assert resolution.backend == "numpy"
+        assert resolution.fallback is None
 
     def test_env_disable(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
-        resolution = resolve_step(
-            walk_config(), "in_memory", program=SimpleRandomWalk()
-        )
+        resolution = resolve_step(walk_config(), program=SimpleRandomWalk())
         assert (resolution.tier, resolution.kernel) == ("interpreted", "none")
         assert "REPRO_COMPILED" in resolution.fallback
 
     def test_algorithm_name_resolves_via_registry(self):
         resolution = resolve_step(
-            walk_config(), "in_memory", algorithm="simple_random_walk"
+            walk_config(), algorithm="simple_random_walk"
         )
         assert (resolution.tier, resolution.fallback) == ("compiled", None)
-        resolution = resolve_step(
-            walk_config(), "in_memory", algorithm="no_such_algorithm"
-        )
+        resolution = resolve_step(walk_config(), algorithm="no_such_algorithm")
         assert resolution.tier == "interpreted"
         assert "unknown" in resolution.fallback
 

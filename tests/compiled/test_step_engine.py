@@ -7,7 +7,11 @@ from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import make_instances
 from repro.api.sampler import GraphSampler
 from repro.baselines.reference import ScalarMainLoop
-from repro.compiled import clear_structure_cache, structure_cache_stats
+from repro.compiled import (
+    clear_structure_cache,
+    resolve_step,
+    structure_cache_stats,
+)
 from repro.engine.step import BatchedStepEngine, alloc_warp_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
@@ -44,9 +48,10 @@ def fresh_structures():
 def _build(graph, name):
     info = ALGORITHM_REGISTRY[name]
     config = info.config_factory(seed=13)
+    program = info.program_factory()
     return BatchedStepEngine(
-        graph, info.program_factory(), config, CounterRNG(config.seed),
-        "in_memory",
+        graph, program, config, CounterRNG(config.seed),
+        resolve_step(config, program=program).kind,
     )
 
 
@@ -65,7 +70,7 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_COMPILED", "0")
         assert _build(graph, "biased_neighbor_sampling").kind is None
 
-    def test_no_route_means_hook_dispatching_sites(self, graph):
+    def test_no_kind_means_hook_dispatching_sites(self, graph):
         info = ALGORITHM_REGISTRY["biased_neighbor_sampling"]
         engine = BatchedStepEngine(
             graph, info.program_factory(), info.config_factory(), CounterRNG(0)

@@ -99,3 +99,28 @@ def mutated_pair():
     )
     delta.compact()
     return delta, fresh
+
+
+@pytest.fixture
+def resolve_calls():
+    """The argument tuples of every ``resolve_step`` call from here on: the
+    resolver is wrapped in every module that imported it by name, including
+    modules first imported during the test (restored on teardown too)."""
+    import sys
+
+    from repro.compiled import compiler
+
+    resolve_step, calls = compiler.resolve_step, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resolve_step(*args, **kwargs)
+
+    def rebind(old, new):
+        for module in list(sys.modules.values()):
+            if vars(module).get("resolve_step") is old:
+                module.resolve_step = new
+
+    rebind(resolve_step, counted)
+    yield calls
+    rebind(counted, resolve_step)

@@ -191,6 +191,14 @@ class TestShardRuntime:
         assert len(shard.kernels) == shard.steps
         assert all(k.cost.sampled_edges >= 0 for k in shard.kernels)
 
+    def test_resolves_its_step_once(self, graph, resolve_calls):
+        """One step decision per shard: its shared engine, the walk kernel
+        and every private engine it builds bind that one kind."""
+        shard = self.shard(graph, 0, partition_bounds(graph, 1))
+        shard.admit(self.arrivals([(0, 1), (1, 2), (2, 3)]))
+        shard.step(0)
+        assert len(resolve_calls) == 1
+
     def test_rejects_the_other_resident_form(self, graph):
         shard = self.shard(graph, 0, partition_bounds(graph, 2))
         other = (

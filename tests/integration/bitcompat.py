@@ -28,6 +28,7 @@ from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import InstanceBatch, InstanceState, make_instances
 from repro.api.sampler import GraphSampler
 from repro.baselines.reference import ScalarMainLoop
+from repro.compiled import resolve_step
 from repro.compiled.walk_kernel import CompiledWalkKernel
 from repro.distributed import ShardedSamplingCluster
 from repro.engine.hetero import run_coalesced
@@ -293,7 +294,8 @@ def drain(graph, program, config, batch, oom, *, declared=False):
     facade's does; ``declared`` plans it interpreted, so the executor drains
     through the declared-site engine's ``expand_entries``."""
     engine = BatchedStepEngine(as_csr(graph), program, config,
-                               CounterRNG(config.seed), "out_of_memory")
+                               CounterRNG(config.seed),
+                               resolve_step(config, program=program).kind)
     if declared:
         assert engine.kind == program.compiled_bias
     return execute(graph, program, config, "out_of_memory", batch, engine,

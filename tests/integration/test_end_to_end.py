@@ -21,7 +21,7 @@ from repro.baselines.knightking import KnightKingEngine
 from repro.baselines.graphsaint import GraphSAINTSampler
 from repro.bench import figures
 from repro.bench.workloads import SMALL_SCALE
-from repro.metrics.stats import total_variation_distance
+from stats_helpers import total_variation_distance
 from repro.oom.multigpu import run_multi_gpu_walks
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 from repro.selection.collision import CollisionStrategy

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.api.instance import make_instances
+from repro.compiled import resolve_step
 from repro.engine.step import BatchedStepEngine
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
@@ -64,7 +65,7 @@ def run_engine(engine, instances, depth, iterations, *grouped):
     return total, tasks
 
 
-@pytest.mark.parametrize("route", [None, "coalesced"])
+@pytest.mark.parametrize("sites", ["hooks", "declared"])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @given(layout=layouts, starts=start_cursors)
 @example(  # the issue's column: interleaved, group 1 dead on arrival, 3 empty
@@ -72,11 +73,15 @@ def run_engine(engine, instances, depth, iterations, *grouped):
     starts=[7, 0, 3, 11],
 )
 @settings(max_examples=25, deadline=None)
-def test_any_group_layout_equals_standalone_runs(shape, route, layout, starts):
+def test_any_group_layout_equals_standalone_runs(shape, sites, layout, starts):
     algorithm, overrides = SHAPES[shape]
     info = ALGORITHM_REGISTRY[algorithm]
     config = info.config_factory(seed=11, **overrides)
     program = info.program_factory()
+    kind = (
+        resolve_step(config, program=program).kind
+        if sites == "declared" else None
+    )
     groups = np.array([group for group, _ in layout], dtype=np.int64)
 
     def build():
@@ -92,7 +97,7 @@ def test_any_group_layout_equals_standalone_runs(shape, route, layout, starts):
 
     def engine():
         return BatchedStepEngine(
-            GRAPH, program, config, CounterRNG(config.seed), route
+            GRAPH, program, config, CounterRNG(config.seed), kind
         )
 
     batch = build()

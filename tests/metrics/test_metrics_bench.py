@@ -1,27 +1,31 @@
-"""Tests for the metrics helpers and the benchmark harness utilities."""
+"""Tests for the result metrics, the shared distribution checks and the
+benchmark harness utilities."""
 
 import numpy as np
 import pytest
 
+from repro.api.results import SampleColumns, SampleResult
 from repro.bench.harness import ExperimentTable, format_table, write_csv
 from repro.bench.workloads import DEFAULT_SCALE, SMALL_SCALE, get_graph
-from repro.metrics.stats import (
-    chi_square_uniformity,
-    empirical_distribution,
-    kernel_time_std,
-    mean_iterations,
-    search_reduction_ratio,
-    total_variation_distance,
-)
+from repro.gpusim.costmodel import CostModel
+from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemoryResult
+from stats_helpers import chi_square_uniformity, total_variation_distance
+
+
+def _oom_result(kernel_times) -> OutOfMemoryResult:
+    return OutOfMemoryResult(
+        sample=SampleResult(samples=SampleColumns.empty(), cost=CostModel()),
+        makespan=0.0,
+        kernel_times=list(kernel_times),
+        transfer_times=[],
+        partition_transfers=0,
+        rounds=0,
+        cost=CostModel(),
+        config=OutOfMemoryConfig(),
+    )
 
 
 class TestStats:
-    def test_empirical_distribution(self):
-        dist = empirical_distribution(np.array([0, 0, 1, 2]), 4)
-        assert np.allclose(dist, [0.5, 0.25, 0.25, 0.0])
-        with pytest.raises(ValueError):
-            empirical_distribution(np.array([5]), 3)
-
     def test_chi_square_accepts_matching_distribution(self):
         rng = np.random.default_rng(0)
         probs = np.array([0.1, 0.2, 0.3, 0.4])
@@ -45,19 +49,16 @@ class TestStats:
             total_variation_distance(np.ones(2), np.ones(3))
 
     def test_mean_iterations(self):
-        assert mean_iterations([1, 2, 3]) == 2.0
-        assert mean_iterations([]) == 0.0
-
-    def test_search_reduction_ratio(self):
-        assert search_reduction_ratio(30, 100) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            search_reduction_ratio(1, 0)
+        empty = SampleColumns.empty()
+        result = SampleResult(empty, CostModel(), iteration_counts=[1, 2, 3])
+        assert result.mean_iterations() == 2.0
+        assert SampleResult(empty, CostModel()).mean_iterations() == 0.0
 
     def test_kernel_time_std(self):
-        assert kernel_time_std([1.0, 1.0, 1.0]) == pytest.approx(0.0)
-        assert kernel_time_std([1.0, 3.0]) > 0
-        assert kernel_time_std([]) == 0.0
-        assert kernel_time_std([1.0, 3.0], normalize=False) == pytest.approx(1.0)
+        # Fig. 14's metric: the coefficient of variation of kernel times.
+        assert _oom_result([1.0, 1.0, 1.0]).kernel_time_std() == 0.0
+        assert _oom_result([]).kernel_time_std() == 0.0
+        assert _oom_result([1.0, 3.0]).kernel_time_std() == pytest.approx(0.5)
 
 
 class TestHarness:

@@ -440,6 +440,20 @@ class TestExecutorContracts:
         for ours, theirs in zip(ran.result.samples, expected.result.samples):
             assert np.array_equal(ours.edges, theirs.edges)
 
+    @pytest.mark.parametrize("route", ["in_memory", "out_of_memory"])
+    def test_each_run_resolves_its_step_once(self, graph, route, resolve_calls):
+        """One step decision per run, as the service's worker runs a plan:
+        the engine the executor builds and the walk kernel both follow it."""
+        from repro.planner.executor import Executor
+
+        p = self.registry_plan(
+            graph, force_route=route,
+            oom_config=OutOfMemoryConfig.baseline(num_partitions=3),
+        )
+        resolve_calls.clear()
+        Executor(p, graph).execute(make_instances([0, 1, 2]))
+        assert len(resolve_calls) == 1
+
     def test_plan_without_graph_needs_stats(self):
         with pytest.raises(PlanError, match="graph or explicit graph stats"):
             plan(PlanRequest(algorithm="deepwalk"))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
-from repro.metrics.stats import total_variation_distance
+from stats_helpers import total_variation_distance
 from repro.selection.alias import build_alias_table
 from repro.selection.dartboard import dartboard_sample
 

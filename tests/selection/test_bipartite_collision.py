@@ -10,7 +10,7 @@ import pytest
 
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
-from repro.metrics.stats import total_variation_distance
+from stats_helpers import total_variation_distance
 from repro.selection.bipartite import bipartite_remap, bipartite_search_select
 from repro.selection.bitmap import LinearSearchDetector, StridedBitmap
 from repro.selection.collision import (

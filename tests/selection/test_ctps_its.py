@@ -5,7 +5,7 @@ import pytest
 
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.prng import CounterRNG
-from repro.metrics.stats import chi_square_uniformity, total_variation_distance
+from stats_helpers import chi_square_uniformity, total_variation_distance
 from repro.selection.ctps import CTPS
 from repro.selection.its import sample_one, sample_with_replacement
 
