@@ -8,8 +8,8 @@ are methods here, not conventions at call sites:
 
 * :class:`RequestTable`, ``open -> resolve``: a future resolves exactly
   once; ``replan`` never sees a request between the intake gate and pending.
-* :class:`UnitTable`, ``dispatch -> claim -> finish | reap | expire``: every
-  exit pops the unit, so one thread handles its end whoever else notices.
+* :class:`UnitTable`, ``dispatch -> finish | reap | expire``: every exit
+  pops the unit, so one thread handles its end whoever else notices.
 * :class:`EpochTable`, ``admit -> pin/unpin -> retire -> release``: a
   retiring epoch refuses pins and is released exactly when unpinned.
 
@@ -157,8 +157,6 @@ class Unit:
     #: Trace ids of the member requests, head first (empty = tracing off).
     trace_ids: List[str]
     dispatched_at: float
-    #: Pid of the process worker that claimed the unit (None = unclaimed).
-    claimed_by: Optional[int] = None
 
     @property
     def head_trace_id(self) -> Optional[str]:
@@ -177,15 +175,6 @@ class UnitTable:
         with self._lock:
             return len(self._inflight)
 
-    def claims(self) -> Dict[int, int]:
-        """``unit id -> claiming worker pid`` of every claimed unit."""
-        with self._lock:
-            return {
-                unit.unit_id: unit.claimed_by
-                for unit in self._inflight.values()
-                if unit.claimed_by is not None
-            }
-
     def dispatch(self, unit: Unit, route: str) -> None:
         members = len(unit.request_ids)
         with self._lock:
@@ -195,33 +184,23 @@ class UnitTable:
             if members > 1:
                 self._metrics.counter("coalesced_requests").inc(members)
 
-    def claim(self, unit_id: int, pid: int) -> Optional[Unit]:
-        """A worker started the unit; ``None`` if the unit already ended."""
-        with self._lock:
-            unit = self._inflight.get(unit_id)
-            if unit is not None:
-                unit.claimed_by = pid
-            return unit
-
     def finish(self, unit_id: int) -> Optional[Unit]:
         """The unit was answered; ``None`` if it already ended."""
         with self._lock:
             return self._inflight.pop(unit_id, None)
 
-    def reap(self, dead_pids: Iterable[int], *,
-             pool_dead: bool = False) -> List[Unit]:
-        """End the units claimed by a dead worker -- every unit when the
-        whole pool is gone (unclaimed ones would never even be claimed)."""
-        dead = set(dead_pids)
-        return self._end(lambda unit: pool_dead or unit.claimed_by in dead)
+    def reap(self, unit_ids: Iterable[int]) -> List[Unit]:
+        """End the units the pool reports lost with a dead worker, in the
+        reported order; ids that already ended are skipped."""
+        with self._lock:
+            units = [self._inflight.pop(i, None) for i in unit_ids]
+        return [unit for unit in units if unit is not None]
 
     def expire(self, cutoff: float) -> List[Unit]:
         """End the units dispatched before ``cutoff`` (``perf_counter``)."""
-        return self._end(lambda unit: unit.dispatched_at < cutoff)
-
-    def _end(self, lost: Callable[[Unit], bool]) -> List[Unit]:
         with self._lock:
-            units = [u for u in self._inflight.values() if lost(u)]
+            units = [u for u in self._inflight.values()
+                     if u.dispatched_at < cutoff]
             for unit in units:
                 del self._inflight[unit.unit_id]
         return units

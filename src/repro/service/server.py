@@ -71,6 +71,7 @@ from repro.service.workers import (
     RequestSpec,
     UnitResult,
     WorkUnit,
+    WorkerLost,
     WorkerPool,
 )
 from repro.telemetry import ingest_envelope, profiler as _profiler, trace as _trace
@@ -226,9 +227,9 @@ class SamplingService:
         the out-of-memory route.
 
         ``unit_timeout_s`` bounds how long a dispatched unit may stay
-        unanswered before its requests fail.  It is the backstop for losses
-        the claim protocol cannot see (a worker killed before its claim
-        message flushed); ``None`` disables it.
+        unanswered before its requests fail.  A worker that dies is seen at
+        once (EOF on its pipe fails the unit it held); this is the backstop
+        for a worker that hangs without dying.  ``None`` disables it.
 
         Gateway switches (see ``docs/service.md``): ``cache_bytes`` budgets
         the deterministic result cache (``None``/``0`` disables it);
@@ -264,6 +265,10 @@ class SamplingService:
             resolve_graph=lambda handle: self.store.graph(
                 handle.name, handle.epoch
             ),
+        )
+        self._pool.on_handoff = lambda unit, pid: self.recorder.record(
+            "worker_claim", unit_id=unit.unit_id, worker_pid=pid,
+            trace_id=unit.trace_ctx[0] if unit.trace_ctx else None,
         )
         #: Priority-lane dispatch queue: entries are ``(-priority, seq,
         #: record-or-None)`` so higher priorities drain first, FIFO within
@@ -310,10 +315,8 @@ class SamplingService:
         self._collector = threading.Thread(
             target=self._collect_loop, name="sampling-collect", daemon=True
         )
-        # The monitor duplicates the collector's crash/timeout backstops on
-        # an independent thread: a collector blocked mid-recv on a truncated
-        # result pickle (worker killed while its queue feeder was writing)
-        # must not leave in-flight units unreapable.
+        # The monitor takes load samples and expires units past
+        # unit_timeout_s; it reads no worker channel.
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="sampling-monitor", daemon=True
         )
@@ -738,7 +741,12 @@ class SamplingService:
             ),
             route,
         )
-        self._pool.submit(unit)
+        try:
+            self._pool.submit(unit)
+        except Exception:
+            # Never handed out (an unpicklable unit): no answer will come.
+            self._units.finish(unit.unit_id)
+            raise
 
     # ------------------------------------------------------------------ #
     # Collector: demultiplex worker results onto futures
@@ -750,31 +758,30 @@ class SamplingService:
             except queue.Empty:
                 if self._shutdown.is_set() and not len(self._units):
                     return
-                self._fail_lost_units(drain=True)
                 continue
-            except (EOFError, OSError):  # pragma: no cover - pool torn down
+            except (EOFError, OSError):  # the pool was shut down
                 return
-            self._handle_message(message)
-
-    def _handle_message(self, message) -> None:
-        if isinstance(message, tuple) and message and message[0] == "claim":
-            _, unit_id, pid = message
-            unit = self._units.claim(unit_id, pid)
-            self.recorder.record(
-                "worker_claim",
-                trace_id=unit.head_trace_id if unit is not None else None,
-                unit_id=unit_id, worker_pid=pid,
-            )
-            return
-        self._finish_unit(message)
+            if isinstance(message, WorkerLost):
+                for unit in self._units.reap(message.unit_ids):
+                    self._fail_unit(unit, "worker_crash", "worker process died",
+                                    worker_pid=message.pid)
+            else:
+                self._finish_unit(message)
 
     def _monitor_loop(self) -> None:
         while not self._shutdown.is_set():
             time.sleep(0.1)
             self._sample_load()
-            # Never drains here: draining means reading the result pipe,
-            # the very operation that can wedge after a worker crash.
-            self._fail_lost_units(drain=False)
+            if self.unit_timeout_s is None:
+                continue
+            # The backstop for a worker that hangs without dying.
+            cutoff = time.perf_counter() - self.unit_timeout_s
+            for unit in self._units.expire(cutoff):
+                self._fail_unit(
+                    unit, "unit_timeout",
+                    f"unit unanswered after {self.unit_timeout_s}s",
+                    timeout_s=self.unit_timeout_s,
+                )
 
     def _sample_load(self) -> None:
         """One periodic load sample (monitor thread): queue + cache + units."""
@@ -797,35 +804,6 @@ class SamplingService:
         into ``ph:"C"`` counter tracks alongside a trace dump.
         """
         return list(self._load_samples)
-
-    def _fail_lost_units(self, *, drain: bool) -> None:
-        """The backstops: fail the units whose worker died (healthy
-        workers' work is left alone) and -- for losses the claim protocol
-        cannot see -- the units unanswered for ``unit_timeout_s``."""
-        if not len(self._units):
-            return
-        dead = self._pool.dead_worker_pids()
-        pool_dead = not self._pool.any_workers_alive()
-        # A finished result may still be queued behind the death: drain
-        # whatever already arrived before declaring anything lost.
-        while drain and (dead or pool_dead):
-            try:
-                self._handle_message(self._pool.next_result(timeout=0.01))
-            except queue.Empty:
-                break
-            except (EOFError, OSError):  # pragma: no cover - pool torn down
-                break
-        for unit in self._units.reap(dead, pool_dead=pool_dead):
-            self._fail_unit(unit, "worker_crash", "worker process died",
-                            worker_pid=unit.claimed_by or 0)
-        if self.unit_timeout_s is not None:
-            cutoff = time.perf_counter() - self.unit_timeout_s
-            for unit in self._units.expire(cutoff):
-                self._fail_unit(
-                    unit, "unit_timeout",
-                    f"unit unanswered after {self.unit_timeout_s}s",
-                    timeout_s=self.unit_timeout_s,
-                )
 
     def _fail_unit(self, unit: Unit, reason: str, error: str, **fields) -> None:
         """One fail path for every lost unit: event, post-mortem (first, so
@@ -893,7 +871,7 @@ class SamplingService:
         # without dispatching.
         ran = CachedResult(
             samples=payload.samples,
-            iteration_counts=payload.iteration_counts,
+            iteration_counts=payload.iteration_counts.tolist(),
             route=payload.route,
             coalesced_with=payload.coalesced_with,
             stats=stats,
@@ -995,13 +973,8 @@ class SamplingService:
                 except KeyError:  # released between epochs() and here
                     continue
         cache = self.gateway.cache
-        claims = self._units.claims()
         inflight = len(self._units)
-        dead = self._pool.dead_worker_pids()
-        alive = (
-            max(0, self._pool.num_workers - len(dead))
-            if self._pool.any_workers_alive() else 0
-        )
+        workers = self._pool.census()
         return {
             "pending": len(self._requests),
             "inflight": inflight,
@@ -1013,16 +986,10 @@ class SamplingService:
             "workers": {
                 "mode": self._pool.mode,
                 "num_workers": self._pool.num_workers,
-                "alive": alive,
-                "dead_pids": list(dead),
-                "claimed_units": {str(u): pid for u, pid in claims.items()},
+                **workers,
                 "inflight_units": inflight,
-                # In-flight units per worker, capped at 1.0: the pool has
-                # no per-worker busy flag, so claimed+queued work is the
-                # proxy.
-                "utilization": min(
-                    1.0, inflight / max(1, self._pool.num_workers)
-                ),
+                "utilization": (len(workers["claimed_units"])
+                                / self._pool.num_workers),
             },
         }
 

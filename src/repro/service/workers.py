@@ -10,7 +10,9 @@ per request.  They ship back per-request payloads of plain arrays (one
 :class:`~repro.api.results.SampleColumns` each).
 
 Three pool modes share the exact same execution path
-(:func:`execute_unit`):
+(:func:`execute_unit`) and the same hand-out: each worker holds at most one
+unit, on a channel no other worker reads (a pipe per process, an inbox per
+thread), so a killed worker loses only that unit and wedges no other:
 
 * ``"process"`` -- real OS processes (spawn), each attaching the store's
   shared-memory segments; the production shape.
@@ -23,13 +25,20 @@ Three pool modes share the exact same execution path
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import multiprocessing
+import os
 import queue
 import threading
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from multiprocessing import connection
+from multiprocessing.reduction import ForkingPickler
+from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.api.config import SamplingConfig
 from repro.api.instance import make_instances
@@ -52,6 +61,7 @@ __all__ = [
     "RequestPayload",
     "UnitResult",
     "execute_unit",
+    "WorkerLost",
     "WorkerPool",
 ]
 
@@ -104,7 +114,9 @@ class RequestPayload:
     #: The request's instances as one columnar container: five arrays cross
     #: the worker boundary, whatever the instance count.
     samples: SampleColumns = field(default_factory=SampleColumns.empty)
-    iteration_counts: List[int] = field(default_factory=list)
+    #: One unsigned array, in the narrowest dtype that holds the counts.
+    iteration_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
     route: str = "in_memory"
     coalesced_with: int = 1
     #: Numeric run statistics plus telemetry annotations (``step_tier`` is
@@ -178,10 +190,13 @@ def _payload(spec: RequestSpec, ran, route: str, coalesced_with: int,
                                   cache_before):
         stats[key] = float(after - before)
     stats["step_tier"] = step_tier
+    # Never negative and mostly 1-3: one buffer of the narrowest unsigned
+    # dtype pickles to a byte a count, a list of ints to two or more.
+    counts = np.asarray(result.iteration_counts, dtype=np.int64)
     return RequestPayload(
         request_id=spec.request_id,
         samples=result.samples,
-        iteration_counts=list(result.iteration_counts),
+        iteration_counts=counts.astype(np.min_scalar_type(counts.max(initial=0))),
         route=route,
         coalesced_with=coalesced_with,
         stats=stats,
@@ -304,69 +319,94 @@ def _execute_unit(graph: CSRGraph, unit: WorkUnit) -> UnitResult:
 # --------------------------------------------------------------------------- #
 # Worker loops
 # --------------------------------------------------------------------------- #
-def _process_worker_main(task_queue, result_queue) -> None:
-    """Process-mode worker: attach shared graphs lazily, loop until sentinel."""
-    import os
-
-    reset_child()
-    attached: Dict[str, object] = {}
-    try:
-        while True:
-            unit = task_queue.get()
-            if unit is None:
-                break
-            # Claim the unit before running it: if this process dies mid-unit
-            # the front-end can fail exactly this unit instead of guessing.
-            result_queue.put(("claim", unit.unit_id, os.getpid()))
-            try:
-                # Cache by name, validated by segment identity: releasing a
-                # graph and publishing a different one under the same name
-                # must not serve the stale mapping.
-                mapping = attached.get(unit.handle.name)
-                if mapping is None or mapping.handle.segments != unit.handle.segments:
-                    if mapping is not None:
-                        mapping.close()
-                    mapping = attach(unit.handle)
-                    attached[unit.handle.name] = mapping
-                # The profiler's runtime switch lives in the front-end;
-                # mirror it here per unit (spawned workers start disabled).
-                if unit.profile:
-                    _profiler.enable()
-                result = execute_unit(mapping.graph, unit)
-                # Process boundary: telemetry minted here travels home
-                # inside the result message.
-                result.telemetry = drain_envelope()
-            except Exception:
-                result = UnitResult(
-                    unit_id=unit.unit_id, error=traceback.format_exc(limit=8)
-                )
-            result_queue.put(result)
-    finally:
-        for mapping in attached.values():
-            try:
-                mapping.close()
-            except Exception:
-                pass
-
-
-def _thread_worker_main(task_queue, result_queue,
-                        resolve_graph: Callable[[SharedGraphHandle], CSRGraph]) -> None:
-    """Thread-mode worker: graphs come straight from the owner's store."""
+def _serve(receive: Callable, send: Callable,
+           graph_of: Callable[[WorkUnit], CSRGraph]) -> None:
+    """A worker's loop, either mode: one unit at a time until the sentinel."""
     while True:
-        unit = task_queue.get()
+        unit = receive()
         if unit is None:
-            break
+            return
         try:
-            result = execute_unit(resolve_graph(unit.handle), unit)
+            result = execute_unit(graph_of(unit), unit)
         except Exception:
             result = UnitResult(
                 unit_id=unit.unit_id, error=traceback.format_exc(limit=8)
             )
-        result_queue.put(result)
+        send(result)
+
+
+def _process_worker_main(conn) -> None:
+    """Process-mode worker: attaches shared graphs lazily and serves its
+    own pipe until the sentinel or the pool's end closes."""
+    reset_child()
+    attached: Dict[str, object] = {}
+
+    def graph_of(unit: WorkUnit) -> CSRGraph:
+        # Cache by name, validated by segment identity: releasing a graph
+        # and publishing a different one under the same name must not
+        # serve the stale mapping.
+        mapping = attached.get(unit.handle.name)
+        if mapping is None or mapping.handle.segments != unit.handle.segments:
+            if mapping is not None:
+                mapping.close()
+            mapping = attached[unit.handle.name] = attach(unit.handle)
+        # The profiler's runtime switch lives in the front-end; mirror it
+        # here per unit (spawned workers start disabled).
+        if unit.profile:
+            _profiler.enable()
+        return mapping.graph
+
+    def send(result: UnitResult) -> None:
+        result.telemetry = drain_envelope()  # minted here, shipped home
+        conn.send(result)
+
+    try:
+        _serve(conn.recv, send, graph_of)
+    except (EOFError, OSError):
+        pass  # the pool is gone
+    finally:
+        for mapping in attached.values():
+            with contextlib.suppress(Exception):
+                mapping.close()
+
+
+@dataclass(frozen=True)
+class WorkerLost:
+    """Units lost with a dead process worker: the one it held, or (``pid``
+    0) the pending ones once no worker is left to run them."""
+
+    pid: int
+    unit_ids: Tuple[int, ...]
+
+
+@dataclass
+class _Slot:
+    """One worker as the pool sees it: its channel and the unit it holds."""
+
+    pid: int
+    #: Process mode: the pool's end of the worker's pipe; thread mode: the
+    #: worker's inbox.
+    channel: object
+    worker: object = None  # the Process or Thread
+    #: ``(unit, encoded unit)`` on the worker's channel, or ``None``.
+    held: Optional[Tuple[WorkUnit, object]] = None
+    alive: bool = True
 
 
 class WorkerPool:
-    """Fixed-size pool executing :class:`WorkUnit`s, any of three modes."""
+    """Fixed-size pool executing :class:`WorkUnit`s, any of three modes.
+
+    A worker holds at most one unit; the rest wait in one pending deque.  A
+    process worker owns a duplex pipe (child end closed here: EOF means it
+    died, after any result it shipped); a thread worker owns an inbox and
+    posts its results, unpickled, to one in-process queue.
+
+    A dead worker loses the unit it held only if it read it: one it died
+    without reading goes back to the front of the deque for a survivor.
+    Its end of the pipe is an ``AF_UNIX`` socket, and closing one with
+    unread data makes the pool's next read fail with ``ECONNRESET`` instead
+    of a clean EOF; a send after the worker closed fails with ``EPIPE``.
+    """
 
     def __init__(
         self,
@@ -386,81 +426,131 @@ class WorkerPool:
             raise ValueError("thread mode needs a resolve_graph callable")
         self.mode = mode
         self.num_workers = num_workers
-        self._workers: List = []
-        self._closed = False
+        #: Called as ``on_handoff(unit, worker_pid)`` once a unit is on its
+        #: worker's channel (the service records ``worker_claim`` here).
+        self.on_handoff: Callable[[WorkUnit, int], None] = lambda unit, pid: None
+        self._lock = threading.Lock()
+        self._slots: List[_Slot] = []
+        #: ``(unit, encoded unit)`` waiting for a free worker, oldest first.
+        self._pending: Deque[Tuple[WorkUnit, object]] = collections.deque()
         if mode == "process":
             ctx = multiprocessing.get_context(mp_context)
-            self._tasks = ctx.Queue()
-            self._results = ctx.Queue()
+            # ``_send(slot.channel, data)``: one encoded unit or the sentinel.
+            self._encode = ForkingPickler.dumps
+            self._send = connection.Connection.send_bytes
             for _ in range(num_workers):
-                proc = ctx.Process(
-                    target=_process_worker_main,
-                    args=(self._tasks, self._results),
-                    daemon=True,
-                )
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_process_worker_main, args=(child,),
+                                   daemon=True)
                 proc.start()
-                self._workers.append(proc)
+                child.close()
+                self._slots.append(_Slot(proc.pid, conn, proc))
         else:
-            self._tasks = queue.Queue()
-            self._results = queue.Queue()
+            self._encode, self._send = (lambda unit: unit), queue.Queue.put
+            self._results: "queue.Queue" = queue.Queue()
             for _ in range(num_workers):
-                thread = threading.Thread(
-                    target=_thread_worker_main,
-                    args=(self._tasks, self._results, resolve_graph),
-                    daemon=True,
-                )
-                thread.start()
-                self._workers.append(thread)
+                slot = _Slot(os.getpid(), queue.Queue())
+                slot.worker = threading.Thread(target=_serve, daemon=True, args=(
+                    slot.channel.get,
+                    lambda result, s=slot: self._results.put((s, result)),
+                    lambda unit: resolve_graph(unit.handle),
+                ))
+                slot.worker.start()
+                self._slots.append(slot)
 
     # ------------------------------------------------------------------ #
     def submit(self, unit: WorkUnit) -> None:
-        """Queue a unit for execution."""
-        if self._closed:
+        """Hand a unit to an idle worker, or queue it for the next free one."""
+        if not self._slots:
             raise RuntimeError("worker pool is closed")
-        self._tasks.put(unit)
+        encoded = self._encode(unit)
+        with self._lock:
+            self._pending.append((unit, encoded))
+        self._hand_out()
 
-    def next_result(self, timeout: Optional[float] = None) -> UnitResult:
-        """Block for the next finished unit (raises ``queue.Empty`` on timeout)."""
-        return self._results.get(timeout=timeout)
+    def next_result(self, timeout: Optional[float] = None):
+        """Block for the next :class:`UnitResult` or :class:`WorkerLost`
+        (raises ``queue.Empty`` on timeout, ``EOFError`` once shut down)."""
+        if not self._slots:
+            raise EOFError("worker pool is closed")
+        if self.mode == "thread":
+            slot, result = self._results.get(timeout=timeout)
+            self._free(slot)
+            return result
+        with self._lock:
+            if self._pending and not any(s.alive for s in self._slots):
+                lost = tuple(unit.unit_id for unit, _ in self._pending)
+                self._pending.clear()
+                return WorkerLost(0, lost)
+            slots = {s.channel: s for s in self._slots if s.alive}
+        ready = connection.wait(list(slots), timeout)
+        if not ready:
+            raise queue.Empty
+        slot = slots[ready[0]]
+        try:
+            data = slot.channel.recv_bytes()
+        except (EOFError, OSError) as exc:
+            # The pipe stays open until shutdown: a hand-out racing this
+            # death may still be writing to it.
+            lost = self._died(slot, unread=isinstance(exc, ConnectionResetError))
+            self._hand_out()
+            return WorkerLost(slot.pid, lost)
+        # The worker waits on its next unit, not on this unpickle.
+        self._free(slot)
+        return ForkingPickler.loads(data)
 
-    def any_workers_alive(self) -> bool:
-        """Whether at least one worker is still running (a fully dead pool --
-        typically a spawn failure -- means every queued unit hangs forever)."""
-        if self._closed:
-            return False
-        return any(worker.is_alive() for worker in self._workers)
+    def census(self) -> Dict[str, object]:
+        """Live workers, dead worker pids, and ``unit id -> worker pid`` of
+        every unit a worker holds (ids as strings, JSON-ready)."""
+        with self._lock:
+            return {
+                "alive": sum(s.alive for s in self._slots),
+                "dead_pids": [s.pid for s in self._slots if not s.alive],
+                "claimed_units": {str(s.held[0].unit_id): s.pid
+                                  for s in self._slots if s.held is not None},
+            }
 
-    def dead_worker_pids(self) -> List[int]:
-        """Pids of process workers that are no longer alive.
+    def _hand_out(self) -> None:
+        """Hand pending units to idle live workers, oldest first."""
+        while True:
+            with self._lock:
+                slot = next((s for s in self._slots
+                             if s.alive and s.held is None), None)
+                if slot is None or not self._pending:
+                    return
+                slot.held = unit, encoded = self._pending.popleft()
+            try:
+                self._send(slot.channel, encoded)
+            except OSError:  # died idle, its EOF not yet read
+                self._died(slot, unread=True)
+                continue
+            self.on_handoff(unit, slot.pid)
 
-        Combined with the workers' claim messages this identifies exactly
-        which in-flight units died with their worker.  Thread workers cannot
-        die silently (their loop catches exceptions), so thread pools always
-        return an empty list.
-        """
-        if self._closed or self.mode != "process":
-            return []
-        return [
-            worker.pid for worker in self._workers
-            if worker.pid is not None and not worker.is_alive()
-        ]
+    def _died(self, slot: _Slot, unread: bool) -> Tuple[int, ...]:
+        """Mark ``slot`` dead: its unit goes back to the front of the deque
+        if ``unread``, else it is lost (the ids returned)."""
+        with self._lock:
+            held, slot.held, slot.alive = slot.held, None, False
+            if held is not None and unread:
+                self._pending.appendleft(held)
+                held = None
+        return () if held is None else (held[0].unit_id,)
+
+    def _free(self, slot: _Slot) -> None:
+        with self._lock:
+            slot.held = None
+        self._hand_out()
 
     def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Stop all workers (drains nothing: call after the queue is idle)."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            self._tasks.put(None)
-        for worker in self._workers:
-            worker.join(timeout=join_timeout)
-        if self.mode == "process":
-            for worker in self._workers:
-                if worker.is_alive():  # pragma: no cover - stuck worker
-                    worker.terminate()
-            self._tasks.close()
-            self._results.close()
-            # Queue feeder threads must wind down before interpreter exit.
-            self._tasks.join_thread()
-            self._results.join_thread()
-        self._workers = []
+        """Stop all workers (drains nothing: call after the pool is idle)."""
+        sentinel = self._encode(None)
+        for slot in self._slots:
+            with contextlib.suppress(OSError):  # already dead
+                self._send(slot.channel, sentinel)
+        for slot in self._slots:
+            slot.worker.join(timeout=join_timeout)
+            if self.mode == "process":
+                if slot.worker.is_alive():  # pragma: no cover - stuck worker
+                    slot.worker.terminate()
+                slot.channel.close()
+        self._slots = []

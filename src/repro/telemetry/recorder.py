@@ -39,7 +39,7 @@ EVENT_KINDS = (
     "epoch_publish",    # new graph epoch published
     "epoch_retire",     # old epoch fully drained and released
     "replan_drain",     # replan() paused intake and drained in-flight work
-    "worker_claim",     # worker claimed a unit (crash-recovery protocol)
+    "worker_claim",     # the pool handed a unit to a worker
     "worker_crash",     # worker process died with units in flight
     "unit_timeout",     # unit exceeded its deadline and was failed
     "shard_migration",  # sharded run finished; walker migration totals

@@ -121,6 +121,28 @@ class TestDiagnoseThreadMode:
             assert verdict["signals"]["workers_alive"] == 1
             assert verdict["routes"]["in_memory"]["window_violations"] == 0
 
+    def test_utilization_counts_workers_holding_a_unit(self, watch_claims):
+        with _thread_service() as svc:
+            svc.load_graph("g", ring_graph(64))
+            idle = svc.diagnose()["workers"]
+            assert idle["utilization"] == 0.0
+            assert idle["claimed_units"] == {}
+            handed_to = watch_claims(svc)
+            # About a second of walking pins the single worker.
+            future = svc.submit(SampleRequest(
+                graph="g", algorithm="simple_random_walk", seeds=(0, 1),
+                config_overrides={"depth": 10_000, "seed": 1},
+            ))
+            pid = handed_to()
+            busy = svc.diagnose()["workers"]
+            assert busy["utilization"] == 1.0
+            assert list(busy["claimed_units"].values()) == [pid]
+            # The pool frees the worker before the answer is demultiplexed.
+            assert future.result(timeout=60).ok
+            done = svc.diagnose()["workers"]
+            assert done["utilization"] == 0.0
+            assert done["claimed_units"] == {}
+
     def test_monitor_thread_populates_load_samples(self):
         with _thread_service() as svc:
             svc.load_graph("g", ring_graph(64))

@@ -191,14 +191,12 @@ def make_unit(unit_id, request_ids=(1,), trace_ids=(), dispatched_at=0.0):
 
 
 class TestUnitTable:
-    def test_dispatch_claim_finish(self):
+    def test_dispatch_finish(self):
         metrics = MetricsRegistry()
         table = UnitTable(metrics)
         unit = make_unit(7, request_ids=(1, 2, 3), trace_ids=("a", "b"))
         table.dispatch(unit, "in_memory")
-        assert len(table) == 1 and table.claims() == {}
-        assert table.claim(7, pid=41) is unit
-        assert table.claims() == {7: 41}
+        assert len(table) == 1
         assert unit.head_trace_id == "a"
         assert table.finish(7) is unit
         assert len(table) == 0
@@ -215,23 +213,23 @@ class TestUnitTable:
         assert counter(metrics, "route_requests", route="out_of_memory") == 1
         assert make_unit(0).head_trace_id is None
 
-    def test_claim_for_an_unknown_unit_is_refused(self):
+    def test_reap_of_an_unknown_unit_is_refused(self):
         table = UnitTable(MetricsRegistry())
-        assert table.claim(99, pid=1) is None
-        assert table.claims() == {}
+        assert table.reap([99]) == []
+        assert len(table) == 0
 
-    def test_crash_ends_claimed_units_and_spares_unclaimed_ones(self):
+    def test_crash_ends_the_reported_units_and_spares_the_rest(self):
         table = UnitTable(MetricsRegistry())
-        claimed, other, queued = make_unit(0), make_unit(1), make_unit(2)
-        for unit in (claimed, other, queued):
+        held, other, queued = make_unit(0), make_unit(1), make_unit(2)
+        for unit in (held, other, queued):
             table.dispatch(unit, "in_memory")
-        table.claim(0, pid=100)
-        table.claim(1, pid=200)
-        assert table.reap([100]) == [claimed]
-        assert table.reap([100]) == []  # the other backstop finds nothing
+        # The pool reports the one unit the dead worker held.
+        assert table.reap([0]) == [held]
+        assert table.reap([0]) == []  # a unit ends once
         assert len(table) == 2
-        # The whole pool gone: unclaimed units are lost too.
-        assert table.reap([], pool_dead=True) == [other, queued]
+        # The last worker gone: the pool reports its unit and every pending
+        # one, in that order.
+        assert table.reap([1, 2]) == [other, queued]
         assert len(table) == 0
 
     def test_timeout_cutoff(self):
@@ -340,6 +338,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.resolved = set()
         self.ended = set()   # unit ids that finished / were reaped / expired
         self.dispatched = {}  # unit id -> Unit
+        self.held = {}  # the pool's unit id -> pid of every handed unit
         self.clock = 0.0
         self.publish()
 
@@ -415,9 +414,11 @@ class ServiceModel(RuleBasedStateMachine):
         return unit.unit_id
 
     @rule(unit_id=units, pid=st.integers(1, 3))
-    def claim(self, unit_id, pid):
-        unit = self.units_table.claim(unit_id, pid)
-        assert (unit is None) == (unit_id in self.ended)
+    def hand_off(self, unit_id, pid):
+        """The pool hands the unit to worker ``pid`` (the table is not
+        told; a unit that already ended may still be handed and run)."""
+        if unit_id not in self.held:
+            self.held[unit_id] = pid
 
     @rule(unit_id=units)
     def finish(self, unit_id):
@@ -429,8 +430,18 @@ class ServiceModel(RuleBasedStateMachine):
 
     @rule(pid=st.integers(1, 3), pool_dead=st.booleans())
     def crash(self, pid, pool_dead):
-        for unit in self.units_table.reap([pid], pool_dead=pool_dead):
-            assert pool_dead or unit.claimed_by == pid
+        """Worker ``pid`` dies; the pool reports the units it held -- every
+        unit not yet handed out too when it was the last worker."""
+        lost = [u for u, holder in self.held.items() if holder == pid]
+        if pool_dead:
+            lost += [u for u in self.dispatched if u not in self.held]
+        for unit_id in lost:
+            self.held[unit_id] = None  # never reported twice by the pool
+        reaped = self.units_table.reap(lost)
+        assert [u.unit_id for u in reaped] == [
+            u for u in lost if u not in self.ended]
+        for unit in reaped:
+            assert unit.unit_id in lost
             self._end(unit, exception=RuntimeError("worker process died"))
 
     @rule(age=st.floats(0.0, 4.0))
