@@ -18,7 +18,7 @@ from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
 from repro.api.results import SampleResult
 from repro.api.sampler import GraphSampler
-from repro.algorithms.random_walk import run_random_walks
+from repro.algorithms.random_walk import _walk_job
 from repro.gpusim.device import Device, DeviceSpec, V100_SPEC, make_device
 from repro.graph.csr import CSRGraph
 
@@ -76,20 +76,6 @@ class MultiGPUResult:
         return theirs / ours if ours > 0 else 0.0
 
 
-def _split_seeds(seeds: np.ndarray, num_instances: int, num_gpus: int) -> List[np.ndarray]:
-    """Round-robin expand seeds to ``num_instances`` then split into GPU groups.
-
-    Returns exactly ``num_gpus`` groups; with ``num_instances < num_gpus``
-    the trailing groups are empty and the callers skip those devices.
-    """
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
-    if seeds.size == 0:
-        raise ValueError("at least one seed is required")
-    reps = int(np.ceil(num_instances / seeds.size))
-    expanded = np.tile(seeds, reps)[:num_instances]
-    return list(np.array_split(expanded, num_gpus))
-
-
 def run_multi_gpu_sampling(
     graph: CSRGraph,
     program: SamplingProgram,
@@ -107,7 +93,12 @@ def run_multi_gpu_sampling(
         raise ValueError("num_instances must be >= 1")
     if device_specs is not None and len(device_specs) < num_gpus:
         raise ValueError("device_specs must cover every requested GPU")
-    groups = _split_seeds(np.asarray(seeds), num_instances, num_gpus)
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+    if seeds.size == 0:
+        raise ValueError("at least one seed is required")
+    # Seeds reused round-robin up to num_instances, then one group per GPU
+    # (the trailing groups are empty when num_instances < num_gpus).
+    groups = np.array_split(np.resize(seeds, num_instances), num_gpus)
     results: List[SampleResult] = []
     devices: List[Device] = []
     for gpu_index, group in enumerate(groups):
@@ -131,25 +122,7 @@ def run_multi_gpu_walks(
     biased: bool = False,
     seed: int = 0,
 ) -> MultiGPUResult:
-    """Run a random-walk job divided across ``num_gpus`` simulated GPUs."""
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    groups = _split_seeds(np.asarray(seeds), num_walkers, num_gpus)
-    results: List[SampleResult] = []
-    devices: List[Device] = []
-    for gpu_index, group in enumerate(groups):
-        if group.size == 0:  # more GPUs than walkers: skip the idle device
-            continue
-        device = make_device("gpu", device_id=gpu_index)
-        results.append(
-            run_random_walks(
-                graph,
-                group,
-                walk_length=walk_length,
-                biased=biased,
-                seed=seed + gpu_index,
-                device=device,
-            )
-        )
-        devices.append(device)
-    return MultiGPUResult(per_gpu=results, devices=devices, requested_gpus=num_gpus)
+    """:func:`run_multi_gpu_sampling` on the job ``run_random_walks`` runs."""
+    program, config = _walk_job(graph, walk_length, biased, seed)
+    return run_multi_gpu_sampling(graph, program, config, seeds,
+                                  num_instances=num_walkers, num_gpus=num_gpus)
