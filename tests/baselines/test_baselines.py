@@ -202,6 +202,75 @@ FIG09_SMALL_ROWS = [
 ]
 
 
+class TestFig17Regression:
+    """Fig. 17's multi-GPU rows are pinned: every device group's samples,
+    and so every makespan, speedup and SEPS, stay byte-identical."""
+
+    def test_fig17_rows_are_pinned(self):
+        from repro.bench import figures
+        from repro.bench.workloads import SMALL_SCALE
+
+        rows = figures.fig17_multi_gpu_scaling(SMALL_SCALE)
+        assert list(rows) == FIG17_SMALL_ROWS
+
+
+FIG17_SMALL_ROWS = [
+    {"graph": "AM", "instances": 100, "gpus": 1,
+     "makespan_ms": 0.000982770409497132, "speedup": 1.0,
+     "seps": 575922916.003966},
+    {"graph": "AM", "instances": 100, "gpus": 2,
+     "makespan_ms": 0.0009254752460984393, "speedup": 1.0619089096550491,
+     "seps": 611577675.779128},
+    {"graph": "AM", "instances": 100, "gpus": 4,
+     "makespan_ms": 0.0009247170868347339, "speedup": 1.0627795500795947,
+     "seps": 612079097.5512232},
+    {"graph": "AM", "instances": 400, "gpus": 1,
+     "makespan_ms": 0.0015202755555555555, "speedup": 1.0,
+     "seps": 1520119159.6845016},
+    {"graph": "AM", "instances": 400, "gpus": 2,
+     "makespan_ms": 0.0011546933333333332, "speedup": 1.3166054671562628,
+     "seps": 2000531165.5619962},
+    {"graph": "AM", "instances": 400, "gpus": 4,
+     "makespan_ms": 0.0010405709803921568, "speedup": 1.4610013004423918,
+     "seps": 2218013036.5832334},
+    {"graph": "RE", "instances": 100, "gpus": 1,
+     "makespan_ms": 0.00198072, "speedup": 1.0,
+     "seps": 302920150.2483945},
+    {"graph": "RE", "instances": 100, "gpus": 2,
+     "makespan_ms": 0.0014335592156862747, "speedup": 1.3816799322459716,
+     "seps": 418538692.67114127},
+    {"graph": "RE", "instances": 100, "gpus": 4,
+     "makespan_ms": 0.0011484920261437908, "speedup": 1.724626688659321,
+     "seps": 522424175.65107256},
+    {"graph": "RE", "instances": 400, "gpus": 1,
+     "makespan_ms": 0.005376284444444444, "speedup": 1.0,
+     "seps": 445288939.73863816},
+    {"graph": "RE", "instances": 400, "gpus": 2,
+     "makespan_ms": 0.003129688888888889, "speedup": 1.717833508477946,
+     "seps": 764932261.6376494},
+    {"graph": "RE", "instances": 400, "gpus": 4,
+     "makespan_ms": 0.0020924355555555552, "speedup": 2.569390694098106,
+     "seps": 1144121257.9492693},
+    {"graph": "WG", "instances": 100, "gpus": 1,
+     "makespan_ms": 0.0010189307298474944, "speedup": 1.0,
+     "seps": 520153121.7723959},
+    {"graph": "WG", "instances": 100, "gpus": 2,
+     "makespan_ms": 0.0009492669281045751, "speedup": 1.073386947001323,
+     "seps": 557272126.8782295},
+    {"graph": "WG", "instances": 100, "gpus": 4,
+     "makespan_ms": 0.0009219424280350437, "speedup": 1.1051999548596152,
+     "seps": 577042539.5584227},
+    {"graph": "WG", "instances": 400, "gpus": 1,
+     "makespan_ms": 0.001662666666666667, "speedup": 1.0,
+     "seps": 1264835605.4530873},
+    {"graph": "WG", "instances": 400, "gpus": 2,
+     "makespan_ms": 0.0012121708503505027, "speedup": 1.3716438290740136,
+     "seps": 1733254020.5800936},
+    {"graph": "WG", "instances": 400, "gpus": 4,
+     "makespan_ms": 0.0010620421181806055, "speedup": 1.5655374096791914,
+     "seps": 1978264292.9446557},
+]
+
 class TestGraphSAINT:
     def test_sampled_edges_valid(self, small_powerlaw_graph):
         sampler = GraphSAINTSampler(small_powerlaw_graph, seed=0)
