@@ -445,7 +445,6 @@ def fig17_multi_gpu_scaling(scale: BenchmarkScale = DEFAULT_SCALE) -> Tuple[Row,
                     seeds,
                     num_instances=instances,
                     num_gpus=num_gpus,
-                    device_specs=[_SCALING_SPEC] * num_gpus,
                 )
                 makespan = result.makespan(_SCALING_SPEC)
                 if num_gpus == scale.gpu_counts[0]:

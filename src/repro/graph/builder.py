@@ -12,11 +12,6 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:  # networkx is a hard dependency of the project but keep the import local
-    import networkx as nx
-except ImportError:  # pragma: no cover - exercised only without networkx
-    nx = None
-
 from repro.graph.csr import CSRGraph
 
 __all__ = ["from_edge_list", "from_networkx", "to_networkx"]
@@ -108,8 +103,6 @@ def from_networkx(graph: "nx.Graph", weight_attr: Optional[str] = None) -> CSRGr
     Undirected graphs are symmetrised; node labels are mapped to contiguous
     integer ids in sorted order when possible, otherwise insertion order.
     """
-    if nx is None:  # pragma: no cover
-        raise RuntimeError("networkx is not available")
     nodes = list(graph.nodes())
     try:
         nodes = sorted(nodes)
@@ -132,8 +125,8 @@ def from_networkx(graph: "nx.Graph", weight_attr: Optional[str] = None) -> CSRGr
 
 def to_networkx(graph: CSRGraph) -> "nx.DiGraph":
     """Convert a CSR graph back into a :class:`networkx.DiGraph`."""
-    if nx is None:  # pragma: no cover
-        raise RuntimeError("networkx is not available")
+    import networkx as nx  # loaded on use: ``import repro`` stays free of it
+
     out = nx.DiGraph()
     out.add_nodes_from(range(graph.num_vertices))
     if graph.is_weighted:

@@ -5,21 +5,23 @@ splitting the instances into as many equal groups as there are GPUs and
 running each group on its own device; no inter-GPU communication is needed.
 The total time is the slowest GPU's time, which is why scaling depends on
 having enough instances to keep every device busy (Fig. 17).
+:func:`run_multi_gpu_sampling` plans the job in memory, and the
+:class:`~repro.planner.executor.Executor` runs its ``device_groups`` layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.api.bias import SamplingProgram
 from repro.api.config import SamplingConfig
+from repro.api.instance import make_instances
 from repro.api.results import SampleResult
-from repro.api.sampler import GraphSampler
 from repro.algorithms.random_walk import _walk_job
-from repro.gpusim.device import Device, DeviceSpec, V100_SPEC, make_device
+from repro.gpusim.device import Device, DeviceSpec, V100_SPEC
 from repro.graph.csr import CSRGraph
 
 __all__ = ["MultiGPUResult", "run_multi_gpu_sampling", "run_multi_gpu_walks"]
@@ -31,19 +33,14 @@ class MultiGPUResult:
 
     With fewer instances than GPUs the surplus devices receive no work and
     are skipped entirely: ``per_gpu`` / ``devices`` hold only the devices
-    that ran (their ``device_id`` keeps the original GPU index, so
-    heterogeneous ``device_specs`` stay aligned), and ``requested_gpus``
-    records how many were asked for.
+    that ran (their ``device_id`` keeps the original GPU index), and
+    ``requested_gpus`` records how many were asked for.
     """
 
     per_gpu: List[SampleResult]
     devices: List[Device]
     #: GPUs the job requested (>= ``num_gpus`` when groups were empty).
-    requested_gpus: int = 0
-
-    def __post_init__(self) -> None:
-        if self.requested_gpus < len(self.per_gpu):
-            self.requested_gpus = len(self.per_gpu)
+    requested_gpus: int
 
     @property
     def num_gpus(self) -> int:
@@ -80,36 +77,27 @@ def run_multi_gpu_sampling(
     graph: CSRGraph,
     program: SamplingProgram,
     config: SamplingConfig,
-    seeds: Union[Sequence[int], np.ndarray],
+    seeds: Union[Sequence[int], Sequence[Sequence[int]], np.ndarray],
     *,
     num_instances: int,
     num_gpus: int,
-    device_specs: Optional[Sequence[DeviceSpec]] = None,
 ) -> MultiGPUResult:
-    """Run a traversal-sampling job divided across ``num_gpus`` simulated GPUs."""
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if num_instances < 1:
-        raise ValueError("num_instances must be >= 1")
-    if device_specs is not None and len(device_specs) < num_gpus:
-        raise ValueError("device_specs must cover every requested GPU")
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
-    if seeds.size == 0:
-        raise ValueError("at least one seed is required")
-    # Seeds reused round-robin up to num_instances, then one group per GPU
-    # (the trailing groups are empty when num_instances < num_gpus).
-    groups = np.array_split(np.resize(seeds, num_instances), num_gpus)
-    results: List[SampleResult] = []
-    devices: List[Device] = []
-    for gpu_index, group in enumerate(groups):
-        if group.size == 0:  # more GPUs than instances: skip the idle device
-            continue
-        spec = device_specs[gpu_index] if device_specs else None
-        device = Device(spec, device_id=gpu_index) if spec else make_device("gpu", device_id=gpu_index)
-        sampler = GraphSampler(graph, program, config.replace(seed=config.seed + gpu_index), device)
-        results.append(sampler.run(group.tolist()))
-        devices.append(device)
-    return MultiGPUResult(per_gpu=results, devices=devices, requested_gpus=num_gpus)
+    """Run a sampling job divided across ``num_gpus`` simulated GPUs."""
+    from repro.graph.delta import as_csr
+    from repro.planner.executor import Executor
+    from repro.planner.plan import PartitionLayout
+    from repro.planner.planner import PlanRequest, plan
+
+    graph = as_csr(graph)
+    instances = make_instances(seeds, num_instances=num_instances)
+    in_memory = plan(PlanRequest(
+        graph=graph, program=program, config=config, instances=instances,
+        force_route="in_memory",
+    ))
+    layout = PartitionLayout(kind="device_groups", num_partitions=num_gpus)
+    return Executor(
+        replace(in_memory, layout=layout), graph, program=program
+    ).execute(instances)
 
 
 def run_multi_gpu_walks(

@@ -9,8 +9,9 @@ or the service (admission, cached class plan,
 :func:`~repro.planner.planner.scale_plan`) -- hands the plan over together
 with only what a plan cannot name: the program (or, on ``sharded``, its
 registry kwargs and transport), the device and the engine.  Everything the
-plan fixes -- shard bounds, out-of-memory partitions, the registry program
-and its engine when the caller brings none -- is derived here.
+plan fixes -- shard bounds, out-of-memory partitions, the multi-GPU device
+groups, the registry program and its engine when the caller brings none --
+is derived here.
 
 Bit-compatibility is the headline invariant: each route's loop here is the
 pre-refactor loop moved verbatim -- same warp-id allocation order, same RNG
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -56,7 +58,7 @@ from repro.graph.partition import (
 from repro.oom.balancing import block_fractions
 from repro.oom.batching import group_entries_by_instance, single_batch
 from repro.oom.transfer import PartitionResidency
-from repro.planner.plan import ExecutionPlan
+from repro.planner.plan import ExecutionPlan, PartitionLayout
 from repro.telemetry import profiler as _profiler
 from repro.telemetry import trace as _trace
 from repro.telemetry.feedback import FEEDBACK
@@ -167,6 +169,8 @@ class Executor:
         )
         if route == "sharded":
             return self._run_sharded(instances)
+        if self.plan.layout.kind == "device_groups":
+            return self._run_device_groups(instances)
         if self.engine is None:
             config = self.plan.config
             self.engine = BatchedStepEngine(
@@ -291,6 +295,33 @@ class Executor:
             iteration_counts=iteration_counts,
             metadata=self._main_metadata(),
         )
+
+    def _run_device_groups(self, batch: InstanceBatch):
+        """Multi-GPU sampling (Fig. 17): each non-empty contiguous instance
+        group ``g`` runs in memory on ``Device(spec, device_id=g)`` at
+        ``config.seed + g``, ids from 0 -- a standalone run of its seeds
+        (the program object carries over from group to group)."""
+        from repro.oom.multigpu import MultiGPUResult
+
+        num_gpus = self.plan.layout.num_partitions
+        offsets, per_gpu, devices = batch.seed_offsets, [], []
+        for g, rows in enumerate(np.array_split(np.arange(len(batch)), num_gpus)):
+            if rows.size == 0:  # more GPUs than instances: the GPU idles
+                continue
+            bounds = offsets[rows[0]:rows[-1] + 2]
+            group = InstanceBatch(
+                np.arange(rows.size, dtype=np.int64), bounds - bounds[0],
+                batch.seeds[bounds[0]:bounds[-1]],
+            )
+            config = self.plan.config.replace(seed=self.plan.config.seed + g)
+            devices.append(Device(self.device.spec, device_id=g))
+            executor = Executor(
+                replace(self.plan, config=config, layout=PartitionLayout()),
+                self.graph, program=self.program, device=devices[-1],
+            )
+            with _trace.span("device_group", device=g, instances=rows.size):
+                per_gpu.append(executor._execute(group))
+        return MultiGPUResult(per_gpu, devices, requested_gpus=num_gpus)
 
     # ================================================================== #
     # Coalesced multi-member batch -- the run_coalesced route

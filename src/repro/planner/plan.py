@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 from repro.api.config import SamplingConfig
 from repro.gpusim.costmodel import CostModel
 from repro.oom.scheduler import OutOfMemoryConfig
+from repro.planner.errors import PlanError
 
 __all__ = ["PartitionLayout", "ExecutionPlan"]
 
@@ -43,9 +44,12 @@ class PartitionLayout:
 
     ``kind`` is ``"none"`` (in-memory / coalesced: the whole CSR is
     resident), ``"oom_partitions"`` (serial partition scheduling through
-    device memory, described by ``oom``) or ``"shard_ranges"`` (one
+    device memory, described by ``oom``), ``"shard_ranges"`` (one
     contiguous vertex range per cluster shard, ``boundaries`` as produced by
-    :func:`repro.graph.partition.partition_bounds`).
+    :func:`repro.graph.partition.partition_bounds`) or ``"device_groups"``
+    (Fig. 17: an in-memory plan's instances split into ``num_partitions``
+    contiguous groups, one simulated GPU each, group ``g`` at
+    ``config.seed + g``).
     """
 
     kind: str = "none"
@@ -55,6 +59,10 @@ class PartitionLayout:
     boundaries: Tuple[int, ...] = ()
     #: Out-of-memory scheduling switches (``kind == "oom_partitions"``).
     oom: Optional[OutOfMemoryConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.num_partitions < 1:
+            raise PlanError(f"a {self.kind} layout needs at least one partition")
 
     def describe(self, graph_nbytes: int) -> str:
         """One explain() line for this layout."""
@@ -81,6 +89,10 @@ class PartitionLayout:
                 f"{self.num_partitions} cluster shards (~{per} each), "
                 f"contiguous vertex ranges {list(self.boundaries)}"
             )
+        if self.kind == "device_groups":
+            return (f"{self.num_partitions} device groups (contiguous instance "
+                    "ranges, whole graph resident on each GPU; group g runs "
+                    "at seed + g, instance ids from 0)")
         return "whole graph resident (no partitioning)"
 
 

@@ -2,8 +2,9 @@
 
 Every sampling entry point -- :class:`~repro.api.sampler.GraphSampler`,
 :class:`~repro.oom.scheduler.OutOfMemorySampler`,
-:func:`~repro.engine.hetero.run_coalesced`, the sharded cluster and the
-sampling service -- builds a :class:`~repro.planner.plan.ExecutionPlan`
+:func:`~repro.engine.hetero.run_coalesced`,
+:func:`~repro.oom.multigpu.run_multi_gpu_sampling`, the sharded cluster and
+the sampling service -- builds a :class:`~repro.planner.plan.ExecutionPlan`
 here and hands it, as built, to the shared
 :class:`~repro.planner.executor.Executor`.
 
@@ -16,9 +17,9 @@ Three decisions live in this module, each in one function:
   ``"out_of_memory"`` otherwise.  :func:`plan` never routes: every caller
   names the route (``force_route``) -- a facade *is* its tier, and the
   service passes the admitted one;
-* **layout** -- :func:`plan` sizes the route's partitions: shard counts so
-  every shard's partition fits the budget, out-of-memory partitions from
-  the admission sizing rule;
+* **layout** -- :func:`_layout`, the one sizing rule admission and
+  :func:`plan` share: shard counts so every shard's partition fits the
+  budget, out-of-memory partitions of at most the budget;
 * **fusion** -- :func:`scale_plan`: a unit of several members becomes
   ``"coalesced"`` exactly when its class plan is in-memory and
   ``coalescable`` (stateful-hook programs never share an engine batch);
@@ -32,7 +33,7 @@ pool.  The service validates at submit time and plans without instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,22 +131,36 @@ class GraphStats:
         return self.num_edges / self.num_vertices
 
 
-def _shard_count(nbytes: int, budget: Optional[int], floor: int) -> int:
-    """Configured floor, or more so every shard's partition fits the budget."""
-    if budget is None:
-        return max(int(floor), 1)
-    needed = -(-int(nbytes) // max(int(budget), 1))
-    return int(max(floor, needed, 1))
+def _layout(route: str, *, nbytes: int, num_vertices: int,
+            budget: Optional[int], oom_config=None, shard_floor: int = 1,
+            graph=None, boundaries=None) -> PartitionLayout:
+    """The route's partition layout, the one sizing rule of admission and
+    :func:`plan`: partitions of at most ``budget`` bytes.  Without a graph,
+    sharded boundaries are left to the Executor (shard-count invariance makes
+    the exact split irrelevant to results)."""
+    per = max(int(budget if budget is not None else nbytes), 1)
+    needed = -(-int(nbytes) // per)
+    if route == "out_of_memory":
+        oom = oom_config or OutOfMemoryConfig.fully_optimized(
+            num_partitions=max(2, needed), max_resident_partitions=2,
+            num_kernels=2,
+        )
+        return PartitionLayout(
+            kind="oom_partitions", num_partitions=oom.num_partitions, oom=oom
+        )
+    if route != "sharded":
+        return PartitionLayout()
+    if boundaries is None:
+        num_shards = min(max(int(shard_floor), needed, 1), max(num_vertices, 1))
+        if graph is None:
+            return PartitionLayout(kind="shard_ranges", num_partitions=num_shards)
+        from repro.graph.partition import partition_bounds
 
-
-def _derive_oom_config(nbytes: int, budget: Optional[int]) -> OutOfMemoryConfig:
-    """The admission-sized out-of-memory layout (the service's sizing rule)."""
-    budget = budget if budget is not None else nbytes
-    num_partitions = max(2, -(-int(nbytes) // max(int(budget), 1)))
-    return OutOfMemoryConfig.fully_optimized(
-        num_partitions=int(num_partitions),
-        max_resident_partitions=2,
-        num_kernels=2,
+        boundaries = partition_bounds(graph, num_shards)
+    boundaries = tuple(int(b) for b in np.asarray(boundaries))
+    return PartitionLayout(
+        kind="shard_ranges", num_partitions=len(boundaries) - 1,
+        boundaries=boundaries,
     )
 
 
@@ -172,23 +187,11 @@ def plan_admission(
         memory_budget_bytes=memory_budget_bytes,
         cluster_shards=cluster_shards,
     )
-    if route == "out_of_memory":
-        oom = oom_config or _derive_oom_config(nbytes, memory_budget_bytes)
-        layout = PartitionLayout(
-            kind="oom_partitions", num_partitions=oom.num_partitions, oom=oom
-        )
-    elif route == "sharded":
-        num_shards = min(
-            _shard_count(nbytes, memory_budget_bytes, cluster_shards),
-            max(num_vertices, 1),
-        )
-        # Boundaries stay unresolved: the Executor derives them from the
-        # worker's shared graph (shard-count invariance makes the exact
-        # split irrelevant to results).
-        layout = PartitionLayout(kind="shard_ranges", num_partitions=num_shards)
-    else:
-        layout = PartitionLayout()
-    return route, layout
+    return route, _layout(
+        route, nbytes=nbytes, num_vertices=num_vertices,
+        budget=memory_budget_bytes, oom_config=oom_config,
+        shard_floor=cluster_shards,
+    )
 
 
 def _predict_for_layout(
@@ -262,8 +265,6 @@ def scale_plan(
     is never coalesced.  The predicted cost is recomputed for the unit's
     instance count from the closed-form model.
     """
-    from dataclasses import replace
-
     member_sizes = tuple(int(m) for m in member_sizes)
     total = int(sum(member_sizes))
     route = base.route
@@ -384,36 +385,11 @@ def plan(request: PlanRequest) -> ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Partition layout
     # ------------------------------------------------------------------ #
-    if route == "out_of_memory":
-        oom = request.oom_config or _derive_oom_config(
-            nbytes, request.memory_budget_bytes
-        )
-        layout = PartitionLayout(
-            kind="oom_partitions", num_partitions=oom.num_partitions, oom=oom
-        )
-    elif route == "sharded":
-        if request.boundaries is not None:
-            boundaries = tuple(int(b) for b in np.asarray(request.boundaries))
-            num_shards = len(boundaries) - 1
-        else:
-            num_shards = min(
-                _shard_count(nbytes, request.memory_budget_bytes, 1),
-                num_vertices,
-            )
-            if graph is not None:
-                from repro.graph.partition import partition_bounds
-
-                boundaries = tuple(
-                    int(b) for b in partition_bounds(graph, num_shards)
-                )
-                num_shards = len(boundaries) - 1
-            else:
-                boundaries = ()  # resolved by the Executor
-        layout = PartitionLayout(
-            kind="shard_ranges", num_partitions=num_shards, boundaries=boundaries
-        )
-    else:
-        layout = PartitionLayout()
+    layout = _layout(
+        route, nbytes=nbytes, num_vertices=num_vertices,
+        budget=request.memory_budget_bytes, oom_config=request.oom_config,
+        graph=graph, boundaries=request.boundaries,
+    )
 
     warp_cursors = _warp_cursors(route)
 

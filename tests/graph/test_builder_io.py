@@ -1,5 +1,9 @@
 """Tests for graph builders and persistence."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -82,6 +86,21 @@ class TestNetworkxRoundtrip:
         nxg = to_networkx(g)
         assert nxg.number_of_edges() == 3
         assert nxg[0][1]["weight"] == pytest.approx(1.0)
+
+    def test_import_repro_loads_no_networkx(self):
+        """networkx loads on first use, so ``import repro`` -- and every
+        spawned worker or shard process -- starts without it."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'networkx'))"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestIO:

@@ -39,6 +39,7 @@ from repro.gpusim.prng import CounterRNG
 from repro.graph.delta import as_csr
 from repro.graph.generators import powerlaw_graph
 from repro.graph.partition import partition_graph
+from repro.oom.multigpu import run_multi_gpu_sampling
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 from repro.planner.errors import PlanError
 from repro.planner.executor import Executor
@@ -97,7 +98,7 @@ DEFAULTS = {
     "compiled": "on", "telemetry": "off", "profiler": "off",
     "graph": "plain", "members": 2, "preset": "fully_optimized",
     "shape": "repeated", "shards": 3, "transport": "in_process",
-    "config": "default", "served": "no",
+    "config": "default", "served": "no", "devices": 0,
 }
 #: ``(moved axes, routes, algorithms)`` rows.  A cell whose settings repeat
 #: an earlier cell's (a sweep crossing its route's defaults) is not
@@ -142,6 +143,12 @@ AXES = [
          "unbiased_neighbor_sampling"),
     ),
     ([{"served": "thread"}], ("in_memory",), ALGORITHMS),
+    (
+        # Fig. 17's multi-GPU facade (0 devices: the plain facade): device
+        # g of a k-GPU run is a standalone run of group g at seed + g.
+        [{"devices": n, "shape": "pools"} for n in (1, 2, 3)],
+        ("in_memory",), ALGORITHMS,
+    ),
 ]
 
 Cell = namedtuple("Cell", "algorithm route settings id")
@@ -326,6 +333,17 @@ def result_run(result, execution_plan=None, schedule=None):
         [(k.cost.as_dict(), k.num_warp_tasks) for k in result.kernels],
         schedule or {}, execution_plan,
         None if execution_plan is None else execution_plan.step_tier,
+    )
+
+
+def devices_run(results, execution_plan=None):
+    """Per-GPU results as one run, a member per device."""
+    runs = [result_run(result) for result in results]
+    return Run(
+        [run.samples[0] for run in runs], [run.iterations[0] for run in runs],
+        [run.cost for run in runs], [run.kernels for run in runs],
+        plan=execution_plan,
+        step_tier=None if execution_plan is None else execution_plan.step_tier,
     )
 
 
@@ -532,7 +550,7 @@ class Matrix:
     def _key(cell):
         s = cell.settings
         return (cell.algorithm, cell.route, s["graph"], s["shape"], s["preset"],
-                s["members"], s["config"])
+                s["members"], s["config"], s["devices"])
 
     def reference(self, cell):
         key = self._key(cell)
@@ -560,6 +578,17 @@ class Matrix:
         graph = self.graphs[cell.settings["graph"]][1]
         config, shape = config_of(cell), cell.settings["shape"]
         program, batch = program_of(cell.algorithm), batch_of(shape)
+        if cell.route == "in_memory" and cell.settings["devices"]:
+            # Contiguous groups, each at seed + g with ids from 0; the one
+            # program object carries over from group to group, as the
+            # facade is handed one.
+            seeds = SHAPES[shape][0]
+            groups = np.array_split(np.arange(len(seeds)), cell.settings["devices"])
+            return devices_run([
+                oracle_run(graph, program, config.replace(seed=config.seed + g),
+                           make_instances([seeds[i] for i in rows]))
+                for g, rows in enumerate(groups)
+            ])
         if cell.route == "in_memory":
             return result_run(oracle_run(graph, program, config, batch))
         if cell.route == "coalesced":
@@ -590,10 +619,32 @@ class Matrix:
         (seeds, count), config = SHAPES[cell.settings["shape"]], config_of(cell)
         if cell.settings["served"] == "thread":
             return self._served(graph, cell.algorithm, seeds, count, config)
+        if cell.settings["devices"]:
+            return self._devices(cell, graph, seeds, count, config)
         sampler = GraphSampler(graph, program_of(cell.algorithm), config)
         execution_plan = sampler.plan(seeds, num_instances=count)
         return result_run(sampler.run(seeds, num_instances=count),
                           execution_plan)
+
+    def _devices(self, cell, graph, seeds, count, config):
+        """``run_multi_gpu_sampling``: one in-memory plan whose layout is
+        the device groups, executed once."""
+        plans, execute = [], Executor.execute
+
+        def spy(executor, *args, **kwargs):
+            plans.append(executor.plan)
+            return execute(executor, *args, **kwargs)
+
+        with mock.patch.object(Executor, "execute", spy):
+            ran = run_multi_gpu_sampling(
+                graph, program_of(cell.algorithm), config, seeds,
+                num_instances=count, num_gpus=cell.settings["devices"],
+            )
+        [execution_plan] = plans
+        assert execution_plan.layout.kind == "device_groups"
+        assert execution_plan.layout.num_partitions == cell.settings["devices"]
+        assert [d.device_id for d in ran.devices] == list(range(ran.num_gpus))
+        return devices_run(ran.per_gpu, execution_plan)
 
     def _coalesced(self, cell, graph):
         config, program = config_of(cell), program_of(cell.algorithm)

@@ -1,9 +1,16 @@
 """Tests for out-of-memory scheduling, batching, balancing and multi-GPU division."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.algorithms import BiasedNeighborSampling, SimpleRandomWalk, UnbiasedNeighborSampling
+from repro.algorithms import (
+    BiasedNeighborSampling,
+    MultiDimensionalRandomWalk,
+    SimpleRandomWalk,
+    UnbiasedNeighborSampling,
+)
 from repro.api.config import SamplingConfig
 from repro.api.sampler import sample_graph
 from repro.gpusim.costmodel import CostModel
@@ -15,6 +22,9 @@ from repro.oom.batching import group_entries_by_instance, single_batch
 from repro.oom.multigpu import run_multi_gpu_sampling, run_multi_gpu_walks
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 from repro.oom.transfer import PartitionResidency
+from repro.planner.errors import SeedValidationError
+from repro.planner.executor import Executor
+from repro.planner.plan import PartitionLayout
 
 
 class TestPartitionResidency:
@@ -251,10 +261,51 @@ class TestMultiGPU:
         assert result.instances_per_gpu() == [1, 1]
         assert result.total_sampled_edges > 0
 
-    def test_device_specs_must_cover_requested_gpus(self, small_powerlaw_graph):
+    def test_nested_pools_keep_their_pools(self, small_powerlaw_graph):
+        """Each instance keeps its whole pool (once flattened to ``[0]`` and
+        ``[1]``)."""
+        program = MultiDimensionalRandomWalk()
+        config = program.default_config(depth=3, seed=0)
+        result = run_multi_gpu_sampling(small_powerlaw_graph, program, config,
+                                        [[0, 1, 2], [3, 4, 5]],
+                                        num_instances=2, num_gpus=2)
+        assert [[s.seeds.tolist() for s in r.samples] for r in result.per_gpu] \
+            == [[[0, 1, 2]], [[3, 4, 5]]]
+
+    def test_ragged_pools_run(self, small_powerlaw_graph):
+        program = MultiDimensionalRandomWalk()
+        config = program.default_config(depth=3, seed=0)
+        result = run_multi_gpu_sampling(small_powerlaw_graph, program, config,
+                                        [[0, 1], [2, 3, 4], [5]],
+                                        num_instances=4, num_gpus=2)
+        assert [[s.seeds.tolist() for s in r.samples] for r in result.per_gpu] \
+            == [[[0, 1], [2, 3, 4]], [[5], [0, 1]]]
+        assert result.total_sampled_edges > 0
+
+    def test_out_of_range_seeds_raise_seed_validation_error(self, small_powerlaw_graph):
         program = BiasedNeighborSampling()
         config = program.default_config()
-        with pytest.raises(ValueError, match="device_specs"):
-            run_multi_gpu_sampling(small_powerlaw_graph, program, config, [0, 1],
-                                   num_instances=8, num_gpus=4,
-                                   device_specs=[V100_SPEC])
+        with pytest.raises(SeedValidationError, match="outside the graph"):
+            run_multi_gpu_sampling(small_powerlaw_graph, program, config,
+                                   [0, small_powerlaw_graph.num_vertices],
+                                   num_instances=4, num_gpus=2)
+
+    def test_explain_names_the_device_layout(self, small_powerlaw_graph):
+        """One in-memory plan, its layout the device groups, runs through
+        the Executor."""
+        plans, execute = [], Executor.execute
+
+        def spy(self, *args, **kwargs):
+            plans.append(self.plan)
+            return execute(self, *args, **kwargs)
+
+        program = BiasedNeighborSampling()
+        config = program.default_config(depth=2, neighbor_size=2, seed=0)
+        with mock.patch.object(Executor, "execute", spy):
+            run_multi_gpu_sampling(small_powerlaw_graph, program, config,
+                                   np.arange(8), num_instances=8, num_gpus=3)
+        [ran] = plans
+        assert ran.route == "in_memory"
+        assert ran.layout == PartitionLayout(kind="device_groups", num_partitions=3)
+        assert "layout: 3 device groups" in ran.explain()
+        assert "group g runs at seed + g" in ran.explain()

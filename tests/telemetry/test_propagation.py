@@ -17,6 +17,7 @@ from repro.api.instance import make_instances
 from repro.api.sampler import GraphSampler
 from repro.distributed import ShardedSamplingCluster
 from repro.engine.hetero import run_coalesced
+from repro.oom.multigpu import run_multi_gpu_sampling
 from repro.oom.scheduler import OutOfMemoryConfig, OutOfMemorySampler
 from repro.telemetry import is_connected, span_tree, write_chrome_trace
 
@@ -113,6 +114,23 @@ class TestOutOfMemory:
         drains = [r for r in records if r.name == "partition_drain"]
         round_ids = {r.span_id for r in rounds}
         assert all(r.parent_id in round_ids for r in drains)
+
+
+class TestDeviceGroups:
+    def test_device_groups_nest_under_execute(self, telemetry,
+                                              small_powerlaw_graph, seeds):
+        program, config = _deepwalk()
+        run_multi_gpu_sampling(small_powerlaw_graph, program, config, seeds,
+                               num_instances=len(seeds), num_gpus=3)
+        root, records = _single_tree(telemetry)
+        assert root.attrs["route"] == "in_memory"
+        groups = [r for r in records if r.name == "device_group"]
+        assert [(r.attrs["device"], r.attrs["instances"]) for r in groups] == [
+            (0, 3), (1, 3), (2, 2)]
+        assert all(r.parent_id == root.span_id for r in groups)
+        runs = [r for r in records if r.name == "compiled_run"]
+        assert sorted(r.parent_id for r in runs) == sorted(
+            r.span_id for r in groups)
 
 
 class TestSharded:
