@@ -159,6 +159,8 @@ class Executor:
             self.program = get_algorithm(self.plan.algorithm).program_factory(
                 **self.program_kwargs
             )
+        if self.plan.layout.kind == "device_groups":  # each group resolves its own
+            return self._run_device_groups(instances)
         # The run's one step decision: the engine built below, the walk
         # kernel and the sharded placement all follow it.  Sharded runs bind
         # no program here (each shard builds its own), so they resolve by
@@ -169,8 +171,6 @@ class Executor:
         )
         if route == "sharded":
             return self._run_sharded(instances)
-        if self.plan.layout.kind == "device_groups":
-            return self._run_device_groups(instances)
         if self.engine is None:
             config = self.plan.config
             self.engine = BatchedStepEngine(
